@@ -141,6 +141,68 @@ pub fn f32_suite() -> Vec<Fixture> {
     ]
 }
 
+/// FNV-1a over the tree's edge list (each endpoint as a little-endian
+/// `u64`): a 64-bit pin for trees too long to spell out.
+pub fn tree_hash(edges: &[(usize, usize)]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &(u, v) in edges {
+        for x in [u as u64, v as u64] {
+            for byte in x.to_le_bytes() {
+                h = (h ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+    }
+    h
+}
+
+/// `(spec, graph, config, tree hash, total rounds)` of one
+/// benchmark-scale pin.
+pub type ScalePin = (&'static str, Graph, SamplerConfig, u64, u64);
+
+/// Prepared seed-42 draws at the benchmark's scale: `n = 64` is
+/// [`Backend::AUTO_MIN_N`], so `Auto` resolves the regular graph to CSR
+/// (with fill-in promotion along the doubling tables) and the complete
+/// graph to dense, and most phases run top-down on a Schur complement
+/// with `|S| < n`. Library defaults (Theorem 1) and the exact variant
+/// (Las Vegas extensions, ~20 phases). The regular graph is drawn from
+/// a fixed seed. Captured before the per-phase matrix work moved to
+/// `|S|` scale.
+pub fn scale_suite() -> Vec<ScalePin> {
+    use rand::SeedableRng;
+    let regular =
+        || generators::random_regular(64, 4, &mut rand::rngs::StdRng::seed_from_u64(2025));
+    vec![
+        (
+            "thm1 regular:64:4",
+            regular(),
+            SamplerConfig::new(),
+            0x5abc_4903_feec_400b,
+            6326,
+        ),
+        (
+            "thm1 complete:64",
+            generators::complete(64),
+            SamplerConfig::new(),
+            0x7b55_5668_26f6_de1d,
+            6270,
+        ),
+        (
+            "exact regular:64:4",
+            regular(),
+            SamplerConfig::exact_variant(),
+            0x6952_d2b2_3bed_005d,
+            12256,
+        ),
+        (
+            "exact complete:64",
+            generators::complete(64),
+            SamplerConfig::exact_variant(),
+            0xc012_0058_393a_25e7,
+            12260,
+        ),
+    ]
+}
+
 /// The Appendix exact variant at the same seed (CLI:
 /// `cct exact --seed 42`).
 pub fn exact_suite() -> Vec<Fixture> {

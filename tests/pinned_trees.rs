@@ -188,6 +188,33 @@ fn f32_fixtures_hold_across_workers_and_backends() {
 }
 
 #[test]
+fn benchmark_scale_pins_hold_on_every_backend() {
+    // The fixtures above stop at n = 10, below `Backend::AUTO_MIN_N`:
+    // these pin Auto's CSR choice, fill-in promotion, and many top-down
+    // phases on Schur complements, through the prepared path.
+    for (name, g, config, hash, rounds) in fixtures::scale_suite() {
+        for backend in fixtures::backends() {
+            let prepared = CliqueTreeSampler::new(config.clone().backend(backend))
+                .prepare(&g)
+                .unwrap();
+            let report = prepared
+                .sample(&mut rand::rngs::StdRng::seed_from_u64(42))
+                .unwrap();
+            assert_eq!(
+                fixtures::tree_hash(report.tree.edges()),
+                hash,
+                "tree changed on {name} under {backend}"
+            );
+            assert_eq!(
+                report.total_rounds(),
+                rounds,
+                "round total changed on {name} under {backend}"
+            );
+        }
+    }
+}
+
+#[test]
 fn iterated_squaring_route_matches_exact_solve_trees() {
     // The block-squaring rewrite sits on the IteratedSquaring Schur
     // route; at tight tolerance it must sample the same trees as the
