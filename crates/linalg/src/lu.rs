@@ -1,12 +1,25 @@
 //! LU decomposition with partial pivoting: determinants, linear solves,
 //! and inverses.
 //!
-//! Used for the exact (reference) computations in the repository: the
-//! Matrix–Tree determinant, the fundamental-matrix form `(I−T)^{-1}A` of
-//! the shortcut graph (Definition 3), and the Laplacian-elimination form of
-//! the Schur complement (Definition 1). The distributed pipeline never
-//! inverts anything — it uses iterated squaring (Corollaries 2–3) — but
-//! tests compare against these exact routines.
+//! Used wherever the repository solves exactly: the Matrix–Tree
+//! determinant, the Laplacian-elimination form of the Schur complement
+//! (Definition 1), and the fundamental-matrix form `(I−T)^{-1}A` of the
+//! shortcut graph (Definition 3). The last one runs in every phase of the
+//! sampler under the default `SchurComputation::ExactSolve`, which inverts
+//! `I − T` once per phase; the paper's iterated squaring (Corollaries 2–3)
+//! is the `IteratedSquaring` alternative, and the ledger charges its
+//! multiplication count either way.
+//!
+//! # Row slices
+//!
+//! Elimination and substitution work on whole row slices:
+//! `row_i[k+1..] -= factor · row_k[k+1..]` during factorization, and
+//! `y_i -= L[i,k] · y_k` (every right-hand side at once) during the solves.
+//! Each entry sees the same operations in the same order as the textbook
+//! scalar loops, except that exactly-zero multipliers are skipped: they
+//! would only subtract a signed zero. Results therefore equal the scalar
+//! route's under `==` (the sign of an exact zero may differ), which the
+//! property suite checks against a kept scalar reference.
 
 use crate::Matrix;
 
@@ -60,13 +73,16 @@ impl Lu {
         let mut lu = a.clone();
         let mut perm: Vec<usize> = (0..n).collect();
         let mut sign = 1.0;
+        let data = lu.as_mut_slice();
         for k in 0..n {
-            // Partial pivot: largest |entry| in column k at or below row k.
+            // Partial pivot: largest |entry| in column k at or below row
+            // k (the first such row on ties).
             let mut piv = k;
-            let mut best = lu[(k, k)].abs();
+            let mut best = data[k * n + k].abs();
             for i in k + 1..n {
-                if lu[(i, k)].abs() > best {
-                    best = lu[(i, k)].abs();
+                let x = data[i * n + k].abs();
+                if x > best {
+                    best = x;
                     piv = i;
                 }
             }
@@ -74,21 +90,22 @@ impl Lu {
                 return Err(SingularMatrixError);
             }
             if piv != k {
-                for j in 0..n {
-                    let tmp = lu[(k, j)];
-                    lu[(k, j)] = lu[(piv, j)];
-                    lu[(piv, j)] = tmp;
-                }
+                let (upper, lower) = data.split_at_mut(piv * n);
+                upper[k * n..(k + 1) * n].swap_with_slice(&mut lower[..n]);
                 perm.swap(k, piv);
                 sign = -sign;
             }
-            let pivot = lu[(k, k)];
-            for i in k + 1..n {
-                let factor = lu[(i, k)] / pivot;
-                lu[(i, k)] = factor;
-                for j in k + 1..n {
-                    let sub = factor * lu[(k, j)];
-                    lu[(i, j)] -= sub;
+            let (upper, lower) = data.split_at_mut((k + 1) * n);
+            let pivot_row = &upper[k * n..];
+            let pivot = pivot_row[k];
+            for row in lower.chunks_exact_mut(n) {
+                let factor = row[k] / pivot;
+                row[k] = factor;
+                if factor == 0.0 {
+                    continue;
+                }
+                for (x, &u) in row[k + 1..].iter_mut().zip(&pivot_row[k + 1..]) {
+                    *x -= factor * u;
                 }
             }
         }
@@ -112,47 +129,82 @@ impl Lu {
     ///
     /// Panics if `b.len()` differs from the matrix dimension.
     pub fn solve(&self, b: &[f64]) -> Vec<f64> {
-        let n = self.lu.rows();
+        let n = self.dim();
         assert_eq!(b.len(), n, "rhs length mismatch");
-        // Forward substitution on permuted b (L has unit diagonal).
-        let mut y: Vec<f64> = (0..n).map(|i| b[self.perm[i]]).collect();
-        for i in 0..n {
-            for k in 0..i {
-                y[i] -= self.lu[(i, k)] * y[k];
-            }
-        }
-        // Back substitution.
-        for i in (0..n).rev() {
-            for k in i + 1..n {
-                let sub = self.lu[(i, k)] * y[k];
-                y[i] -= sub;
-            }
-            y[i] /= self.lu[(i, i)];
-        }
-        y
+        let mut y = Matrix::from_fn(n, 1, |i, _| b[self.perm[i]]);
+        self.substitute(&mut y);
+        y.as_slice().to_vec()
     }
 
-    /// Solves `A·X = B` column by column.
+    /// Solves `A·X = B` for every column of `B` at once.
     ///
     /// # Panics
     ///
     /// Panics if `b.rows()` differs from the matrix dimension.
     pub fn solve_matrix(&self, b: &Matrix) -> Matrix {
-        let n = self.lu.rows();
+        let n = self.dim();
         assert_eq!(b.rows(), n, "rhs row count mismatch");
-        let mut out = Matrix::zeros(n, b.cols());
-        for j in 0..b.cols() {
-            let col = self.solve(&b.col(j));
-            for i in 0..n {
-                out[(i, j)] = col[i];
-            }
+        let mut y = Matrix::zeros(n, b.cols());
+        for (i, &p) in self.perm.iter().enumerate() {
+            y.row_mut(i).copy_from_slice(b.row(p));
         }
-        out
+        self.substitute(&mut y);
+        y
     }
 
-    /// The inverse of the factorized matrix.
+    /// The inverse of the factorized matrix: [`Lu::solve_matrix`] on the
+    /// identity, whose permuted rows are seeded directly.
     pub fn inverse(&self) -> Matrix {
-        self.solve_matrix(&Matrix::identity(self.lu.rows()))
+        let n = self.dim();
+        let mut y = Matrix::zeros(n, n);
+        for (i, &p) in self.perm.iter().enumerate() {
+            y[(i, p)] = 1.0;
+        }
+        self.substitute(&mut y);
+        y
+    }
+
+    /// Forward then back substitution on every column of `y` at once;
+    /// `y` enters holding the permuted right-hand sides (row `i` is row
+    /// `perm[i]` of `B`) and leaves holding `X`.
+    fn substitute(&self, y: &mut Matrix) {
+        let n = self.dim();
+        let m = y.cols();
+        let lu = self.lu.as_slice();
+        let y = y.as_mut_slice();
+        // L has a unit diagonal: y_i -= L[i,k]·y_k for k < i.
+        for i in 0..n {
+            let (solved, rest) = y.split_at_mut(i * m);
+            let yi = &mut rest[..m];
+            for (yk, &l) in solved.chunks_exact(m.max(1)).zip(&lu[i * n..i * n + i]) {
+                if l == 0.0 {
+                    continue;
+                }
+                for (x, &v) in yi.iter_mut().zip(yk) {
+                    *x -= l * v;
+                }
+            }
+        }
+        // y_i -= U[i,k]·y_k for k > i, then y_i /= U[i,i].
+        for i in (0..n).rev() {
+            let (head, solved) = y.split_at_mut((i + 1) * m);
+            let yi = &mut head[i * m..];
+            for (yk, &u) in solved
+                .chunks_exact(m.max(1))
+                .zip(&lu[i * n + i + 1..(i + 1) * n])
+            {
+                if u == 0.0 {
+                    continue;
+                }
+                for (x, &v) in yi.iter_mut().zip(yk) {
+                    *x -= u * v;
+                }
+            }
+            let d = lu[i * n + i];
+            for x in yi.iter_mut() {
+                *x /= d;
+            }
+        }
     }
 }
 

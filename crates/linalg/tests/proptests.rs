@@ -38,6 +38,133 @@ fn hashed_csr(n: usize, seed: u64) -> CsrMatrix {
     builder.build()
 }
 
+/// The scalar LU the row-slice [`Lu`] replaced, kept as the equality
+/// reference: index-by-index elimination over every multiplier, zeros
+/// included, and substitution one right-hand-side column at a time.
+struct ScalarLu {
+    lu: Matrix,
+    perm: Vec<usize>,
+    sign: f64,
+}
+
+impl ScalarLu {
+    fn new(a: &Matrix) -> Option<ScalarLu> {
+        let n = a.rows();
+        let mut lu = a.clone();
+        let mut perm: Vec<usize> = (0..n).collect();
+        let mut sign = 1.0;
+        for k in 0..n {
+            let mut piv = k;
+            let mut best = lu[(k, k)].abs();
+            for i in k + 1..n {
+                if lu[(i, k)].abs() > best {
+                    best = lu[(i, k)].abs();
+                    piv = i;
+                }
+            }
+            if best < 1e-300 {
+                return None;
+            }
+            if piv != k {
+                for j in 0..n {
+                    let tmp = lu[(k, j)];
+                    lu[(k, j)] = lu[(piv, j)];
+                    lu[(piv, j)] = tmp;
+                }
+                perm.swap(k, piv);
+                sign = -sign;
+            }
+            let pivot = lu[(k, k)];
+            for i in k + 1..n {
+                let factor = lu[(i, k)] / pivot;
+                lu[(i, k)] = factor;
+                for j in k + 1..n {
+                    let sub = factor * lu[(k, j)];
+                    lu[(i, j)] -= sub;
+                }
+            }
+        }
+        Some(ScalarLu { lu, perm, sign })
+    }
+
+    fn det(&self) -> f64 {
+        (0..self.lu.rows()).fold(self.sign, |acc, i| acc * self.lu[(i, i)])
+    }
+
+    fn solve(&self, b: &[f64]) -> Vec<f64> {
+        let n = self.lu.rows();
+        let mut y: Vec<f64> = (0..n).map(|i| b[self.perm[i]]).collect();
+        for i in 0..n {
+            for k in 0..i {
+                y[i] -= self.lu[(i, k)] * y[k];
+            }
+        }
+        for i in (0..n).rev() {
+            for k in i + 1..n {
+                let sub = self.lu[(i, k)] * y[k];
+                y[i] -= sub;
+            }
+            y[i] /= self.lu[(i, i)];
+        }
+        y
+    }
+
+    fn solve_matrix(&self, b: &Matrix) -> Matrix {
+        let n = self.lu.rows();
+        let mut out = Matrix::zeros(n, b.cols());
+        for j in 0..b.cols() {
+            let col = self.solve(&b.col(j));
+            for i in 0..n {
+                out[(i, j)] = col[i];
+            }
+        }
+        out
+    }
+}
+
+/// Asserts that [`Lu`] and [`ScalarLu`] agree under `==` on `a`: the same
+/// singularity verdict, determinant, vector solve, multi-column solve
+/// and inverse.
+fn assert_lu_matches_scalar(a: &Matrix, rhs: &Matrix) {
+    let (fast, reference) = match (Lu::new(a), ScalarLu::new(a)) {
+        (Ok(fast), Some(reference)) => (fast, reference),
+        (Err(_), None) => return,
+        (fast, reference) => panic!(
+            "singularity verdicts differ: row-slice {:?}, scalar {}",
+            fast.err(),
+            reference.is_some()
+        ),
+    };
+    assert_eq!(fast.det(), reference.det());
+    let b = rhs.col(0);
+    assert_eq!(fast.solve(&b), reference.solve(&b));
+    assert_eq!(fast.solve_matrix(rhs), reference.solve_matrix(rhs));
+    assert_eq!(
+        fast.inverse(),
+        reference.solve_matrix(&Matrix::identity(a.rows()))
+    );
+}
+
+/// Strategy: an `n × n` matrix and an `n × m` right-hand side, with each
+/// entry zeroed when its draw falls below `zero_below` (so the zero-skip
+/// paths run), plus `diag` added on the diagonal.
+fn lu_case(max_n: usize, zero_below: f64, diag: f64) -> impl Strategy<Value = (Matrix, Matrix)> {
+    (1..=max_n, 1usize..=4).prop_flat_map(move |(n, m)| {
+        (
+            proptest::collection::vec(0.0f64..1.0, n * n),
+            proptest::collection::vec(-1.0f64..1.0, n * m),
+        )
+            .prop_map(move |(a, b)| {
+                let a = Matrix::from_fn(n, n, |i, j| {
+                    let x = a[i * n + j];
+                    let x = if x < zero_below { 0.0 } else { x - 0.5 };
+                    x + if i == j { diag * n as f64 } else { 0.0 }
+                });
+                (a, Matrix::from_fn(n, m, |i, j| b[i * m + j]))
+            })
+    })
+}
+
 /// Strategy: a square matrix with entries in [0, 1).
 fn square_matrix(max_n: usize) -> impl Strategy<Value = Matrix> {
     (1..=max_n).prop_flat_map(|n| {
@@ -103,6 +230,36 @@ proptest! {
             let recovered: f64 = (0..n).map(|j| dd[(i, j)] * x[j]).sum();
             prop_assert!((recovered - b[i]).abs() < 1e-8);
         }
+    }
+
+    #[test]
+    fn row_slice_lu_matches_scalar_on_random_inputs((a, b) in lu_case(9, 0.0, 0.0)) {
+        assert_lu_matches_scalar(&a, &b);
+    }
+
+    #[test]
+    fn row_slice_lu_matches_scalar_on_sparse_inputs((a, b) in lu_case(9, 0.6, 0.0)) {
+        // Mostly-zero entries: exact-zero multipliers in both factors.
+        assert_lu_matches_scalar(&a, &b);
+    }
+
+    #[test]
+    fn row_slice_lu_matches_scalar_on_diagonally_dominant_inputs(
+        (a, b) in lu_case(12, 0.5, 1.0),
+    ) {
+        // The shape of `I − T`: no row swaps, sparse multipliers.
+        assert_lu_matches_scalar(&a, &b);
+    }
+
+    #[test]
+    fn row_slice_lu_matches_scalar_when_every_step_pivots(
+        (a, b) in lu_case(12, 0.3, 1.0),
+    ) {
+        // Reversing the rows of a diagonally dominant matrix puts its
+        // largest entries on the anti-diagonal: partial pivoting swaps.
+        let n = a.rows();
+        let reversed = Matrix::from_fn(n, n, |i, j| a[(n - 1 - i, j)]);
+        assert_lu_matches_scalar(&reversed, &b);
     }
 
     #[test]
