@@ -4,11 +4,15 @@
 //! search for the truncation point (Algorithm 3), and matching-based
 //! midpoint placement (§2.1.3 / Lemma 3).
 //!
-//! Vertices are handled in **global** id space throughout: the phase
-//! transition matrix is the `n × n` padded block matrix
-//! `diag(Schur(G,S) transition, I)`, whose powers restrict to the Schur
-//! block, so grid entries, midpoints, and first-visit bookkeeping never
-//! need local reindexing.
+//! A phase walks in its **local** ids: the phase matrix is the `|S| × |S|`
+//! Schur transition, row `i` being vertex `s.global(i)`. `s.list()` is
+//! sorted, so local order is global order and every row scan, sample and
+//! matching sees its candidates in the order global ids would give. The
+//! sampler maps `first_visits` and `last` back through `s.global()` once
+//! per phase ([`PhaseWalkResult::into_global`]). Round charges stay those
+//! of the `n`-machine clique: the distributed protocol works on the
+//! `n × n` `diag(T, I)`, whose powers restrict to the `S` block, and the
+//! phase's [`cct_sim::BlockEngine`] bills its products at `n`.
 
 use crate::config::{Placement, SamplerConfig, Variant};
 use crate::report::PhaseMethod;
@@ -52,9 +56,9 @@ impl std::error::Error for PhaseError {}
 /// What a phase walk produced.
 #[derive(Debug, Clone)]
 pub(crate) struct PhaseWalkResult {
-    /// `(v, prev)` for each newly visited vertex, chronological, global
-    /// ids. `prev` is the walk vertex immediately before `v`'s first
-    /// visit (Algorithm 4's `W[i−1]`).
+    /// `(v, prev)` for each newly visited vertex, chronological, in the
+    /// ids of the matrix the phase walked on. `prev` is the walk vertex
+    /// immediately before `v`'s first visit (Algorithm 4's `W[i−1]`).
     pub first_visits: Vec<(usize, usize)>,
     /// Final vertex of the phase walk.
     pub last: usize,
@@ -106,6 +110,16 @@ impl PhaseWalkResult {
             placement_words,
             method,
         }
+    }
+
+    /// Maps the walk's vertices from the phase's local ids to global ids.
+    pub(crate) fn into_global(mut self, s: &VertexSubset) -> Self {
+        for (v, prev) in &mut self.first_visits {
+            *v = s.global(*v);
+            *prev = s.global(*prev);
+        }
+        self.last = s.global(self.last);
+        self
     }
 }
 
@@ -164,14 +178,12 @@ impl<'a> PowerTable<'a> {
 }
 
 /// Leader-local walk generation after collecting the `|S| × |S|`
-/// transition matrix — used when `|S| ≤ ρ` (final phases; the matrix fits
-/// in the same `O(1)`-round budget as the paper's submatrix collection)
-/// and as the fallback for degenerate bipartite phase graphs.
-#[allow(clippy::too_many_arguments)]
+/// transition matrix `t0` — used when `|S| ≤ ρ` (final phases; the matrix
+/// fits in the same `O(1)`-round budget as the paper's submatrix
+/// collection) and as the fallback for degenerate bipartite phase graphs.
 pub(crate) fn direct_local_phase<R: Rng + ?Sized>(
     clique: &mut Clique,
     t0: &PMatrix,
-    s: &VertexSubset,
     start: usize,
     rho: usize,
     ell: u64,
@@ -179,8 +191,8 @@ pub(crate) fn direct_local_phase<R: Rng + ?Sized>(
     rng: &mut R,
 ) -> Result<PhaseWalkResult, PhaseError> {
     let n = clique.n();
-    // Leader collects the S-block of the transition matrix.
-    let words = (s.len() * s.len()) as u64;
+    // Leader collects the whole phase matrix.
+    let words = (t0.rows() * t0.rows()) as u64;
     clique
         .ledger_mut()
         .charge(CostCategory::Gather, Clique::rounds_for_load(n, words));
@@ -304,16 +316,11 @@ pub(crate) fn streamed_local_phase<R: Rng + ?Sized>(
     })
 }
 
-/// Returns `true` if the phase graph restricted to `S` is bipartite with
-/// the start vertex's side smaller than `rho` — the degenerate case where
-/// the even-granularity levels of the top-down filling can never reach
-/// the distinct-vertex budget and the partial walk would balloon.
-pub(crate) fn is_degenerate_bipartite(
-    t0: &PMatrix,
-    s: &VertexSubset,
-    start: usize,
-    rho: usize,
-) -> bool {
+/// Returns `true` if the phase graph `t0` is bipartite with the start
+/// vertex's side smaller than `rho` — the degenerate case where the
+/// even-granularity levels of the top-down filling can never reach the
+/// distinct-vertex budget and the partial walk would balloon.
+pub(crate) fn is_degenerate_bipartite(t0: &PMatrix, start: usize, rho: usize) -> bool {
     let n = t0.rows();
     // Undirected support graph: `u ~ v` iff either direction carries
     // mass above the threshold. One pass over the stored entries builds
@@ -337,9 +344,6 @@ pub(crate) fn is_degenerate_bipartite(
     let mut side0 = 1usize;
     while let Some(u) = stack.pop() {
         for &v in &adj[u] {
-            if !s.contains(v) {
-                continue;
-            }
             if color[v] == u8::MAX {
                 color[v] = 1 - color[u];
                 if color[v] == 0 {
@@ -355,8 +359,8 @@ pub(crate) fn is_degenerate_bipartite(
 }
 
 /// The full distributed top-down truncated walk (Outline 3, steps 4–5),
-/// including Las Vegas extensions. `powers.level(k)` must hold the
-/// padded `T^{2^k}` for `k = 0 ..= log₂ ell`; the table is extended
+/// including Las Vegas extensions. `powers.level(k)` must hold the phase
+/// matrix's `T^{2^k}` for `k = 0 ..= log₂ ell`; the table is extended
 /// (through the engine, charging rounds) when Las Vegas doubles `ℓ`.
 /// `workers` is the resolved worker-pool width for the midpoint fan-out
 /// (the sampler resolves one width for every parallel section).
@@ -365,7 +369,6 @@ pub(crate) fn top_down_phase<R: Rng + ?Sized>(
     clique: &mut Clique,
     engine: &dyn MatMulEngine,
     powers: &mut PowerTable<'_>,
-    s: &VertexSubset,
     start: usize,
     rho: usize,
     ell0: u64,
@@ -384,7 +387,6 @@ pub(crate) fn top_down_phase<R: Rng + ?Sized>(
         let seg = run_segment(
             clique,
             powers,
-            s,
             seg_start,
             rho,
             ell,
@@ -436,12 +438,11 @@ pub(crate) fn top_down_phase<R: Rng + ?Sized>(
 }
 
 /// Runs one target-length-`ell` segment of the top-down truncated walk,
-/// returning the contiguous walk vertices (global ids).
+/// returning the contiguous walk vertices.
 #[allow(clippy::too_many_arguments)]
 fn run_segment<R: Rng + ?Sized>(
     clique: &mut Clique,
     powers: &PowerTable<'_>,
-    s: &VertexSubset,
     start: usize,
     rho: usize,
     ell: u64,
@@ -527,10 +528,8 @@ fn run_segment<R: Rng + ?Sized>(
         let fan_seed: u64 = rng.gen();
         let sequences: Vec<Vec<usize>> = par_map(num_pairs, workers, |id| {
             let (p, q) = pairs[id];
-            let weights: Vec<f64> = s
-                .list()
-                .iter()
-                .map(|&j| th.get(p, j) * th.get(j, q))
+            let weights: Vec<f64> = (0..th.rows())
+                .map(|j| th.get(p, j) * th.get(j, q))
                 .collect();
             let total: f64 = weights.iter().sum();
             if total.is_nan() || total <= 0.0 {
@@ -540,8 +539,7 @@ fn run_segment<R: Rng + ?Sized>(
                 rand::rngs::StdRng::seed_from_u64(machine_seed(fan_seed, id as u64));
             let mut seq = Vec::with_capacity(pair_counts[id]);
             for _ in 0..pair_counts[id] {
-                let k = sample_index(&mut machine_rng, &weights).expect("positive total");
-                seq.push(s.list()[k]);
+                seq.push(sample_index(&mut machine_rng, &weights).expect("positive total"));
             }
             seq
         });
@@ -849,7 +847,7 @@ mod tests {
         rand::rngs::StdRng::seed_from_u64(seed)
     }
 
-    fn padded_powers(t0: &cct_linalg::Matrix, levels: usize) -> DeferredPowers {
+    fn dense_powers(t0: &cct_linalg::Matrix, levels: usize) -> DeferredPowers {
         DeferredPowers::from_materialized(
             cct_linalg::powers_of_two(t0, levels + 1, 1)
                 .into_iter()
@@ -863,10 +861,9 @@ mod tests {
     #[test]
     fn top_down_phase_reaches_budget_on_clique() {
         let g = generators::complete(8);
-        let s = VertexSubset::full(8);
         let t0 = g.transition_matrix();
         let ell = 256u64;
-        let base = padded_powers(&t0, ell.trailing_zeros() as usize);
+        let base = dense_powers(&t0, ell.trailing_zeros() as usize);
         let mut powers = PowerTable::new(&base);
         let mut clique = Clique::new(8);
         let config = SamplerConfig::new();
@@ -875,7 +872,6 @@ mod tests {
             &mut clique,
             &UnitCostEngine::default(),
             &mut powers,
-            &s,
             0,
             4,
             ell,
@@ -897,21 +893,11 @@ mod tests {
     #[test]
     fn direct_local_phase_reaches_budget() {
         let g = generators::complete(6);
-        let s = VertexSubset::full(6);
         let t0 = PMatrix::Dense(g.transition_matrix());
         let mut clique = Clique::new(6);
         let mut r = rng(2);
-        let res = direct_local_phase(
-            &mut clique,
-            &t0,
-            &s,
-            0,
-            6,
-            1 << 20,
-            Variant::LasVegas,
-            &mut r,
-        )
-        .unwrap();
+        let res =
+            direct_local_phase(&mut clique, &t0, 0, 6, 1 << 20, Variant::LasVegas, &mut r).unwrap();
         assert!(res.reached);
         assert_eq!(res.distinct, 6);
         assert_eq!(res.first_visits.len(), 5);
@@ -923,12 +909,11 @@ mod tests {
     fn monte_carlo_failure_flagged_when_ell_too_small() {
         // A 2-step budget cannot visit 8 distinct vertices of a path.
         let g = generators::path(8);
-        let s = VertexSubset::full(8);
         let t0 = PMatrix::Dense(g.transition_matrix());
         let mut clique = Clique::new(8);
         let mut r = rng(3);
         let res =
-            direct_local_phase(&mut clique, &t0, &s, 0, 8, 2, Variant::MonteCarlo, &mut r).unwrap();
+            direct_local_phase(&mut clique, &t0, 0, 8, 2, Variant::MonteCarlo, &mut r).unwrap();
         assert!(!res.reached);
     }
 
@@ -1044,17 +1029,15 @@ mod tests {
         // is {0, 2}: degenerate iff rho > 2. Both representations must
         // answer identically.
         let g = generators::path(4);
-        let s = VertexSubset::full(4);
         for repr in [cct_linalg::Repr::Dense, cct_linalg::Repr::Sparse] {
             let t0 = g.transition_pmatrix(repr);
-            assert!(!is_degenerate_bipartite(&t0, &s, 0, 2), "{repr:?}");
-            assert!(is_degenerate_bipartite(&t0, &s, 0, 3), "{repr:?}");
+            assert!(!is_degenerate_bipartite(&t0, 0, 2), "{repr:?}");
+            assert!(is_degenerate_bipartite(&t0, 0, 3), "{repr:?}");
         }
         // Triangle: not bipartite, never degenerate.
         let g = generators::complete(3);
         let t0 = PMatrix::Dense(g.transition_matrix());
-        let s = VertexSubset::full(3);
-        assert!(!is_degenerate_bipartite(&t0, &s, 0, 3));
+        assert!(!is_degenerate_bipartite(&t0, 0, 3));
     }
 
     #[test]
@@ -1064,17 +1047,15 @@ mod tests {
             vec![0.0, 1.0],
             vec![1.0, 0.0],
         ]));
-        let s = VertexSubset::full(2);
-        assert!(is_degenerate_bipartite(&t0, &s, 0, 2));
+        assert!(is_degenerate_bipartite(&t0, 0, 2));
     }
 
     #[test]
     fn top_down_first_visits_are_walk_consistent() {
         let g = generators::petersen();
-        let s = VertexSubset::full(10);
         let t0 = g.transition_matrix();
         let ell = 1024u64;
-        let base = padded_powers(&t0, ell.trailing_zeros() as usize);
+        let base = dense_powers(&t0, ell.trailing_zeros() as usize);
         let config = SamplerConfig::new();
         let mut r = rng(4);
         for _ in 0..10 {
@@ -1084,7 +1065,6 @@ mod tests {
                 &mut clique,
                 &UnitCostEngine::default(),
                 &mut powers,
-                &s,
                 0,
                 3,
                 ell,
@@ -1107,9 +1087,8 @@ mod tests {
         // ℓ = 2 is far too short to see 5 distinct vertices of a path;
         // Las Vegas must extend.
         let g = generators::path(6);
-        let s = VertexSubset::full(6);
         let t0 = g.transition_matrix();
-        let base = padded_powers(&t0, 1);
+        let base = dense_powers(&t0, 1);
         let mut powers = PowerTable::new(&base);
         let config = SamplerConfig {
             variant: Variant::LasVegas,
@@ -1121,7 +1100,6 @@ mod tests {
             &mut clique,
             &UnitCostEngine::default(),
             &mut powers,
-            &s,
             0,
             5, // rho
             2, // ell — hopelessly short; extensions required

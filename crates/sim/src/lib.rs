@@ -52,8 +52,8 @@ mod parallel;
 pub use clique::{Clique, Envelope};
 pub use ledger::{CostCategory, RoundLedger};
 pub use matmul::{
-    distributed_powers, distributed_powers_deferred, distributed_powers_p, DeferredPowers,
-    FastOracleEngine, MatMulEngine, SemiringEngine, UnitCostEngine, ALPHA,
+    distributed_powers, distributed_powers_deferred, distributed_powers_p, BlockEngine,
+    DeferredPowers, FastOracleEngine, MatMulEngine, SemiringEngine, UnitCostEngine, ALPHA,
 };
 pub use mst::{boruvka_mst, MstError, MstMsg, MstOutcome, MstProgram};
 pub use parallel::{machine_seed, par_map, MachineProgram, ParallelClique, Workers};

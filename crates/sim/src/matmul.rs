@@ -589,6 +589,164 @@ impl MatMulEngine for UnitCostEngine {
     }
 }
 
+/// Charges one analytic multiply: `rounds` under [`CostCategory::MatMul`],
+/// plus `words` when non-zero — a zero word count records nothing, as
+/// [`UnitCostEngine::multiply_p`] records none (the ledger would
+/// otherwise gain an explicit zero entry).
+fn charge_multiply(clique: &mut Clique, (rounds, words): (u64, u64)) {
+    clique.ledger_mut().charge(CostCategory::MatMul, rounds);
+    if words > 0 {
+        clique.ledger_mut().add_words(CostCategory::MatMul, words);
+    }
+}
+
+/// An engine's view of square blocks of the clique's `n × n` matrices.
+///
+/// A phase of the sampler walks on the `|S| × |S|` Schur transition `T`,
+/// while the distributed protocol multiplies the `n × n` `diag(T, I)`,
+/// whose powers are `diag(T^k, I)`. Operands and products here are the
+/// `S` blocks — rows and columns `support`, sorted global ids — charged
+/// exactly what the wrapped engine charges for the `n × n` product:
+///
+/// * an engine with analytic charges
+///   ([`MatMulEngine::analytic_multiply_charges`]) is charged its
+///   formula at `n` and the blocks multiply locally. The bits equal the
+///   padded product's: every block entry accumulates the same products
+///   in the same order, the identity rows and columns adding only zero
+///   multiplicands the kernels skip;
+/// * an engine that measures traffic (the semiring protocol) runs on the
+///   operands padded to `diag(·, I)`, because its cube partition of the
+///   global ids fixes each entry's summation order, and the product is
+///   restricted back to `support`.
+///
+/// Operands with `n` rows (`support = 0..n`) go to the wrapped engine
+/// unchanged.
+pub struct BlockEngine<'a> {
+    engine: &'a dyn MatMulEngine,
+    support: &'a [usize],
+    threads: usize,
+}
+
+impl<'a> BlockEngine<'a> {
+    /// Wraps `engine` for blocks on the sorted global ids `support`;
+    /// `threads` is the local width of the block products.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `support` is not strictly increasing.
+    pub fn new(engine: &'a dyn MatMulEngine, support: &'a [usize], threads: usize) -> Self {
+        assert!(
+            support.windows(2).all(|w| w[0] < w[1]),
+            "support must be sorted global ids"
+        );
+        BlockEngine {
+            engine,
+            support,
+            threads: threads.max(1),
+        }
+    }
+
+    /// `diag(block, I)` in `n × n` global space, in the block's
+    /// representation.
+    fn pad(&self, block: &PMatrix, n: usize) -> PMatrix {
+        let s = self.support;
+        match block {
+            PMatrix::Dense(m) => {
+                let mut out = Matrix::identity(n);
+                for (i, &u) in s.iter().enumerate() {
+                    let row = out.row_mut(u);
+                    row[u] = 0.0;
+                    for (&v, &x) in s.iter().zip(m.row(i)) {
+                        row[v] = x;
+                    }
+                }
+                PMatrix::Dense(out)
+            }
+            PMatrix::Sparse(m) => {
+                let mut out = CsrMatrix::builder(n, n);
+                let mut local = s.iter().enumerate().peekable();
+                for u in 0..n {
+                    match local.next_if(|&(_, &v)| v == u) {
+                        Some((i, _)) => {
+                            let (cols, vals) = m.row(i);
+                            for (&j, &x) in cols.iter().zip(vals) {
+                                out.push(s[j as usize], x);
+                            }
+                        }
+                        None => out.push(u, 1.0),
+                    }
+                    out.finish_row();
+                }
+                PMatrix::Sparse(out.build())
+            }
+        }
+    }
+
+    /// The `support × support` block of an `n × n` product.
+    fn restrict(&self, m: &PMatrix) -> PMatrix {
+        let s = self.support;
+        let k = s.len();
+        match m {
+            PMatrix::Dense(d) => PMatrix::Dense(Matrix::from_fn(k, k, |i, j| d[(s[i], s[j])])),
+            PMatrix::Sparse(c) => {
+                let mut out = CsrMatrix::builder(k, k);
+                for &u in s {
+                    let (cols, vals) = c.row(u);
+                    for (&v, &x) in cols.iter().zip(vals) {
+                        if let Ok(j) = s.binary_search(&(v as usize)) {
+                            out.push(j, x);
+                        }
+                    }
+                    out.finish_row();
+                }
+                PMatrix::Sparse(out.build()).promoted()
+            }
+        }
+    }
+}
+
+impl MatMulEngine for BlockEngine<'_> {
+    /// [`MatMulEngine::multiply_p`] on copies of the dense operands.
+    fn multiply(&self, clique: &mut Clique, a: &Matrix, b: &Matrix) -> Matrix {
+        self.multiply_p(clique, &a.clone().into(), &b.clone().into())
+            .into_dense()
+    }
+
+    fn multiply_p(&self, clique: &mut Clique, a: &PMatrix, b: &PMatrix) -> PMatrix {
+        let n = clique.n();
+        let k = self.support.len();
+        assert_eq!(a.shape(), (k, k), "operand A must be the support block");
+        assert_eq!(b.shape(), (k, k), "operand B must be the support block");
+        if k == n {
+            return self.engine.multiply_p(clique, a, b);
+        }
+        match self.engine.analytic_multiply_charges(n) {
+            Some(charges) => {
+                charge_multiply(clique, charges);
+                a.matmul(b, self.threads)
+            }
+            None => {
+                let product = self
+                    .engine
+                    .multiply_p(clique, &self.pad(a, n), &self.pad(b, n));
+                self.restrict(&product)
+            }
+        }
+    }
+
+    fn name(&self) -> &'static str {
+        self.engine.name()
+    }
+
+    fn analytic_multiply_charges(&self, n: usize) -> Option<(u64, u64)> {
+        self.engine.analytic_multiply_charges(n)
+    }
+
+    fn rounds_for_multiply(&self, n: usize) -> u64 {
+        self.engine.rounds_for_multiply(n)
+    }
+}
+
 /// Algorithm 1 (Initialization Step), steps 2–3: computes
 /// `M, M², M⁴, …, M^{2^{levels−1}}` on the clique, optionally truncating
 /// entries between squarings (Lemma 7), and charges the column-
@@ -598,9 +756,14 @@ impl MatMulEngine for UnitCostEngine {
 ///
 /// Returns the power table: index `k` holds `M^{2^k}`.
 ///
+/// `m` is the clique's `n × n` matrix, or a square block of one with
+/// fewer rows when `engine` is a [`BlockEngine`]; the charges are those
+/// of `n × n` products either way.
+///
 /// # Panics
 ///
-/// Panics if `m` is not `n × n` for the clique's `n`, or `levels == 0`.
+/// Panics if `m` is not square with at most `n` rows for the clique's
+/// `n`, or `levels == 0`.
 pub fn distributed_powers(
     clique: &mut Clique,
     engine: &dyn MatMulEngine,
@@ -825,6 +988,11 @@ impl std::fmt::Debug for DeferredPowers {
 /// Engines without analytic charges fall back to eager materialization
 /// through the engine itself — same type, same totals, no deferral.
 ///
+/// `m` may be a phase's `|S| × |S|` block (see [`BlockEngine`], which
+/// the measured-cost fallback needs to run its protocol on the block):
+/// the charges stay those of the `n × n` table, and the levels square at
+/// `|S|` scale.
+///
 /// # Panics
 ///
 /// As [`distributed_powers`].
@@ -837,10 +1005,13 @@ pub fn distributed_powers_deferred(
     threads: usize,
 ) -> DeferredPowers {
     let n = clique.n();
-    assert_eq!(m.shape(), (n, n), "matrix must match clique size");
+    assert!(
+        m.is_square() && m.rows() <= n,
+        "matrix must be square with at most the clique's n rows"
+    );
     assert!(levels > 0, "need at least one level");
     let threads = threads.max(1);
-    let Some((rounds, words)) = engine.analytic_multiply_charges(n) else {
+    let Some(charges) = engine.analytic_multiply_charges(n) else {
         // Measured-cost engine: the charges only exist if the protocol
         // actually runs, so materialize eagerly.
         let table = distributed_powers_p(clique, engine, m, levels, rounding);
@@ -851,8 +1022,7 @@ pub fn distributed_powers_deferred(
     // Algorithm 1 step 3. Per-category totals equal the eager route's.
     let wpe = rounding.words_per_entry(n) as u64;
     for _ in 1..levels {
-        clique.ledger_mut().charge(CostCategory::MatMul, rounds);
-        clique.ledger_mut().add_words(CostCategory::MatMul, words);
+        charge_multiply(clique, charges);
     }
     for _ in 0..levels {
         clique.ledger_mut().charge(CostCategory::MatMul, wpe);
@@ -897,7 +1067,11 @@ fn distributed_powers_impl<M: PowerLevel>(
     mut square: impl FnMut(&mut Clique, &M) -> M,
 ) -> Vec<M> {
     let n = clique.n();
-    assert_eq!(m.shape(), (n, n), "matrix must match clique size");
+    let (rows, cols) = m.shape();
+    assert!(
+        rows == cols && rows <= n,
+        "matrix must be square with at most the clique's n rows"
+    );
     assert!(levels > 0, "need at least one level");
     let wpe = rounding.words_per_entry(n) as u64;
     let mut table = Vec::with_capacity(levels);
