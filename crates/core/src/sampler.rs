@@ -1103,8 +1103,12 @@ mod tests {
                                 "{case}, level {k}"
                             );
                         }
+                        // The extension on fresh cliques: its own ledger,
+                        // down to which categories record words at all.
                         let top = padded_table.level(5);
+                        let mut padded_clique = Clique::new(n);
                         let padded_ext = engine.multiply_p(&mut padded_clique, top, top);
+                        let mut clique = Clique::new(n);
                         let ext = block.multiply_p(&mut clique, table.level(5), table.level(5));
                         assert_eq!(clique.ledger(), padded_clique.ledger(), "{case}, ext");
                         assert_eq!(ext.to_dense(), s_block(&padded_ext, &s), "{case}, ext");

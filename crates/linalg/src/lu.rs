@@ -170,13 +170,16 @@ impl Lu {
     fn substitute(&self, y: &mut Matrix) {
         let n = self.dim();
         let m = y.cols();
+        if m == 0 {
+            return;
+        }
         let lu = self.lu.as_slice();
         let y = y.as_mut_slice();
         // L has a unit diagonal: y_i -= L[i,k]·y_k for k < i.
         for i in 0..n {
             let (solved, rest) = y.split_at_mut(i * m);
             let yi = &mut rest[..m];
-            for (yk, &l) in solved.chunks_exact(m.max(1)).zip(&lu[i * n..i * n + i]) {
+            for (yk, &l) in solved.chunks_exact(m).zip(&lu[i * n..i * n + i]) {
                 if l == 0.0 {
                     continue;
                 }
@@ -189,10 +192,7 @@ impl Lu {
         for i in (0..n).rev() {
             let (head, solved) = y.split_at_mut((i + 1) * m);
             let yi = &mut head[i * m..];
-            for (yk, &u) in solved
-                .chunks_exact(m.max(1))
-                .zip(&lu[i * n + i + 1..(i + 1) * n])
-            {
+            for (yk, &u) in solved.chunks_exact(m).zip(&lu[i * n + i + 1..(i + 1) * n]) {
                 if u == 0.0 {
                     continue;
                 }

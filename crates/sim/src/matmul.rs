@@ -655,7 +655,6 @@ impl<'a> BlockEngine<'a> {
                 let mut out = Matrix::identity(n);
                 for (i, &u) in s.iter().enumerate() {
                     let row = out.row_mut(u);
-                    row[u] = 0.0;
                     for (&v, &x) in s.iter().zip(m.row(i)) {
                         row[v] = x;
                     }
