@@ -1,5 +1,5 @@
-//! The experiment harness: regenerates every table/series in
-//! DESIGN.md's experiment index.
+//! The experiment harness: regenerates the table/series of every
+//! experiment in `cct_bench::experiments` (E1–E22, aux).
 //!
 //! ```sh
 //! cargo run -p cct-bench --release --bin harness -- all [--quick]
@@ -37,9 +37,9 @@ OPTIONS:
                       sparse backend's bytes reduction and wall-clock
                       ratio; e20: peak resident prepared-state bytes
                       and their per-family scaling ratio; e21: the MST
-                      and weighted-thm1 round totals; e22: the panel-
-                      and f32-kernel same-run speedup ratios — timing
-                      ratios, so the gate is machine-independent)
+                      and weighted-thm1 round totals; e22: the panel
+                      kernels' same-run speedup ratios — timing ratios,
+                      so the gate is machine-independent)
     --help            this text
 ";
 

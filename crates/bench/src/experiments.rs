@@ -1,6 +1,6 @@
-//! The experiment suite: one function per entry of DESIGN.md's experiment
-//! index (E1–E13). Each prints the table/series the paper's claim
-//! corresponds to; `EXPERIMENTS.md` records claimed-vs-measured.
+//! The experiment suite: one function per experiment (E1–E22, aux). Each
+//! function's doc comment names the paper claim it checks, and each
+//! prints the table/series that claim corresponds to.
 
 use crate::util::{banner, loglog_slope, parallel_map};
 use cct_core::{
@@ -1483,18 +1483,17 @@ pub fn e21(quick: bool) -> crate::json::Json {
 
 /// E22 — the linalg microkernels: the 8-lane panel kernel vs the
 /// pre-panel reference (bit-identical by construction, so only
-/// wall-clock differs), the f32 storage mode, and work-stealing vs
-/// fixed row shards on a skewed-degree sparse input. Returns the
-/// machine-readable report the harness writes as `BENCH_e22.json`; the
-/// gated metrics are **same-run speedup ratios** (new/old measured on
-/// the same machine in the same process), so the gate is
-/// machine-independent.
+/// wall-clock differs), and work-stealing vs fixed row shards on a
+/// skewed-degree sparse input. Returns the machine-readable report the
+/// harness writes as `BENCH_e22.json`; the gated metrics are **same-run
+/// speedup ratios** (new/old measured on the same machine in the same
+/// process), so the gate is machine-independent.
 pub fn e22(quick: bool) -> crate::json::Json {
     use crate::json::Json;
-    use cct_linalg::{CsrMatrix, CsrMatrixF32, Matrix, MatrixF32};
+    use cct_linalg::{CsrMatrix, Matrix};
     banner(
         "E22",
-        "Microkernels — panel f64 vs reference, f32 storage, work stealing vs fixed shards",
+        "Microkernels — panel f64 vs reference, work stealing vs fixed shards",
     );
 
     // Deterministic dense test matrix: a hash keeps entries spread over
@@ -1520,13 +1519,13 @@ pub fn e22(quick: bool) -> crate::json::Json {
     }
 
     // ── Part A: dense n×n product — panel kernel vs the pre-panel
-    // reference loop, and the f32 storage route. The panel kernel is
-    // asserted bit-identical to the reference before timing counts.
+    // reference loop. The panel kernel is asserted bit-identical to the
+    // reference before timing counts.
     let dense_ns: &[usize] = if quick { &[256] } else { &[256, 384, 512] };
     let reps = 3usize;
     println!(
-        "\ndense n×n, best of {reps} (panel == reference asserted bitwise):\n{:>6} {:>10} {:>10} {:>10} {:>9} {:>9}",
-        "n", "ref ms", "panel ms", "f32 ms", "panel ×", "f32 ×"
+        "\ndense n×n, best of {reps} (panel == reference asserted bitwise):\n{:>6} {:>10} {:>10} {:>9}",
+        "n", "ref ms", "panel ms", "panel ×"
     );
     let mut dense_rows = Vec::new();
     for &n in dense_ns {
@@ -1541,34 +1540,24 @@ pub fn e22(quick: bool) -> crate::json::Json {
             out_new.as_slice(),
             "panel kernel diverged from the reference at n = {n}"
         );
-        let (a32, b32) = (MatrixF32::from_matrix(&a), MatrixF32::from_matrix(&b));
         let mut scratch = Matrix::zeros(n, n);
         let ref_ms = time_best(reps, || a.matmul_into_ref(&b, &mut scratch));
         let panel_ms = time_best(reps, || a.matmul_into(&b, &mut scratch));
-        let f32_ms = time_best(reps, || {
-            std::hint::black_box(a32.matmul(&b32));
-        });
         let panel_speedup = ref_ms / panel_ms.max(1e-9);
-        let f32_speedup = ref_ms / f32_ms.max(1e-9);
-        println!(
-            "{n:>6} {ref_ms:>10.2} {panel_ms:>10.2} {f32_ms:>10.2} {panel_speedup:>8.2}x {f32_speedup:>8.2}x"
-        );
+        println!("{n:>6} {ref_ms:>10.2} {panel_ms:>10.2} {panel_speedup:>8.2}x");
         dense_rows.push(Json::Obj(vec![
             ("n".into(), Json::Num(n as f64)),
             ("ref_ms".into(), Json::Num(ref_ms)),
             ("panel_ms".into(), Json::Num(panel_ms)),
-            ("f32_ms".into(), Json::Num(f32_ms)),
             ("panel_speedup".into(), Json::Num(panel_speedup)),
-            ("f32_speedup".into(), Json::Num(f32_speedup)),
         ]));
     }
 
     // ── Part B: CSR × dense-RHS — the LANES-panel row kernel vs the
     // pre-panel scalar loop (reimplemented verbatim below; both
     // accumulate per output entry over stored entries in increasing
-    // index, so they are bit-identical), plus the f32 CSR route. Banded
-    // inputs keep every row's support small, the shape the sparse
-    // pipeline feeds these kernels.
+    // index, so they are bit-identical). Banded inputs keep every row's
+    // support small, the shape the sparse pipeline feeds these kernels.
     fn csr_dense_rhs_scalar(m: &CsrMatrix, rhs: &Matrix) -> Matrix {
         let (rows, mid) = m.shape();
         let cols = rhs.cols();
@@ -1589,8 +1578,8 @@ pub fn e22(quick: bool) -> crate::json::Json {
     let sparse_ns: &[usize] = if quick { &[1024] } else { &[1024, 2048] };
     let band = 6usize;
     println!(
-        "\nbanded CSR ({band} nnz/row) × dense n×256 RHS, best of {reps}:\n{:>6} {:>10} {:>10} {:>10} {:>9} {:>9}",
-        "n", "scalar ms", "panel ms", "f32 ms", "panel ×", "f32 ×"
+        "\nbanded CSR ({band} nnz/row) × dense n×256 RHS, best of {reps}:\n{:>6} {:>10} {:>10} {:>9}",
+        "n", "scalar ms", "panel ms", "panel ×"
     );
     let mut sparse_rows = Vec::new();
     for &n in sparse_ns {
@@ -1613,29 +1602,19 @@ pub fn e22(quick: bool) -> crate::json::Json {
             panel.as_slice(),
             "sparse panel kernel diverged from the scalar loop at n = {n}"
         );
-        let m32 = CsrMatrixF32::from_csr(&m);
-        let rhs32 = MatrixF32::from_matrix(&rhs);
         let scalar_ms = time_best(reps, || {
             std::hint::black_box(csr_dense_rhs_scalar(&m, &rhs));
         });
         let panel_ms = time_best(reps, || {
             std::hint::black_box(m.matmul_dense_rhs(&rhs, 1));
         });
-        let f32_ms = time_best(reps, || {
-            std::hint::black_box(m32.matmul_dense_rhs(&rhs32, 1));
-        });
         let panel_speedup = scalar_ms / panel_ms.max(1e-9);
-        let f32_speedup = scalar_ms / f32_ms.max(1e-9);
-        println!(
-            "{n:>6} {scalar_ms:>10.2} {panel_ms:>10.2} {f32_ms:>10.2} {panel_speedup:>8.2}x {f32_speedup:>8.2}x"
-        );
+        println!("{n:>6} {scalar_ms:>10.2} {panel_ms:>10.2} {panel_speedup:>8.2}x");
         sparse_rows.push(Json::Obj(vec![
             ("n".into(), Json::Num(n as f64)),
             ("scalar_ms".into(), Json::Num(scalar_ms)),
             ("panel_ms".into(), Json::Num(panel_ms)),
-            ("f32_ms".into(), Json::Num(f32_ms)),
             ("panel_speedup".into(), Json::Num(panel_speedup)),
-            ("f32_speedup".into(), Json::Num(f32_speedup)),
         ]));
     }
 
@@ -1690,7 +1669,7 @@ pub fn e22(quick: bool) -> crate::json::Json {
     );
 
     println!(
-        "\n(the panel/f32 speedups are same-run ratios — `harness --baseline BENCH_e22.json`\n\
+        "\n(the panel speedups are same-run ratios — `harness --baseline BENCH_e22.json`\n\
          gates them machine-independently; wall-clock columns are reported only)"
     );
     Json::Obj(vec![

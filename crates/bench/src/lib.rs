@@ -1,10 +1,10 @@
 //! # cct-bench
 //!
-//! The experiment harness regenerating every claim in DESIGN.md's
-//! experiment index (E1–E13). The paper (PODC 2025) is a theory paper
-//! with no measurement tables, so the "tables and figures" reproduced
-//! here are its theorems, lemmas, and worked examples; `EXPERIMENTS.md`
-//! records claimed-vs-measured for each.
+//! The experiment harness: one experiment per checked claim (E1–E22,
+//! aux). The paper (PODC 2025) is a theory paper with no measurement
+//! tables, so the "tables and figures" reproduced here are its theorems,
+//! lemmas, and worked examples; each experiment's doc comment in
+//! [`experiments`] names the claim its table checks.
 //!
 //! Run everything:
 //!

@@ -26,7 +26,9 @@
 //! the same typed [`GraphError`] a programmatic caller would see.
 //!
 //! The spec form `file:PATH` ([`crate::spec`]) routes CLI `--graph` and
-//! service `graph_spec` requests here.
+//! service `graph_spec` requests here. It reads the edges first and
+//! builds the graph only after checking the vertex count `max(id) + 1`
+//! against its size caps: building allocates adjacency for every vertex.
 
 use crate::{Graph, GraphError};
 use std::io::BufRead;
@@ -97,6 +99,28 @@ impl From<GraphError> for EdgeListError {
     }
 }
 
+/// An edge list as read, before any graph is built.
+pub(crate) struct EdgeList {
+    /// The vertex count: the largest id plus one.
+    pub(crate) n: usize,
+    /// The `(u, v, w)` triples in file order (`w = 1` when the file has
+    /// no weight column).
+    edges: Vec<(usize, usize, f64)>,
+}
+
+impl EdgeList {
+    /// Builds the graph, allocating adjacency for all [`EdgeList::n`]
+    /// vertices.
+    ///
+    /// # Errors
+    ///
+    /// [`EdgeListError::Graph`] for out-of-range ids, self-loops and
+    /// duplicate edges.
+    pub(crate) fn into_graph(self) -> Result<Graph, EdgeListError> {
+        Ok(Graph::from_weighted_edges(self.n, &self.edges)?)
+    }
+}
+
 /// Parses an edge list from any buffered reader (see the module docs for
 /// the format).
 ///
@@ -115,8 +139,12 @@ impl From<GraphError> for EdgeListError {
 /// assert_eq!(g.edge_weight(0, 1), Some(2.0));
 /// ```
 pub fn parse_edge_list<R: BufRead>(reader: R) -> Result<Graph, EdgeListError> {
+    parse_edges(reader)?.into_graph()
+}
+
+fn parse_edges<R: BufRead>(reader: R) -> Result<EdgeList, EdgeListError> {
     let mut edges: Vec<(usize, usize, f64)> = Vec::new();
-    let mut max_id = 0usize;
+    let mut n = 0usize;
     // Whether the file's data lines carry a weight column — set by the
     // first data line, enforced on every later one.
     let mut weighted: Option<bool> = None;
@@ -183,13 +211,21 @@ pub fn parse_edge_list<R: BufRead>(reader: R) -> Result<Graph, EdgeListError> {
                 message: format!("unexpected trailing field '{extra}'"),
             });
         }
-        max_id = max_id.max(u).max(v);
+        let id = u.max(v);
+        let needed = id.checked_add(1).ok_or_else(|| EdgeListError::Parse {
+            line: lineno,
+            message: format!(
+                "vertex id {id} is too large (the largest supported id is {})",
+                usize::MAX - 1
+            ),
+        })?;
+        n = n.max(needed);
         edges.push((u, v, w));
     }
     if edges.is_empty() {
         return Err(EdgeListError::Empty);
     }
-    Ok(Graph::from_weighted_edges(max_id + 1, &edges)?)
+    Ok(EdgeList { n, edges })
 }
 
 /// Loads an edge-list file (see the module docs for the format).
@@ -199,8 +235,19 @@ pub fn parse_edge_list<R: BufRead>(reader: R) -> Result<Graph, EdgeListError> {
 /// [`EdgeListError`] on I/O failure, malformed lines, invalid edges, or
 /// an edge-free file.
 pub fn read_edge_list(path: impl AsRef<Path>) -> Result<Graph, EdgeListError> {
+    read_edges(path)?.into_graph()
+}
+
+/// Loads an edge-list file without building the graph, so the caller
+/// can check [`EdgeList::n`] before [`EdgeList::into_graph`] allocates.
+///
+/// # Errors
+///
+/// [`EdgeListError`] on I/O failure, malformed lines, or an edge-free
+/// file.
+pub(crate) fn read_edges(path: impl AsRef<Path>) -> Result<EdgeList, EdgeListError> {
     let file = std::fs::File::open(path)?;
-    parse_edge_list(std::io::BufReader::new(file))
+    parse_edges(std::io::BufReader::new(file))
 }
 
 #[cfg(test)]
@@ -298,6 +345,8 @@ mod tests {
             ("0 1\n\n# c\n1 two\n", 4),
             ("0 1 1.0 extra\n", 1),
             ("0 1 heavy\n", 1),
+            // max(id) + 1 would overflow rather than count the vertices.
+            ("0 1\n0 18446744073709551615\n", 2),
         ] {
             match parse_edge_list(text.as_bytes()) {
                 Err(EdgeListError::Parse { line, .. }) => {

@@ -278,9 +278,11 @@ pub fn parse_spec_with_limits<R: Rng + ?Sized>(
         if path.is_empty() {
             return Err(SpecError::invalid("file: needs a path, e.g. file:graph.el"));
         }
-        let g = crate::io::read_edge_list(path)
-            .map_err(|e| SpecError::invalid(format!("'{spec}': {e}")))?;
-        let n = g.n();
+        let invalid = |e: crate::io::EdgeListError| SpecError::invalid(format!("'{spec}': {e}"));
+        // The caps below are checked before the graph is built: building
+        // allocates adjacency for every vertex up to the largest id.
+        let list = crate::io::read_edges(path).map_err(invalid)?;
+        let n = list.n;
         // The single override: an explicitly set CCT_MAX_N bounds loaded
         // graphs under every backend.
         if let Some(cap) = limits.file_cap {
@@ -303,7 +305,7 @@ pub fn parse_spec_with_limits<R: Rng + ?Sized>(
                 sparse_cap: limits.file_cap.unwrap_or(usize::MAX),
             });
         }
-        return Ok(g);
+        return list.into_graph().map_err(invalid);
     }
     let parts: Vec<&str> = spec.split(':').collect();
     let num = |s: &str| -> Result<usize, SpecError> {
@@ -799,6 +801,33 @@ mod tests {
             file_cap: Some(n),
         };
         assert!(parse_spec_with_limits(&spec, &mut rng(), &raised).is_ok());
+    }
+
+    #[test]
+    fn file_specs_check_the_vertex_count_before_building() {
+        // One edge can name a vertex far past every cap: the caps must
+        // reject it before adjacency for all those vertices is allocated.
+        let dense = SpecLimits {
+            dense_cap: MAX_SPEC_SIZE,
+            sparse_backend: false,
+            file_cap: None,
+        };
+        let path = write_temp_el("huge_id.el", "0 100000000000\n");
+        let spec = format!("file:{}", path.display());
+        match parse_spec_with_limits(&spec, &mut rng(), &dense).unwrap_err() {
+            SpecError::DenseOnlyTooLarge { n, cap, .. } => {
+                assert_eq!((n, cap), (100_000_000_001, MAX_SPEC_SIZE));
+            }
+            other => panic!("expected DenseOnlyTooLarge, got {other:?}"),
+        }
+        let capped = SpecLimits {
+            file_cap: Some(64),
+            ..dense.with_sparse_backend(true)
+        };
+        assert!(matches!(
+            parse_spec_with_limits(&spec, &mut rng(), &capped).unwrap_err(),
+            SpecError::TooLarge { cap: 64, .. }
+        ));
     }
 
     #[test]

@@ -1,7 +1,9 @@
 //! Property-based tests for `cct-graph` invariants.
 
+use cct_graph::spec::{parse_spec_with_limits, SpecLimits, MAX_SPEC_SIZE};
 use cct_graph::{enumerate_spanning_trees, generators, spanning_tree_count_exact, Graph};
 use cct_linalg::is_row_stochastic;
+use proptest::collection::vec;
 use proptest::prelude::*;
 use rand::SeedableRng;
 
@@ -13,7 +15,53 @@ fn connected_graph() -> impl Strategy<Value = Graph> {
     })
 }
 
+/// Strategy: the bytes of a would-be edge-list file — byte soup, runs
+/// of digits between separators and stray punctuation, or well-formed
+/// lines whose ids sit at the edge of `usize`.
+fn edge_list_bytes() -> impl Strategy<Value = Vec<u8>> {
+    let soup = vec(any::<u8>(), 0..256);
+    let pick = |set: &'static [u8]| (0..set.len()).prop_map(move |i| set[i]);
+    let token = prop_oneof![
+        vec(b'0'..=b'9', 1..24),
+        vec(pick(b" \t,\n"), 1..3),
+        vec(pick(b"#%/.-e"), 1..2),
+    ];
+    let digits = vec(token, 0..48).prop_map(|tokens| tokens.concat());
+    // Small ids, usize::MAX itself, or usize::MAX - 2 ..= usize::MAX + 1
+    // (the last one does not parse as a usize at all).
+    let max = usize::MAX as u128;
+    let id = move || prop_oneof![0u128..8, Just(max), (max - 2)..=(max + 1)];
+    let near_max = (vec((id(), id()), 1..5), any::<bool>()).prop_map(|(pairs, weighted)| {
+        let weight = if weighted { " 1.5" } else { "" };
+        let lines: String = pairs
+            .iter()
+            .map(|(u, v)| format!("{u} {v}{weight}\n"))
+            .collect();
+        lines.into_bytes()
+    });
+    prop_oneof![soup, digits, near_max]
+}
+
 proptest! {
+    #[test]
+    fn edge_list_loader_returns_typed_errors_never_panics(bytes in edge_list_bytes()) {
+        // The default limits, spelled out so CCT_MAX_N cannot change them.
+        let limits = SpecLimits {
+            dense_cap: MAX_SPEC_SIZE,
+            sparse_backend: false,
+            file_cap: None,
+        };
+        let path = std::env::temp_dir().join(format!("cct-graph-prop-{}.el", std::process::id()));
+        std::fs::write(&path, &bytes).unwrap();
+        let spec = format!("file:{}", path.display());
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0);
+        match parse_spec_with_limits(&spec, &mut rng, &limits) {
+            Ok(g) => prop_assert!(g.n() <= MAX_SPEC_SIZE),
+            Err(e) => prop_assert!(!e.to_string().is_empty()),
+        }
+        std::fs::remove_file(&path).unwrap();
+    }
+
     #[test]
     fn handshake_lemma(g in connected_graph()) {
         let deg_sum: f64 = (0..g.n()).map(|v| g.degree(v)).sum();

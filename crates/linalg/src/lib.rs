@@ -36,7 +36,6 @@
 #![warn(missing_docs)]
 
 mod exact;
-mod f32mat;
 mod kernel;
 mod lu;
 mod matrix;
@@ -47,12 +46,11 @@ mod sparse;
 pub mod stochastic;
 
 pub use exact::{det_exact, ExactOverflowError};
-pub use f32mat::{CsrMatrixF32, MatrixF32};
 pub use lu::{det, inverse, Lu, SingularMatrixError};
 pub use matrix::Matrix;
 pub use permanent::{permanent, permanent_minor, permanent_naive, MAX_PERMANENT_DIM};
 pub use pmatrix::{PMatrix, Repr};
-pub use rounding::{powers_rounded, subtractive_error, FixedPoint, Rounding, F32_MANTISSA_BITS};
+pub use rounding::{powers_rounded, subtractive_error, FixedPoint, Rounding};
 pub use sparse::{CsrBuilder, CsrMatrix};
 pub use stochastic::{
     is_row_stochastic, is_row_substochastic, normalize_rows, power_from_table, power_from_table_p,

@@ -380,8 +380,7 @@ impl PMatrix {
     /// Applies a [`crate::Rounding`] rule to every entry in place —
     /// the representation-adaptive `round(M)` of the power pipelines.
     /// `Exact` is a no-op; sparse entries rounded to exactly zero are
-    /// dropped (binary32 has subnormals down to `2⁻¹⁴⁹`, so `F32`
-    /// only zeroes entries that were already vanishing).
+    /// dropped.
     pub fn round_inplace(&mut self, rounding: crate::Rounding) {
         if rounding.is_exact() {
             return;

@@ -10,8 +10,11 @@
 //! [`MatchingInstance`] captures exactly that grouped structure;
 //! [`ExactPermanentSampler`] (Ryser + the JVV reduction \[47\]) draws
 //! perfect samples on small instances, and [`SwapChainSampler`] is the
-//! repository's MCMC stand-in for the Jerrum–Sinclair–Vigoda FPRAS \[46\]
-//! (DESIGN.md substitution 3). [`sample_per_group_shuffle`] implements
+//! repository's MCMC stand-in for the Jerrum–Sinclair–Vigoda FPRAS \[46\]:
+//! the FPRAS is a polynomial-time approximation scheme whose constants
+//! make it impractical to run, while the swap chain has exactly the
+//! target law as its stationary distribution (checked against the exact
+//! sampler in experiment E9). [`sample_per_group_shuffle`] implements
 //! the Appendix §5.3 error-free per-pair placement used by the exact
 //! sampler variant.
 //!

@@ -11,8 +11,9 @@
 //!   practice;
 //! * [`SwapChainSampler`] — a Metropolis chain over slot-value
 //!   arrangements whose stationary law is exactly the target; the
-//!   repository's stand-in for the JSV FPRAS (DESIGN.md substitution 3),
-//!   validated against the exact sampler in experiment E9;
+//!   repository's stand-in for the JSV FPRAS, whose constants make it
+//!   impractical to run, validated against the exact sampler in
+//!   experiment E9;
 //! * [`sample_per_group_shuffle`] — the Appendix §5.3 error-free
 //!   placement: each start–end pair's own multiset, uniformly permuted.
 

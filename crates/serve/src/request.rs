@@ -23,7 +23,7 @@
 //! served trees and ledgers are byte-identical to a cold
 //! single-threaded `CliqueTreeSampler` run at the same derived seeds.
 
-use cct_core::{Backend, Precision};
+use cct_core::Backend;
 use cct_json::Json;
 use cct_sim::machine_seed;
 
@@ -135,12 +135,6 @@ pub struct SampleRequest {
     /// but **not** of the determinism contract: every backend serves
     /// byte-identical draws.
     pub backend: Backend,
-    /// Arithmetic precision of the prepared power table. Part of the
-    /// cache key **and** of the determinism contract: `f32` draws form
-    /// their own deterministic stream, distinct from `f64`'s. Only
-    /// `f64` (default) and `f32` exist on the wire — fixed-point
-    /// truncation stays a library-level configuration.
-    pub precision: Precision,
 }
 
 impl SampleRequest {
@@ -152,7 +146,6 @@ impl SampleRequest {
             seed: 0,
             count: 1,
             backend: Backend::Auto,
-            precision: Precision::Float64,
         }
     }
 
@@ -165,12 +158,6 @@ impl SampleRequest {
     /// Sets the matrix backend.
     pub fn backend(mut self, backend: Backend) -> Self {
         self.backend = backend;
-        self
-    }
-
-    /// Sets the arithmetic precision.
-    pub fn precision(mut self, precision: Precision) -> Self {
-        self.precision = precision;
         self
     }
 
@@ -231,10 +218,6 @@ impl SampleRequest {
             ("seed".into(), Json::from_u64(self.seed)),
             ("count".into(), Json::Num(f64::from(self.count))),
             ("backend".into(), Json::Str(self.backend.as_str().into())),
-            (
-                "precision".into(),
-                Json::Str(self.precision.as_str().into()),
-            ),
         ])
     }
 
@@ -259,7 +242,6 @@ impl SampleRequest {
         let mut seed = 0u64;
         let mut count = 1u32;
         let mut backend = Backend::Auto;
-        let mut precision = Precision::Float64;
         for (key, v) in fields {
             match key.as_str() {
                 "graph" => {
@@ -305,16 +287,6 @@ impl SampleRequest {
                         ))
                     })?;
                 }
-                "precision" => {
-                    let name = v
-                        .as_str()
-                        .ok_or_else(|| ProtocolError::new("'precision' must be a string"))?;
-                    precision = Precision::parse(name).ok_or_else(|| {
-                        ProtocolError::new(format!(
-                            "unknown precision '{name}' (expected f64 or f32)"
-                        ))
-                    })?;
-                }
                 other => {
                     return Err(ProtocolError::new(format!(
                         "unknown request field '{other}'"
@@ -329,7 +301,6 @@ impl SampleRequest {
             seed,
             count,
             backend,
-            precision,
         };
         built.validate()?;
         Ok(built)
@@ -500,8 +471,7 @@ mod tests {
             .algorithm(Algorithm::Exact)
             .seed(u64::MAX)
             .count(17)
-            .backend(Backend::Sparse)
-            .precision(Precision::F32);
+            .backend(Backend::Sparse);
         let parsed = SampleRequest::parse_line(&r.to_json().compact()).unwrap();
         assert_eq!(parsed, r);
     }
@@ -514,27 +484,6 @@ mod tests {
         assert_eq!(r.backend, Backend::Auto);
         let err = SampleRequest::parse_line(r#"{"graph": "k", "backend": "csr"}"#).unwrap_err();
         assert!(err.to_string().contains("unknown backend"), "{err}");
-    }
-
-    #[test]
-    fn precision_field_parses_and_defaults() {
-        let r = SampleRequest::parse_line(r#"{"graph": "k", "precision": "f32"}"#).unwrap();
-        assert_eq!(r.precision, Precision::F32);
-        let r = SampleRequest::parse_line(r#"{"graph": "k", "precision": "f64"}"#).unwrap();
-        assert_eq!(r.precision, Precision::Float64);
-        let r = SampleRequest::parse_line(r#"{"graph": "k"}"#).unwrap();
-        assert_eq!(r.precision, Precision::Float64);
-        // Fixed-point never parses from the wire (it carries a width
-        // parameter no wire name can honestly default).
-        for bad in [
-            r#"{"graph": "k", "precision": "fixed"}"#,
-            r#"{"graph": "k", "precision": "f16"}"#,
-        ] {
-            let err = SampleRequest::parse_line(bad).unwrap_err();
-            assert!(err.to_string().contains("unknown precision"), "{err}");
-        }
-        let err = SampleRequest::parse_line(r#"{"graph": "k", "precision": 32}"#).unwrap_err();
-        assert!(err.to_string().contains("must be a string"), "{err}");
     }
 
     #[test]
@@ -563,6 +512,10 @@ mod tests {
             (r#"{"algorithm": "thm1"}"#, "missing required field 'graph'"),
             (r#"{"graph": 3}"#, "'graph' must be a string"),
             (r#"{"graph": "k", "alg": "thm1"}"#, "unknown request field"),
+            (
+                r#"{"graph": "k", "precision": "f64"}"#,
+                "unknown request field",
+            ),
             (
                 r#"{"graph": "k", "algorithm": "dijkstra"}"#,
                 "unknown algorithm",

@@ -591,19 +591,15 @@ fn process(shared: &Shared, request: SampleRequest) -> Result<SampleResponse, Se
     let key = CacheKey {
         algorithm: request.algorithm,
         backend: request.backend,
-        precision: request.precision,
         graph_spec: request.graph_spec.clone(),
     };
-    // The request's backend and precision override the service
-    // config's: the key and the prepared state must agree. Draws are
-    // backend-invariant but *not* precision-invariant — f32 is its own
-    // deterministic stream.
+    // The request's backend overrides the service config's: the key and
+    // the prepared state must agree, and draws are backend-invariant.
     let config = shared
         .options
         .config_for(request.algorithm)
         .clone()
-        .backend(request.backend)
-        .precision(request.precision);
+        .backend(request.backend);
     let (prepared, cache) = shared.cache.get_or_prepare(&key, || {
         // The graph is a pure function of the spec string (the cache
         // key's half of the determinism contract).
@@ -787,36 +783,6 @@ mod tests {
             let graph = super::build_spec_graph("grid-w:3x3", cct_core::Backend::Auto).unwrap();
             let reference = cct_walks::kruskal_mst(&graph).unwrap();
             assert_eq!(response.draws[0].edges, reference.edges());
-        });
-    }
-
-    #[test]
-    fn f32_requests_get_their_own_entry_and_replay_deterministically() {
-        use cct_core::Precision;
-        serve(quick_options(), |handle| {
-            let req = |p: Precision| SampleRequest::new("cycle:64").seed(5).count(2).precision(p);
-            let f64r = handle.request(req(Precision::Float64)).unwrap();
-            let f32r = handle.request(req(Precision::F32)).unwrap();
-            assert_eq!(handle.cache_stats().misses, 2, "distinct keys");
-            // Same derived seeds either way; the f32 stream replays
-            // byte-identically against itself.
-            assert_eq!(f64r.draws[0].draw_seed, f32r.draws[0].draw_seed);
-            let replay = handle.request(req(Precision::F32)).unwrap();
-            assert!(replay.cache.hit);
-            assert_eq!(replay.draws, f32r.draws);
-            // And a cold single-threaded f32 run reproduces the draws.
-            let config = quick_options()
-                .config_for(Algorithm::Thm1)
-                .clone()
-                .precision(Precision::F32);
-            let g = super::build_spec_graph("cycle:64", cct_core::Backend::Auto).unwrap();
-            let sampler = CliqueTreeSampler::new(config);
-            for (i, draw) in f32r.draws.iter().enumerate() {
-                let mut rng =
-                    rand::rngs::StdRng::seed_from_u64(req(Precision::F32).draw_seed(i as u32));
-                let cold = sampler.sample(&g, &mut rng).unwrap();
-                assert_eq!(draw.edges, cold.tree.edges(), "draw {i}");
-            }
         });
     }
 

@@ -1,24 +1,43 @@
 //! Cache persistence: serialize the prepared-sampler cache to a
 //! versioned binary file so a restarted server warms instantly.
 //!
-//! # Format (version 1, little-endian throughout)
+//! # Format (version 3, little-endian throughout)
+//!
+//! The file, in order:
 //!
 //! ```text
-//! magic    8 bytes  b"CCTSNAP1"
-//! version  u32      1
-//! entries  u32      entry count
-//! entry*   —        see below
-//! checksum u64      FNV-1a over every preceding byte
+//! magic     8 bytes  b"CCTSNAP1"
+//! version   u32      3
+//! entries   u32      entry count
+//! entry*    —        `entries` times, see below
+//! checksum  u64      FNV-1a over every preceding byte
 //! ```
 //!
-//! Each entry carries its [`CacheKey`] (algorithm, backend, precision,
-//! spec), an
-//! FNV fingerprint of the serving [`cct_core::SamplerConfig`], the
-//! transition matrix in its resolved representation, and — when the
-//! configuration builds a phase-1 doubling table — the table's exact
-//! ledger delta plus every **materialized** level (absent levels stay
-//! absent; they rebuild lazily on demand, which is the point of the
-//! deferred table).
+//! Each entry, in order:
+//!
+//! ```text
+//! algorithm  u8       index into `Algorithm::ALL`
+//! backend    u8       0 auto, 1 dense, 2 sparse
+//! spec_len   u32      byte length of the graph spec
+//! spec       bytes    the graph spec string (UTF-8)
+//! config_fp  u64      FNV-1a of the serving SamplerConfig's Debug text
+//! p          matrix   the transition matrix, in its resolved representation
+//! phase1     u8       0: no phase-1 doubling table, the entry ends here
+//!                     1: the table's ledger and levels follow
+//! ledger     —        per cost category: rounds u64, words u64;
+//!                     then saturated u8
+//! levels     u32      level count, then per level a u8 flag —
+//!                     0 absent, 1 present and followed by a matrix
+//! ```
+//!
+//! The algorithm, backend and spec are the entry's [`CacheKey`]. The
+//! ledger is the table's exact round charge. Only **materialized**
+//! levels are present: absent levels rebuild lazily on demand, which is
+//! the point of the deferred table, and level 0 is always absent
+//! because it is `p`. A matrix is a tag byte (0 dense, 1 CSR),
+//! `rows u32` and `cols u32`, then either `rows × cols` row-major
+//! `f64`s or, per row, `nnz u32` followed by `nnz` pairs of
+//! `column u32, value f64`.
 //!
 //! # Trust model: verify, then inject
 //!
@@ -36,7 +55,7 @@
 use crate::cache::{CacheKey, PreparedCache};
 use crate::request::Algorithm;
 use crate::service::{build_spec_graph, ServeOptions};
-use cct_core::{Backend, Precision, PreparedSampler, SamplerConfig};
+use cct_core::{Backend, PreparedSampler, SamplerConfig};
 use cct_linalg::{CsrMatrix, Matrix, PMatrix};
 use cct_sim::{CostCategory, RoundLedger};
 use std::io::Write;
@@ -46,10 +65,9 @@ use std::sync::Arc;
 /// The 8-byte magic prefix of a snapshot file.
 pub const SNAPSHOT_MAGIC: &[u8; 8] = b"CCTSNAP1";
 
-/// The format version this build writes and accepts. Version 2 added
-/// the precision byte to each entry's key; version-1 files are rejected
-/// whole and rebuild cold.
-pub const SNAPSHOT_VERSION: u32 = 2;
+/// The format version this build writes and accepts; files of any other
+/// version are rejected whole and rebuild cold.
+pub const SNAPSHOT_VERSION: u32 = 3;
 
 /// What a restore attempt accomplished: `restored` entries were
 /// verified and installed, `skipped` entries failed verification
@@ -114,24 +132,6 @@ fn backend_from_tag(tag: u8) -> Result<Backend, String> {
     }
 }
 
-/// Only the two wire precisions are snapshottable; `Fixed` keys never
-/// exist (requests cannot spell them) and are filtered out on write.
-fn precision_tag(precision: Precision) -> u8 {
-    match precision {
-        Precision::Float64 => 0,
-        Precision::F32 => 1,
-        Precision::Fixed(_) => 2,
-    }
-}
-
-fn precision_from_tag(tag: u8) -> Result<Precision, String> {
-    match tag {
-        0 => Ok(Precision::Float64),
-        1 => Ok(Precision::F32),
-        other => Err(format!("unknown precision tag {other}")),
-    }
-}
-
 fn algorithm_tag(algorithm: Algorithm) -> u8 {
     Algorithm::ALL
         .iter()
@@ -183,7 +183,6 @@ fn encode_ledger(buf: &mut Vec<u8>, ledger: &RoundLedger) {
 fn encode_entry(buf: &mut Vec<u8>, key: &CacheKey, config_fp: u64, prepared: &PreparedSampler) {
     buf.push(algorithm_tag(key.algorithm));
     buf.push(backend_tag(key.backend));
-    buf.push(precision_tag(key.precision));
     put_u32(buf, key.graph_spec.len() as u32);
     buf.extend_from_slice(key.graph_spec.as_bytes());
     put_u64(buf, config_fp);
@@ -310,7 +309,6 @@ struct DecodedEntry {
 fn decode_entry(r: &mut Reader) -> Result<DecodedEntry, String> {
     let algorithm = algorithm_from_tag(r.u8()?)?;
     let backend = backend_from_tag(r.u8()?)?;
-    let precision = precision_from_tag(r.u8()?)?;
     let spec_len = r.u32()? as usize;
     if spec_len > crate::request::MAX_SPEC_LEN {
         return Err(format!("spec length {spec_len} exceeds the wire limit"));
@@ -344,7 +342,6 @@ fn decode_entry(r: &mut Reader) -> Result<DecodedEntry, String> {
         key: CacheKey {
             algorithm,
             backend,
-            precision,
             graph_spec,
         },
         config_fp,
@@ -374,15 +371,14 @@ pub fn write_snapshot(
     put_u32(&mut buf, SNAPSHOT_VERSION);
     let writable: Vec<_> = entries
         .iter()
-        .filter(|(k, _)| k.algorithm != Algorithm::Mst && precision_tag(k.precision) < 2)
+        .filter(|(k, _)| k.algorithm != Algorithm::Mst)
         .collect();
     put_u32(&mut buf, writable.len() as u32);
     for (key, prepared) in &writable {
         let config = options
             .config_for(key.algorithm)
             .clone()
-            .backend(key.backend)
-            .precision(key.precision);
+            .backend(key.backend);
         encode_entry(&mut buf, key, config_fingerprint(&config), prepared);
     }
     let checksum = fnv64(&buf);
@@ -462,8 +458,7 @@ fn restore_entry(entry: &DecodedEntry, options: &ServeOptions) -> Result<Prepare
     let config = options
         .config_for(entry.key.algorithm)
         .clone()
-        .backend(entry.key.backend)
-        .precision(entry.key.precision);
+        .backend(entry.key.backend);
     if config_fingerprint(&config) != entry.config_fp {
         return Err("serving config changed since the snapshot was written".into());
     }
@@ -508,7 +503,6 @@ mod tests {
         CacheKey {
             algorithm: Algorithm::Thm1,
             backend: Backend::Auto,
-            precision: Precision::Float64,
             graph_spec: spec.into(),
         }
     }
@@ -626,6 +620,16 @@ mod tests {
         v[8] = 99;
         std::fs::write(&path, &v).unwrap();
         assert!(load_snapshot(&path, &options, &cache).is_err());
+        // A sealed file of another version is rejected whole by its
+        // version field.
+        let mut old = bytes[..bytes.len() - 8].to_vec();
+        old[8..12].copy_from_slice(&2u32.to_le_bytes());
+        let checksum = fnv64(&old);
+        old.extend_from_slice(&checksum.to_le_bytes());
+        std::fs::write(&path, &old).unwrap();
+        let err = load_snapshot(&path, &options, &cache).unwrap_err();
+        assert!(err.contains("version 2 unsupported"), "{err}");
+        assert_eq!(cache.stats().len, 0);
         std::fs::remove_file(&path).unwrap();
     }
 }

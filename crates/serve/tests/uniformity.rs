@@ -9,7 +9,7 @@
 //! The gate is the suite's usual generous 2× chi-square critical value,
 //! keeping CI deterministic-ish while catching any real shift.
 
-use cct_core::{EngineChoice, Precision, SamplerConfig, WalkLength};
+use cct_core::{EngineChoice, SamplerConfig, WalkLength};
 use cct_graph::{spanning_tree_count_exact, spanning_tree_distribution, SpanningTree};
 use cct_serve::{serve, Algorithm, SampleRequest, ServeOptions};
 use cct_walks::stats;
@@ -29,18 +29,8 @@ fn options() -> ServeOptions {
 
 /// Draws `requests × count` trees of `spec` through a running service
 /// (4 client threads) and chi-square-tests them against the exact
-/// spanning-tree distribution. `precision` rides on every request —
-/// the f32 variants prove the quantized prepared tables (a *separate*
-/// cache entry and draw stream) stay within the statistical-distance
-/// bound through the serving plumbing too.
-fn assert_served_uniform_at(
-    spec: &str,
-    precision: Precision,
-    requests: u64,
-    count: u32,
-    seed0: u64,
-    label: &str,
-) {
+/// spanning-tree distribution.
+fn assert_served_uniform(spec: &str, requests: u64, count: u32, seed0: u64, label: &str) {
     // Ground truth from the graph the service itself builds for the
     // spec (one fixed graph per spec string — the cache-key contract).
     let mut rng = rand::rngs::StdRng::seed_from_u64(cct_serve::spec_seed(spec));
@@ -64,12 +54,7 @@ fn assert_served_uniform_at(
                 s.spawn(move || {
                     for r in (client..requests).step_by(4) {
                         let response = handle
-                            .request(
-                                SampleRequest::new(spec)
-                                    .precision(precision)
-                                    .seed(seed0 + r)
-                                    .count(count),
-                            )
+                            .request(SampleRequest::new(spec).seed(seed0 + r).count(count))
                             .expect("served");
                         for draw in response.draws {
                             if draw.monte_carlo_failure {
@@ -104,10 +89,6 @@ fn assert_served_uniform_at(
     );
 }
 
-fn assert_served_uniform(spec: &str, requests: u64, count: u32, seed0: u64, label: &str) {
-    assert_served_uniform_at(spec, Precision::Float64, requests, count, seed0, label);
-}
-
 #[test]
 fn served_trees_are_uniform_on_k4() {
     // K4: Cayley gives 4² = 16 spanning trees.
@@ -125,26 +106,4 @@ fn served_trees_are_uniform_on_diamond() {
     // The diamond (K4 minus one edge): 8 spanning trees, non-uniform
     // vertex degrees — the smallest graph where a biased sampler shows.
     assert_served_uniform("diamond", 32, 250, 3102, "diamond/served");
-}
-
-#[test]
-fn served_f32_trees_are_uniform_on_k4() {
-    assert_served_uniform_at("complete:4", Precision::F32, 32, 250, 3103, "K4/served-f32");
-}
-
-#[test]
-fn served_f32_trees_are_uniform_on_cycle4() {
-    assert_served_uniform_at("cycle:4", Precision::F32, 32, 250, 3104, "C4/served-f32");
-}
-
-#[test]
-fn served_f32_trees_are_uniform_on_diamond() {
-    assert_served_uniform_at(
-        "diamond",
-        Precision::F32,
-        32,
-        250,
-        3105,
-        "diamond/served-f32",
-    );
 }

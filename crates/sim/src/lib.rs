@@ -18,7 +18,10 @@
 //! Distributed matrix multiplication, the dominant per-phase cost of the
 //! paper's algorithm, is provided by pluggable [`MatMulEngine`]s: a real
 //! `O(n^{1/3})`-round [`SemiringEngine`] and the `O(n^α)` cost-model
-//! [`FastOracleEngine`] (see DESIGN.md on this substitution).
+//! [`FastOracleEngine`], which multiplies locally and charges the
+//! published round cost instead of simulating the algebraic algorithm.
+//! The paper uses that algorithm as a black box, so its analysis needs
+//! only the cost.
 //!
 //! Local computation can run *concurrently* across machines — matching
 //! the model, where rounds are synchronous but machines compute in

@@ -12,9 +12,9 @@
 //!   [`Clique::route`], so its round cost is measured from traffic.
 //! * [`FastOracleEngine`] — computes the product locally and charges the
 //!   *published* round cost `⌈n^α⌉ · words_per_entry`. Re-deriving the
-//!   bilinear fast-matmul construction is out of scope (see DESIGN.md,
-//!   substitution 2); this engine reproduces its cost model, which is all
-//!   the paper's `Õ(n^{1/2+α})` analysis consumes.
+//!   bilinear fast-matmul construction is out of scope: the paper uses
+//!   it as a black box, and its `Õ(n^{1/2+α})` analysis consumes only
+//!   the cost model, which this engine reproduces.
 //!
 //! Both engines produce numerically identical products up to accumulation
 //! order (tested), so swapping engines changes only the ledger.
@@ -1353,11 +1353,7 @@ mod tests {
             Box::new(UnitCostEngine { threads: 1 }),
             Box::new(FastOracleEngine::new(ALPHA, 2, 1)),
         ];
-        for rounding in [
-            Rounding::Exact,
-            Rounding::Fixed(FixedPoint::new(24)),
-            Rounding::F32,
-        ] {
+        for rounding in [Rounding::Exact, Rounding::Fixed(FixedPoint::new(24))] {
             for engine in &engines {
                 let mut eager_clique = Clique::new(n);
                 let eager =

@@ -8,7 +8,7 @@
 //! cct --help
 //! ```
 
-use cct::core::{direction4_sample, Backend, CliqueTreeSampler, Precision, SamplerConfig, Workers};
+use cct::core::{direction4_sample, Backend, CliqueTreeSampler, SamplerConfig, Workers};
 use cct::graph::{Graph, SpanningTree};
 use cct::prelude::*;
 use cct::sim::Clique;
@@ -73,13 +73,6 @@ OPTIONS:
                    Inputs whose dense doubling table would exceed 2 GiB
                    take the out-of-core route automatically: CSR-only
                    state, streamed phase walks, no n^2 allocation.
-    --precision P  thm1/exact arithmetic: f64 (default) or f32. f32
-                   truncates the power table toward zero to the
-                   binary32 grid after every squaring (Lemma 7's
-                   truncation with delta = 2^-24), roughly halving the
-                   table's memory. Same seed gives the same tree at
-                   every worker count and backend within a precision
-                   mode, but f32 trees differ from f64 trees.
     --dot          print the tree as Graphviz instead of an edge list
     --help         this text
 
@@ -120,9 +113,6 @@ REQUEST OPTIONS (cct request — one request against a running service):
     --backend B      auto (default), dense, or sparse — keyed separately
                      in the service's PreparedSampler cache; draws are
                      byte-identical across backends
-    --precision P    f64 (default) or f32 — keyed separately in the
-                     cache; f32 draws form their own deterministic
-                     stream, distinct from f64's
     --stats          print the server's stats frame as JSON and exit
     --shutdown       ask the server to drain gracefully and exit
     Trees print to stdout ('tree: …' lines, identical across replays);
@@ -153,12 +143,7 @@ fn parse_graph(
 /// site shared by the `--trials` and `--samples` paths, so they can never
 /// drift apart (the prepared path's contract is "same trees as N
 /// sequential --trials runs").
-fn phase_sampler(
-    algorithm: &str,
-    workers: Workers,
-    backend: Backend,
-    precision: Precision,
-) -> CliqueTreeSampler {
+fn phase_sampler(algorithm: &str, workers: Workers, backend: Backend) -> CliqueTreeSampler {
     let config = if algorithm == "exact" {
         SamplerConfig::exact_variant()
     } else {
@@ -171,12 +156,7 @@ fn phase_sampler(
         Workers::Sequential => config.threads(4),
         _ => config.threads(1),
     };
-    CliqueTreeSampler::new(
-        config
-            .workers(workers)
-            .backend(backend)
-            .precision(precision),
-    )
+    CliqueTreeSampler::new(config.workers(workers).backend(backend))
 }
 
 fn print_tree(tree: &SpanningTree, dot: bool) {
@@ -310,11 +290,6 @@ fn run_request(args: &[String]) -> Result<(), String> {
                 request.backend = Backend::parse(&name)
                     .ok_or(format!("unknown backend '{name}' (auto, dense, or sparse)"))?;
             }
-            "--precision" => {
-                let name = value(&mut it, "--precision")?;
-                request.precision = Precision::parse(&name)
-                    .ok_or(format!("unknown precision '{name}' (f64 or f32)"))?;
-            }
             "--stats" => command = Some(cct::serve::ControlCommand::Stats),
             "--shutdown" => command = Some(cct::serve::ControlCommand::Shutdown),
             other => return Err(format!("unknown request option '{other}' (see --help)")),
@@ -388,7 +363,6 @@ fn run() -> Result<(), String> {
     let mut dot = false;
     let mut workers = Workers::Sequential;
     let mut backend = Backend::Auto;
-    let mut precision = Precision::Float64;
     let mut it = args.into_iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
@@ -402,11 +376,6 @@ fn run() -> Result<(), String> {
                 let name = it.next().ok_or("--backend needs a value")?;
                 backend = Backend::parse(&name)
                     .ok_or(format!("unknown backend '{name}' (auto, dense, or sparse)"))?;
-            }
-            "--precision" => {
-                let name = it.next().ok_or("--precision needs a value")?;
-                precision = Precision::parse(&name)
-                    .ok_or(format!("unknown precision '{name}' (f64 or f32)"))?;
             }
             "--workers" => {
                 let k: usize = it
@@ -459,14 +428,6 @@ fn run() -> Result<(), String> {
              '{algorithm}' is not parallelized (see --help)"
         ));
     }
-    // The precision knob only reaches the transition-matrix pipeline of
-    // the phase samplers; elsewhere it would be silently ignored.
-    if precision != Precision::Float64 && !matches!(algorithm.as_str(), "thm1" | "exact") {
-        return Err(format!(
-            "--precision only applies to the phase samplers (thm1, exact); \
-             '{algorithm}' has no transition-matrix pipeline (see --help)"
-        ));
-    }
     // PreparedSampler serves the phase samplers; elsewhere the flag would
     // silently degrade to --trials, so reject it instead.
     if samples.is_some() && !matches!(algorithm.as_str(), "thm1" | "exact") {
@@ -488,7 +449,7 @@ fn run() -> Result<(), String> {
     // draw is bit-identical to the equivalent cold run at the same point
     // of the seed stream.
     if let Some(k) = samples {
-        let sampler = phase_sampler(&algorithm, workers, backend, precision);
+        let sampler = phase_sampler(&algorithm, workers, backend);
         let prepared = sampler.prepare(&g).map_err(|e| e.to_string())?;
         for t in 0..k {
             if k > 1 {
@@ -515,7 +476,7 @@ fn run() -> Result<(), String> {
         }
         match algorithm.as_str() {
             "thm1" | "exact" => {
-                let sampler = phase_sampler(&algorithm, workers, backend, precision);
+                let sampler = phase_sampler(&algorithm, workers, backend);
                 let report = sampler.sample(&g, &mut rng).map_err(|e| e.to_string())?;
                 print_tree(&report.tree, dot);
                 eprintln!(

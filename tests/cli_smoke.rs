@@ -338,6 +338,27 @@ fn file_spec_loads_the_edge_list_fixture_and_matches_the_pinned_tree() {
 }
 
 #[test]
+fn edge_lists_naming_huge_ids_are_errors_not_aborts() {
+    // One line can name a vertex far past the cap, or one whose id + 1
+    // overflows: both must be a clean `error:` exit, not an allocation
+    // abort or an overflow panic.
+    let dir = std::env::temp_dir();
+    for (name, line, needle) in [
+        ("huge", "0 100000000000\n".to_string(), "too large"),
+        ("max", format!("0 {}\n", usize::MAX), "line 1"),
+    ] {
+        let path = dir.join(format!("cct-cli-{name}-id-{}.el", std::process::id()));
+        std::fs::write(&path, line).unwrap();
+        let out = run_cct(&["thm1", "--graph", &format!("file:{}", path.display())]);
+        std::fs::remove_file(&path).unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{name}: {stderr}");
+        assert!(stderr.starts_with("error: "), "{name}: {stderr}");
+        assert!(stderr.contains(needle), "{name}: {stderr}");
+    }
+}
+
+#[test]
 fn cct_max_n_overrides_the_cap() {
     // A lowered cap rejects what the default admits…
     let out = run_cct_env(

@@ -109,38 +109,6 @@ pub fn standard_suite() -> Vec<Fixture> {
     ]
 }
 
-/// The opt-in f32 precision mode at the same seed (CLI: `cct thm1
-/// --graph <spec> --seed 42 --precision f32`). Pinned independently of
-/// [`standard_suite`]: f32 draws are their own deterministic stream.
-/// On these small graphs the binary32 quantization happens to leave
-/// every draw decision unchanged, so the *trees* coincide with the f64
-/// pins — but the round totals differ (a 32-bit payload spans several
-/// `O(log n)`-bit machine words, so matmul rounds inflate), and the
-/// trees may legitimately diverge on other graphs or seeds. Never
-/// "simplify" this suite to reuse the f64 expectations.
-pub fn f32_suite() -> Vec<Fixture> {
-    vec![
-        (
-            "petersen",
-            generators::petersen(),
-            edges("0-1 0-5 1-2 2-3 3-4 5-7 5-8 6-8 7-9"),
-            6469,
-        ),
-        (
-            "complete:9",
-            generators::complete(9),
-            edges("0-2 1-2 1-7 3-7 3-8 4-8 5-6 6-7"),
-            4716,
-        ),
-        (
-            "grid:3x3",
-            generators::grid(3, 3),
-            edges("0-1 0-3 1-2 2-5 3-6 4-5 4-7 7-8"),
-            4729,
-        ),
-    ]
-}
-
 /// FNV-1a over the tree's edge list (each endpoint as a little-endian
 /// `u64`): a 64-bit pin for trees too long to spell out.
 pub fn tree_hash(edges: &[(usize, usize)]) -> u64 {

@@ -142,52 +142,6 @@ fn weight_one_graphs_reproduce_the_unweighted_fixtures_bit_for_bit() {
 }
 
 #[test]
-fn f32_fixtures_hold_across_workers_and_backends() {
-    // The f32 determinism contract: same seed ⇒ byte-identical tree and
-    // ledger under `Precision::F32`, across worker counts and matrix
-    // backends, cold and prepared — exactly the f64 contract, just on
-    // the f32 stream's own pinned expectations.
-    use cct::core::{Backend, Precision, Workers};
-    for backend in [Backend::Dense, Backend::Sparse, Backend::Auto] {
-        for workers in [1usize, 4] {
-            let sampler = CliqueTreeSampler::new(
-                fixtures::cli_config()
-                    .precision(Precision::F32)
-                    .backend(backend)
-                    .workers(Workers::Fixed(workers)),
-            );
-            for (name, g, tree, rounds) in fixtures::f32_suite() {
-                let mut rng = rand::rngs::StdRng::seed_from_u64(42);
-                let report = sampler.sample(&g, &mut rng).unwrap();
-                assert_eq!(
-                    report.tree.edges(),
-                    &tree[..],
-                    "f32 tree drifted on {name} under {backend} with {workers} workers"
-                );
-                assert_eq!(
-                    report.total_rounds(),
-                    rounds,
-                    "f32 rounds drifted on {name} under {backend} with {workers} workers"
-                );
-            }
-        }
-        // The prepared path too, on one representative fixture.
-        let (name, g, tree, rounds) = fixtures::f32_suite().swap_remove(0);
-        let prepared = CliqueTreeSampler::new(
-            fixtures::cli_config()
-                .precision(Precision::F32)
-                .backend(backend),
-        )
-        .prepare(&g)
-        .unwrap();
-        let mut rng = rand::rngs::StdRng::seed_from_u64(42);
-        let report = prepared.sample(&mut rng).unwrap();
-        assert_eq!(report.tree.edges(), &tree[..], "{name} under {backend}");
-        assert_eq!(report.total_rounds(), rounds, "{name} under {backend}");
-    }
-}
-
-#[test]
 fn benchmark_scale_pins_hold_on_every_backend() {
     // The fixtures above stop at n = 10, below `Backend::AUTO_MIN_N`:
     // these pin Auto's CSR choice, fill-in promotion, and many top-down

@@ -159,14 +159,22 @@ fn stats_and_shutdown_control_the_server() {
 #[test]
 fn bad_requests_exit_nonzero_with_the_server_message() {
     let socket = socket_path("errors");
-    let _server = spawn_server(&socket, 2);
-    let bad_spec = request(&socket, &["--graph", "no-such-family:4"]);
-    assert!(!bad_spec.status.success());
-    assert!(
-        String::from_utf8_lossy(&bad_spec.stderr).contains("bad graph spec"),
-        "stderr: {}",
-        String::from_utf8_lossy(&bad_spec.stderr)
-    );
+    let _server = spawn_server(&socket, 3);
+    // One edge naming vertex 10^11: refused by the size cap before the
+    // graph would allocate adjacency for every vertex up to that id.
+    let huge = std::env::temp_dir().join(format!("cct-serve-cli-huge-{}.el", std::process::id()));
+    std::fs::write(&huge, "0 100000000000\n").unwrap();
+    let huge_spec = format!("file:{}", huge.display());
+    for spec in ["no-such-family:4", huge_spec.as_str()] {
+        let bad_spec = request(&socket, &["--graph", spec]);
+        assert!(!bad_spec.status.success());
+        assert!(
+            String::from_utf8_lossy(&bad_spec.stderr).contains("bad graph spec"),
+            "stderr: {}",
+            String::from_utf8_lossy(&bad_spec.stderr)
+        );
+    }
+    std::fs::remove_file(&huge).unwrap();
     // The service survives the bad request and keeps serving.
     let ok = request(&socket, &["--graph", "petersen"]);
     assert!(ok.status.success());
