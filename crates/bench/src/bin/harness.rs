@@ -28,18 +28,11 @@ OPTIONS:
                       JSON; select exactly one of them with this flag
                       ('all' keeps the legacy behavior of writing e18's
                       report).
-    --baseline PATH   compare the fresh report against a committed
-                      baseline (BENCH_e18.json / BENCH_e19.json /
-                      BENCH_e20.json / BENCH_e21.json /
-                      BENCH_e22.json): exit non-zero on a >2x
-                      regression of the gated metric on any overlapping
-                      row (e18: prepared-mode throughput; e19: the
-                      sparse backend's bytes reduction and wall-clock
-                      ratio; e20: peak resident prepared-state bytes
-                      and their per-family scaling ratio; e21: the MST
-                      and weighted-thm1 round totals; e22: the panel
-                      kernels' same-run speedup ratios — timing ratios,
-                      so the gate is machine-independent)
+    --baseline PATH   gate the fresh report against a committed
+                      BENCH_*.json baseline: exit non-zero when a gated
+                      metric moved past its bound on any row both
+                      reports share (the metrics and their bounds are
+                      the rule table RULES in crates/bench/src/gate.rs)
     --help            this text
 ";
 
@@ -198,39 +191,8 @@ fn run() -> i32 {
             println!("{json_experiment} report written to {path}");
         }
         if let Some(path) = &baseline_path {
-            let text = match std::fs::read_to_string(path) {
-                Ok(s) => s,
-                Err(e) => {
-                    eprintln!("error: cannot read baseline {path}: {e}");
-                    return 1;
-                }
-            };
-            let baseline = match Json::parse(&text) {
-                Ok(v) => v,
-                Err(e) => {
-                    eprintln!("error: baseline {path} is malformed JSON: {e}");
-                    return 1;
-                }
-            };
-            match gate::check_against_baseline(&report, &baseline) {
-                Ok(result) => {
-                    println!("\nbaseline gate ({path}, 2x band):");
-                    for line in &result.compared {
-                        println!("  {line}");
-                    }
-                    if !result.passed() {
-                        eprintln!("error: gated metric regressed beyond the 2x band:");
-                        for line in &result.regressions {
-                            eprintln!("  {line}");
-                        }
-                        return 1;
-                    }
-                    println!("baseline gate passed");
-                }
-                Err(e) => {
-                    eprintln!("error: baseline comparison failed: {e}");
-                    return 1;
-                }
+            if !gate::run_baseline_gate(&report, path) {
+                return 1;
             }
         }
     }

@@ -27,7 +27,7 @@
 //! machine-independent and robust to load drift; it collapses to ×1
 //! if the multiplexed front-end stops overlapping requests (e.g.
 //! reads one frame per round trip, or serializes connections).
-//! `--baseline` applies the margin-over-×1 band from
+//! `--baseline` applies its bound from the rule table in
 //! `cct_bench::gate`. Throughput and p50/p99 are recorded but not
 //! gated (wall-clock is machine-dependent). Requests refused with the
 //! server's `overloaded` backpressure frame are re-sent after a short
@@ -63,8 +63,8 @@ OPTIONS:
     --quick            reduced load: at most 96 requests per trial
     --json PATH        write the machine-readable report to PATH
     --baseline PATH    gate against a committed BENCH_serve.json: exit
-                       non-zero if concurrency_speedup lost more than
-                       half its margin over ×1 vs the baseline
+                       non-zero when a gated metric moved past its bound
+                       (see the rule table RULES in crates/bench/src/gate.rs)
     --help             this text
 
 Exit status: 0 on success, 1 on request failures, a determinism
@@ -543,39 +543,8 @@ fn run() -> i32 {
 
     let mut status = i32::from(!warm.failures.is_empty() || !sequential.failures.is_empty());
     if let Some(path) = &baseline_path {
-        let text = match std::fs::read_to_string(path) {
-            Ok(text) => text,
-            Err(e) => {
-                eprintln!("error: cannot read baseline {path}: {e}");
-                return 1;
-            }
-        };
-        let baseline = match Json::parse(&text) {
-            Ok(doc) => doc,
-            Err(e) => {
-                eprintln!("error: baseline {path} is malformed JSON: {e}");
-                return 1;
-            }
-        };
-        match gate::check_against_baseline(&report, &baseline) {
-            Ok(out) => {
-                println!("baseline gate ({path}, 2x band):");
-                for line in &out.compared {
-                    println!("  {line}");
-                }
-                if out.passed() {
-                    println!("baseline gate passed");
-                } else {
-                    for line in &out.regressions {
-                        eprintln!("REGRESSION: {line}");
-                    }
-                    status = 1;
-                }
-            }
-            Err(e) => {
-                eprintln!("error: baseline comparison failed: {e}");
-                status = 1;
-            }
+        if !gate::run_baseline_gate(&report, path) {
+            status = 1;
         }
     }
     status

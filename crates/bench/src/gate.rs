@@ -1,22 +1,127 @@
-//! The CI bench-smoke gate: compares a fresh `e18` report against the
-//! committed `BENCH_e18.json` baseline.
+//! The baseline gate: compares a fresh experiment report against its
+//! committed `BENCH_*.json` baseline.
 //!
-//! The gate is deliberately loose — machines differ — and fails only when
-//! prepared-mode throughput drops more than [`REGRESSION_FACTOR`]× below
-//! the baseline for a configuration present in both reports. Rows only in
-//! one report (e.g. a `--quick` run against the full baseline) are
-//! skipped; a run that overlaps the baseline nowhere passes vacuously but
-//! reports so.
+//! One table, `RULES`, says what is gated: for each experiment, the
+//! row array, the fields that identify a row, the metric and its
+//! bound. The gate is deliberately loose — machines differ — so
+//! every bound allows a [`REGRESSION_FACTOR`]× move the wrong way.
+//! Rows only in one report (e.g. a `--quick` run against the full
+//! baseline) are skipped; a run that overlaps the baseline nowhere
+//! passes vacuously but reports so.
 
 use crate::json::Json;
+use Bound::{Ceiling, CeilingFromOne, Floor, Margin, MarginOrFloor};
 
-/// A current value may be at most this factor below the baseline.
+/// A current value may be at most this factor worse than the baseline.
 pub const REGRESSION_FACTOR: f64 = 2.0;
 
+/// How a rule turns a baseline value into the limit a current value
+/// must keep.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Bound {
+    /// At least `base / REGRESSION_FACTOR`.
+    Floor,
+    /// At most `base · REGRESSION_FACTOR`.
+    Ceiling,
+    /// At most `max(base, 1) · REGRESSION_FACTOR`, so a baseline below
+    /// ×1 does not tighten the band past "no worse than 2× the
+    /// reference".
+    CeilingFromOne,
+    /// At least `1 + (base − 1) / REGRESSION_FACTOR`: a same-run speedup
+    /// keeps half its margin over ×1, the ratio two identical
+    /// implementations measure.
+    Margin,
+    /// [`Bound::Margin`] for a baseline above ×1, else [`Bound::Floor`],
+    /// so a row that never was a win still passes at its own value.
+    MarginOrFloor,
+}
+
+impl Bound {
+    /// The limit a current value must keep against `base`.
+    fn limit(self, base: f64) -> f64 {
+        match self {
+            Floor => base / REGRESSION_FACTOR,
+            Ceiling => base * REGRESSION_FACTOR,
+            CeilingFromOne => base.max(1.0) * REGRESSION_FACTOR,
+            Margin => 1.0 + (base - 1.0) / REGRESSION_FACTOR,
+            MarginOrFloor if base > 1.0 => Margin.limit(base),
+            MarginOrFloor => Floor.limit(base),
+        }
+    }
+
+    fn is_ceiling(self) -> bool {
+        matches!(self, Ceiling | CeilingFromOne)
+    }
+}
+
+/// One gated metric of one experiment.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Rule {
+    /// The reports' `experiment` field.
+    experiment: &'static str,
+    /// The array whose rows are gated, or `None` to gate the document
+    /// itself as a single row.
+    section: Option<&'static str>,
+    /// The fields that identify a row in both reports.
+    key: &'static [&'static str],
+    /// The gated field of each row.
+    metric: &'static str,
+    /// The limit the current value keeps against the baseline's.
+    bound: Bound,
+}
+
+const fn rule(
+    experiment: &'static str,
+    section: Option<&'static str>,
+    key: &'static [&'static str],
+    metric: &'static str,
+    bound: Bound,
+) -> Rule {
+    Rule {
+        experiment,
+        section,
+        key,
+        metric,
+        bound,
+    }
+}
+
+/// Every gated metric. Apart from e18's throughput, each is a
+/// deterministic count or a ratio measured within one run, so the gate
+/// does not depend on the machine. Wall-clock columns are reported in
+/// the files but never gated.
+#[rustfmt::skip]
+const RULES: [Rule; 10] = [
+    // Prepared-mode draws per second, the serving-path number.
+    rule("e18", Some("throughput"), &["graph", "n", "samples"], "prepared_per_sec", Floor),
+    // The sparse backend's resident-matrix saving over dense, and its
+    // wall-clock relative to dense.
+    rule("e19", Some("rows"), &["family", "n"], "bytes_reduction_sparse", Floor),
+    rule("e19", Some("rows"), &["family", "n"], "wall_ratio_sparse", CeilingFromOne),
+    // Resident prepared-state bytes, and their growth between adjacent
+    // sweep sizes (it has to track nnz·log n, not n²).
+    rule("e20", Some("rows"), &["family", "n"], "peak_resident_bytes", Ceiling),
+    rule("e20", Some("scaling"), &["family", "n_lo", "n_hi"], "bytes_ratio", Ceiling),
+    // Round totals of the Borůvka MST and of weighted Theorem 1.
+    rule("e21", Some("rows"), &["family", "n"], "mst_rounds", Ceiling),
+    rule("e21", Some("rows"), &["family", "n"], "thm1_rounds", Ceiling),
+    // The panel kernels' speedups over the loops they replaced.
+    rule("e22", Some("dense"), &["n"], "panel_speedup", MarginOrFloor),
+    rule("e22", Some("sparse"), &["n"], "panel_speedup", MarginOrFloor),
+    // Pipelined over strictly sequential served throughput.
+    rule("serve", None, &[], "concurrency_speedup", Margin),
+];
+
+/// Figures printed beside the verdicts but never gated, as
+/// `(experiment, object, field)`: work stealing against fixed shards
+/// measures thread scheduling, which a loaded or single-core CI box
+/// swamps.
+const REPORTED: [(&str, &str, &str); 1] = [("e22", "stealing", "steal_ratio")];
+
 /// Result of a baseline comparison.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct GateReport {
-    /// Human-readable lines, one per compared row.
+    /// Human-readable lines, one per compared row and metric.
     pub compared: Vec<String>,
     /// Failures (empty = gate passes).
     pub regressions: Vec<String>,
@@ -29,22 +134,39 @@ impl GateReport {
     }
 }
 
-/// Row identity in the `throughput` array: `(graph, n, samples)`.
-fn throughput_key(row: &Json) -> Option<(String, i64, i64)> {
-    Some((
-        row.get("graph")?.as_str()?.to_string(),
-        row.get("n")?.as_f64()? as i64,
-        row.get("samples")?.as_f64()? as i64,
-    ))
+/// The rows `rule` gates in `doc`.
+fn rows<'a>(doc: &'a Json, rule: &Rule, label: &str) -> Result<&'a [Json], String> {
+    match rule.section {
+        None => Ok(std::slice::from_ref(doc)),
+        Some(section) => doc
+            .get(section)
+            .and_then(Json::as_arr)
+            .ok_or(format!("{label} report lacks a {section} array")),
+    }
 }
 
-/// Dispatches a baseline comparison on the report's `experiment` field
-/// (`e18` or `e19`); the two documents must name the same experiment.
+/// A row's identity: its key fields, strings as written and numbers
+/// truncated to integers. `None` if a field is missing or not a scalar.
+fn row_key(row: &Json, fields: &[&str]) -> Option<Vec<Json>> {
+    fields
+        .iter()
+        .map(|field| match row.get(field)? {
+            Json::Num(x) => Some(Json::Num(x.trunc())),
+            s @ Json::Str(_) => Some(s.clone()),
+            _ => None,
+        })
+        .collect()
+}
+
+/// Compares `current` against `baseline` under every rule of their
+/// experiment; the two documents must name the same one.
 ///
 /// # Errors
 ///
-/// Returns a description for malformed documents or mismatched
-/// experiments.
+/// Returns a description when a document lacks its `experiment` field
+/// or a gated array, when the experiments differ or have no rules, when
+/// a current row lacks a key field, or when a matched row lacks the
+/// metric.
 pub fn check_against_baseline(current: &Json, baseline: &Json) -> Result<GateReport, String> {
     let experiment = |doc: &Json, label: &str| {
         doc.get("experiment")
@@ -61,95 +183,48 @@ pub fn check_against_baseline(current: &Json, baseline: &Json) -> Result<GateRep
             "experiment mismatch: current is {cur}, baseline is {base}"
         ));
     }
-    match cur.as_str() {
-        "e18" => check_e18_against_baseline(current, baseline),
-        "e19" => check_e19_against_baseline(current, baseline),
-        "e20" => check_e20_against_baseline(current, baseline),
-        "e21" => check_e21_against_baseline(current, baseline),
-        "e22" => check_e22_against_baseline(current, baseline),
-        "serve" => check_serve_against_baseline(current, baseline),
-        other => Err(format!("no baseline gate for experiment {other}")),
+    if !RULES.iter().any(|rule| rule.experiment == cur) {
+        return Err(format!("no baseline gate for experiment {cur}"));
     }
-}
-
-/// The floor a same-run speedup ratio must keep against its baseline.
-///
-/// A speedup has a natural floor at ×1 (an identical kernel measures
-/// ×1), so for healthy baselines the band applies to the **margin over
-/// ×1**: keep at least `1 / `[`REGRESSION_FACTOR`] of the baseline's
-/// margin. A baseline at or below ×1 (the new kernel was never a win on
-/// that row) falls back to the plain `base / REGRESSION_FACTOR` floor
-/// so an equal current value still passes.
-fn speedup_floor(base: f64) -> f64 {
-    if base > 1.0 {
-        1.0 + (base - 1.0) / REGRESSION_FACTOR
-    } else {
-        base / REGRESSION_FACTOR
-    }
-}
-
-/// Compares `current` against `baseline` (both `e22` reports).
-///
-/// Gated metrics — all **same-run speedup ratios** (new kernel vs the
-/// pre-panel loop, timed back to back in one process), so the gate is
-/// machine-independent:
-///
-/// * `dense[].panel_speedup` — the panel microkernel's win over the
-///   reference dense loop, per matrix size `n`;
-/// * `sparse[].panel_speedup` — the same ratio for the CSR × dense-RHS
-///   kernel vs the old scalar loop.
-///
-/// Each ratio is held to [`speedup_floor`]: keep at least half the
-/// baseline's margin over ×1. The `stealing` section (work stealing vs
-/// fixed shards) is reported but never gated — thread scheduling on a
-/// loaded or single-core CI box swamps the signal.
-///
-/// # Errors
-///
-/// Returns a description if either document is not a well-formed `e22`
-/// report.
-pub fn check_e22_against_baseline(current: &Json, baseline: &Json) -> Result<GateReport, String> {
-    for (label, doc) in [("current", current), ("baseline", baseline)] {
-        if doc.get("experiment").and_then(Json::as_str) != Some("e22") {
-            return Err(format!("{label} report is not an e22 document"));
-        }
-    }
-    let mut report = GateReport {
-        compared: Vec::new(),
-        regressions: Vec::new(),
-    };
-    for section in ["dense", "sparse"] {
-        let arr = |doc: &Json, label: &str| -> Result<Vec<Json>, String> {
-            doc.get(section)
-                .and_then(Json::as_arr)
-                .map(<[Json]>::to_vec)
-                .ok_or(format!("{label} report lacks a {section} array"))
-        };
-        let current_rows = arr(current, "current")?;
-        let baseline_rows = arr(baseline, "baseline")?;
-        for row in &current_rows {
-            let Some(n) = row.get("n").and_then(Json::as_f64).map(|n| n as i64) else {
-                return Err(format!("current e22 {section} row missing n"));
-            };
+    let mut report = GateReport::default();
+    for rule in RULES.iter().filter(|rule| rule.experiment == cur) {
+        let baseline_rows = rows(baseline, rule, "baseline")?;
+        for row in rows(current, rule, "current")? {
+            let key = row_key(row, rule.key)
+                .ok_or(format!("current {cur} row lacks {}", rule.key.join("/")))?;
             let Some(base_row) = baseline_rows
                 .iter()
-                .find(|b| b.get("n").and_then(Json::as_f64).map(|v| v as i64) == Some(n))
+                .find(|b| row_key(b, rule.key).as_ref() == Some(&key))
             else {
                 continue; // not in the baseline (e.g. quick vs full sweep)
             };
-            let metric = |doc: &Json, name: &str| {
-                doc.get(name)
+            let metric = |doc: &Json| {
+                doc.get(rule.metric)
                     .and_then(Json::as_f64)
-                    .ok_or(format!("e22 {section} row missing {name}"))
+                    .ok_or(format!("{cur} row lacks {}", rule.metric))
             };
-            let cur_panel = metric(row, "panel_speedup")?;
-            let base_panel = metric(base_row, "panel_speedup")?;
-            let panel_floor = speedup_floor(base_panel);
+            let (now, then) = (metric(row)?, metric(base_row)?);
+            let limit = rule.bound.limit(then);
+            let mut at = rule.section.unwrap_or(rule.experiment).to_string();
+            for (field, value) in rule.key.iter().zip(&key) {
+                let value = value
+                    .as_str()
+                    .map_or_else(|| value.compact(), str::to_string);
+                at.push_str(&format!("/{field}={value}"));
+            }
+            let (kind, regressed) = if rule.bound.is_ceiling() {
+                ("ceiling", now > limit)
+            } else {
+                ("floor", now < limit)
+            };
             let line = format!(
-                "{section}/n={n}: panel ×{cur_panel:.2} vs baseline ×{base_panel:.2} \
-                 (floor ×{panel_floor:.2})"
+                "{at}: {} {} vs baseline {} ({kind} {})",
+                rule.metric,
+                Json::Num(now).compact(),
+                Json::Num(then).compact(),
+                Json::Num(limit).compact(),
             );
-            if cur_panel < panel_floor {
+            if regressed {
                 report.regressions.push(line.clone());
             }
             report.compared.push(line);
@@ -158,419 +233,53 @@ pub fn check_e22_against_baseline(current: &Json, baseline: &Json) -> Result<Gat
     if report.compared.is_empty() {
         report
             .compared
-            .push("no overlapping e22 rows — nothing gated".into());
+            .push(format!("no overlapping {cur} rows — nothing gated"));
     }
-    if let Some(ratio) = current
-        .get("stealing")
-        .and_then(|s| s.get("steal_ratio"))
-        .and_then(Json::as_f64)
-    {
-        report.compared.push(format!(
-            "stealing: fixed/stealing wall ×{ratio:.2} (reported, not gated)"
-        ));
+    for (_, object, field) in REPORTED.iter().filter(|(e, ..)| *e == cur) {
+        if let Some(value) = current.get(object).and_then(|o| o.get(field)) {
+            report.compared.push(format!(
+                "{object}.{field} {} (reported, not gated)",
+                value.compact()
+            ));
+        }
     }
     Ok(report)
 }
 
-/// Compares `current` against `baseline` (both `serve` loadgen
-/// reports, see the `loadgen` bin).
-///
-/// Gated metric: `concurrency_speedup` — warm pipelined throughput at
-/// the target concurrency divided by strict single-connection
-/// sequential throughput, measured in the same run on the same
-/// machine, so the ratio is machine-independent. A speedup has a
-/// natural floor at ×1 (a front-end that serializes every request
-/// still measures ×1), so the band applies to the **margin over ×1**:
-/// the current margin must keep at least `1 / `[`REGRESSION_FACTOR`]
-/// of the baseline's margin. A serialized front-end (margin ≈ 0)
-/// always fails against any healthy baseline.
-///
-/// The wall-clock columns (`per_sec`, `p50_us`, `p99_us`) are reported
-/// but never gated: absolute times are machine-dependent even within a
-/// 2× band.
-///
-/// # Errors
-///
-/// Returns a description if either document is not a well-formed
-/// `serve` report.
-pub fn check_serve_against_baseline(current: &Json, baseline: &Json) -> Result<GateReport, String> {
-    for (label, doc) in [("current", current), ("baseline", baseline)] {
-        if doc.get("experiment").and_then(Json::as_str) != Some("serve") {
-            return Err(format!("{label} report is not a serve document"));
+/// Gates `report` against the baseline file at `path` and prints the
+/// verdict: compared rows on stdout, regressions and errors on stderr.
+/// Returns `true` when the gate passed; an unreadable or malformed
+/// baseline, or a comparison error, counts as a failure.
+pub fn run_baseline_gate(report: &Json, path: &str) -> bool {
+    let outcome = std::fs::read_to_string(path)
+        .map_err(|e| format!("cannot read baseline {path}: {e}"))
+        .and_then(|text| {
+            Json::parse(&text).map_err(|e| format!("baseline {path} is malformed JSON: {e}"))
+        })
+        .and_then(|baseline| {
+            check_against_baseline(report, &baseline)
+                .map_err(|e| format!("baseline comparison failed: {e}"))
+        });
+    let result = match outcome {
+        Ok(result) => result,
+        Err(e) => {
+            eprintln!("error: {e}");
+            return false;
         }
-    }
-    let metric = |doc: &Json, label: &str| {
-        doc.get("concurrency_speedup")
-            .and_then(Json::as_f64)
-            .ok_or(format!("{label} report missing concurrency_speedup"))
     };
-    let cur = metric(current, "current")?;
-    let base = metric(baseline, "baseline")?;
-    let floor = 1.0 + (base - 1.0) / REGRESSION_FACTOR;
-    let line =
-        format!("serve: concurrency speedup ×{cur:.2} vs baseline ×{base:.2} (floor ×{floor:.2})");
-    let mut report = GateReport {
-        compared: vec![line.clone()],
-        regressions: Vec::new(),
-    };
-    if cur < floor {
-        report.regressions.push(line);
+    println!("\nbaseline gate ({path}, {REGRESSION_FACTOR}x band):");
+    for line in &result.compared {
+        println!("  {line}");
     }
-    Ok(report)
-}
-
-/// Row identity in e21's `rows` array: `(family, n)`.
-fn e21_row_key(row: &Json) -> Option<(String, i64)> {
-    Some((
-        row.get("family")?.as_str()?.to_string(),
-        row.get("n")?.as_f64()? as i64,
-    ))
-}
-
-/// Compares `current` against `baseline` (both `e21` reports).
-///
-/// Gated metrics — both **deterministic round totals**, so the gate is
-/// machine-independent:
-///
-/// * `rows[].mst_rounds` — the Borůvka MachineProgram's ledger total
-///   must not grow past [`REGRESSION_FACTOR`]× the baseline for the
-///   same `(family, n)` (the experiment itself already asserts the
-///   rounds are worker-invariant and the edge set matches Kruskal);
-/// * `rows[].thm1_rounds` — the weight-proportional Theorem 1 sampler's
-///   round total under the same ceiling.
-///
-/// `mst_ms` / `thm1_ms` wall-clock columns are reported but never
-/// gated: absolute times are machine-dependent even within a 2× band.
-///
-/// # Errors
-///
-/// Returns a description if either document is not a well-formed `e21`
-/// report.
-pub fn check_e21_against_baseline(current: &Json, baseline: &Json) -> Result<GateReport, String> {
-    for (label, doc) in [("current", current), ("baseline", baseline)] {
-        if doc.get("experiment").and_then(Json::as_str) != Some("e21") {
-            return Err(format!("{label} report is not an e21 document"));
+    if result.passed() {
+        println!("baseline gate passed");
+    } else {
+        eprintln!("error: gated metric regressed beyond the {REGRESSION_FACTOR}x band:");
+        for line in &result.regressions {
+            eprintln!("  {line}");
         }
     }
-    let current_rows = current
-        .get("rows")
-        .and_then(Json::as_arr)
-        .ok_or("current report lacks a rows array")?;
-    let baseline_rows = baseline
-        .get("rows")
-        .and_then(Json::as_arr)
-        .ok_or("baseline report lacks a rows array")?;
-
-    let mut report = GateReport {
-        compared: Vec::new(),
-        regressions: Vec::new(),
-    };
-    for row in current_rows {
-        let Some(key) = e21_row_key(row) else {
-            return Err("current e21 row missing family/n".into());
-        };
-        let Some(base_row) = baseline_rows
-            .iter()
-            .find(|b| e21_row_key(b).as_ref() == Some(&key))
-        else {
-            continue; // not in the baseline (e.g. quick vs full sweep)
-        };
-        let metric = |doc: &Json, name: &str| {
-            doc.get(name)
-                .and_then(Json::as_f64)
-                .ok_or(format!("e21 row missing {name}"))
-        };
-        let cur_mst = metric(row, "mst_rounds")?;
-        let base_mst = metric(base_row, "mst_rounds")?;
-        let cur_thm1 = metric(row, "thm1_rounds")?;
-        let base_thm1 = metric(base_row, "thm1_rounds")?;
-        let mst_ceiling = base_mst * REGRESSION_FACTOR;
-        let thm1_ceiling = base_thm1 * REGRESSION_FACTOR;
-        let line = format!(
-            "{}/n={}: mst {:.0} rounds vs baseline {:.0} (ceiling {:.0}); thm1 {:.0} vs {:.0} (ceiling {:.0})",
-            key.0, key.1, cur_mst, base_mst, mst_ceiling, cur_thm1, base_thm1, thm1_ceiling
-        );
-        if cur_mst > mst_ceiling || cur_thm1 > thm1_ceiling {
-            report.regressions.push(line.clone());
-        }
-        report.compared.push(line);
-    }
-    if report.compared.is_empty() {
-        report
-            .compared
-            .push("no overlapping e21 rows — nothing gated".into());
-    }
-    Ok(report)
-}
-
-/// Row identity in e20's `rows` array: `(family, n)`.
-fn e20_row_key(row: &Json) -> Option<(String, i64)> {
-    Some((
-        row.get("family")?.as_str()?.to_string(),
-        row.get("n")?.as_f64()? as i64,
-    ))
-}
-
-/// Entry identity in e20's `scaling` array: `(family, n_lo, n_hi)`.
-fn e20_scaling_key(entry: &Json) -> Option<(String, i64, i64)> {
-    Some((
-        entry.get("family")?.as_str()?.to_string(),
-        entry.get("n_lo")?.as_f64()? as i64,
-        entry.get("n_hi")?.as_f64()? as i64,
-    ))
-}
-
-/// Compares `current` against `baseline` (both `e20` reports).
-///
-/// Gated metrics — both **deterministic byte counts**, so the gate is
-/// machine-independent:
-///
-/// * `rows[].peak_resident_bytes` — the resident prepared-state
-///   footprint (transition matrix + materialized doubling levels +
-///   cached ledger) must not grow past [`REGRESSION_FACTOR`]× the
-///   baseline for the same `(family, n)` — a doubling means some Θ(n²)
-///   allocation crept back past the out-of-core escape;
-/// * `scaling[].bytes_ratio` — the per-family growth of the peak
-///   between adjacent sweep sizes must not exceed
-///   [`REGRESSION_FACTOR`]× the baseline ratio (resident state has to
-///   keep tracking nnz·log n, not n²).
-///
-/// Wall-clock columns are reported but not gated: absolute times are
-/// machine-dependent even within a 2× band.
-///
-/// # Errors
-///
-/// Returns a description if either document is not a well-formed `e20`
-/// report.
-pub fn check_e20_against_baseline(current: &Json, baseline: &Json) -> Result<GateReport, String> {
-    for (label, doc) in [("current", current), ("baseline", baseline)] {
-        if doc.get("experiment").and_then(Json::as_str) != Some("e20") {
-            return Err(format!("{label} report is not an e20 document"));
-        }
-    }
-    let arr = |doc: &Json, label: &str, field: &str| -> Result<Vec<Json>, String> {
-        doc.get(field)
-            .and_then(Json::as_arr)
-            .map(<[Json]>::to_vec)
-            .ok_or(format!("{label} report lacks a {field} array"))
-    };
-    let current_rows = arr(current, "current", "rows")?;
-    let baseline_rows = arr(baseline, "baseline", "rows")?;
-    let current_scaling = arr(current, "current", "scaling")?;
-    let baseline_scaling = arr(baseline, "baseline", "scaling")?;
-
-    let mut report = GateReport {
-        compared: Vec::new(),
-        regressions: Vec::new(),
-    };
-    for row in &current_rows {
-        let Some(key) = e20_row_key(row) else {
-            return Err("current e20 row missing family/n".into());
-        };
-        let Some(base_row) = baseline_rows
-            .iter()
-            .find(|b| e20_row_key(b).as_ref() == Some(&key))
-        else {
-            continue; // not in the baseline (e.g. quick vs full sweep)
-        };
-        let metric = |doc: &Json| {
-            doc.get("peak_resident_bytes")
-                .and_then(Json::as_f64)
-                .ok_or("e20 row missing peak_resident_bytes")
-        };
-        let cur = metric(row)?;
-        let base = metric(base_row)?;
-        let ceiling = base * REGRESSION_FACTOR;
-        let line = format!(
-            "{}/n={}: peak resident {:.0} B vs baseline {:.0} B (ceiling {:.0} B)",
-            key.0, key.1, cur, base, ceiling
-        );
-        if cur > ceiling {
-            report.regressions.push(line.clone());
-        }
-        report.compared.push(line);
-    }
-    for entry in &current_scaling {
-        let Some(key) = e20_scaling_key(entry) else {
-            return Err("current e20 scaling entry missing family/n_lo/n_hi".into());
-        };
-        let Some(base_entry) = baseline_scaling
-            .iter()
-            .find(|b| e20_scaling_key(b).as_ref() == Some(&key))
-        else {
-            continue;
-        };
-        let metric = |doc: &Json| {
-            doc.get("bytes_ratio")
-                .and_then(Json::as_f64)
-                .ok_or("e20 scaling entry missing bytes_ratio")
-        };
-        let cur = metric(entry)?;
-        let base = metric(base_entry)?;
-        let ceiling = base * REGRESSION_FACTOR;
-        let line = format!(
-            "{} scaling {}→{}: bytes ×{:.2} vs baseline ×{:.2} (ceiling ×{:.2})",
-            key.0, key.1, key.2, cur, base, ceiling
-        );
-        if cur > ceiling {
-            report.regressions.push(line.clone());
-        }
-        report.compared.push(line);
-    }
-    if report.compared.is_empty() {
-        report
-            .compared
-            .push("no overlapping e20 rows — nothing gated".into());
-    }
-    Ok(report)
-}
-
-/// Row identity in e19's `rows` array: `(family, n)`.
-fn e19_key(row: &Json) -> Option<(String, i64)> {
-    Some((
-        row.get("family")?.as_str()?.to_string(),
-        row.get("n")?.as_f64()? as i64,
-    ))
-}
-
-/// Compares `current` against `baseline` (both `e19` reports).
-///
-/// Gated metrics, both **ratios** (so the gate is machine-independent):
-///
-/// * `bytes_reduction_sparse` — the sparse backend's resident-matrix
-///   saving must stay within [`REGRESSION_FACTOR`]× of the baseline's
-///   (the memory win is the tentpole; losing half of it is a
-///   regression);
-/// * `wall_ratio_sparse` — sparse wall-clock relative to dense must not
-///   grow past [`REGRESSION_FACTOR`]× the baseline ratio (floored at 1,
-///   so a baseline where sparse was *faster* doesn't tighten the band
-///   beyond "no worse than 2× dense").
-///
-/// # Errors
-///
-/// Returns a description if either document is not a well-formed `e19`
-/// report.
-pub fn check_e19_against_baseline(current: &Json, baseline: &Json) -> Result<GateReport, String> {
-    for (label, doc) in [("current", current), ("baseline", baseline)] {
-        if doc.get("experiment").and_then(Json::as_str) != Some("e19") {
-            return Err(format!("{label} report is not an e19 document"));
-        }
-    }
-    let current_rows = current
-        .get("rows")
-        .and_then(Json::as_arr)
-        .ok_or("current report lacks a rows array")?;
-    let baseline_rows = baseline
-        .get("rows")
-        .and_then(Json::as_arr)
-        .ok_or("baseline report lacks a rows array")?;
-
-    let mut report = GateReport {
-        compared: Vec::new(),
-        regressions: Vec::new(),
-    };
-    for row in current_rows {
-        let Some(key) = e19_key(row) else {
-            return Err("current e19 row missing family/n".into());
-        };
-        let Some(base_row) = baseline_rows
-            .iter()
-            .find(|b| e19_key(b).as_ref() == Some(&key))
-        else {
-            continue; // not in the baseline (e.g. quick vs full sweep)
-        };
-        let metric = |doc: &Json, name: &str| {
-            doc.get(name)
-                .and_then(Json::as_f64)
-                .ok_or(format!("e19 row missing {name}"))
-        };
-        let cur_bytes = metric(row, "bytes_reduction_sparse")?;
-        let base_bytes = metric(base_row, "bytes_reduction_sparse")?;
-        let cur_wall = metric(row, "wall_ratio_sparse")?;
-        let base_wall = metric(base_row, "wall_ratio_sparse")?;
-        let bytes_floor = base_bytes / REGRESSION_FACTOR;
-        let wall_ceiling = base_wall.max(1.0) * REGRESSION_FACTOR;
-        let line = format!(
-            "{}/n={}: bytes ÷{:.2} (baseline ÷{:.2}, floor ÷{:.2}); wall ×{:.2} (ceiling ×{:.2})",
-            key.0, key.1, cur_bytes, base_bytes, bytes_floor, cur_wall, wall_ceiling
-        );
-        if cur_bytes < bytes_floor || cur_wall > wall_ceiling {
-            report.regressions.push(line.clone());
-        }
-        report.compared.push(line);
-    }
-    if report.compared.is_empty() {
-        report
-            .compared
-            .push("no overlapping e19 rows — nothing gated".into());
-    }
-    Ok(report)
-}
-
-/// Compares `current` against `baseline` (both `e18` reports).
-///
-/// Gated metric: `throughput[].prepared_per_sec` — the serving-path
-/// number the tentpole optimizes. The block-squaring rows are reported
-/// but not gated (their *ratio* is asserted inside `e18` itself; absolute
-/// kernel times are too machine-dependent even for a 2× band).
-///
-/// # Errors
-///
-/// Returns a description if either document is not a well-formed `e18`
-/// report.
-pub fn check_e18_against_baseline(current: &Json, baseline: &Json) -> Result<GateReport, String> {
-    for (label, doc) in [("current", current), ("baseline", baseline)] {
-        if doc.get("experiment").and_then(Json::as_str) != Some("e18") {
-            return Err(format!("{label} report is not an e18 document"));
-        }
-    }
-    let current_rows = current
-        .get("throughput")
-        .and_then(Json::as_arr)
-        .ok_or("current report lacks a throughput array")?;
-    let baseline_rows = baseline
-        .get("throughput")
-        .and_then(Json::as_arr)
-        .ok_or("baseline report lacks a throughput array")?;
-
-    let mut report = GateReport {
-        compared: Vec::new(),
-        regressions: Vec::new(),
-    };
-    for row in current_rows {
-        let Some(key) = throughput_key(row) else {
-            return Err("current throughput row missing graph/n/samples".into());
-        };
-        let Some(base_row) = baseline_rows
-            .iter()
-            .find(|b| throughput_key(b).as_ref() == Some(&key))
-        else {
-            continue; // not in the baseline (e.g. quick vs full sweep)
-        };
-        let cur = row
-            .get("prepared_per_sec")
-            .and_then(Json::as_f64)
-            .ok_or("current row missing prepared_per_sec")?;
-        let base = base_row
-            .get("prepared_per_sec")
-            .and_then(Json::as_f64)
-            .ok_or("baseline row missing prepared_per_sec")?;
-        let floor = base / REGRESSION_FACTOR;
-        let line = format!(
-            "{}/n={}/k={}: prepared {:.2}/s vs baseline {:.2}/s (floor {:.2}/s)",
-            key.0, key.1, key.2, cur, base, floor
-        );
-        if cur < floor {
-            report.regressions.push(line.clone());
-        }
-        report.compared.push(line);
-    }
-    if report.compared.is_empty() {
-        report
-            .compared
-            .push("no overlapping throughput rows — nothing gated".into());
-    }
-    Ok(report)
+    result.passed()
 }
 
 #[cfg(test)]
@@ -601,11 +310,9 @@ mod tests {
     #[test]
     fn passes_within_band_fails_below() {
         let baseline = report(&[("er", 64.0, 6.0, 100.0)]);
-        let ok =
-            check_e18_against_baseline(&report(&[("er", 64.0, 6.0, 51.0)]), &baseline).unwrap();
+        let ok = check_against_baseline(&report(&[("er", 64.0, 6.0, 51.0)]), &baseline).unwrap();
         assert!(ok.passed(), "{:?}", ok.regressions);
-        let bad =
-            check_e18_against_baseline(&report(&[("er", 64.0, 6.0, 49.0)]), &baseline).unwrap();
+        let bad = check_against_baseline(&report(&[("er", 64.0, 6.0, 49.0)]), &baseline).unwrap();
         assert!(!bad.passed());
         assert_eq!(bad.regressions.len(), 1);
     }
@@ -614,7 +321,7 @@ mod tests {
     fn quick_subset_compares_only_overlap() {
         let baseline = report(&[("er", 64.0, 6.0, 100.0), ("er", 256.0, 6.0, 10.0)]);
         let quick = report(&[("er", 64.0, 6.0, 80.0)]);
-        let out = check_e18_against_baseline(&quick, &baseline).unwrap();
+        let out = check_against_baseline(&quick, &baseline).unwrap();
         assert!(out.passed());
         assert_eq!(out.compared.len(), 1);
     }
@@ -622,8 +329,7 @@ mod tests {
     #[test]
     fn disjoint_rows_pass_vacuously() {
         let baseline = report(&[("er", 512.0, 6.0, 1.0)]);
-        let out =
-            check_e18_against_baseline(&report(&[("er", 64.0, 6.0, 9.0)]), &baseline).unwrap();
+        let out = check_against_baseline(&report(&[("er", 64.0, 6.0, 9.0)]), &baseline).unwrap();
         assert!(out.passed());
         assert!(out.compared[0].contains("nothing gated"));
     }
@@ -632,8 +338,8 @@ mod tests {
     fn rejects_non_e18_documents() {
         let good = report(&[]);
         let bad = Json::Obj(vec![("experiment".into(), Json::Str("e1".into()))]);
-        assert!(check_e18_against_baseline(&good, &bad).is_err());
-        assert!(check_e18_against_baseline(&bad, &good).is_err());
+        assert!(check_against_baseline(&good, &bad).is_err());
+        assert!(check_against_baseline(&bad, &good).is_err());
     }
 
     fn e19_report(rows: &[(&str, f64, f64, f64)]) -> Json {
@@ -661,22 +367,20 @@ mod tests {
     fn e19_gate_checks_bytes_floor_and_wall_ceiling() {
         let baseline = e19_report(&[("cycle", 1025.0, 2.1, 0.8)]);
         // Within band: bytes still ≥ 1.05, wall ≤ 2.0 (ceiling floored at 1×2).
-        let ok = check_e19_against_baseline(&e19_report(&[("cycle", 1025.0, 1.1, 1.9)]), &baseline)
-            .unwrap();
+        let ok =
+            check_against_baseline(&e19_report(&[("cycle", 1025.0, 1.1, 1.9)]), &baseline).unwrap();
         assert!(ok.passed(), "{:?}", ok.regressions);
         // Memory win halved below the floor: regression.
         let bad_bytes =
-            check_e19_against_baseline(&e19_report(&[("cycle", 1025.0, 1.0, 0.8)]), &baseline)
-                .unwrap();
+            check_against_baseline(&e19_report(&[("cycle", 1025.0, 1.0, 0.8)]), &baseline).unwrap();
         assert!(!bad_bytes.passed());
         // Sparse became > 2× slower than dense: regression.
         let bad_wall =
-            check_e19_against_baseline(&e19_report(&[("cycle", 1025.0, 2.1, 2.5)]), &baseline)
-                .unwrap();
+            check_against_baseline(&e19_report(&[("cycle", 1025.0, 2.1, 2.5)]), &baseline).unwrap();
         assert!(!bad_wall.passed());
         // Non-overlapping rows pass vacuously.
         let disjoint =
-            check_e19_against_baseline(&e19_report(&[("er", 256.0, 1.2, 1.0)]), &baseline).unwrap();
+            check_against_baseline(&e19_report(&[("er", 256.0, 1.2, 1.0)]), &baseline).unwrap();
         assert!(disjoint.passed());
         assert!(disjoint.compared[0].contains("nothing gated"));
     }
@@ -724,7 +428,7 @@ mod tests {
             &[("path", 16384.0, 131072.0, 8.0)],
         );
         // Within band: peak below 2× baseline, ratio below 2× baseline.
-        let ok = check_e20_against_baseline(
+        let ok = check_against_baseline(
             &e20_report(
                 &[("path", 16384.0, 900_000.0)],
                 &[("path", 16384.0, 131072.0, 9.5)],
@@ -734,7 +438,7 @@ mod tests {
         .unwrap();
         assert!(ok.passed(), "{:?}", ok.regressions);
         // Resident footprint more than doubled: regression.
-        let bad_peak = check_e20_against_baseline(
+        let bad_peak = check_against_baseline(
             &e20_report(
                 &[("path", 16384.0, 1_100_000.0)],
                 &[("path", 16384.0, 131072.0, 8.0)],
@@ -744,7 +448,7 @@ mod tests {
         .unwrap();
         assert!(!bad_peak.passed());
         // Scaling ratio blew past 2× the baseline (n² crept back in).
-        let bad_ratio = check_e20_against_baseline(
+        let bad_ratio = check_against_baseline(
             &e20_report(
                 &[("path", 16384.0, 500_000.0)],
                 &[("path", 16384.0, 131072.0, 17.0)],
@@ -755,7 +459,7 @@ mod tests {
         assert!(!bad_ratio.passed());
         // Non-overlapping rows pass vacuously.
         let disjoint =
-            check_e20_against_baseline(&e20_report(&[("er", 1024.0, 9_000.0)], &[]), &baseline)
+            check_against_baseline(&e20_report(&[("er", 1024.0, 9_000.0)], &[]), &baseline)
                 .unwrap();
         assert!(disjoint.passed());
         assert!(disjoint.compared[0].contains("nothing gated"));
@@ -786,23 +490,22 @@ mod tests {
     fn e21_gate_checks_both_round_ceilings() {
         let baseline = e21_report(&[("grid-w", 64.0, 40.0, 1_200.0)]);
         // Within band: both round totals below 2× baseline.
-        let ok =
-            check_e21_against_baseline(&e21_report(&[("grid-w", 64.0, 75.0, 2_300.0)]), &baseline)
-                .unwrap();
+        let ok = check_against_baseline(&e21_report(&[("grid-w", 64.0, 75.0, 2_300.0)]), &baseline)
+            .unwrap();
         assert!(ok.passed(), "{:?}", ok.regressions);
         // MST rounds more than doubled: regression.
         let bad_mst =
-            check_e21_against_baseline(&e21_report(&[("grid-w", 64.0, 81.0, 1_200.0)]), &baseline)
+            check_against_baseline(&e21_report(&[("grid-w", 64.0, 81.0, 1_200.0)]), &baseline)
                 .unwrap();
         assert!(!bad_mst.passed());
         // thm1 rounds more than doubled: regression.
         let bad_thm1 =
-            check_e21_against_baseline(&e21_report(&[("grid-w", 64.0, 40.0, 2_500.0)]), &baseline)
+            check_against_baseline(&e21_report(&[("grid-w", 64.0, 40.0, 2_500.0)]), &baseline)
                 .unwrap();
         assert!(!bad_thm1.passed());
         // Non-overlapping rows pass vacuously.
         let disjoint =
-            check_e21_against_baseline(&e21_report(&[("er-w", 128.0, 50.0, 1_000.0)]), &baseline)
+            check_against_baseline(&e21_report(&[("er-w", 128.0, 50.0, 1_000.0)]), &baseline)
                 .unwrap();
         assert!(disjoint.passed());
         assert!(disjoint.compared[0].contains("nothing gated"));
@@ -836,29 +539,28 @@ mod tests {
     fn e22_gate_holds_both_speedups_to_the_margin_floor() {
         // Baseline: dense panel ×2.0 (floor ×1.5), sparse ×1.8 (floor ×1.4).
         let baseline = e22_report(&[(256.0, 2.0)], &[(1024.0, 1.8)]);
-        let ok =
-            check_e22_against_baseline(&e22_report(&[(256.0, 1.6)], &[(1024.0, 1.5)]), &baseline)
-                .unwrap();
+        let ok = check_against_baseline(&e22_report(&[(256.0, 1.6)], &[(1024.0, 1.5)]), &baseline)
+            .unwrap();
         assert!(ok.passed(), "{:?}", ok.regressions);
         // Dense panel win collapsed below its floor: regression.
         let bad_dense =
-            check_e22_against_baseline(&e22_report(&[(256.0, 1.4)], &[(1024.0, 1.8)]), &baseline)
+            check_against_baseline(&e22_report(&[(256.0, 1.4)], &[(1024.0, 1.8)]), &baseline)
                 .unwrap();
         assert!(!bad_dense.passed());
         // Sparse panel win collapsed below its floor: regression.
         let bad_sparse =
-            check_e22_against_baseline(&e22_report(&[(256.0, 2.0)], &[(1024.0, 1.3)]), &baseline)
+            check_against_baseline(&e22_report(&[(256.0, 2.0)], &[(1024.0, 1.3)]), &baseline)
                 .unwrap();
         assert!(!bad_sparse.passed());
         // A never-was-a-win baseline (≤ ×1) falls back to base/2: an
         // equal current value passes.
         let flat_base = e22_report(&[(256.0, 0.9)], &[]);
-        let flat = check_e22_against_baseline(&flat_base, &flat_base).unwrap();
+        let flat = check_against_baseline(&flat_base, &flat_base).unwrap();
         assert!(flat.passed(), "{:?}", flat.regressions);
         // Non-overlapping rows pass vacuously; the stealing ratio is
         // reported but never gated.
         let disjoint =
-            check_e22_against_baseline(&e22_report(&[(384.0, 0.1)], &[]), &baseline).unwrap();
+            check_against_baseline(&e22_report(&[(384.0, 0.1)], &[]), &baseline).unwrap();
         assert!(disjoint.passed());
         assert!(disjoint.compared[0].contains("nothing gated"));
         assert!(disjoint.compared[1].contains("not gated"));
@@ -876,18 +578,18 @@ mod tests {
         // The band applies to the margin over ×1: baseline ×3 keeps a
         // ×2 margin, so the floor is ×1 + margin/2 = ×2.
         let baseline = serve_report(3.0);
-        let ok = check_serve_against_baseline(&serve_report(2.1), &baseline).unwrap();
+        let ok = check_against_baseline(&serve_report(2.1), &baseline).unwrap();
         assert!(ok.passed(), "{:?}", ok.regressions);
         // The multiplexing win collapsed below the floor: regression.
-        let bad = check_serve_against_baseline(&serve_report(1.9), &baseline).unwrap();
+        let bad = check_against_baseline(&serve_report(1.9), &baseline).unwrap();
         assert!(!bad.passed());
         assert_eq!(bad.regressions.len(), 1);
         // A fully serialized front-end (×1) fails any healthy baseline.
-        let flat = check_serve_against_baseline(&serve_report(1.0), &serve_report(1.8)).unwrap();
+        let flat = check_against_baseline(&serve_report(1.0), &serve_report(1.8)).unwrap();
         assert!(!flat.passed());
         // Malformed documents are hard errors, not silent passes.
         let empty = Json::Obj(vec![("experiment".into(), Json::Str("serve".into()))]);
-        assert!(check_serve_against_baseline(&empty, &baseline).is_err());
+        assert!(check_against_baseline(&empty, &baseline).is_err());
     }
 
     #[test]
@@ -913,5 +615,67 @@ mod tests {
         assert!(check_against_baseline(&e21, &e20).is_err());
         assert!(check_against_baseline(&e22, &e21).is_err());
         assert!(check_against_baseline(&serve, &e18).is_err());
+    }
+
+    #[test]
+    fn every_rule_keeps_its_experiments_threshold() {
+        // The formulas each experiment gated with before the table, per
+        // (experiment, metric), at baselines below, at and above ×1.
+        for base in [0.0_f64, 0.5, 0.9, 1.0, 1.01, 1.5, 2.0, 46.6, 3e6] {
+            for rule in &RULES {
+                let want = match (rule.experiment, rule.metric) {
+                    ("e18", "prepared_per_sec") | ("e19", "bytes_reduction_sparse") => base / 2.0,
+                    ("e19", "wall_ratio_sparse") => base.max(1.0) * 2.0,
+                    ("e20", _) | ("e21", _) => base * 2.0,
+                    ("e22", "panel_speedup") if base > 1.0 => 1.0 + (base - 1.0) / 2.0,
+                    ("e22", "panel_speedup") => base / 2.0,
+                    ("serve", "concurrency_speedup") => 1.0 + (base - 1.0) / 2.0,
+                    other => panic!("no threshold on record for {other:?}"),
+                };
+                assert_eq!(rule.bound.limit(base), want, "{rule:?} at base {base}");
+                let ceiling =
+                    matches!(rule.experiment, "e20" | "e21") || rule.metric == "wall_ratio_sparse";
+                assert_eq!(rule.bound.is_ceiling(), ceiling, "{rule:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn committed_baselines_pass_against_themselves_on_every_row() {
+        // A typo in a rule's section, key or metric fails here: every
+        // committed file must compare every row of every gated section.
+        for text in [
+            include_str!("../../../BENCH_e18.json"),
+            include_str!("../../../BENCH_e19.json"),
+            include_str!("../../../BENCH_e20.json"),
+            include_str!("../../../BENCH_e21.json"),
+            include_str!("../../../BENCH_e22.json"),
+            include_str!("../../../BENCH_serve.json"),
+        ] {
+            let doc = Json::parse(text).unwrap();
+            let experiment = doc.get("experiment").and_then(Json::as_str).unwrap();
+            let out = check_against_baseline(&doc, &doc).unwrap();
+            assert!(out.passed(), "{experiment}: {:?}", out.regressions);
+            let gated: usize = RULES
+                .iter()
+                .filter(|rule| rule.experiment == experiment)
+                .map(|rule| rows(&doc, rule, "committed").unwrap().len())
+                .sum();
+            let reported = REPORTED.iter().filter(|(e, ..)| *e == experiment).count();
+            assert!(gated > 0, "{experiment} has no gated rows");
+            assert_eq!(
+                out.compared.len(),
+                gated + reported,
+                "{experiment}: {:?}",
+                out.compared
+            );
+            assert!(
+                out.compared
+                    .iter()
+                    .all(|line| !line.contains("nothing gated")),
+                "{experiment}: {:?}",
+                out.compared
+            );
+        }
     }
 }

@@ -12,8 +12,9 @@
 //! cargo run -p cct-bench --release --bin harness -- all
 //! ```
 //!
-//! or a single experiment (`e1` … `e17`, `aux`), with `--quick` for the
-//! reduced-size sweep.
+//! or a single experiment (`e1`–`e22`, `aux`), with `--quick` for the
+//! reduced-size sweep. `e18`–`e22` also write JSON reports, which
+//! [`gate`] checks against the committed `BENCH_*.json` baselines.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -10,7 +10,8 @@
 //! prove it is well-formed, and look up fields. This crate implements
 //! exactly that: a small value tree, a canonical pretty-printer plus a
 //! single-line [`Json::compact`] writer for line-delimited framing, and
-//! a strict recursive-descent parser that rejects trailing garbage.
+//! a strict recursive-descent parser that rejects trailing garbage and
+//! nesting deeper than [`MAX_DEPTH`].
 //!
 //! Numbers are stored as `f64`. For values that must round-trip
 //! *exactly* at full `u64` range (RNG seeds), use [`Json::from_u64`] /
@@ -35,6 +36,12 @@
 #![warn(missing_docs)]
 
 use std::fmt::Write as _;
+
+/// The deepest nesting of arrays and objects [`Json::parse`] accepts
+/// (serde_json's default). The parser recurses once per level, so
+/// without a cap a single line of `[` overflows the stack; the deepest
+/// document the workspace writes has 6 levels.
+pub const MAX_DEPTH: usize = 128;
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -212,11 +219,13 @@ impl Json {
     ///
     /// # Errors
     ///
-    /// Returns a human-readable description of the first syntax error.
+    /// Returns a human-readable description of the first syntax error,
+    /// or of the first array or object nested deeper than
+    /// [`MAX_DEPTH`].
     pub fn parse(text: &str) -> Result<Json, String> {
         let bytes = text.as_bytes();
         let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(format!("trailing garbage at byte {pos}"));
@@ -267,12 +276,17 @@ fn expect(bytes: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// Parses one value inside `depth` enclosing arrays and objects.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err("unexpected end of input".to_string()),
-        Some(b'{') => parse_object(bytes, pos),
-        Some(b'[') => parse_array(bytes, pos),
+        Some(b'{' | b'[') if depth == MAX_DEPTH => Err(format!(
+            "nesting deeper than {MAX_DEPTH} levels at byte {}",
+            *pos
+        )),
+        Some(b'{') => parse_object(bytes, pos, depth + 1),
+        Some(b'[') => parse_array(bytes, pos, depth + 1),
         Some(b'"') => Ok(Json::Str(parse_string(bytes, pos)?)),
         Some(b't') => parse_literal(bytes, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_literal(bytes, pos, "false", Json::Bool(false)),
@@ -380,7 +394,7 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
     }
 }
 
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     expect(bytes, pos, b'[')?;
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -389,7 +403,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
         return Ok(Json::Arr(items));
     }
     loop {
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(bytes, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -402,7 +416,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
     }
 }
 
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     expect(bytes, pos, b'{')?;
     let mut fields = Vec::new();
     skip_ws(bytes, pos);
@@ -415,7 +429,7 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
         let key = parse_string(bytes, pos)?;
         skip_ws(bytes, pos);
         expect(bytes, pos, b':')?;
-        let value = parse_value(bytes, pos)?;
+        let value = parse_value(bytes, pos, depth)?;
         fields.push((key, value));
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
@@ -538,5 +552,28 @@ mod tests {
         assert_eq!(Json::Str("-3".into()).as_u64(), None);
         assert_eq!(Json::Bool(true).as_u64(), None);
         assert_eq!(Json::Null.as_u64(), None);
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let arrays = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        let objects = |depth: usize| {
+            format!(
+                "{}{{}}{}",
+                r#"{"a":"#.repeat(depth - 1),
+                "}".repeat(depth - 1)
+            )
+        };
+        for nest in [arrays, objects] {
+            assert!(Json::parse(&nest(MAX_DEPTH)).is_ok());
+            let err = Json::parse(&nest(MAX_DEPTH + 1)).unwrap_err();
+            assert!(err.contains("nesting deeper than 128"), "{err}");
+        }
+        // Far past the cap the parser stops at level 129 instead of
+        // recursing until the stack overflows.
+        for open in ["[", r#"{"a":"#] {
+            let err = Json::parse(&open.repeat(200_000)).unwrap_err();
+            assert!(err.contains("nesting deeper than 128"), "{err}");
+        }
     }
 }

@@ -370,11 +370,11 @@ impl CsrMatrix {
     }
 
     /// Sparse × dense product into a dense result. Rows are computed by
-    /// the panel kernel ([`CsrMatrix::dense_rhs_row`]); above the size
-    /// threshold, row chunks are claimed by `threads` scoped workers
-    /// from a work-stealing queue, so a skewed row (one hub vertex with
-    /// huge degree) no longer idles the workers whose fixed shard was
-    /// cheap. Bit-identical at every width and claim order.
+    /// a register-blocked panel kernel; above the size threshold, row
+    /// chunks are claimed by `threads` scoped workers from a
+    /// work-stealing queue, so a skewed row (one hub vertex with huge
+    /// degree) no longer idles the workers whose fixed shard was cheap.
+    /// Bit-identical at every width and claim order.
     ///
     /// # Panics
     ///

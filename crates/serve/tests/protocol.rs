@@ -5,10 +5,11 @@
 //!   pretty framing), at full `u64` seed range and through hostile
 //!   spec strings (quotes, backslashes, control characters, unicode).
 //! * Robustness: arbitrary malformed frames — byte soup, valid JSON of
-//!   the wrong shape, valid requests with trailing garbage — produce a
+//!   the wrong shape, valid requests with trailing garbage, arrays or
+//!   objects nested far past the parser's depth cap — produce a
 //!   structured `{"ok": false, "error": …}` response on the same
-//!   connection, never a disconnect or a panic, and the connection
-//!   keeps serving afterwards.
+//!   connection, never a disconnect, a panic or a stack overflow, and
+//!   the connection keeps serving afterwards.
 
 use cct_core::{EngineChoice, SamplerConfig, WalkLength};
 use cct_json::Json;
@@ -49,6 +50,18 @@ fn arb_junk_line() -> impl Strategy<Value = String> {
             .collect();
         String::from_utf8_lossy(&cleaned).into_owned()
     })
+}
+
+/// A line that opens 129 to 200,000 arrays or objects: past the JSON
+/// parser's 128-level cap, and at the top still within `MAX_FRAME_LEN`.
+fn arb_deep_line() -> impl Strategy<Value = String> {
+    (prop_oneof![Just("["), Just(r#"{"a":"#)], 129usize..=200_000)
+        .prop_map(|(open, depth)| open.repeat(depth))
+}
+
+/// Either kind of malformed frame.
+fn arb_malformed_line() -> impl Strategy<Value = String> {
+    prop_oneof![arb_junk_line(), arb_deep_line()]
 }
 
 fn tiny_service_options() -> ServeOptions {
@@ -98,13 +111,13 @@ proptest! {
     }
 
     #[test]
-    fn junk_frames_never_panic_the_parser(line in arb_junk_line()) {
+    fn junk_frames_never_panic_the_parser(line in arb_malformed_line()) {
         // Either outcome is fine; panicking or hanging is not.
         let _ = SampleRequest::parse_line(&line);
     }
 
     #[test]
-    fn connections_survive_malformed_frames(junk in arb_junk_line()) {
+    fn connections_survive_malformed_frames(junk in arb_malformed_line()) {
         // junk frame, then a valid-but-unservable request, then a
         // serveable one: three structured answers on one connection.
         let valid = SampleRequest::new("complete:4").seed(1).to_json().compact();

@@ -179,3 +179,34 @@ fn bad_requests_exit_nonzero_with_the_server_message() {
     let ok = request(&socket, &["--graph", "petersen"]);
     assert!(ok.status.success());
 }
+
+#[test]
+fn deeply_nested_frames_get_an_error_and_the_connection_keeps_serving() {
+    use cct::json::Json;
+    use std::io::{BufRead, BufReader, Write};
+    use std::os::unix::net::UnixStream;
+
+    let socket = socket_path("deep");
+    let mut server = spawn_server(&socket, 1);
+    let mut stream = UnixStream::connect(&socket).expect("connect");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone stream"));
+    let mut exchange = move |line: &str| {
+        stream.write_all(format!("{line}\n").as_bytes()).unwrap();
+        let mut reply = String::new();
+        reader.read_line(&mut reply).expect("read reply");
+        Json::parse(reply.trim_end()).expect("the server answered with a frame")
+    };
+    // One line of 200,000 nested arrays, a fifth of the frame cap: the
+    // parser refuses it at its depth cap instead of recursing until the
+    // server's stack overflows.
+    let deep = exchange(&"[".repeat(200_000));
+    assert_eq!(deep.get("ok"), Some(&Json::Bool(false)), "{deep:?}");
+    let error = deep.get("error").and_then(Json::as_str).unwrap_or("");
+    assert!(error.contains("nesting"), "error frame: {deep:?}");
+    // The same connection still serves a valid request.
+    let ok = exchange(r#"{"graph": "petersen", "seed": 7}"#);
+    assert_eq!(ok.get("ok"), Some(&Json::Bool(true)), "{ok:?}");
+    drop(exchange); // closes the connection, the server's last
+    let status = server.0.wait().expect("server exit");
+    assert!(status.success(), "server exited non-zero");
+}
