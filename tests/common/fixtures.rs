@@ -14,7 +14,7 @@
 // Each test binary compiles this file independently and uses a subset.
 #![allow(dead_code)]
 
-use cct::core::{Backend, SamplerConfig};
+use cct::core::{Backend, SamplerConfig, Variant, WalkLength};
 use cct::graph::{generators, Graph};
 
 /// The CLI's default thm1 configuration (`src/main.rs` sequential path).
@@ -167,6 +167,61 @@ pub fn scale_suite() -> Vec<ScalePin> {
             SamplerConfig::exact_variant(),
             0xc012_0058_393a_25e7,
             12260,
+        ),
+    ]
+}
+
+/// `(spec, graph, config, tree hash, total rounds, phase count, Monte
+/// Carlo failure flag)` of one route pin.
+pub type RoutePin = (&'static str, Graph, SamplerConfig, u64, u64, usize, bool);
+
+/// Seed-42 draws on the two phase routes the fixtures above never take.
+///
+/// * The streamed out-of-core route: `max_table_bytes(1)` sends every
+///   phase of a cycle (`m = n`, so not the unique-tree shortcut) step
+///   by step over `G` itself, once covering under Las Vegas and once
+///   failing its first phase under a hopeless Monte Carlo budget
+///   (`ℓ = 4`, the flagged arbitrary tree).
+/// * The grid-cap fallback: `max_grid_len = 4` stops every top-down
+///   attempt at its second level, after it has already spent rounds and
+///   randomness, and the phase then walks leader-local.
+///
+/// Captured before the two phase loops merged into one.
+pub fn route_suite() -> Vec<RoutePin> {
+    vec![
+        (
+            "streamed las-vegas cycle:48",
+            generators::cycle(48),
+            SamplerConfig::new()
+                .max_table_bytes(1)
+                .variant(Variant::LasVegas),
+            0x0ae9_5a24_cbdc_34a4,
+            692,
+            10,
+            false,
+        ),
+        (
+            "streamed monte-carlo failure cycle:48",
+            generators::cycle(48),
+            SamplerConfig::new()
+                .max_table_bytes(1)
+                .walk_length(WalkLength::Fixed(4)),
+            0xa8e5_70b5_21f7_d164,
+            4,
+            1,
+            true,
+        ),
+        (
+            "grid-cap fallback petersen",
+            generators::petersen(),
+            SamplerConfig {
+                max_grid_len: 4,
+                ..SamplerConfig::new()
+            },
+            0x1cbe_c252_458e_0b65,
+            759,
+            5,
+            false,
         ),
     ]
 }

@@ -169,6 +169,35 @@ fn benchmark_scale_pins_hold_on_every_backend() {
 }
 
 #[test]
+fn streamed_and_grid_cap_routes_hold_their_pins_on_every_backend() {
+    // The streamed out-of-core route and the top-down → leader-local
+    // fallback, cold and prepared, under every backend.
+    for (name, g, config, hash, rounds, phases, failure) in fixtures::route_suite() {
+        for backend in fixtures::backends() {
+            let sampler = CliqueTreeSampler::new(config.clone().backend(backend));
+            let prepared = sampler.prepare(&g).unwrap();
+            for (path, report) in [
+                (
+                    "cold",
+                    sampler.sample(&g, &mut rand::rngs::StdRng::seed_from_u64(42)),
+                ),
+                (
+                    "prepared",
+                    prepared.sample(&mut rand::rngs::StdRng::seed_from_u64(42)),
+                ),
+            ] {
+                let report = report.unwrap();
+                let case = format!("{name}, {path}, under {backend}");
+                assert_eq!(fixtures::tree_hash(report.tree.edges()), hash, "{case}");
+                assert_eq!(report.total_rounds(), rounds, "{case}");
+                assert_eq!(report.phases.len(), phases, "{case}");
+                assert_eq!(report.monte_carlo_failure, failure, "{case}");
+            }
+        }
+    }
+}
+
+#[test]
 fn iterated_squaring_route_matches_exact_solve_trees() {
     // The block-squaring rewrite sits on the IteratedSquaring Schur
     // route; at tight tolerance it must sample the same trees as the
