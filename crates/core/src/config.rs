@@ -277,6 +277,10 @@ pub struct SamplerConfig {
     pub swap_steps_per_slot: usize,
     /// Hard cap on materialized partial-walk entries (safety net; the
     /// degenerate bipartite cases fall back to local simulation first).
+    /// A top-down walk that outgrows it falls back to a leader-local
+    /// walk. It also caps the steps of a Monte Carlo phase on the
+    /// streamed out-of-core route: the sampler passes it as that
+    /// route's `step_cap`.
     pub max_grid_len: usize,
     /// Out-of-core threshold on the *dense-equivalent* bytes of one
     /// phase's power table — `(log₂ ℓ + 2)` levels of `n² × 8` bytes.

@@ -2,9 +2,10 @@
 //! truncated walk on the phase graph, built level by level with
 //! distributed midpoint generation (Algorithm 2), distributed binary
 //! search for the truncation point (Algorithm 3), and matching-based
-//! midpoint placement (§2.1.3 / Lemma 3).
+//! midpoint placement (§2.1.3 / Lemma 3). The leader-local and streamed
+//! routes instead walk step by step, through one shared loop.
 //!
-//! A phase walks in its **local** ids: the phase matrix is the `|S| × |S|`
+//! A Schur-route phase walks in its **local** ids: the phase matrix is the `|S| × |S|`
 //! Schur transition, row `i` being vertex `s.global(i)`. `s.list()` is
 //! sorted, so local order is global order and every row scan, sample and
 //! matching sees its candidates in the order global ids would give. The
@@ -180,7 +181,9 @@ impl<'a> PowerTable<'a> {
 /// Leader-local walk generation after collecting the `|S| × |S|`
 /// transition matrix `t0` — used when `|S| ≤ ρ` (final phases; the matrix
 /// fits in the same `O(1)`-round budget as the paper's submatrix
-/// collection) and as the fallback for degenerate bipartite phase graphs.
+/// collection) and as the fallback for degenerate bipartite phase graphs
+/// and for top-down walks past the grid cap. Every vertex the walk has
+/// not yet seen counts toward `rho`.
 pub(crate) fn direct_local_phase<R: Rng + ?Sized>(
     clique: &mut Clique,
     t0: &PMatrix,
@@ -190,46 +193,19 @@ pub(crate) fn direct_local_phase<R: Rng + ?Sized>(
     variant: Variant,
     rng: &mut R,
 ) -> Result<PhaseWalkResult, PhaseError> {
-    let n = clique.n();
     // Leader collects the whole phase matrix.
     let words = (t0.rows() * t0.rows()) as u64;
-    clique
-        .ledger_mut()
-        .charge(CostCategory::Gather, Clique::rounds_for_load(n, words));
-    clique.ledger_mut().add_words(CostCategory::Gather, words);
-
-    let mut walk = vec![start];
-    let mut seen = HashSet::new();
-    seen.insert(start);
-    let mut cur = start;
-    let mut extensions = 0u32;
-    let mut budget = ell;
-    while seen.len() < rho {
-        if walk.len() as u64 > budget {
-            match variant {
-                Variant::MonteCarlo => break,
-                Variant::LasVegas => {
-                    budget = budget.saturating_mul(2);
-                    extensions += 1;
-                }
-            }
-        }
-        let next = t0
-            .sample_row(rng, cur)
-            .ok_or(PhaseError::DegenerateDistribution)?;
-        walk.push(next);
-        seen.insert(next);
-        cur = next;
-    }
-    Ok(PhaseWalkResult::from_walk(
-        &walk,
-        rho,
-        extensions,
-        budget,
-        0,
-        words,
-        PhaseMethod::DirectLocal,
-    ))
+    let rounds = Clique::rounds_for_load(clique.n(), words);
+    let ledger = clique.ledger_mut();
+    ledger.charge(CostCategory::Gather, rounds);
+    ledger.add_words(CostCategory::Gather, words);
+    let mut seen = HashSet::from([start]);
+    let is_new = |v| seen.insert(v);
+    let walk = local_walk(t0, start, rho, ell, variant, u64::MAX, is_new, rng)?;
+    Ok(PhaseWalkResult {
+        placement_words: words,
+        ..walk
+    })
 }
 
 /// The out-of-core phase route: the walk runs step by step on `G`
@@ -261,19 +237,47 @@ pub(crate) fn streamed_local_phase<R: Rng + ?Sized>(
     step_cap: u64,
     rng: &mut R,
 ) -> Result<PhaseWalkResult, PhaseError> {
-    let mut first_visits: Vec<(usize, usize)> = Vec::new();
-    let mut seen_new: HashSet<usize> = HashSet::new();
-    let mut cur = start;
-    let mut tau = 0u64;
     // `start` (= v_f) counts once toward the phase budget, exactly as
     // the matrix phases count the walk's first vertex; other globally
     // visited vertices the walk passes through do not count, mirroring
     // the Schur complement shortcutting them out of the phase graph.
-    let mut distinct = 1usize;
+    let mut seen_new: HashSet<usize> = HashSet::new();
+    let is_new = |v: usize| !visited[v] && seen_new.insert(v);
+    let walk = local_walk(p, start, rho, ell, variant, step_cap, is_new, rng)?;
+    let ledger = clique.ledger_mut();
+    ledger.charge(CostCategory::Routing, walk.tau.max(1));
+    ledger.add_words(CostCategory::Routing, walk.tau);
+    Ok(PhaseWalkResult {
+        method: PhaseMethod::StreamedLocal,
+        ..walk
+    })
+}
+
+/// The step-by-step walk of the leader-local and streamed routes: from
+/// `start`, sample rows of `t` until `start` plus the vertices `is_new`
+/// accepts number `rho`, recording each new vertex with its
+/// predecessor. On running past the budget `ell`, Monte Carlo stops
+/// unreached and Las Vegas doubles the budget; Monte Carlo also stops
+/// after `step_cap` steps. The result is labelled leader-local with no
+/// placement words; the callers charge the ledger and amend the rest.
+#[allow(clippy::too_many_arguments)]
+fn local_walk<R: Rng + ?Sized>(
+    t: &PMatrix,
+    start: usize,
+    rho: usize,
+    ell: u64,
+    variant: Variant,
+    step_cap: u64,
+    mut is_new: impl FnMut(usize) -> bool,
+    rng: &mut R,
+) -> Result<PhaseWalkResult, PhaseError> {
+    let mut first_visits: Vec<(usize, usize)> = Vec::new();
+    let mut cur = start;
+    let mut tau = 0u64;
     let mut budget = ell;
     let mut extensions = 0u32;
     let reached = loop {
-        if distinct >= rho {
+        if first_visits.len() + 1 >= rho {
             break true;
         }
         if tau >= budget {
@@ -288,31 +292,26 @@ pub(crate) fn streamed_local_phase<R: Rng + ?Sized>(
         if variant == Variant::MonteCarlo && tau >= step_cap {
             break false; // safety net for astronomically large ℓ
         }
-        let next = p
+        let next = t
             .sample_row(rng, cur)
             .ok_or(PhaseError::DegenerateDistribution)?;
         tau += 1;
-        if !visited[next] && seen_new.insert(next) {
+        if is_new(next) {
             first_visits.push((next, cur));
-            distinct += 1;
         }
         cur = next;
     };
-    clique
-        .ledger_mut()
-        .charge(CostCategory::Routing, tau.max(1));
-    clique.ledger_mut().add_words(CostCategory::Routing, tau);
     Ok(PhaseWalkResult {
+        distinct: first_visits.len() + 1,
         first_visits,
         last: cur,
         tau,
-        distinct,
         reached,
         extensions,
         ell_final: budget,
         pi_words: 0,
         placement_words: 0,
-        method: PhaseMethod::StreamedLocal,
+        method: PhaseMethod::DirectLocal,
     })
 }
 

@@ -1,18 +1,29 @@
 //! The phase orchestrator: Theorem 1's `Õ(n^{1/2+α})`-round sampler and
 //! the Appendix's exact `Õ(n^{2/3+α})` variant.
 //!
-//! Each phase (§2.2): build `S = {unvisited} ∪ {v_f}`, compute the
-//! shortcut matrix `Q` and the Schur transition (Corollaries 2–3,
-//! charged at the paper's iterated-squaring multiplication counts), run
-//! the top-down truncated walk on `Schur(G, S)` (Outline 3), and sample
-//! every newly visited vertex's first-visit edge in `G` via Algorithm 4.
-//! The union of first-visit edges across phases is the Aldous–Broder
-//! spanning tree.
+//! One loop runs the phases (§2.2). Each phase has `S = {unvisited} ∪
+//! {v_f}` and walks until it has seen `ρ` distinct vertices of `S`, on
+//! one of three routes:
+//!
+//! * **top-down**: the shortcut matrix `Q` and the Schur transition
+//!   (Corollaries 2–3, charged at the paper's iterated-squaring
+//!   multiplication counts), then the top-down truncated walk on
+//!   `Schur(G, S)` (Outline 3);
+//! * **leader-local**: the leader collects the same Schur transition and
+//!   walks it step by step, for final phases (`|S| ≤ ρ`), degenerate
+//!   bipartite phase graphs and walks past the grid cap;
+//! * **streamed**: out of core, the walk runs step by step on `G` itself
+//!   and builds no matrix at all.
+//!
+//! Every newly visited vertex then gets its first-visit edge in `G`:
+//! Algorithm 4 samples it on the Schur routes, and the streamed walk
+//! recorded it directly. The union of first-visit edges across phases
+//! is the Aldous–Broder spanning tree.
 
 use crate::config::{EngineChoice, SamplerConfig, SchurComputation, Variant, WalkLength};
 use crate::phase::{
     direct_local_phase, is_degenerate_bipartite, streamed_local_phase, top_down_phase, PhaseError,
-    PhaseWalkResult, PowerTable,
+    PowerTable,
 };
 use crate::report::{PhaseMethod, PhaseReport, SampleReport};
 use cct_graph::{Graph, SpanningTree};
@@ -35,6 +46,10 @@ pub enum SampleTreeError {
     EmptyGraph,
     /// The graph is disconnected — no spanning tree exists.
     Disconnected,
+    /// The largest edge weight is more than `2²⁰` times the smallest.
+    /// Schur complements of such graphs lose all precision, so the
+    /// sampler refuses them up front.
+    WeightRatio,
     /// A phase failed irrecoverably (degenerate precision).
     Phase(PhaseError),
 }
@@ -44,6 +59,11 @@ impl std::fmt::Display for SampleTreeError {
         match self {
             SampleTreeError::EmptyGraph => write!(f, "graph has no vertices"),
             SampleTreeError::Disconnected => write!(f, "graph is disconnected"),
+            SampleTreeError::WeightRatio => write!(
+                f,
+                "edge weights span more than a 2^20 max/min ratio, \
+                 past the sampler's numeric range"
+            ),
             SampleTreeError::Phase(e) => write!(f, "phase failure: {e}"),
         }
     }
@@ -99,13 +119,15 @@ impl CliqueTreeSampler {
     /// # Errors
     ///
     /// [`SampleTreeError::Disconnected`] / [`SampleTreeError::EmptyGraph`]
-    /// for invalid inputs; [`SampleTreeError::Phase`] if fixed-point
-    /// precision was configured too low to keep the distributions alive.
+    /// / [`SampleTreeError::WeightRatio`] for invalid inputs;
+    /// [`SampleTreeError::Phase`] if fixed-point precision was configured
+    /// too low to keep the distributions alive.
     pub fn sample<R: Rng + ?Sized>(
         &self,
         g: &Graph,
         rng: &mut R,
     ) -> Result<SampleReport, SampleTreeError> {
+        validate(g)?;
         sample_with(&self.config, g, None, rng)
     }
 
@@ -119,10 +141,34 @@ impl CliqueTreeSampler {
     /// # Errors
     ///
     /// [`SampleTreeError::EmptyGraph`] / [`SampleTreeError::Disconnected`]
-    /// for invalid inputs.
+    /// / [`SampleTreeError::WeightRatio`] for invalid inputs.
     pub fn prepare(&self, g: &Graph) -> Result<PreparedSampler, SampleTreeError> {
         PreparedSampler::new(self.config.clone(), g)
     }
+}
+
+/// The largest max/min edge-weight ratio the sampler accepts. At `10¹⁴`
+/// a Schur solve on a triangle with a tail, or on an 8-cycle, with one
+/// heavy edge loses every significant bit and fails; at `2²⁰` thm1 and
+/// exact draws on those graphs, a 4-cycle and `K₅` complete, the cycles
+/// in seconds per draw.
+const MAX_WEIGHT_RATIO: f64 = (1u64 << 20) as f64;
+
+/// The input check every draw relies on: `g` has a vertex, is connected,
+/// and its edge weights span at most [`MAX_WEIGHT_RATIO`]. The cold path
+/// runs it per call, [`PreparedSampler::new`] once per graph.
+fn validate(g: &Graph) -> Result<(), SampleTreeError> {
+    if g.n() == 0 {
+        return Err(SampleTreeError::EmptyGraph);
+    }
+    if !g.is_connected() {
+        return Err(SampleTreeError::Disconnected);
+    }
+    let lightest = g.edges().iter().fold(f64::INFINITY, |acc, e| acc.min(e.2));
+    if g.max_weight() > MAX_WEIGHT_RATIO * lightest {
+        return Err(SampleTreeError::WeightRatio);
+    }
+    Ok(())
 }
 
 /// Resolved per-run pieces shared by the cold and prepared paths.
@@ -136,8 +182,14 @@ struct ResolvedConfig {
     rounding: cct_linalg::Rounding,
     rho: usize,
     ell0: u64,
-    /// The matrix representation the backend knob resolved to for this
-    /// input graph (memory/speed only — results are backend-invariant).
+    /// Whether every phase takes the streamed route (see
+    /// [`table_exceeds_cap`]).
+    out_of_core: bool,
+    /// The representation of the transition matrix `P` and of the phase
+    /// matrices: the backend knob's choice for this input graph, or CSR
+    /// out of core, where a dense `P` is exactly the `Θ(n²)` allocation
+    /// the regime avoids (memory/speed only — results are
+    /// backend-invariant).
     repr: Repr,
 }
 
@@ -159,26 +211,32 @@ fn resolve_config(config: &SamplerConfig, g: &Graph) -> ResolvedConfig {
         EngineChoice::Semiring => Box::new(SemiringEngine::new(threads)),
         EngineChoice::UnitCost => Box::new(UnitCostEngine { threads }),
     };
-    let rounding = config.precision.rounding();
-    let rho = config.resolve_rho(n);
     // Footnote 1: with integer weights ≤ W the cover time is
     // O(W·|V|·|E|), so the paper's ℓ budget scales by W (this is the
-    // very reason the weights must be polynomially bounded).
+    // very reason the weights must be polynomially bounded). The
+    // product saturates at 2⁶², as `WalkLength::resolve` does.
     let ell0 = match config.walk_length {
         WalkLength::Paper { .. } => {
             let w = g.max_weight().max(1.0).round() as u64;
-            (config.walk_length.resolve(n).saturating_mul(w)).next_power_of_two()
+            let ell = config.walk_length.resolve(n).saturating_mul(w);
+            ell.min(1 << 62).next_power_of_two()
         }
         _ => config.walk_length.resolve(n),
     };
+    let out_of_core = n > 1 && table_exceeds_cap(n, ell0, config.max_table_bytes);
     ResolvedConfig {
         workers,
         threads,
         engine,
-        rounding,
-        rho,
+        rounding: config.precision.rounding(),
+        rho: config.resolve_rho(n),
         ell0,
-        repr: config.backend.resolve(g),
+        out_of_core,
+        repr: if out_of_core {
+            Repr::Sparse
+        } else {
+            config.backend.resolve(g)
+        },
     }
 }
 
@@ -191,6 +249,17 @@ fn resolve_config(config: &SamplerConfig, g: &Graph) -> ResolvedConfig {
 fn table_exceeds_cap(n: usize, ell0: u64, max_table_bytes: usize) -> bool {
     let levels = ell0.trailing_zeros() as u128;
     (levels + 2) * 8 * (n as u128) * (n as u128) > max_table_bytes as u128
+}
+
+/// Whether an in-core phase walking the `|S| × |S|` matrix `t0` from
+/// `start` takes the top-down route. Otherwise the leader walks it
+/// locally: when `|S| ≤ ρ` (the whole matrix fits the `O(1)`-round
+/// submatrix budget) or when the phase graph is degenerate bipartite.
+/// The phase loop asks this of every in-core phase, and
+/// [`PreparedSampler::new`] of phase 1 (`t0 = P`, `start = 0`).
+fn walks_top_down(t0: &PMatrix, start: usize, rho: usize) -> bool {
+    let s_len = t0.rows();
+    s_len > rho && !is_degenerate_bipartite(t0, start, rho.min(s_len))
 }
 
 /// The phase-1 work a [`PreparedSampler`] hoists out of the per-sample
@@ -233,18 +302,19 @@ impl PhaseShortcut {
     }
 }
 
-/// What a [`PreparedSampler`] carries into the shared loop: the graph's
-/// transition matrix and (when phase 1 takes the distributed top-down
-/// route) the cached phase-1 doubling table.
+/// What a [`PreparedSampler`] carries into the phase loop: the graph's
+/// transition matrix and (when phase 1 takes the top-down route) the
+/// cached phase-1 doubling table.
 #[derive(Debug)]
 struct PreparedData {
     p: PMatrix,
     phase1: Option<Phase1Cache>,
 }
 
-/// The shared sampling loop. `prepared` carries a [`PreparedSampler`]'s
-/// cached graph-global work (with its ledger charges); `None` is the
-/// cold path that recomputes everything per call.
+/// The phase loop, for a graph [`validate`] accepted. `prepared` carries
+/// a [`PreparedSampler`]'s cached graph-global work (with its ledger
+/// charges); `None` is the cold path that recomputes everything per
+/// call.
 fn sample_with<R: Rng + ?Sized>(
     config: &SamplerConfig,
     g: &Graph,
@@ -252,21 +322,6 @@ fn sample_with<R: Rng + ?Sized>(
     rng: &mut R,
 ) -> Result<SampleReport, SampleTreeError> {
     let n = g.n();
-    if n == 0 {
-        return Err(SampleTreeError::EmptyGraph);
-    }
-    if !g.is_connected() {
-        return Err(SampleTreeError::Disconnected);
-    }
-    if n == 1 {
-        return Ok(SampleReport {
-            tree: SpanningTree::new(1, Vec::new()).expect("trivial"),
-            rounds: RoundLedger::new(),
-            phases: Vec::new(),
-            monte_carlo_failure: false,
-        });
-    }
-
     let ResolvedConfig {
         workers,
         threads,
@@ -274,10 +329,10 @@ fn sample_with<R: Rng + ?Sized>(
         rounding,
         rho,
         ell0,
+        out_of_core,
         repr,
     } = resolve_config(config, g);
     let rounds_per_mult = engine.rounds_for_multiply(n);
-    let out_of_core = table_exceeds_cap(n, ell0, config.max_table_bytes);
 
     let mut clique = Clique::new(n);
     if out_of_core && g.m() == n - 1 {
@@ -286,34 +341,34 @@ fn sample_with<R: Rng + ?Sized>(
         return Ok(unique_tree_report(g, rho, ell0, &mut clique));
     }
     // The prepared path borrows the transition matrix computed once in
-    // `prepare()`; the cold path builds it per call (in the backend's
-    // representation — CSR straight from the adjacency lists, no n²).
-    // Out-of-core graphs force CSR regardless of backend: a dense P is
-    // exactly the Θ(n²) allocation this regime exists to avoid, and
-    // row sampling is bit-identical in both representations.
+    // `prepare()`; the cold path builds it per call (CSR straight from
+    // the adjacency lists for the sparse representations, no n²).
     let p: Cow<'_, PMatrix> = match prepared {
         Some(d) => Cow::Borrowed(&d.p),
-        None => Cow::Owned(g.transition_pmatrix(if out_of_core { Repr::Sparse } else { repr })),
+        None => Cow::Owned(g.transition_pmatrix(repr)),
     };
     let p = p.as_ref();
     let mut visited = vec![false; n];
     visited[0] = true; // W[0] = s: the leader's vertex (§2.1, Alg. 1)
+    let mut remaining = n - 1;
     let mut vf = 0usize;
     let mut edges: Vec<(usize, usize)> = Vec::with_capacity(n - 1);
     let mut phases: Vec<PhaseReport> = Vec::new();
     let mut total = RoundLedger::new();
     let mut failure = false;
 
-    if out_of_core {
-        // ── The streaming route: phase walks run step by step on G
-        // itself, recording actual entry edges (Aldous–Broder verbatim,
-        // so trees remain exactly distributed where the walk covers).
-        // `remaining` replaces the per-phase Θ(n) visited scan.
-        let mut remaining = n - 1;
-        while remaining > 0 {
-            let s_size = remaining + 1;
-            let rho_phase = rho.min(s_size);
-            let walk_res = streamed_local_phase(
+    while remaining > 0 {
+        let s_size = remaining + 1;
+        let rho_phase = rho.min(s_size);
+        let new_from = edges.len();
+        let walk = if out_of_core {
+            // ── Streamed: the walk runs step by step on G itself and
+            // records each new vertex's actual entry edge (Aldous–Broder
+            // verbatim, so trees stay exactly distributed where the walk
+            // covers). The loop counts `remaining` instead of scanning
+            // `visited`, so this route keeps O(1) bookkeeping per phase
+            // and never builds S.
+            let walk = streamed_local_phase(
                 &mut clique,
                 p,
                 &visited,
@@ -324,161 +379,99 @@ fn sample_with<R: Rng + ?Sized>(
                 config.max_grid_len as u64,
                 rng,
             )?;
-            for &(v, prev) in &walk_res.first_visits {
-                debug_assert!(!visited[v], "vertex {v} visited twice");
-                edges.push((prev, v));
-                visited[v] = true;
-                remaining -= 1;
-            }
-            vf = walk_res.last;
-            let phase_ledger = clique.take_ledger();
-            total.merge(&phase_ledger);
-            phases.push(PhaseReport {
-                s_size,
-                rho: rho_phase,
-                method: walk_res.method,
-                ell: walk_res.ell_final,
-                tau: walk_res.tau,
-                new_vertices: walk_res.first_visits.len(),
-                extensions: walk_res.extensions,
-                rounds: phase_ledger,
-                pi_words: 0,
-                placement_words: 0,
-            });
-            if !walk_res.reached {
-                debug_assert_eq!(config.variant, Variant::MonteCarlo);
-                failure = true;
-                break;
-            }
-        }
-        let tree = if failure {
-            bfs_tree(g)
+            edges.extend(walk.first_visits.iter().map(|&(v, prev)| (prev, v)));
+            walk
         } else {
-            SpanningTree::new(n, edges).expect("entry edges of a covering walk span")
-        };
-        return Ok(SampleReport {
-            tree,
-            rounds: total,
-            phases,
-            monte_carlo_failure: failure,
-        });
-    }
+            let s_vertices: Vec<usize> = (0..n).filter(|&v| !visited[v] || v == vf).collect();
+            let s = VertexSubset::new(n, &s_vertices);
+            // The phase walks in S's local ids (see `crate::phase`).
+            let start = s.local_index(vf).expect("v_f is in S");
 
-    while visited.iter().any(|&v| !v) {
-        let s_vertices: Vec<usize> = (0..n)
-            .filter(|&v| !visited[v])
-            .chain(std::iter::once(vf))
-            .collect();
-        let s = VertexSubset::new(n, &s_vertices);
-        let rho_phase = rho.min(s.len());
-        // The phase walks in S's local ids (see `crate::phase`).
-        let start = s.local_index(vf).expect("v_f is in S");
-
-        // ── Derivative graphs for this phase (§2.4). Phase 1 uses G
-        // itself: Schur(G, V) = G (the transition matrix is borrowed, not
-        // cloned) and the shortcut matrix is the symbolic identity (a
-        // walk's pre-S vertex is its previous vertex) — phase 1 allocates
-        // no n² scratch at all.
-        let (t0, q): (Cow<'_, PMatrix>, PhaseShortcut) = if s.len() == n {
-            (Cow::Borrowed(p), PhaseShortcut::Identity)
-        } else {
-            let q = match config.schur {
-                SchurComputation::ExactSolve => PMatrix::Dense(shortcut_exact(g, &s)),
-                SchurComputation::IteratedSquaring { tol } => {
-                    // The adaptive route: starts in the backend's
-                    // representation, promoting per the fill-in tracker;
-                    // bit-identical to the dense block route.
-                    shortcut_by_squaring_pmatrix(g, &s, tol, 64, repr).0
-                }
-            };
-            // Corollary 2's chain is 2n × 2n: charge the paper's
-            // iterated-squaring count at 4× the n × n multiply cost.
-            // This figure is *analytic* (the distributed protocol's
-            // published bill), not measured from the local computation:
-            // the local route exploits the chain's block structure
-            // ([[T, A], [0, I]] squares in two n × n products — see
-            // `cct_schur::shortcut_by_squaring`), an optimization of the
-            // simulation, not of the simulated network algorithm.
-            let squarings = charged_schur_squarings(n);
-            clique
-                .ledger_mut()
-                .charge(CostCategory::MatMul, squarings * 4 * rounds_per_mult);
-            let trans_local = schur_transition_from_shortcut_p(g, &s, &q);
-            // Corollary 3: one more product (Q·R) plus local
-            // normalization.
-            clique
-                .ledger_mut()
-                .charge(CostCategory::MatMul, rounds_per_mult);
-            (
-                Cow::Owned(phase_matrix(trans_local, repr)),
-                PhaseShortcut::Mat(q),
-            )
-        };
-        // Products of the phase's |S| × |S| blocks, billed as the n × n
-        // products the distributed protocol performs.
-        let block_engine = BlockEngine::new(engine.as_ref(), s.list(), threads);
-
-        // ── Walk generation: leader-local for final phases
-        // (|S| ≤ ρ, where the whole S-matrix fits in the O(1)-round
-        // submatrix budget) and for degenerate bipartite phase
-        // graphs; the full top-down machinery otherwise.
-        let use_direct = s.len() <= rho || is_degenerate_bipartite(&t0, start, rho_phase);
-        let walk_res: PhaseWalkResult = if use_direct {
-            direct_local_phase(
-                &mut clique,
-                &t0,
-                start,
-                rho_phase,
-                ell0,
-                config.variant,
-                rng,
-            )?
-        } else {
-            let levels = ell0.trailing_zeros() as usize;
-            // Phase 1's table is the doubling table of P itself —
-            // graph-global work the prepared path computed once.
-            // Replaying the cached ledger keeps the round accounting
-            // bit-identical to the cold recomputation. The cached levels
-            // are *borrowed* (Las Vegas extensions land in the table's
-            // transient tail), so a prepared draw allocates no copy of
-            // the table at all.
-            let cached = if s.len() == n {
-                prepared.and_then(|d| d.phase1.as_ref())
+            // ── Derivative graphs for this phase (§2.4). Phase 1 uses G
+            // itself: Schur(G, V) = G (the transition matrix is
+            // borrowed, not cloned) and the shortcut matrix is the
+            // symbolic identity (a walk's pre-S vertex is its previous
+            // vertex) — phase 1 allocates no n² scratch at all.
+            let (t0, q): (Cow<'_, PMatrix>, PhaseShortcut) = if s.len() == n {
+                (Cow::Borrowed(p), PhaseShortcut::Identity)
             } else {
-                None
+                let q = match config.schur {
+                    SchurComputation::ExactSolve => PMatrix::Dense(shortcut_exact(g, &s)),
+                    SchurComputation::IteratedSquaring { tol } => {
+                        // The adaptive route: starts in the backend's
+                        // representation, promoting per the fill-in
+                        // tracker; bit-identical to the dense block route.
+                        shortcut_by_squaring_pmatrix(g, &s, tol, 64, repr).0
+                    }
+                };
+                // Corollary 2's chain is 2n × 2n: charge the paper's
+                // iterated-squaring count at 4× the n × n multiply cost,
+                // and Corollary 3 one more product (Q·R) plus local
+                // normalization. These figures are *analytic* (the
+                // distributed protocol's published bill), not measured
+                // from the local computation: the local route exploits
+                // the chain's block structure ([[T, A], [0, I]] squares
+                // in two n × n products — see
+                // `cct_schur::shortcut_by_squaring`), an optimization of
+                // the simulation, not of the simulated network algorithm.
+                let rounds = (4 * charged_schur_squarings(n) + 1) * rounds_per_mult;
+                clique.ledger_mut().charge(CostCategory::MatMul, rounds);
+                let trans_local = schur_transition_from_shortcut_p(g, &s, &q);
+                (
+                    Cow::Owned(phase_matrix(trans_local, repr)),
+                    PhaseShortcut::Mat(q),
+                )
             };
-            let owned_powers;
-            let base: &DeferredPowers = match cached {
-                Some(cache) => {
-                    clique.ledger_mut().merge(&cache.ledger);
-                    &cache.powers
-                }
-                None => {
-                    owned_powers = distributed_powers_deferred(
-                        &mut clique,
-                        &block_engine,
-                        &t0,
-                        levels + 1,
-                        rounding,
-                        threads,
-                    );
-                    &owned_powers
-                }
-            };
-            let mut powers = PowerTable::new(base);
-            match top_down_phase(
-                &mut clique,
-                &block_engine,
-                &mut powers,
-                start,
-                rho_phase,
-                ell0,
-                config,
-                workers,
-                rng,
-            ) {
-                Ok(r) => r,
-                Err(PhaseError::GridCapExceeded) => direct_local_phase(
+
+            // ── Top-down: phase 1's table is the doubling table of P
+            // itself — graph-global work the prepared path computed
+            // once. Replaying the cached ledger keeps the round
+            // accounting bit-identical to the cold recomputation. The
+            // cached levels are *borrowed* (Las Vegas extensions land in
+            // the table's transient tail), so a prepared draw allocates
+            // no copy of the table at all.
+            let top_down = walks_top_down(&t0, start, rho).then(|| {
+                // Products of the phase's |S| × |S| blocks, billed as the
+                // n × n products the distributed protocol performs.
+                let block_engine = BlockEngine::new(engine.as_ref(), s.list(), threads);
+                let cached = prepared
+                    .and_then(|d| d.phase1.as_ref())
+                    .filter(|_| s.len() == n);
+                let owned_powers;
+                let base: &DeferredPowers = match cached {
+                    Some(cache) => {
+                        clique.ledger_mut().merge(&cache.ledger);
+                        &cache.powers
+                    }
+                    None => {
+                        owned_powers = distributed_powers_deferred(
+                            &mut clique,
+                            &block_engine,
+                            &t0,
+                            ell0.trailing_zeros() as usize + 1,
+                            rounding,
+                            threads,
+                        );
+                        &owned_powers
+                    }
+                };
+                top_down_phase(
+                    &mut clique,
+                    &block_engine,
+                    &mut PowerTable::new(base),
+                    start,
+                    rho_phase,
+                    ell0,
+                    config,
+                    workers,
+                    rng,
+                )
+            });
+            let walk = match top_down {
+                Some(Ok(walk)) => walk,
+                // ── Leader-local, also when a top-down walk outgrew the
+                // grid cap (after spending its rounds and randomness).
+                None | Some(Err(PhaseError::GridCapExceeded)) => direct_local_phase(
                     &mut clique,
                     &t0,
                     start,
@@ -487,54 +480,58 @@ fn sample_with<R: Rng + ?Sized>(
                     config.variant,
                     rng,
                 )?,
-                Err(e) => return Err(e.into()),
+                Some(Err(e)) => return Err(e.into()),
             }
-        };
-        let walk_res = walk_res.into_global(&s);
+            .into_global(&s);
 
-        // ── Algorithm 4: sample first-visit edges in G for every
-        // newly visited vertex. O(1) rounds: the leader scatters each
-        // v's predecessor, machine v polls its neighbors for
-        // Q[prev,u]/deg_S(u), and the sampled edges are gathered.
-        let mut fv_words = 2 * walk_res.first_visits.len() as u64;
-        for &(v, _) in &walk_res.first_visits {
-            fv_words += 2 * g.num_neighbors(v) as u64;
-        }
-        clique.ledger_mut().charge(CostCategory::FirstVisit, 3);
-        clique
-            .ledger_mut()
-            .add_words(CostCategory::FirstVisit, fv_words);
-        for &(v, prev) in &walk_res.first_visits {
-            debug_assert!(!visited[v], "vertex {v} visited twice");
-            let (u, vv) = sample_first_visit_edge_with(g, &s, |a, b| q.weight(a, b), prev, v, rng)
-                .ok_or(SampleTreeError::Phase(PhaseError::DegenerateDistribution))?;
-            debug_assert_eq!(vv, v);
-            edges.push((u, vv));
-            visited[v] = true;
-        }
-        vf = walk_res.last;
+            // ── Algorithm 4: sample first-visit edges in G for every
+            // newly visited vertex. O(1) rounds: the leader scatters
+            // each v's predecessor, machine v polls its neighbors for
+            // Q[prev,u]/deg_S(u), and the sampled edges are gathered.
+            let fv_words: u64 = walk
+                .first_visits
+                .iter()
+                .map(|&(v, _)| 2 + 2 * g.num_neighbors(v) as u64)
+                .sum();
+            let ledger = clique.ledger_mut();
+            ledger.charge(CostCategory::FirstVisit, 3);
+            ledger.add_words(CostCategory::FirstVisit, fv_words);
+            for &(v, prev) in &walk.first_visits {
+                let (u, vv) =
+                    sample_first_visit_edge_with(g, &s, |a, b| q.weight(a, b), prev, v, rng)
+                        .ok_or(SampleTreeError::Phase(PhaseError::DegenerateDistribution))?;
+                debug_assert_eq!(vv, v);
+                edges.push((u, v));
+            }
+            walk
+        };
         debug_assert_eq!(
-            walk_res.distinct,
-            walk_res.first_visits.len() + 1,
+            walk.distinct,
+            walk.first_visits.len() + 1,
             "every distinct non-start vertex must get a first-visit edge"
         );
+        for &(_, v) in &edges[new_from..] {
+            debug_assert!(!visited[v], "vertex {v} visited twice");
+            visited[v] = true;
+        }
+        remaining -= edges.len() - new_from;
+        vf = walk.last;
 
         let phase_ledger = clique.take_ledger();
         total.merge(&phase_ledger);
         phases.push(PhaseReport {
-            s_size: s.len(),
+            s_size,
             rho: rho_phase,
-            method: walk_res.method,
-            ell: walk_res.ell_final,
-            tau: walk_res.tau,
-            new_vertices: walk_res.first_visits.len(),
-            extensions: walk_res.extensions,
+            method: walk.method,
+            ell: walk.ell_final,
+            tau: walk.tau,
+            new_vertices: walk.first_visits.len(),
+            extensions: walk.extensions,
             rounds: phase_ledger,
-            pi_words: walk_res.pi_words,
-            placement_words: walk_res.placement_words,
+            pi_words: walk.pi_words,
+            placement_words: walk.placement_words,
         });
-
-        if !walk_res.reached {
+        if !walk.reached {
             debug_assert_eq!(config.variant, Variant::MonteCarlo);
             failure = true;
             break;
@@ -602,63 +599,33 @@ impl PreparedSampler {
     /// # Errors
     ///
     /// [`SampleTreeError::EmptyGraph`] / [`SampleTreeError::Disconnected`]
-    /// for invalid inputs.
+    /// / [`SampleTreeError::WeightRatio`] for invalid inputs.
     pub fn new(config: SamplerConfig, g: &Graph) -> Result<Self, SampleTreeError> {
-        let n = g.n();
-        if n == 0 {
-            return Err(SampleTreeError::EmptyGraph);
-        }
-        if !g.is_connected() {
-            return Err(SampleTreeError::Disconnected);
-        }
-        let ResolvedConfig {
-            threads,
-            engine,
-            rounding,
-            rho,
-            ell0,
-            repr,
-            ..
-        } = resolve_config(&config, g);
-        let out_of_core = n > 1 && table_exceeds_cap(n, ell0, config.max_table_bytes);
-        // Out-of-core graphs force CSR (the dense P is the Θ(n²)
-        // allocation this regime eliminates) and never read a phase-1
-        // table — `sample_with` takes the streaming route before the
-        // matrix loop, exactly as decided here.
-        let p = g.transition_pmatrix(if out_of_core { Repr::Sparse } else { repr });
-        let phase1 = if n > 1 && !out_of_core {
-            // Phase 1 has S = V (all vertices unvisited except the
-            // leader, which doubles as v_f), so whether it takes the
-            // distributed top-down route is a pure function of the graph
-            // and config — decided here exactly as the loop decides it.
-            let rho_phase = rho.min(n);
-            let use_direct = n <= rho || is_degenerate_bipartite(&p, 0, rho_phase);
-            if use_direct {
-                None
-            } else {
-                // Build the phase-1 doubling table on a scratch clique,
-                // capturing the exact ledger charges for per-sample
-                // replay. The table is *deferred*: its full distributed
-                // cost is charged here, but level contents materialize
-                // (memoized) only when a sample first reads them.
-                let levels = ell0.trailing_zeros() as usize;
-                let mut scratch = Clique::new(n);
-                let powers = distributed_powers_deferred(
-                    &mut scratch,
-                    engine.as_ref(),
-                    &p,
-                    levels + 1,
-                    rounding,
-                    threads,
-                );
-                Some(Phase1Cache {
-                    powers,
-                    ledger: scratch.take_ledger(),
-                })
+        validate(g)?;
+        let rc = resolve_config(&config, g);
+        let p = g.transition_pmatrix(rc.repr);
+        // Phase 1 has S = V (all vertices unvisited except the leader,
+        // which doubles as v_f), so its route is a function of the graph
+        // and config alone. When it is top-down, build its doubling
+        // table on a scratch clique, capturing the exact ledger charges
+        // for per-sample replay. The table is *deferred*: its full
+        // distributed cost is charged here, but level contents
+        // materialize (memoized) only when a sample first reads them.
+        let phase1 = (!rc.out_of_core && walks_top_down(&p, 0, rc.rho)).then(|| {
+            let mut scratch = Clique::new(g.n());
+            let powers = distributed_powers_deferred(
+                &mut scratch,
+                rc.engine.as_ref(),
+                &p,
+                rc.ell0.trailing_zeros() as usize + 1,
+                rc.rounding,
+                rc.threads,
+            );
+            Phase1Cache {
+                powers,
+                ledger: scratch.take_ledger(),
             }
-        } else {
-            None
-        };
+        });
         Ok(PreparedSampler {
             config,
             graph: g.clone(),
@@ -900,12 +867,11 @@ const _: () = {
 /// movement, since every edge is already known to both endpoints.
 fn unique_tree_report(g: &Graph, rho: usize, ell0: u64, clique: &mut Clique) -> SampleReport {
     let n = g.n();
-    clique.ledger_mut().charge(CostCategory::Gather, 1);
-    clique
-        .ledger_mut()
-        .add_words(CostCategory::Gather, n as u64);
-    clique.ledger_mut().charge(CostCategory::Broadcast, 1);
-    clique.ledger_mut().add_words(CostCategory::Broadcast, 1);
+    let ledger = clique.ledger_mut();
+    ledger.charge(CostCategory::Gather, 1);
+    ledger.add_words(CostCategory::Gather, n as u64);
+    ledger.charge(CostCategory::Broadcast, 1);
+    ledger.add_words(CostCategory::Broadcast, 1);
     let edges: Vec<(usize, usize)> = g.edges().iter().map(|&(u, v, _)| (u, v)).collect();
     let tree = SpanningTree::new(n, edges).expect("connected with m = n − 1 is a tree");
     let ledger = clique.take_ledger();
@@ -1266,6 +1232,42 @@ mod tests {
         let report = sampler.sample(&g, &mut r).unwrap();
         assert!(!report.monte_carlo_failure);
         assert_eq!(report.tree.edges().len(), 6);
+    }
+
+    #[test]
+    fn weight_ratios_past_the_bound_are_refused() {
+        // A triangle with one light edge samples at the bound; at twice
+        // the bound the cold and prepared paths refuse it alike.
+        let triangle =
+            |w: f64| Graph::from_weighted_edges(3, &[(0, 1, w), (1, 2, w), (0, 2, 1.0)]).unwrap();
+        let sampler = CliqueTreeSampler::new(SamplerConfig::new());
+        let at_bound = triangle(MAX_WEIGHT_RATIO);
+        let report = sampler.sample(&at_bound, &mut rng(112)).unwrap();
+        assert_eq!(report.tree.edges().len(), 2);
+        assert!(sampler.prepare(&at_bound).is_ok());
+        let past = triangle(2.0 * MAX_WEIGHT_RATIO);
+        assert_eq!(
+            sampler.sample(&past, &mut rng(112)).unwrap_err(),
+            SampleTreeError::WeightRatio
+        );
+        assert_eq!(
+            sampler.prepare(&past).unwrap_err(),
+            SampleTreeError::WeightRatio
+        );
+    }
+
+    #[test]
+    fn huge_uniform_weights_saturate_the_walk_length() {
+        // A path whose weights are all 10^18 is the unweighted path
+        // scaled: ℓ₀ = ℓ·W saturates at 2⁶² instead of wrapping.
+        let edges = [(0, 1, 1e18), (1, 2, 1e18), (2, 3, 1e18)];
+        let g = Graph::from_weighted_edges(4, &edges).unwrap();
+        let config = SamplerConfig::new();
+        assert_eq!(resolve_config(&config, &g).ell0, 1 << 62);
+        let report = CliqueTreeSampler::new(config)
+            .sample(&g, &mut rng(113))
+            .unwrap();
+        assert_eq!(report.tree.edges(), &[(0, 1), (1, 2), (2, 3)]);
     }
 
     #[test]

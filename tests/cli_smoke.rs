@@ -356,6 +356,44 @@ fn edge_lists_naming_huge_ids_are_errors_not_aborts() {
         assert!(stderr.starts_with("error: "), "{name}: {stderr}");
         assert!(stderr.contains(needle), "{name}: {stderr}");
     }
+    // A weight 10^14 or 10^300 times the next line's builds a graph the
+    // samplers then refuse: a clean `error:` after the `graph:` line,
+    // not a failed Schur solve or a wrapped walk length.
+    for (name, lines) in [
+        ("w1e14", "0 1 1e14\n1 2 1\n"),
+        ("w1e300", "0 1 1e300\n1 2 1\n"),
+    ] {
+        let path = dir.join(format!("cct-cli-{name}-{}.el", std::process::id()));
+        std::fs::write(&path, lines).unwrap();
+        for algorithm in ["thm1", "exact"] {
+            let out = run_cct(&[algorithm, "--graph", &format!("file:{}", path.display())]);
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            let last = stderr.lines().last().unwrap_or_default();
+            assert_eq!(out.status.code(), Some(1), "{name} {algorithm}: {stderr}");
+            assert!(last.starts_with("error: "), "{name} {algorithm}: {stderr}");
+            assert!(
+                last.contains("max/min ratio"),
+                "{name} {algorithm}: {stderr}"
+            );
+        }
+        std::fs::remove_file(&path).unwrap();
+    }
+}
+
+#[test]
+fn edge_lists_with_uniformly_huge_weights_print_a_tree() {
+    // Every weight 10^18 is the unweighted 4-path, scaled: the walk
+    // budget ℓ·W saturates at 2^62 instead of wrapping to 0.
+    let path = std::env::temp_dir().join(format!("cct-cli-w1e18-{}.el", std::process::id()));
+    std::fs::write(&path, "0 1 1e18\n1 2 1e18\n2 3 1e18\n").unwrap();
+    for algorithm in ["thm1", "exact"] {
+        let out = run_cct(&[algorithm, "--graph", &format!("file:{}", path.display())]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{algorithm}: {stderr}");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert_valid_spanning_tree(&stdout, &generators::path(4));
+    }
+    std::fs::remove_file(&path).unwrap();
 }
 
 #[test]

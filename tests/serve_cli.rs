@@ -159,7 +159,9 @@ fn stats_and_shutdown_control_the_server() {
 #[test]
 fn bad_requests_exit_nonzero_with_the_server_message() {
     let socket = socket_path("errors");
-    let _server = spawn_server(&socket, 3);
+    // One worker: a request that killed it would leave the final
+    // petersen request without a reply.
+    let _server = spawn_server_with(&socket, &["--accept-limit", "4", "--workers", "1"]);
     // One edge naming vertex 10^11: refused by the size cap before the
     // graph would allocate adjacency for every vertex up to that id.
     let huge = std::env::temp_dir().join(format!("cct-serve-cli-huge-{}.el", std::process::id()));
@@ -175,7 +177,19 @@ fn bad_requests_exit_nonzero_with_the_server_message() {
         );
     }
     std::fs::remove_file(&huge).unwrap();
-    // The service survives the bad request and keeps serving.
+    // A weight 10^300 times its neighbour's: the graph builds, and the
+    // sampler refuses it with an error frame instead of a panic.
+    let heavy = std::env::temp_dir().join(format!("cct-serve-cli-heavy-{}.el", std::process::id()));
+    std::fs::write(&heavy, "0 1 1e300\n1 2 1\n").unwrap();
+    let bad_weights = request(&socket, &["--graph", &format!("file:{}", heavy.display())]);
+    std::fs::remove_file(&heavy).unwrap();
+    assert!(!bad_weights.status.success());
+    assert!(
+        String::from_utf8_lossy(&bad_weights.stderr).contains("max/min ratio"),
+        "stderr: {}",
+        String::from_utf8_lossy(&bad_weights.stderr)
+    );
+    // The service survives the bad requests and keeps serving.
     let ok = request(&socket, &["--graph", "petersen"]);
     assert!(ok.status.success());
 }
