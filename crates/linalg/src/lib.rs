@@ -53,7 +53,6 @@ pub use pmatrix::{PMatrix, Repr};
 pub use rounding::{powers_rounded, subtractive_error, FixedPoint, Rounding};
 pub use sparse::{CsrBuilder, CsrMatrix};
 pub use stochastic::{
-    is_row_stochastic, is_row_substochastic, normalize_rows, power_from_table, power_from_table_p,
-    powers_of_two, powers_of_two_p, sample_index, table_fill_profile, table_resident_bytes,
-    total_variation, LevelFill,
+    is_row_stochastic, is_row_substochastic, normalize_rows, powers_of_two, sample_index,
+    total_variation,
 };

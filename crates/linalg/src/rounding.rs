@@ -7,7 +7,7 @@
 //! (rounding toward zero) is essential — it keeps every approximation an
 //! under-approximation, which §2.5's coupling argument relies on.
 
-use crate::{Matrix, SingularMatrixError};
+use crate::Matrix;
 
 /// A fixed-point precision specification: values are truncated to
 /// `fractional_bits` binary digits after the point.
@@ -214,35 +214,6 @@ pub fn subtractive_error(exact: &[Matrix], rounded: &[Matrix]) -> (f64, Vec<f64>
     (per.iter().fold(0.0f64, |a, &b| a.max(b)), per)
 }
 
-/// §5.2's "subtractive approximation" of a distribution: shifts an
-/// approximate distribution down by `δ/2` and clamps at zero, so that the
-/// result under-approximates the true distribution entry-wise when the
-/// input is within total-variation `δ/2` (the Propp trick setup used by the
-/// exact sampler).
-pub fn shift_to_subtractive(weights: &mut [f64], delta: f64) {
-    for w in weights {
-        *w = (*w - delta / 2.0).max(0.0);
-    }
-}
-
-/// Reference: exact power table for comparison, re-exported convenience
-/// around [`crate::stochastic::powers_of_two`].
-///
-/// # Errors
-///
-/// Returns an error if `m` is not square (mirrors the panic-free API the
-/// experiment harness prefers).
-pub fn powers_exact_checked(
-    m: &Matrix,
-    levels: usize,
-    threads: usize,
-) -> Result<Vec<Matrix>, SingularMatrixError> {
-    if !m.is_square() || levels == 0 {
-        return Err(SingularMatrixError);
-    }
-    Ok(crate::stochastic::powers_of_two(m, levels, threads))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -334,13 +305,6 @@ mod tests {
         let rounded = powers_rounded(&p, 7, fp, 1);
         let (worst, _) = subtractive_error(&exact, &rounded);
         assert!(worst <= beta, "worst error {worst} exceeds beta {beta}");
-    }
-
-    #[test]
-    fn shift_to_subtractive_clamps() {
-        let mut w = vec![0.5, 0.01, 0.0];
-        shift_to_subtractive(&mut w, 0.04);
-        assert_eq!(w, vec![0.48, 0.0, 0.0]);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! input graph (§1.1); all midpoint distributions are built from entries of
 //! powers `P^{2^k}` (Formula 1).
 
-use crate::{Matrix, PMatrix};
+use crate::Matrix;
 use rand::Rng;
 
 /// Returns `true` if every entry is non-negative and every row sums to 1
@@ -140,144 +140,10 @@ pub fn powers_of_two(m: &Matrix, levels: usize, threads: usize) -> Vec<Matrix> {
     out
 }
 
-/// Evaluates `M^e` for arbitrary `e ≥ 1` from a precomputed
-/// [`powers_of_two`] table.
-///
-/// # Panics
-///
-/// Panics if `e == 0` or `e` needs more bits than the table provides.
-pub fn power_from_table(table: &[Matrix], e: u64, threads: usize) -> Matrix {
-    assert!(e >= 1, "exponent must be positive");
-    let bits = 64 - e.leading_zeros() as usize;
-    assert!(
-        bits <= table.len(),
-        "power table too short for exponent {e}"
-    );
-    // Ping-pong between the accumulator and one scratch buffer instead of
-    // allocating a fresh product per set bit of `e`.
-    let mut acc: Option<Matrix> = None;
-    let mut scratch: Option<Matrix> = None;
-    for (k, item) in table.iter().enumerate().take(bits) {
-        if (e >> k) & 1 == 1 {
-            acc = Some(match acc {
-                None => item.clone(),
-                Some(a) => {
-                    let mut out = scratch
-                        .take()
-                        .unwrap_or_else(|| Matrix::zeros(a.rows(), item.cols()));
-                    a.matmul_parallel_into(item, &mut out, threads);
-                    scratch = Some(a);
-                    out
-                }
-            });
-        }
-    }
-    acc.expect("e >= 1 guarantees at least one factor")
-}
-
-/// Fill-in profile of one level of a representation-adaptive doubling
-/// table: level `k` holds `M^{2^k}`.
-///
-/// Squaring a sparse transition matrix fills in level by level until the
-/// promotion tracker flips it dense; this record is how tests and the
-/// `e20` benchmark assert the memory contract (resident bytes stay
-/// `O(nnz)` per level until the level genuinely densifies) instead of
-/// eyeballing it.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LevelFill {
-    /// Table index `k` (the level holds `M^{2^k}`).
-    pub level: usize,
-    /// Structural non-zeros at this level.
-    pub nnz: usize,
-    /// `nnz / n²`.
-    pub density: f64,
-    /// Allocated heap bytes of this level's backing storage.
-    pub resident_bytes: usize,
-    /// `true` once the level has promoted to the dense representation.
-    pub dense: bool,
-}
-
-/// The representation-adaptive counterpart of [`powers_of_two`]: computes
-/// `M, M², M⁴, …, M^{2^{levels-1}}` staying in [`PMatrix`], letting each
-/// level promote to dense only when its own fill-in crosses the memory
-/// break-even.
-///
-/// Bit-identical to the dense [`powers_of_two`] route (the `PMatrix`
-/// contract); on sparse inputs the low levels stay CSR, so the table
-/// costs `O(Σ_k nnz(M^{2^k}))` bytes rather than `levels · n²`.
-///
-/// # Panics
-///
-/// Panics if `m` is not square or `levels == 0`.
-pub fn powers_of_two_p(m: &PMatrix, levels: usize, threads: usize) -> Vec<PMatrix> {
-    assert!(m.is_square(), "powers require a square matrix");
-    assert!(levels > 0, "need at least one level");
-    let mut out = Vec::with_capacity(levels);
-    out.push(m.clone());
-    for _ in 1..levels {
-        let last = out.last().expect("non-empty");
-        out.push(last.matmul(last, threads));
-    }
-    out
-}
-
-/// Evaluates `M^e` for arbitrary `e ≥ 1` from a [`powers_of_two_p`]
-/// table, staying representation-adaptive: sparse factors multiply in
-/// CSR and the running product promotes only on fill-in.
-///
-/// # Panics
-///
-/// Panics if `e == 0` or `e` needs more bits than the table provides.
-pub fn power_from_table_p(table: &[PMatrix], e: u64, threads: usize) -> PMatrix {
-    assert!(e >= 1, "exponent must be positive");
-    let bits = 64 - e.leading_zeros() as usize;
-    assert!(
-        bits <= table.len(),
-        "power table too short for exponent {e}"
-    );
-    let mut acc: Option<PMatrix> = None;
-    for (k, item) in table.iter().enumerate().take(bits) {
-        if (e >> k) & 1 == 1 {
-            acc = Some(match acc {
-                None => item.clone(),
-                Some(a) => a.matmul(item, threads),
-            });
-        }
-    }
-    acc.expect("e >= 1 guarantees at least one factor")
-}
-
-/// Per-level fill-in profile of a [`PMatrix`] doubling table.
-pub fn table_fill_profile(table: &[PMatrix]) -> Vec<LevelFill> {
-    table
-        .iter()
-        .enumerate()
-        .map(|(level, m)| {
-            let slots = m.rows() * m.cols();
-            let nnz = m.nnz();
-            LevelFill {
-                level,
-                nnz,
-                density: if slots == 0 {
-                    0.0
-                } else {
-                    nnz as f64 / slots as f64
-                },
-                resident_bytes: m.resident_bytes(),
-                dense: !m.is_sparse(),
-            }
-        })
-        .collect()
-}
-
-/// Total allocated heap bytes across the levels of a table.
-pub fn table_resident_bytes(table: &[PMatrix]) -> usize {
-    table.iter().map(|m| m.resident_bytes()).sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::PMatrix;
     use rand::SeedableRng;
 
     fn lazy_walk_2() -> Matrix {
@@ -360,23 +226,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn power_from_table_arbitrary_exponent() {
-        let p = lazy_walk_2();
-        let table = powers_of_two(&p, 5, 1);
-        // P^11 = P^8 · P^2 · P^1
-        let direct = (0..10).fold(p.clone(), |acc, _| &acc * &p);
-        let via_table = power_from_table(&table, 11, 1);
-        assert!(via_table.max_abs_diff(&direct) < 1e-13);
-    }
-
-    #[test]
-    #[should_panic(expected = "too short")]
-    fn power_from_table_out_of_range_panics() {
-        let table = powers_of_two(&lazy_walk_2(), 2, 1);
-        let _ = power_from_table(&table, 8, 1);
-    }
-
     /// Lazy cycle walk on `n` vertices: tridiagonal-with-wraparound, so
     /// squaring fills in slowly and low levels stay genuinely sparse.
     fn lazy_cycle(n: usize) -> Matrix {
@@ -391,13 +240,22 @@ mod tests {
         })
     }
 
+    /// `M, M², M⁴, …` by repeated [`PMatrix::square`], the way the
+    /// doubling tables build their levels.
+    fn squarings(m: PMatrix, levels: usize) -> Vec<PMatrix> {
+        let mut out = vec![m];
+        while out.len() < levels {
+            let next = out.last().expect("non-empty").square(1);
+            out.push(next);
+        }
+        out
+    }
+
     #[test]
     fn pmatrix_powers_match_dense_bit_for_bit() {
         let p = lazy_cycle(33);
         let dense_table = powers_of_two(&p, 5, 1);
-        let sparse_table =
-            powers_of_two_p(&PMatrix::Sparse(crate::CsrMatrix::from_dense(&p)), 5, 1);
-        assert_eq!(sparse_table.len(), 5);
+        let sparse_table = squarings(PMatrix::Sparse(crate::CsrMatrix::from_dense(&p)), 5);
         for (d, s) in dense_table.iter().zip(&sparse_table) {
             assert_eq!(&s.to_dense(), d, "level diverged from the dense route");
         }
@@ -411,43 +269,23 @@ mod tests {
     }
 
     #[test]
-    fn pmatrix_power_from_table_matches_dense() {
-        let p = lazy_cycle(17);
-        let dense_table = powers_of_two(&p, 5, 1);
-        let sparse_table =
-            powers_of_two_p(&PMatrix::Sparse(crate::CsrMatrix::from_dense(&p)), 5, 1);
-        for e in [1u64, 2, 3, 11, 21, 31] {
-            let d = power_from_table(&dense_table, e, 1);
-            let s = power_from_table_p(&sparse_table, e, 1);
-            assert_eq!(s.to_dense(), d, "e = {e}");
-        }
-    }
-
-    #[test]
     fn fill_profile_tracks_densification() {
-        let table = powers_of_two_p(
-            &PMatrix::Sparse(crate::CsrMatrix::from_dense(&lazy_cycle(65))),
+        let table = squarings(
+            PMatrix::Sparse(crate::CsrMatrix::from_dense(&lazy_cycle(65))),
             8,
-            1,
         );
-        let profile = table_fill_profile(&table);
-        assert_eq!(profile.len(), 8);
         // Bandwidth of a cycle walk grows with the exponent: nnz is
         // non-decreasing level over level until saturation.
-        for w in profile.windows(2) {
-            assert!(w[1].nnz >= w[0].nnz, "fill-in cannot shrink: {w:?}");
+        for w in table.windows(2) {
+            assert!(w[1].nnz() >= w[0].nnz(), "fill-in cannot shrink");
         }
         // P itself: 3 entries per row.
-        assert_eq!(profile[0].nnz, 3 * 65);
-        assert!(!profile[0].dense && profile[0].density < 0.05);
+        assert_eq!(table[0].nnz(), 3 * 65);
+        assert!(table[0].is_sparse() && (table[0].nnz() as f64) / (65.0 * 65.0) < 0.05);
         // P^128 on a 65-cycle is (essentially) full and must have
         // promoted; its resident bytes are the dense footprint.
-        let top = profile.last().unwrap();
-        assert!(top.dense, "saturated level must promote: {top:?}");
-        assert_eq!(top.resident_bytes, 65 * 65 * 8);
-        assert_eq!(
-            table_resident_bytes(&table),
-            profile.iter().map(|l| l.resident_bytes).sum::<usize>()
-        );
+        let top = table.last().unwrap();
+        assert!(!top.is_sparse(), "saturated level must promote");
+        assert_eq!(top.resident_bytes(), 65 * 65 * 8);
     }
 }
