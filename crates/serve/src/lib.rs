@@ -82,8 +82,8 @@ pub use service::{
 pub use snapshot::RestoreSummary;
 pub use stats::{LatencyHistogram, ServeStats};
 pub use wire::{
-    exchange, exchange_frame, request_endpoint, request_endpoint_frame, serve_connection,
-    serve_endpoint, serve_endpoint_with_shutdown, Endpoint, MAX_FRAME_LEN,
+    exchange, exchange_frame, request_endpoint, request_endpoint_frame, serve_endpoint,
+    serve_endpoint_with_shutdown, Endpoint, MAX_FRAME_LEN,
 };
 
 // Re-exported so service clients replaying draws cold don't need a

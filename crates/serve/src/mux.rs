@@ -69,26 +69,26 @@ fn draining_frame() -> Json {
     ])
 }
 
-pub(crate) fn oversized_frame() -> Json {
+fn oversized_frame() -> Json {
     error_frame(&format!("request frame exceeds {MAX_FRAME_LEN} bytes"))
 }
 
-/// What the shared line classifier decides about one received frame.
-/// `serve_connection` (the in-memory/test path) and the mux loop both
-/// route through this, so the two front-ends can never disagree on
-/// protocol semantics.
-pub(crate) enum LineOutcome {
+/// What the line classifier decides about one received frame.
+enum LineOutcome {
     /// Blank line: ignore.
     Skip,
-    /// An immediately answerable frame (control response or error).
+    /// An immediately answerable frame (an error).
     Frame(Json),
+    /// A stats or snapshot command, answered by the function once
+    /// every earlier reply on the connection has gone out.
+    Control(fn(&ServeHandle) -> Json),
     /// A parsed sampling request for the worker pool.
     Submit(SampleRequest),
     /// A shutdown command: answer with the frame, then begin draining.
     Shutdown(Json),
 }
 
-pub(crate) fn classify_line(handle: &ServeHandle, bytes: &[u8]) -> LineOutcome {
+fn classify_line(handle: &ServeHandle, bytes: &[u8]) -> LineOutcome {
     let text = match std::str::from_utf8(bytes) {
         Ok(text) => text,
         Err(_) => {
@@ -104,9 +104,11 @@ pub(crate) fn classify_line(handle: &ServeHandle, bytes: &[u8]) -> LineOutcome {
             handle.shared().stats.record_protocol_error();
             LineOutcome::Frame(error_frame(&e.to_string()))
         }
-        Ok(WireFrame::Control(ControlCommand::Stats)) => LineOutcome::Frame(handle.stats_frame()),
+        Ok(WireFrame::Control(ControlCommand::Stats)) => {
+            LineOutcome::Control(ServeHandle::stats_frame)
+        }
         Ok(WireFrame::Control(ControlCommand::Snapshot)) => {
-            LineOutcome::Frame(handle.snapshot_frame())
+            LineOutcome::Control(ServeHandle::snapshot_frame)
         }
         Ok(WireFrame::Control(ControlCommand::Shutdown)) => LineOutcome::Shutdown(draining_frame()),
         Ok(WireFrame::Sample(request)) => LineOutcome::Submit(request),
@@ -167,10 +169,13 @@ impl MuxConfig {
     }
 }
 
-/// One reply slot: either already renderable or still in the worker
-/// pool. The queue preserves request order per connection.
+/// One reply slot: already renderable, a control frame rendered when it
+/// reaches the head of the queue (so a pipelined `stats` counts the
+/// requests before it), or still in the worker pool. The queue
+/// preserves request order per connection.
 enum ReplySlot {
     Ready(Json),
+    Control(fn(&ServeHandle) -> Json),
     Waiting(Pending),
 }
 
@@ -308,7 +313,7 @@ pub(crate) fn mux_loop<S: MuxStream>(
         // ---- per-connection read / dispatch / complete / write -----
         for conn in &mut conns {
             read_conn(conn, handle, cfg, &mut state);
-            complete_replies(conn, &mut state);
+            complete_replies(conn, handle, &mut state);
             write_conn(conn, &mut state);
             enforce_timeouts(conn, cfg);
         }
@@ -398,6 +403,13 @@ fn read_conn<S: MuxStream>(
             conn.skipping = false;
             continue;
         }
+        if line.len() > MAX_FRAME_LEN + 1 {
+            // An oversized frame whose newline arrived within one tick.
+            handle.shared().stats.record_protocol_error();
+            conn.replies.push_back(ReplySlot::Ready(oversized_frame()));
+            state.progress = true;
+            continue;
+        }
         dispatch_line(conn, handle, cfg, state, &line);
     }
     if conn.skipping {
@@ -427,6 +439,10 @@ fn dispatch_line<S: MuxStream>(
             conn.replies.push_back(ReplySlot::Ready(frame));
             state.progress = true;
         }
+        LineOutcome::Control(render) => {
+            conn.replies.push_back(ReplySlot::Control(render));
+            state.progress = true;
+        }
         LineOutcome::Shutdown(frame) => {
             conn.replies.push_back(ReplySlot::Ready(frame));
             begin_drain(state, cfg);
@@ -450,10 +466,11 @@ fn dispatch_line<S: MuxStream>(
 
 /// Moves finished jobs from the head of the reply queue into the
 /// outbox. Only the head can move — replies leave in request order.
-fn complete_replies<S: MuxStream>(conn: &mut Conn<S>, state: &mut LoopState) {
+fn complete_replies<S: MuxStream>(conn: &mut Conn<S>, handle: &ServeHandle, state: &mut LoopState) {
     while let Some(slot) = conn.replies.front_mut() {
         let frame = match slot {
             ReplySlot::Ready(frame) => frame.clone(),
+            ReplySlot::Control(render) => render(handle),
             ReplySlot::Waiting(pending) => match pending.try_wait() {
                 None => break,
                 Some(result) => {

@@ -25,11 +25,11 @@
 //! [`crate::ServeOptions::max_inflight`]) and idle-connection timeouts
 //! ([`crate::ServeOptions::read_timeout`]).
 
-use crate::mux::{self, LineOutcome, MuxConfig};
+use crate::mux::{self, MuxConfig};
 use crate::request::SampleRequest;
-use crate::service::{error_frame, serve, ServeHandle, ServeOptions};
+use crate::service::{serve, ServeHandle, ServeOptions};
 use cct_json::Json;
-use std::io::{self, BufRead, BufReader, Read, Write};
+use std::io::{self, BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 #[cfg(unix)]
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -87,103 +87,6 @@ impl std::fmt::Display for Endpoint {
         match self {
             Endpoint::Tcp(addr) => write!(f, "{addr}"),
             Endpoint::Unix(path) => write!(f, "unix:{}", path.display()),
-        }
-    }
-}
-
-enum FrameRead {
-    Eof,
-    Line,
-    Oversized,
-}
-
-/// Reads one `\n`-terminated frame into `buf`, never buffering more
-/// than [`MAX_FRAME_LEN`] + 1 bytes. On overflow the remainder of the
-/// line is discarded so the next read starts on a frame boundary.
-fn read_frame<R: BufRead>(reader: &mut R, buf: &mut Vec<u8>) -> io::Result<FrameRead> {
-    let mut limited = reader.take((MAX_FRAME_LEN + 1) as u64);
-    let n = limited.read_until(b'\n', buf)?;
-    if n == 0 {
-        return Ok(FrameRead::Eof);
-    }
-    if buf.last() == Some(&b'\n') || n <= MAX_FRAME_LEN {
-        return Ok(FrameRead::Line);
-    }
-    drain_to_newline(reader)?;
-    Ok(FrameRead::Oversized)
-}
-
-fn drain_to_newline<R: BufRead>(reader: &mut R) -> io::Result<()> {
-    loop {
-        let available = reader.fill_buf()?;
-        if available.is_empty() {
-            return Ok(()); // EOF inside the oversized frame
-        }
-        if let Some(pos) = available.iter().position(|&b| b == b'\n') {
-            reader.consume(pos + 1);
-            return Ok(());
-        }
-        let n = available.len();
-        reader.consume(n);
-    }
-}
-
-fn write_frame<W: Write>(writer: &mut W, frame: &Json) -> io::Result<()> {
-    writer.write_all(frame.compact().as_bytes())?;
-    writer.write_all(b"\n")?;
-    writer.flush()
-}
-
-/// Serves one connection: reads request lines until EOF, writing one
-/// response line each. I/O errors end the connection; request errors do
-/// not. Frames longer than [`MAX_FRAME_LEN`] are answered with an error
-/// frame and skipped. Control frames are dispatched inline; a
-/// `{"cmd": "shutdown"}` frame is acknowledged and ends *this
-/// connection* (only the multiplexed [`serve_endpoint`] loop drains the
-/// whole endpoint).
-///
-/// This is the blocking, in-memory-friendly path — tests and embedders
-/// drive it over any `BufRead`/`Write` pair; [`serve_endpoint`] serves
-/// sockets through the multiplexed loop instead.
-///
-/// # Errors
-///
-/// The underlying stream's I/O errors.
-pub fn serve_connection<R: BufRead, W: Write>(
-    mut reader: R,
-    writer: &mut W,
-    handle: &ServeHandle,
-) -> io::Result<()> {
-    let mut buf = Vec::new();
-    loop {
-        // Read raw bytes rather than `lines()`: a non-UTF-8 line must be
-        // answered with an error frame like any other malformed frame,
-        // not turned into an InvalidData error that drops the
-        // connection (and any pipelined requests behind it).
-        buf.clear();
-        match read_frame(&mut reader, &mut buf)? {
-            FrameRead::Eof => return Ok(()),
-            FrameRead::Oversized => {
-                handle.shared().stats.record_protocol_error();
-                write_frame(writer, &mux::oversized_frame())?;
-                continue;
-            }
-            FrameRead::Line => {}
-        }
-        match mux::classify_line(handle, &buf) {
-            LineOutcome::Skip => {}
-            LineOutcome::Frame(frame) => write_frame(writer, &frame)?,
-            LineOutcome::Shutdown(frame) => {
-                write_frame(writer, &frame)?;
-                return Ok(());
-            }
-            LineOutcome::Submit(request) => {
-                let frame = match handle.request(request) {
-                    Ok(response) => response.to_json(),
-                    Err(e) => error_frame(&e.to_string()),
-                };
-                write_frame(writer, &frame)?;
-            }
         }
     }
 }
@@ -442,15 +345,28 @@ mod tests {
             .config(Algorithm::Exact, config)
     }
 
-    /// Drives `serve_connection` over in-memory buffers: each input
-    /// line must yield exactly one response line.
+    /// Writes `input` to one connection of a fresh server on TCP
+    /// loopback — the multiplexed loop production runs — half-closes
+    /// it, and parses every response line sent before the server hangs
+    /// up: each non-blank input line must yield exactly one.
     fn roundtrip_lines(input: &[u8]) -> Vec<Json> {
-        let mut out: Vec<u8> = Vec::new();
-        serve(quick_options(), |handle| {
-            serve_connection(input, &mut out, &handle).unwrap();
-        });
-        let text = String::from_utf8(out).unwrap();
-        text.lines().map(|l| Json::parse(l).unwrap()).collect()
+        use std::io::Read;
+        let endpoint = Endpoint::parse("127.0.0.1:0").unwrap();
+        let (addr_tx, addr_rx) = std::sync::mpsc::channel::<String>();
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                serve_endpoint(&endpoint, quick_options(), Some(1), move |addr| {
+                    addr_tx.send(addr.to_string()).unwrap();
+                })
+                .unwrap();
+            });
+            let mut stream = TcpStream::connect(addr_rx.recv().unwrap()).unwrap();
+            stream.write_all(input).unwrap();
+            stream.shutdown(std::net::Shutdown::Write).unwrap();
+            let mut text = String::new();
+            stream.read_to_string(&mut text).unwrap();
+            text.lines().map(|l| Json::parse(l).unwrap()).collect()
+        })
     }
 
     #[test]

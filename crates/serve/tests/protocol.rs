@@ -13,7 +13,9 @@
 
 use cct_core::{EngineChoice, SamplerConfig, WalkLength};
 use cct_json::Json;
-use cct_serve::{serve, serve_connection, Algorithm, SampleRequest, ServeOptions, MAX_COUNT};
+use cct_serve::{
+    serve, serve_endpoint, Algorithm, Endpoint, SampleRequest, ServeOptions, MAX_COUNT,
+};
 use proptest::collection::vec;
 use proptest::prelude::*;
 
@@ -73,18 +75,35 @@ fn tiny_service_options() -> ServeOptions {
     )
 }
 
-/// Feeds `lines` to one connection of a fresh single-worker service and
-/// returns the parsed response frames (one per non-blank line, or the
-/// test fails).
+/// Feeds `lines` to one connection of a fresh single-worker server on
+/// TCP loopback (the multiplexed loop production runs), half-closes it,
+/// and returns the parsed response frames (one per non-blank line, or
+/// the test fails).
 fn answers_for(lines: &[String]) -> Vec<Json> {
+    use std::io::{Read, Write};
     let input = lines.iter().map(|l| format!("{l}\n")).collect::<String>();
-    let mut out: Vec<u8> = Vec::new();
-    serve(tiny_service_options(), |handle| {
-        serve_connection(input.as_bytes(), &mut out, &handle).expect("in-memory I/O");
+    let endpoint = Endpoint::parse("127.0.0.1:0").unwrap();
+    let (addr_tx, addr_rx) = std::sync::mpsc::channel::<String>();
+    let out = std::thread::scope(|s| {
+        s.spawn(|| {
+            serve_endpoint(&endpoint, tiny_service_options(), Some(1), move |addr| {
+                addr_tx.send(addr.to_string()).unwrap();
+            })
+            .expect("server exits cleanly")
+        });
+        let addr = addr_rx.recv().expect("server publishes its address");
+        let mut stream = std::net::TcpStream::connect(addr).expect("connect");
+        stream.write_all(input.as_bytes()).expect("send frames");
+        stream
+            .shutdown(std::net::Shutdown::Write)
+            .expect("half-close");
+        let mut out = String::new();
+        stream
+            .read_to_string(&mut out)
+            .expect("responses are UTF-8");
+        out
     });
-    String::from_utf8(out)
-        .expect("responses are UTF-8")
-        .lines()
+    out.lines()
         .map(|l| Json::parse(l).expect("every response line is valid JSON"))
         .collect()
 }
