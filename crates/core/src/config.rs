@@ -41,22 +41,13 @@ impl Backend {
     /// vertex count (below it, dense buffers are trivially small).
     pub const AUTO_MIN_N: usize = 64;
 
-    /// The CLI/wire name (`auto` / `dense` / `sparse`).
+    /// The backend's name (`auto` / `dense` / `sparse`), as reports
+    /// and the `CCT_BACKEND` test sweep spell it.
     pub fn as_str(self) -> &'static str {
         match self {
             Backend::Auto => "auto",
             Backend::Dense => "dense",
             Backend::Sparse => "sparse",
-        }
-    }
-
-    /// Parses a CLI/wire name.
-    pub fn parse(s: &str) -> Option<Backend> {
-        match s {
-            "auto" => Some(Backend::Auto),
-            "dense" => Some(Backend::Dense),
-            "sparse" => Some(Backend::Sparse),
-            _ => None,
         }
     }
 
@@ -378,7 +369,11 @@ impl SamplerConfig {
         self
     }
 
-    /// Sets the transition-matrix representation backend.
+    /// Sets the transition-matrix representation backend. The default,
+    /// [`Backend::Auto`], is what the `cct` CLI and a default service
+    /// run; forcing `Dense` or `Sparse` is a library and test override
+    /// (backend sweeps, memory comparisons) that changes memory and
+    /// wall-clock only.
     ///
     /// # Examples
     ///
@@ -509,10 +504,8 @@ mod tests {
     #[test]
     fn backend_resolution_and_names() {
         use cct_graph::generators;
-        for b in Backend::ALL {
-            assert_eq!(Backend::parse(b.as_str()), Some(b));
-        }
-        assert_eq!(Backend::parse("csr"), None);
+        let names: Vec<&str> = Backend::ALL.iter().map(|b| b.as_str()).collect();
+        assert_eq!(names, ["auto", "dense", "sparse"]);
         // Forced backends ignore the graph.
         let k8 = generators::complete(8);
         assert_eq!(Backend::Sparse.resolve(&k8), Repr::Sparse);

@@ -105,7 +105,7 @@ pub(crate) struct EdgeList {
     pub(crate) n: usize,
     /// The `(u, v, w)` triples in file order (`w = 1` when the file has
     /// no weight column).
-    edges: Vec<(usize, usize, f64)>,
+    pub(crate) edges: Vec<(usize, usize, f64)>,
 }
 
 impl EdgeList {

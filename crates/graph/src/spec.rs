@@ -21,15 +21,14 @@
 //! # Size caps
 //!
 //! The default cap is [`MAX_SPEC_SIZE`] vertices; the `CCT_MAX_N`
-//! environment variable overrides it (see [`max_spec_size`]). When the
-//! caller has selected the **sparse** matrix backend, sparse-friendly
-//! families — `cycle`, `path`, `star`, and `er` below
-//! [`SPARSE_ER_MAX_EXPECTED_DEGREE`] expected degree — are admitted up
-//! to [`SPARSE_CAP_FACTOR`]× the cap, because their `O(n)`-edge graphs
-//! and `O(nnz)` matrices never materialize the `Θ(n²)` buffers the cap
-//! protects against. A sparse-friendly spec rejected only because the
-//! *dense* backend is active gets the dedicated
-//! [`SpecError::DenseOnlyTooLarge`] variant, which names the fix.
+//! environment variable overrides it ([`SpecLimits::from_env`]). The
+//! algorithm that consumes the graph sets the rest. One that keeps large
+//! sparse inputs sparse ([`SpecLimits::keeps_sparse`]) admits the
+//! sparse-friendly families — `cycle`, `path`, `star`, and `er` below
+//! [`SPARSE_ER_MAX_EXPECTED_DEGREE`] expected degree — up to
+//! [`SPARSE_CAP_FACTOR`]× the cap, because their `O(n)`-edge graphs
+//! never need the `Θ(n²)` buffers the cap protects against, and it
+//! admits `file:` loads of any size.
 
 use crate::{generators, Graph};
 use rand::Rng;
@@ -38,12 +37,12 @@ use rand::Rng;
 /// produce. The Congested Clique simulator does `Θ(n²)` work per round
 /// and the dense generators allocate `Θ(n²)` edges, so larger requests
 /// would stall or exhaust memory rather than fail cleanly. Overridable
-/// via `CCT_MAX_N` ([`max_spec_size`]) and relaxed for sparse-friendly
-/// specs under the sparse backend ([`SpecLimits`]).
+/// via `CCT_MAX_N` and relaxed for sparse-friendly specs when the
+/// consuming algorithm keeps them sparse ([`SpecLimits`]).
 pub const MAX_SPEC_SIZE: usize = 8192;
 
-/// How much further sparse-friendly specs may go when the sparse
-/// backend is selected: `sparse cap = dense cap × this factor`.
+/// How much further sparse-friendly specs may go when the consuming
+/// algorithm keeps them sparse: `sparse cap = dense cap × this factor`.
 pub const SPARSE_CAP_FACTOR: usize = 8;
 
 /// `er:N:P` counts as sparse-friendly only while its expected degree
@@ -69,12 +68,16 @@ pub const WEIGHTED_SPEC_STREAM: u64 = 0x6363_745f_7767_6874;
 /// # Examples
 ///
 /// ```
-/// use cct_graph::spec::{parse_spec_with_limits, SpecLimits, MAX_SPEC_SIZE};
+/// use cct_graph::spec::{parse_spec_with_limits, SpecLimits};
 /// use rand::SeedableRng;
 ///
 /// let mut rng = rand::rngs::StdRng::seed_from_u64(7);
-/// let sparse = SpecLimits::from_env().with_sparse_backend(true);
-/// // A cycle past the dense cap builds fine under the sparse backend…
+/// let sparse = SpecLimits {
+///     keeps_sparse: true,
+///     ..SpecLimits::from_env()
+/// };
+/// // A cycle past the dense cap builds for an algorithm that keeps it
+/// // sparse…
 /// let g = parse_spec_with_limits("cycle:10000", &mut rng, &sparse).unwrap();
 /// assert_eq!(g.n(), 10_000);
 /// // …but a clique of that size is dense-only and stays rejected.
@@ -82,25 +85,26 @@ pub const WEIGHTED_SPEC_STREAM: u64 = 0x6363_745f_7767_6874;
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SpecLimits {
-    /// Cap for dense-only families (and for everything when the dense
-    /// backend is active).
+    /// Cap for dense-only families, and for every family when the
+    /// consuming algorithm holds `Θ(n²)` state.
     pub dense_cap: usize,
-    /// `true` when the caller selected the sparse matrix backend, which
-    /// admits sparse-friendly families up to [`SpecLimits::sparse_cap`]
-    /// and `file:` specs without a family cap.
-    pub sparse_backend: bool,
+    /// `true` when the consuming algorithm keeps large sparse inputs
+    /// sparse (`O(m)` memory). It then admits sparse-friendly families
+    /// up to [`SpecLimits::sparse_cap`] and `file:` specs without a
+    /// family cap.
+    pub keeps_sparse: bool,
     /// Cap for graphs loaded via `file:PATH` specs. `None` (the default
-    /// when `CCT_MAX_N` is unset) means *uncapped under the sparse
-    /// backend*: a loaded edge list is an `O(m)` object and the sparse
-    /// pipeline keeps it that way, so the `Θ(n²)` rationale behind the
-    /// family caps does not apply. An explicitly set `CCT_MAX_N` is the
-    /// single override that bounds loaded graphs too.
+    /// when `CCT_MAX_N` is unset) means *uncapped when the algorithm
+    /// keeps sparse inputs sparse*: a loaded edge list is an `O(m)`
+    /// object, so the `Θ(n²)` rationale behind the family caps does not
+    /// apply. An explicitly set `CCT_MAX_N` is the single override that
+    /// bounds loaded graphs too.
     pub file_cap: Option<usize>,
 }
 
 impl SpecLimits {
-    /// The default limits: [`max_spec_size`] (i.e. `CCT_MAX_N` or
-    /// [`MAX_SPEC_SIZE`]), dense backend; `file:` specs capped only by
+    /// The default limits: `CCT_MAX_N` (when set to an integer ≥ 4) or
+    /// [`MAX_SPEC_SIZE`] for every family; `file:` specs capped only by
     /// an explicitly set `CCT_MAX_N`.
     pub fn from_env() -> Self {
         let explicit = std::env::var("CCT_MAX_N")
@@ -109,25 +113,19 @@ impl SpecLimits {
             .filter(|&n| n >= 4);
         SpecLimits {
             dense_cap: explicit.unwrap_or(MAX_SPEC_SIZE),
-            sparse_backend: false,
+            keeps_sparse: false,
             file_cap: explicit,
         }
     }
 
-    /// Selects or deselects the sparse backend.
-    pub fn with_sparse_backend(mut self, on: bool) -> Self {
-        self.sparse_backend = on;
-        self
-    }
-
-    /// The cap applied to sparse-friendly specs under the sparse
-    /// backend.
+    /// The cap applied to sparse-friendly specs when the algorithm
+    /// keeps them sparse.
     pub fn sparse_cap(&self) -> usize {
         self.dense_cap.saturating_mul(SPARSE_CAP_FACTOR)
     }
 
     fn cap_for(&self, sparse_friendly: bool) -> usize {
-        if sparse_friendly && self.sparse_backend {
+        if sparse_friendly && self.keeps_sparse {
             self.sparse_cap()
         } else {
             self.dense_cap
@@ -139,16 +137,6 @@ impl Default for SpecLimits {
     fn default() -> Self {
         SpecLimits::from_env()
     }
-}
-
-/// The effective default size cap: `CCT_MAX_N` (when set to an integer
-/// ≥ 4) or [`MAX_SPEC_SIZE`].
-pub fn max_spec_size() -> usize {
-    std::env::var("CCT_MAX_N")
-        .ok()
-        .and_then(|s| s.parse::<usize>().ok())
-        .filter(|&n| n >= 4)
-        .unwrap_or(MAX_SPEC_SIZE)
 }
 
 /// A malformed or out-of-domain graph spec.
@@ -164,18 +152,9 @@ pub enum SpecError {
         n: usize,
         /// The cap that rejected it.
         cap: usize,
-    },
-    /// The spec exceeds the dense cap but a sparse-friendly family
-    /// would fit under the sparse backend — the error names the fix.
-    DenseOnlyTooLarge {
-        /// The offending spec string.
-        spec: String,
-        /// The requested size.
-        n: usize,
-        /// The dense cap that rejected it.
-        cap: usize,
-        /// What the sparse backend would admit.
-        sparse_cap: usize,
+        /// A loaded file's edge count `m`, when the cap is the `m + 1`
+        /// vertices a connected graph on those edges can have.
+        edges: Option<usize>,
     },
 }
 
@@ -189,35 +168,25 @@ impl std::fmt::Display for SpecError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             SpecError::Invalid(m) => f.write_str(m),
-            SpecError::TooLarge { spec, n, cap } => write!(
-                f,
-                "graph '{spec}' asks for {n} vertices — too large for the simulated clique (max {cap})"
-            ),
-            SpecError::DenseOnlyTooLarge {
+            SpecError::TooLarge {
                 spec,
                 n,
                 cap,
-                sparse_cap,
-            } => {
-                write!(
-                    f,
-                    "graph '{spec}' asks for {n} vertices — too large for the dense matrix \
-                     backend (max {cap}); "
-                )?;
-                if *sparse_cap == usize::MAX {
-                    write!(
-                        f,
-                        "loaded edge lists are accepted without a size cap with the sparse \
-                         backend (--backend sparse)"
-                    )
-                } else {
-                    write!(
-                        f,
-                        "this sparse-friendly family is accepted up to {sparse_cap} with the \
-                         sparse backend (--backend sparse)"
-                    )
-                }
-            }
+                edges: None,
+            } => write!(
+                f,
+                "graph '{spec}' asks for {n} vertices — too large for the simulated clique (max {cap})"
+            ),
+            SpecError::TooLarge {
+                spec,
+                n,
+                cap,
+                edges: Some(m),
+            } => write!(
+                f,
+                "graph '{spec}' asks for {n} vertices but has {m} edges — too large to be \
+                 connected (max {cap})"
+            ),
         }
     }
 }
@@ -234,7 +203,7 @@ any family but file takes a -w suffix (er-w:N:P, grid-w:RxC, ...):
 same topology, deterministic integer edge weights in 1..=8";
 
 /// Builds the graph a spec describes, under the default [`SpecLimits`]
-/// (dense backend, `CCT_MAX_N`-overridable cap).
+/// (the dense cap for every family, `CCT_MAX_N`-overridable).
 ///
 /// # Errors
 ///
@@ -260,12 +229,12 @@ pub fn parse_spec<R: Rng + ?Sized>(spec: &str, rng: &mut R) -> Result<Graph, Spe
 }
 
 /// [`parse_spec`] under explicit [`SpecLimits`] (the CLI and service
-/// pass backend-aware limits here).
+/// pass the limits of the algorithm that consumes the graph here).
 ///
 /// # Errors
 ///
 /// As [`parse_spec`]; size violations come back as the typed
-/// [`SpecError::TooLarge`] / [`SpecError::DenseOnlyTooLarge`] variants.
+/// [`SpecError::TooLarge`] variant.
 pub fn parse_spec_with_limits<R: Rng + ?Sized>(
     spec: &str,
     rng: &mut R,
@@ -282,28 +251,25 @@ pub fn parse_spec_with_limits<R: Rng + ?Sized>(
         // The caps below are checked before the graph is built: building
         // allocates adjacency for every vertex up to the largest id.
         let list = crate::io::read_edges(path).map_err(invalid)?;
-        let n = list.n;
+        let (n, m) = (list.n, list.edges.len());
+        let too_large = |cap: usize, edges: Option<usize>| SpecError::TooLarge {
+            spec: spec.to_string(),
+            n,
+            cap,
+            edges,
+        };
         // The single override: an explicitly set CCT_MAX_N bounds loaded
-        // graphs under every backend.
-        if let Some(cap) = limits.file_cap {
-            if n > cap {
-                return Err(SpecError::TooLarge {
-                    spec: spec.to_string(),
-                    n,
-                    cap,
-                });
-            }
+        // graphs for every algorithm.
+        if let Some(cap) = limits.file_cap.filter(|&cap| n > cap) {
+            return Err(too_large(cap, None));
         }
-        // The dense pipeline still allocates Θ(n²); past the dense cap
-        // the typed error names the fix, and the sparse backend admits
-        // the load uncapped.
-        if !limits.sparse_backend && n > limits.dense_cap {
-            return Err(SpecError::DenseOnlyTooLarge {
-                spec: spec.to_string(),
-                n,
-                cap: limits.dense_cap,
-                sparse_cap: limits.file_cap.unwrap_or(usize::MAX),
-            });
+        if !limits.keeps_sparse && n > limits.dense_cap {
+            return Err(too_large(limits.dense_cap, None));
+        }
+        // No connected graph has n > m + 1, and every consumer refuses a
+        // disconnected one: refusing here keeps an uncapped load O(m).
+        if n > m.saturating_add(1) {
+            return Err(too_large(m + 1, Some(m)));
         }
         return list.into_graph().map_err(invalid);
     }
@@ -314,24 +280,17 @@ pub fn parse_spec_with_limits<R: Rng + ?Sized>(
     };
     // Size-cap check, applied *before* any generator allocates. The cap
     // depends on whether this spec's family is sparse-friendly and
-    // whether the sparse backend is active.
+    // whether the consuming algorithm keeps sparse inputs sparse.
     let capped = |v: usize, sparse_friendly: bool| -> Result<usize, SpecError> {
         let cap = limits.cap_for(sparse_friendly);
         if v <= cap {
             return Ok(v);
         }
-        if sparse_friendly && !limits.sparse_backend && v <= limits.sparse_cap() {
-            return Err(SpecError::DenseOnlyTooLarge {
-                spec: spec.to_string(),
-                n: v,
-                cap,
-                sparse_cap: limits.sparse_cap(),
-            });
-        }
         Err(SpecError::TooLarge {
             spec: spec.to_string(),
             n: v,
             cap,
+            edges: None,
         })
     };
     let pair = |s: &str| -> Result<(usize, usize), SpecError> {
@@ -674,37 +633,38 @@ mod tests {
 
     #[test]
     fn sparse_backend_admits_sparse_families_past_the_dense_cap() {
+        // The limits of a Θ(n²) consumer (`base`) and of one that keeps
+        // large sparse inputs sparse in the CSR backend (`sparse`).
         let base = SpecLimits {
             dense_cap: MAX_SPEC_SIZE,
-            sparse_backend: false,
+            keeps_sparse: false,
             file_cap: None,
         };
-        let sparse = base.with_sparse_backend(true);
+        let sparse = SpecLimits {
+            keeps_sparse: true,
+            ..base
+        };
         assert_eq!(sparse.sparse_cap(), MAX_SPEC_SIZE * SPARSE_CAP_FACTOR);
         for spec in ["cycle:20000", "path:20000", "star:20000"] {
-            // Dense backend: typed dense-only rejection naming the fix.
             match parse_spec_with_limits(spec, &mut rng(), &base).unwrap_err() {
-                SpecError::DenseOnlyTooLarge {
-                    n, cap, sparse_cap, ..
-                } => {
-                    assert_eq!((n, cap), (20_000, MAX_SPEC_SIZE));
-                    assert_eq!(sparse_cap, MAX_SPEC_SIZE * SPARSE_CAP_FACTOR);
-                }
-                other => panic!("{spec}: expected DenseOnlyTooLarge, got {other:?}"),
+                SpecError::TooLarge { n, cap, .. } => assert_eq!((n, cap), (20_000, MAX_SPEC_SIZE)),
+                other => panic!("{spec}: expected TooLarge, got {other:?}"),
             }
-            // Sparse backend: builds.
             let g = parse_spec_with_limits(spec, &mut rng(), &sparse).unwrap();
             assert_eq!(g.n(), 20_000, "{spec}");
         }
-        // Dense-only families stay capped even under the sparse backend.
+        // Dense-only families stay capped even for a sparse consumer.
         match parse_spec_with_limits("complete:20000", &mut rng(), &sparse).unwrap_err() {
             SpecError::TooLarge { n, cap, .. } => assert_eq!((n, cap), (20_000, MAX_SPEC_SIZE)),
             other => panic!("expected TooLarge, got {other:?}"),
         }
-        // Beyond even the sparse cap: plain TooLarge, no false promise.
+        // Beyond even the sparse cap.
         let way_past = MAX_SPEC_SIZE * SPARSE_CAP_FACTOR + 1;
-        match parse_spec_with_limits(&format!("cycle:{way_past}"), &mut rng(), &base).unwrap_err() {
-            SpecError::TooLarge { n, .. } => assert_eq!(n, way_past),
+        match parse_spec_with_limits(&format!("cycle:{way_past}"), &mut rng(), &sparse).unwrap_err()
+        {
+            SpecError::TooLarge { n, cap, .. } => {
+                assert_eq!((n, cap), (way_past, sparse.sparse_cap()));
+            }
             other => panic!("expected TooLarge, got {other:?}"),
         }
     }
@@ -713,7 +673,7 @@ mod tests {
     fn er_sparse_friendliness_depends_on_expected_degree() {
         let sparse = SpecLimits {
             dense_cap: MAX_SPEC_SIZE,
-            sparse_backend: true,
+            keeps_sparse: true,
             file_cap: None,
         };
         // p·n = 0.001·16384 = 16.4 ≤ 64: sparse-friendly, admitted.
@@ -760,9 +720,9 @@ mod tests {
 
     #[test]
     fn file_specs_are_uncapped_under_the_sparse_backend() {
-        // A loaded graph past the dense cap: the dense backend rejects
-        // with the typed fix-naming error, the sparse backend admits it
-        // with no family cap at all.
+        // A loaded graph past the dense cap: a Θ(n²) consumer refuses
+        // it, one that keeps sparse inputs sparse in the CSR backend
+        // admits it with no family cap at all.
         let mut text = String::new();
         let n = MAX_SPEC_SIZE + 8;
         for u in 0..n - 1 {
@@ -772,32 +732,33 @@ mod tests {
         let spec = format!("file:{}", path.display());
         let base = SpecLimits {
             dense_cap: MAX_SPEC_SIZE,
-            sparse_backend: false,
+            keeps_sparse: false,
             file_cap: None,
         };
         match parse_spec_with_limits(&spec, &mut rng(), &base).unwrap_err() {
-            SpecError::DenseOnlyTooLarge { n: got, cap, .. } => {
-                assert_eq!((got, cap), (n, MAX_SPEC_SIZE));
-            }
-            other => panic!("expected DenseOnlyTooLarge, got {other:?}"),
+            SpecError::TooLarge { n: got, cap, .. } => assert_eq!((got, cap), (n, MAX_SPEC_SIZE)),
+            other => panic!("expected TooLarge, got {other:?}"),
         }
-        let g = parse_spec_with_limits(&spec, &mut rng(), &base.with_sparse_backend(true)).unwrap();
+        let sparse = SpecLimits {
+            keeps_sparse: true,
+            ..base
+        };
+        let g = parse_spec_with_limits(&spec, &mut rng(), &sparse).unwrap();
         assert_eq!(g.n(), n);
         // An explicitly set CCT_MAX_N (file_cap) is the single override:
-        // it bounds file loads even under the sparse backend…
+        // it bounds file loads even for a sparse consumer…
         let capped = SpecLimits {
-            dense_cap: MAX_SPEC_SIZE,
-            sparse_backend: true,
             file_cap: Some(64),
+            ..sparse
         };
         assert!(matches!(
             parse_spec_with_limits(&spec, &mut rng(), &capped).unwrap_err(),
             SpecError::TooLarge { cap: 64, .. }
         ));
-        // …and a raised one admits the load under the dense backend too.
+        // …and a raised one admits the load for a dense consumer too.
         let raised = SpecLimits {
             dense_cap: n,
-            sparse_backend: false,
+            keeps_sparse: false,
             file_cap: Some(n),
         };
         assert!(parse_spec_with_limits(&spec, &mut rng(), &raised).is_ok());
@@ -809,32 +770,56 @@ mod tests {
         // reject it before adjacency for all those vertices is allocated.
         let dense = SpecLimits {
             dense_cap: MAX_SPEC_SIZE,
-            sparse_backend: false,
+            keeps_sparse: false,
             file_cap: None,
         };
         let path = write_temp_el("huge_id.el", "0 100000000000\n");
         let spec = format!("file:{}", path.display());
         match parse_spec_with_limits(&spec, &mut rng(), &dense).unwrap_err() {
-            SpecError::DenseOnlyTooLarge { n, cap, .. } => {
+            SpecError::TooLarge { n, cap, .. } => {
                 assert_eq!((n, cap), (100_000_000_001, MAX_SPEC_SIZE));
             }
-            other => panic!("expected DenseOnlyTooLarge, got {other:?}"),
+            other => panic!("expected TooLarge, got {other:?}"),
         }
+        let sparse = SpecLimits {
+            keeps_sparse: true,
+            ..dense
+        };
         let capped = SpecLimits {
             file_cap: Some(64),
-            ..dense.with_sparse_backend(true)
+            ..sparse
         };
         assert!(matches!(
             parse_spec_with_limits(&spec, &mut rng(), &capped).unwrap_err(),
             SpecError::TooLarge { cap: 64, .. }
         ));
+        // Uncapped, a one-edge file can only be a connected graph on two
+        // vertices: 50,000,001 or 10^11 + 1 vertices are refused before
+        // building, and the message says how many edges the file has.
+        let mid = write_temp_el("mid_id.el", "0 50000000\n");
+        for (path, n) in [(&path, 100_000_000_001), (&mid, 50_000_001)] {
+            let spec = format!("file:{}", path.display());
+            let err = parse_spec_with_limits(&spec, &mut rng(), &sparse).unwrap_err();
+            assert_eq!(
+                err,
+                SpecError::TooLarge {
+                    spec,
+                    n,
+                    cap: 2,
+                    edges: Some(1)
+                }
+            );
+            let message = err.to_string();
+            assert!(message.contains("too large"), "{message}");
+            assert!(message.contains("1 edges"), "{message}");
+        }
     }
 
     #[test]
     fn custom_dense_cap_is_honored() {
         let tiny = SpecLimits {
             dense_cap: 16,
-            sparse_backend: false,
+            keeps_sparse: false,
             file_cap: None,
         };
         assert!(parse_spec_with_limits("complete:16", &mut rng(), &tiny).is_ok());
@@ -845,7 +830,7 @@ mod tests {
         // A raised cap admits what the default rejects.
         let raised = SpecLimits {
             dense_cap: 10_000,
-            sparse_backend: false,
+            keeps_sparse: false,
             file_cap: None,
         };
         assert!(parse_spec_with_limits("path:9000", &mut rng(), &raised).is_ok());

@@ -48,7 +48,7 @@ proptest! {
         // The default limits, spelled out so CCT_MAX_N cannot change them.
         let limits = SpecLimits {
             dense_cap: MAX_SPEC_SIZE,
-            sparse_backend: false,
+            keeps_sparse: false,
             file_cap: None,
         };
         let path = std::env::temp_dir().join(format!("cct-graph-prop-{}.el", std::process::id()));

@@ -20,7 +20,7 @@
 //!   table, so the key is retried rather than cached as broken.
 
 use crate::request::Algorithm;
-use cct_core::{Backend, PreparedSampler};
+use cct_core::PreparedSampler;
 use std::collections::BTreeMap;
 use std::sync::{Arc, Condvar, Mutex};
 
@@ -32,18 +32,12 @@ use std::sync::{Arc, Condvar, Mutex};
 const MAX_TRACKED_KEYS: usize = 1024;
 
 /// What a cache entry is keyed by. Two requests share prepared state
-/// iff they agree on the algorithm, the matrix backend, *and* the graph
-/// spec string. The backend is part of the key because preparation
-/// materializes backend-specific state (a dense-prepared power table
-/// must never be replayed to serve a sparse-backend request — the draws
-/// would still be byte-identical, but the memory profile the client
-/// asked for would silently not exist).
+/// iff they agree on the algorithm *and* the graph spec string: one
+/// prepared sampler per graph.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct CacheKey {
     /// The phase sampler.
     pub algorithm: Algorithm,
-    /// The matrix backend the sampler prepares under.
-    pub backend: Backend,
     /// The graph spec string (denotes one fixed graph; see
     /// [`crate::spec_seed`]).
     pub graph_spec: String,
@@ -51,7 +45,7 @@ pub struct CacheKey {
 
 impl std::fmt::Display for CacheKey {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}:{}:{}", self.algorithm, self.backend, self.graph_spec)
+        write!(f, "{}:{}", self.algorithm, self.graph_spec)
     }
 }
 
@@ -352,7 +346,6 @@ mod tests {
     fn key(spec: &str) -> CacheKey {
         CacheKey {
             algorithm: Algorithm::Thm1,
-            backend: Backend::Auto,
             graph_spec: spec.into(),
         }
     }
@@ -389,40 +382,6 @@ mod tests {
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses, stats.len), (1, 1, 1));
         assert_eq!(stats.prepares_for(&k), 1);
-    }
-
-    #[test]
-    fn backend_is_part_of_the_key_never_colliding_entries() {
-        // Same algorithm + spec under different backends must occupy
-        // separate entries: a dense-prepared sampler is never replayed
-        // to serve a sparse-backend request.
-        let cache = PreparedCache::new(4);
-        let mk = |backend: Backend| CacheKey {
-            algorithm: Algorithm::Thm1,
-            backend,
-            graph_spec: "complete:8".into(),
-        };
-        let (dense, _) = cache.get_or_prepare(&mk(Backend::Dense), || prepare(8));
-        let (sparse, info) = cache.get_or_prepare(&mk(Backend::Sparse), || prepare(8));
-        assert!(!info.hit, "sparse request must not hit the dense entry");
-        assert!(!Arc::ptr_eq(&dense.unwrap(), &sparse.unwrap()));
-        let stats = cache.stats();
-        assert_eq!((stats.misses, stats.len), (2, 2));
-        assert_eq!(stats.prepares_for(&mk(Backend::Dense)), 1);
-        assert_eq!(stats.prepares_for(&mk(Backend::Sparse)), 1);
-        // And each backend's own key is a clean hit afterwards.
-        assert!(
-            cache
-                .get_or_prepare(&mk(Backend::Dense), || panic!("hit"))
-                .1
-                .hit
-        );
-        assert!(
-            cache
-                .get_or_prepare(&mk(Backend::Sparse), || panic!("hit"))
-                .1
-                .hit
-        );
     }
 
     #[test]

@@ -31,7 +31,8 @@
 //!
 //! * a graph spec denotes one fixed graph — randomized families seed
 //!   their generator from [`spec_seed`], a pure function of the spec
-//!   string;
+//!   string, and `file:` specs, whose content could change under the
+//!   same string, are refused;
 //! * draw `i` of a request samples from a fresh RNG seeded with
 //!   [`SampleRequest::draw_seed`]`(i)` =
 //!   [`cct_sim::machine_seed`]`(seed, i)` — streams are derived, never

@@ -23,7 +23,6 @@
 //! served trees and ledgers are byte-identical to a cold
 //! single-threaded `CliqueTreeSampler` run at the same derived seeds.
 
-use cct_core::Backend;
 use cct_json::Json;
 use cct_sim::machine_seed;
 
@@ -130,11 +129,6 @@ pub struct SampleRequest {
     pub seed: u64,
     /// How many trees to draw (1 ..= [`MAX_COUNT`]).
     pub count: u32,
-    /// Transition-matrix backend for the prepared sampler. Part of the
-    /// cache key (a dense-prepared entry is never replayed as sparse),
-    /// but **not** of the determinism contract: every backend serves
-    /// byte-identical draws.
-    pub backend: Backend,
 }
 
 impl SampleRequest {
@@ -145,19 +139,12 @@ impl SampleRequest {
             algorithm: Algorithm::Thm1,
             seed: 0,
             count: 1,
-            backend: Backend::Auto,
         }
     }
 
     /// Sets the algorithm.
     pub fn algorithm(mut self, algorithm: Algorithm) -> Self {
         self.algorithm = algorithm;
-        self
-    }
-
-    /// Sets the matrix backend.
-    pub fn backend(mut self, backend: Backend) -> Self {
-        self.backend = backend;
         self
     }
 
@@ -217,7 +204,6 @@ impl SampleRequest {
             ),
             ("seed".into(), Json::from_u64(self.seed)),
             ("count".into(), Json::Num(f64::from(self.count))),
-            ("backend".into(), Json::Str(self.backend.as_str().into())),
         ])
     }
 
@@ -241,7 +227,6 @@ impl SampleRequest {
         let mut algorithm = Algorithm::Thm1;
         let mut seed = 0u64;
         let mut count = 1u32;
-        let mut backend = Backend::Auto;
         for (key, v) in fields {
             match key.as_str() {
                 "graph" => {
@@ -277,16 +262,6 @@ impl SampleRequest {
                         ProtocolError::new(format!("'count' must be in 1..={MAX_COUNT}, got {c}"))
                     })?;
                 }
-                "backend" => {
-                    let name = v
-                        .as_str()
-                        .ok_or_else(|| ProtocolError::new("'backend' must be a string"))?;
-                    backend = Backend::parse(name).ok_or_else(|| {
-                        ProtocolError::new(format!(
-                            "unknown backend '{name}' (expected auto, dense, or sparse)"
-                        ))
-                    })?;
-                }
                 other => {
                     return Err(ProtocolError::new(format!(
                         "unknown request field '{other}'"
@@ -300,7 +275,6 @@ impl SampleRequest {
             algorithm,
             seed,
             count,
-            backend,
         };
         built.validate()?;
         Ok(built)
@@ -470,20 +444,9 @@ mod tests {
         let r = SampleRequest::new("er:64:0.2")
             .algorithm(Algorithm::Exact)
             .seed(u64::MAX)
-            .count(17)
-            .backend(Backend::Sparse);
+            .count(17);
         let parsed = SampleRequest::parse_line(&r.to_json().compact()).unwrap();
         assert_eq!(parsed, r);
-    }
-
-    #[test]
-    fn backend_field_parses_and_defaults() {
-        let r = SampleRequest::parse_line(r#"{"graph": "k", "backend": "dense"}"#).unwrap();
-        assert_eq!(r.backend, Backend::Dense);
-        let r = SampleRequest::parse_line(r#"{"graph": "k"}"#).unwrap();
-        assert_eq!(r.backend, Backend::Auto);
-        let err = SampleRequest::parse_line(r#"{"graph": "k", "backend": "csr"}"#).unwrap_err();
-        assert!(err.to_string().contains("unknown backend"), "{err}");
     }
 
     #[test]
@@ -514,6 +477,10 @@ mod tests {
             (r#"{"graph": "k", "alg": "thm1"}"#, "unknown request field"),
             (
                 r#"{"graph": "k", "precision": "f64"}"#,
+                "unknown request field",
+            ),
+            (
+                r#"{"graph": "k", "backend": "sparse"}"#,
                 "unknown request field",
             ),
             (

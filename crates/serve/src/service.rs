@@ -535,16 +535,28 @@ fn worker_loop(rx: &Mutex<mpsc::Receiver<Job>>, shared: &Shared) {
 }
 
 /// Builds the graph a spec denotes — a pure function of the spec string
-/// (RNG seeded by [`spec_seed`]), with size limits following the
-/// requested backend. Shared by the cached phase-sampler path and the
-/// uncached MST path so the two can never disagree on what a spec means.
+/// (RNG seeded by [`spec_seed`]). Shared by the cached phase-sampler
+/// path, the uncached MST path and snapshot restore, so they can never
+/// disagree on what a spec means.
+///
+/// The algorithm sets the size caps: thm1 and exact keep large sparse
+/// inputs sparse, while MST replicates an `n`-word label array on each
+/// of `n` machines and keeps the dense cap. `file:` specs are refused:
+/// the server would open any path a client names and echo parse errors
+/// quoting its content, and a file can change under a spec string that
+/// the cache takes to denote one fixed graph.
 pub(crate) fn build_spec_graph(
     spec: &str,
-    backend: cct_core::Backend,
+    algorithm: Algorithm,
 ) -> Result<cct_graph::Graph, String> {
+    if spec.starts_with("file:") {
+        return Err("bad graph spec: file: specs are not served; use a generator family".into());
+    }
     let mut rng = rand::rngs::StdRng::seed_from_u64(spec_seed(spec));
-    let limits = cct_graph::spec::SpecLimits::from_env()
-        .with_sparse_backend(backend == cct_core::Backend::Sparse);
+    let limits = cct_graph::spec::SpecLimits {
+        keeps_sparse: algorithm != Algorithm::Mst,
+        ..cct_graph::spec::SpecLimits::from_env()
+    };
     cct_graph::spec::parse_spec_with_limits(spec, &mut rng, &limits)
         .map_err(|e| format!("bad graph spec: {e}"))
 }
@@ -556,7 +568,7 @@ pub(crate) fn build_spec_graph(
 /// draws still carry their derived seeds so the response shape matches
 /// the sampler algorithms.
 fn process_mst(request: SampleRequest) -> Result<SampleResponse, ServeError> {
-    let graph = build_spec_graph(&request.graph_spec, request.backend).map_err(ServeError::new)?;
+    let graph = build_spec_graph(&request.graph_spec, Algorithm::Mst).map_err(ServeError::new)?;
     let report = cct_core::MstEngine::new()
         .run(&graph)
         .map_err(|e| ServeError::new(e.to_string()))?;
@@ -590,21 +602,13 @@ fn process(shared: &Shared, request: SampleRequest) -> Result<SampleResponse, Se
     }
     let key = CacheKey {
         algorithm: request.algorithm,
-        backend: request.backend,
         graph_spec: request.graph_spec.clone(),
     };
-    // The request's backend overrides the service config's: the key and
-    // the prepared state must agree, and draws are backend-invariant.
-    let config = shared
-        .options
-        .config_for(request.algorithm)
-        .clone()
-        .backend(request.backend);
     let (prepared, cache) = shared.cache.get_or_prepare(&key, || {
         // The graph is a pure function of the spec string (the cache
         // key's half of the determinism contract).
-        let graph = build_spec_graph(&key.graph_spec, key.backend)?;
-        CliqueTreeSampler::new(config)
+        let graph = build_spec_graph(&key.graph_spec, key.algorithm)?;
+        CliqueTreeSampler::new(shared.options.config_for(key.algorithm).clone())
             .prepare(&graph)
             .map_err(|e| e.to_string())
     });
@@ -712,6 +716,10 @@ mod tests {
         serve(quick_options(), |handle| {
             for (req, needle) in [
                 (SampleRequest::new("no-such-family:4"), "bad graph spec"),
+                (
+                    SampleRequest::new("file:Cargo.toml"),
+                    "file: specs are not served",
+                ),
                 (SampleRequest::new("petersen").count(0), "'count'"),
                 (SampleRequest::new(""), "empty"),
             ] {
@@ -733,20 +741,6 @@ mod tests {
             assert_eq!(responses.len(), 6);
             // One preparation served all six (same key).
             assert_eq!(handle.cache_stats().total_prepares(), 1);
-        });
-    }
-
-    #[test]
-    fn backends_serve_identical_draws_from_separate_entries() {
-        use cct_core::Backend;
-        serve(quick_options(), |handle| {
-            let req = |b: Backend| SampleRequest::new("cycle:64").seed(5).count(2).backend(b);
-            let dense = handle.request(req(Backend::Dense)).unwrap();
-            let sparse = handle.request(req(Backend::Sparse)).unwrap();
-            // Separate cache entries (the collision fix)…
-            assert_eq!(handle.cache_stats().misses, 2, "distinct keys");
-            // …but byte-identical draws (the backend contract).
-            assert_eq!(dense.draws, sparse.draws);
         });
     }
 
@@ -780,7 +774,7 @@ mod tests {
             assert_eq!(handle.cache_stats().total_prepares(), 0);
             // Cold verification: the served tree is the Kruskal MST of
             // the graph the spec denotes.
-            let graph = super::build_spec_graph("grid-w:3x3", cct_core::Backend::Auto).unwrap();
+            let graph = super::build_spec_graph("grid-w:3x3", Algorithm::Mst).unwrap();
             let reference = cct_walks::kruskal_mst(&graph).unwrap();
             assert_eq!(response.draws[0].edges, reference.edges());
         });

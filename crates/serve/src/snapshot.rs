@@ -1,13 +1,13 @@
 //! Cache persistence: serialize the prepared-sampler cache to a
 //! versioned binary file so a restarted server warms instantly.
 //!
-//! # Format (version 3, little-endian throughout)
+//! # Format (version 4, little-endian throughout)
 //!
 //! The file, in order:
 //!
 //! ```text
 //! magic     8 bytes  b"CCTSNAP1"
-//! version   u32      3
+//! version   u32      4
 //! entries   u32      entry count
 //! entry*    —        `entries` times, see below
 //! checksum  u64      FNV-1a over every preceding byte
@@ -17,7 +17,6 @@
 //!
 //! ```text
 //! algorithm  u8       index into `Algorithm::ALL`
-//! backend    u8       0 auto, 1 dense, 2 sparse
 //! spec_len   u32      byte length of the graph spec
 //! spec       bytes    the graph spec string (UTF-8)
 //! config_fp  u64      FNV-1a of the serving SamplerConfig's Debug text
@@ -30,13 +29,14 @@
 //!                     0 absent, 1 present and followed by a matrix
 //! ```
 //!
-//! The algorithm, backend and spec are the entry's [`CacheKey`]. The
-//! ledger is the table's exact round charge. Only **materialized**
-//! levels are present: absent levels rebuild lazily on demand, which is
-//! the point of the deferred table, and level 0 is always absent
-//! because it is `p`. A matrix is a tag byte (0 dense, 1 CSR),
-//! `rows u32` and `cols u32`, then either `rows × cols` row-major
-//! `f64`s or, per row, `nnz u32` followed by `nnz` pairs of
+//! The algorithm and spec are the entry's [`CacheKey`]; version 3 also
+//! stored a matrix-backend byte after the algorithm, so its files are
+//! rejected whole. The ledger is the table's exact round charge. Only
+//! **materialized** levels are present: absent levels rebuild lazily on
+//! demand, which is the point of the deferred table, and level 0 is
+//! always absent because it is `p`. A matrix is a tag byte (0 dense,
+//! 1 CSR), `rows u32` and `cols u32`, then either `rows × cols`
+//! row-major `f64`s or, per row, `nnz u32` followed by `nnz` pairs of
 //! `column u32, value f64`.
 //!
 //! # Trust model: verify, then inject
@@ -55,7 +55,7 @@
 use crate::cache::{CacheKey, PreparedCache};
 use crate::request::Algorithm;
 use crate::service::{build_spec_graph, ServeOptions};
-use cct_core::{Backend, PreparedSampler, SamplerConfig};
+use cct_core::{PreparedSampler, SamplerConfig};
 use cct_linalg::{CsrMatrix, Matrix, PMatrix};
 use cct_sim::{CostCategory, RoundLedger};
 use std::io::Write;
@@ -67,7 +67,7 @@ pub const SNAPSHOT_MAGIC: &[u8; 8] = b"CCTSNAP1";
 
 /// The format version this build writes and accepts; files of any other
 /// version are rejected whole and rebuild cold.
-pub const SNAPSHOT_VERSION: u32 = 3;
+pub const SNAPSHOT_VERSION: u32 = 4;
 
 /// What a restore attempt accomplished: `restored` entries were
 /// verified and installed, `skipped` entries failed verification
@@ -113,23 +113,6 @@ fn put_u64(buf: &mut Vec<u8>, v: u64) {
 
 fn put_f64(buf: &mut Vec<u8>, v: f64) {
     buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn backend_tag(backend: Backend) -> u8 {
-    match backend {
-        Backend::Auto => 0,
-        Backend::Dense => 1,
-        Backend::Sparse => 2,
-    }
-}
-
-fn backend_from_tag(tag: u8) -> Result<Backend, String> {
-    match tag {
-        0 => Ok(Backend::Auto),
-        1 => Ok(Backend::Dense),
-        2 => Ok(Backend::Sparse),
-        other => Err(format!("unknown backend tag {other}")),
-    }
 }
 
 fn algorithm_tag(algorithm: Algorithm) -> u8 {
@@ -182,7 +165,6 @@ fn encode_ledger(buf: &mut Vec<u8>, ledger: &RoundLedger) {
 
 fn encode_entry(buf: &mut Vec<u8>, key: &CacheKey, config_fp: u64, prepared: &PreparedSampler) {
     buf.push(algorithm_tag(key.algorithm));
-    buf.push(backend_tag(key.backend));
     put_u32(buf, key.graph_spec.len() as u32);
     buf.extend_from_slice(key.graph_spec.as_bytes());
     put_u64(buf, config_fp);
@@ -308,7 +290,6 @@ struct DecodedEntry {
 
 fn decode_entry(r: &mut Reader) -> Result<DecodedEntry, String> {
     let algorithm = algorithm_from_tag(r.u8()?)?;
-    let backend = backend_from_tag(r.u8()?)?;
     let spec_len = r.u32()? as usize;
     if spec_len > crate::request::MAX_SPEC_LEN {
         return Err(format!("spec length {spec_len} exceeds the wire limit"));
@@ -341,7 +322,6 @@ fn decode_entry(r: &mut Reader) -> Result<DecodedEntry, String> {
     Ok(DecodedEntry {
         key: CacheKey {
             algorithm,
-            backend,
             graph_spec,
         },
         config_fp,
@@ -375,11 +355,8 @@ pub fn write_snapshot(
         .collect();
     put_u32(&mut buf, writable.len() as u32);
     for (key, prepared) in &writable {
-        let config = options
-            .config_for(key.algorithm)
-            .clone()
-            .backend(key.backend);
-        encode_entry(&mut buf, key, config_fingerprint(&config), prepared);
+        let config_fp = config_fingerprint(options.config_for(key.algorithm));
+        encode_entry(&mut buf, key, config_fp, prepared);
     }
     let checksum = fnv64(&buf);
     put_u64(&mut buf, checksum);
@@ -455,14 +432,11 @@ fn restore_entry(entry: &DecodedEntry, options: &ServeOptions) -> Result<Prepare
     if entry.key.algorithm == Algorithm::Mst {
         return Err("MST entries are never cached".into());
     }
-    let config = options
-        .config_for(entry.key.algorithm)
-        .clone()
-        .backend(entry.key.backend);
-    if config_fingerprint(&config) != entry.config_fp {
+    let config = options.config_for(entry.key.algorithm);
+    if config_fingerprint(config) != entry.config_fp {
         return Err("serving config changed since the snapshot was written".into());
     }
-    let graph = build_spec_graph(&entry.key.graph_spec, entry.key.backend)?;
+    let graph = build_spec_graph(&entry.key.graph_spec, entry.key.algorithm)?;
     let (levels, ledger) = match &entry.phase1 {
         Some((ledger, saturated, levels)) => {
             if *saturated != ledger.saturated() {
@@ -472,7 +446,7 @@ fn restore_entry(entry: &DecodedEntry, options: &ServeOptions) -> Result<Prepare
         }
         None => (Vec::new(), None),
     };
-    PreparedSampler::restore(config, &graph, &entry.p, levels, ledger)
+    PreparedSampler::restore(config.clone(), &graph, &entry.p, levels, ledger)
 }
 
 #[cfg(test)]
@@ -492,7 +466,7 @@ mod tests {
     }
 
     fn prepared_for(spec: &str, options: &ServeOptions) -> Arc<PreparedSampler> {
-        let graph = build_spec_graph(spec, Backend::Auto).unwrap();
+        let graph = build_spec_graph(spec, Algorithm::Thm1).unwrap();
         CliqueTreeSampler::new(options.config_for(Algorithm::Thm1).clone())
             .prepare(&graph)
             .unwrap()
@@ -502,7 +476,6 @@ mod tests {
     fn key(spec: &str) -> CacheKey {
         CacheKey {
             algorithm: Algorithm::Thm1,
-            backend: Backend::Auto,
             graph_spec: spec.into(),
         }
     }
@@ -620,15 +593,16 @@ mod tests {
         v[8] = 99;
         std::fs::write(&path, &v).unwrap();
         assert!(load_snapshot(&path, &options, &cache).is_err());
-        // A sealed file of another version is rejected whole by its
+        // A sealed file of another version — here version 3, which also
+        // stored a backend byte per entry — is rejected whole by its
         // version field.
         let mut old = bytes[..bytes.len() - 8].to_vec();
-        old[8..12].copy_from_slice(&2u32.to_le_bytes());
+        old[8..12].copy_from_slice(&3u32.to_le_bytes());
         let checksum = fnv64(&old);
         old.extend_from_slice(&checksum.to_le_bytes());
         std::fs::write(&path, &old).unwrap();
         let err = load_snapshot(&path, &options, &cache).unwrap_err();
-        assert!(err.contains("version 2 unsupported"), "{err}");
+        assert!(err.contains("version 3 unsupported"), "{err}");
         assert_eq!(cache.stats().len, 0);
         std::fs::remove_file(&path).unwrap();
     }

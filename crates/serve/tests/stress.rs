@@ -212,7 +212,6 @@ fn single_flight_prepares_each_key_exactly_once() {
                 (
                     CacheKey {
                         algorithm: Algorithm::Thm1,
-                        backend: cct_core::Backend::Auto,
                         graph_spec: s.into(),
                     },
                     1,

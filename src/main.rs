@@ -8,7 +8,7 @@
 //! cct --help
 //! ```
 
-use cct::core::{direction4_sample, Backend, CliqueTreeSampler, SamplerConfig, Workers};
+use cct::core::{direction4_sample, CliqueTreeSampler, SamplerConfig, Workers};
 use cct::graph::{Graph, SpanningTree};
 use cct::prelude::*;
 use cct::sim::Clique;
@@ -48,11 +48,20 @@ OPTIONS:
                    vertex graphs; '#' comments; whitespace-separated;
                    vertices are 0-based ids; lines are 'u v' or
                    'u v w' but never a mix)
-                   Generated size parameters are capped at 8192;
+                   Size caps follow the algorithm (default cap 8192;
                    CCT_MAX_N is the single override for every cap,
-                   including file: loads (unset = file: is uncapped,
-                   generated sparse families raise to 8x under
-                   --backend sparse)
+                   including file: loads). mst, doubling and direction4
+                   hold n^2 state, so every spec is held to the cap.
+                   thm1, exact and the sequential baselines keep sparse
+                   inputs sparse: cycle, path, star and low-density er
+                   go to 8x the cap, and file: loads are uncapped (a
+                   file naming more vertices than its edge count + 1
+                   cannot be connected and is refused). thm1/exact
+                   store the transition matrix in CSR for large sparse
+                   inputs and take inputs whose dense doubling table
+                   would exceed 2 GiB out of core: CSR-only state,
+                   streamed phase walks, no n^2 allocation. Trees and
+                   round counts never depend on the representation.
     --seed N       RNG seed (default 2025)
     --trials N     sample N trees (default 1)
     --samples N    thm1/exact only: prepare the graph once and draw N
@@ -64,15 +73,6 @@ OPTIONS:
     --workers N    parallel round engine with exactly N workers
                    (implies --parallel; same seed gives the same tree
                    and round counts at every worker count)
-    --backend B    transition-matrix backend: auto (default), dense, or
-                   sparse. Trees and round counts are byte-identical
-                   across backends; sparse trades wall-clock shape for
-                   memory and raises the size cap for sparse-friendly
-                   specs (cycle, path, star, low-density er) to 8x.
-                   CCT_MAX_N overrides the base cap (default 8192).
-                   Inputs whose dense doubling table would exceed 2 GiB
-                   take the out-of-core route automatically: CSR-only
-                   state, streamed phase walks, no n^2 allocation.
     --dot          print the tree as Graphviz instead of an edge list
     --help         this text
 
@@ -106,13 +106,13 @@ SERVE OPTIONS (cct serve — the batched sampling service):
 
 REQUEST OPTIONS (cct request — one request against a running service):
     --connect ADDR   unix:PATH or HOST:PORT
-    --graph SPEC     graph spec (default complete:16)
+    --graph SPEC     graph spec (default complete:16); caps as for the
+                     CLI, with mst held to the dense cap. The service
+                     refuses file: specs: it never opens a path a
+                     client names
     --algorithm A    thm1, exact, or mst (default thm1)
     --seed N         master seed; draw i runs at machine_seed(N, i)
     --count K        trees to draw (default 1)
-    --backend B      auto (default), dense, or sparse — keyed separately
-                     in the service's PreparedSampler cache; draws are
-                     byte-identical across backends
     --stats          print the server's stats frame as JSON and exit
     --shutdown       ask the server to drain gracefully and exit
     Trees print to stdout ('tree: …' lines, identical across replays);
@@ -121,20 +121,19 @@ REQUEST OPTIONS (cct request — one request against a running service):
 
 /// Builds the graph a `--graph` spec describes; the grammar and all
 /// domain/size validation live in [`cct::graph::spec`], shared with the
-/// sampling service's `graph_spec` request field. The backend choice
-/// feeds the size limits: sparse-friendly specs get the raised cap
-/// under a non-dense backend.
-fn parse_graph(
-    spec: &str,
-    backend: Backend,
-    rng: &mut rand::rngs::StdRng,
-) -> Result<Graph, String> {
-    // Only an *explicit* sparse selection raises the cap: Auto would
-    // happily resolve sparse for a huge cycle, but admitting n ≫ 8192
-    // by default would surprise users with very long dense-promoted
-    // tails; opting in documents the intent.
-    let limits =
-        cct::graph::spec::SpecLimits::from_env().with_sparse_backend(backend == Backend::Sparse);
+/// sampling service's `graph_spec` request field. The algorithm sets
+/// the size caps: thm1 and exact run large sparse inputs out of core in
+/// CSR and the sequential baselines hold O(m) state, so they admit
+/// sparse-friendly specs past the dense cap; mst, direction4 and
+/// doubling hold Θ(n²) state and keep it.
+fn parse_graph(spec: &str, algorithm: &str, rng: &mut rand::rngs::StdRng) -> Result<Graph, String> {
+    let limits = cct::graph::spec::SpecLimits {
+        keeps_sparse: matches!(
+            algorithm,
+            "thm1" | "exact" | "wilson" | "aldous-broder" | "mst-strawman"
+        ),
+        ..cct::graph::spec::SpecLimits::from_env()
+    };
     cct::graph::spec::parse_spec_with_limits(spec, rng, &limits)
         .map_err(|e| format!("{e} (see --help)"))
 }
@@ -143,7 +142,7 @@ fn parse_graph(
 /// site shared by the `--trials` and `--samples` paths, so they can never
 /// drift apart (the prepared path's contract is "same trees as N
 /// sequential --trials runs").
-fn phase_sampler(algorithm: &str, workers: Workers, backend: Backend) -> CliqueTreeSampler {
+fn phase_sampler(algorithm: &str, workers: Workers) -> CliqueTreeSampler {
     let config = if algorithm == "exact" {
         SamplerConfig::exact_variant()
     } else {
@@ -156,7 +155,7 @@ fn phase_sampler(algorithm: &str, workers: Workers, backend: Backend) -> CliqueT
         Workers::Sequential => config.threads(4),
         _ => config.threads(1),
     };
-    CliqueTreeSampler::new(config.workers(workers).backend(backend))
+    CliqueTreeSampler::new(config.workers(workers))
 }
 
 fn print_tree(tree: &SpanningTree, dot: bool) {
@@ -285,11 +284,6 @@ fn run_request(args: &[String]) -> Result<(), String> {
                     .parse()
                     .map_err(|_| "bad count")?;
             }
-            "--backend" => {
-                let name = value(&mut it, "--backend")?;
-                request.backend = Backend::parse(&name)
-                    .ok_or(format!("unknown backend '{name}' (auto, dense, or sparse)"))?;
-            }
             "--stats" => command = Some(cct::serve::ControlCommand::Stats),
             "--shutdown" => command = Some(cct::serve::ControlCommand::Shutdown),
             other => return Err(format!("unknown request option '{other}' (see --help)")),
@@ -362,7 +356,6 @@ fn run() -> Result<(), String> {
     let mut samples: Option<usize> = None;
     let mut dot = false;
     let mut workers = Workers::Sequential;
-    let mut backend = Backend::Auto;
     let mut it = args.into_iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
@@ -371,11 +364,6 @@ fn run() -> Result<(), String> {
                 if workers == Workers::Sequential {
                     workers = Workers::Auto;
                 }
-            }
-            "--backend" => {
-                let name = it.next().ok_or("--backend needs a value")?;
-                backend = Backend::parse(&name)
-                    .ok_or(format!("unknown backend '{name}' (auto, dense, or sparse)"))?;
             }
             "--workers" => {
                 let k: usize = it
@@ -441,7 +429,7 @@ fn run() -> Result<(), String> {
     }
 
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-    let g = parse_graph(&graph_spec, backend, &mut rng)?;
+    let g = parse_graph(&graph_spec, &algorithm, &mut rng)?;
     eprintln!("graph: {} — n = {}, m = {}", graph_spec, g.n(), g.m());
 
     // Prepare-once/sample-many path: the graph-global preprocessing
@@ -449,7 +437,7 @@ fn run() -> Result<(), String> {
     // draw is bit-identical to the equivalent cold run at the same point
     // of the seed stream.
     if let Some(k) = samples {
-        let sampler = phase_sampler(&algorithm, workers, backend);
+        let sampler = phase_sampler(&algorithm, workers);
         let prepared = sampler.prepare(&g).map_err(|e| e.to_string())?;
         for t in 0..k {
             if k > 1 {
@@ -476,7 +464,7 @@ fn run() -> Result<(), String> {
         }
         match algorithm.as_str() {
             "thm1" | "exact" => {
-                let sampler = phase_sampler(&algorithm, workers, backend);
+                let sampler = phase_sampler(&algorithm, workers);
                 let report = sampler.sample(&g, &mut rng).map_err(|e| e.to_string())?;
                 print_tree(&report.tree, dot);
                 eprintln!(

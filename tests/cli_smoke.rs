@@ -235,66 +235,44 @@ fn unknown_algorithm_fails() {
 }
 
 #[test]
-fn backend_flag_produces_identical_trees_across_backends() {
-    // An odd cycle large enough that Auto/Sparse really run CSR levels:
-    // all three backends must print byte-identical stdout.
-    let reference = run_cct(&[
-        "thm1",
-        "--graph",
-        "cycle:65",
-        "--backend",
-        "dense",
-        "--seed",
-        "7",
-    ]);
-    assert!(reference.status.success());
-    for backend in ["sparse", "auto"] {
-        let out = run_cct(&[
-            "thm1",
-            "--graph",
-            "cycle:65",
-            "--backend",
-            backend,
-            "--seed",
-            "7",
-        ]);
-        assert!(out.status.success(), "--backend {backend} failed");
-        assert_eq!(out.stdout, reference.stdout, "--backend {backend} diverged");
-    }
-    let out = run_cct(&["thm1", "--backend", "csr"]);
-    assert!(!out.status.success(), "unknown backend must exit nonzero");
+fn backend_flag_is_an_unknown_option() {
+    // The matrix representation is internal: naming a backend on the
+    // command line is an error, not a silent no-op.
+    let out = run_cct(&["thm1", "--backend", "sparse"]);
+    assert_eq!(out.status.code(), Some(1));
+    assert!(
+        String::from_utf8_lossy(&out.stderr).contains("unknown option"),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
 }
 
 #[test]
 fn sparse_backend_raises_the_cap_for_sparse_friendly_specs() {
-    // Past the dense cap: rejected with the typed dense-only message…
-    let out = run_cct(&["wilson", "--graph", "star:10000", "--seed", "1"]);
-    assert!(!out.status.success());
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        stderr.contains("--backend sparse"),
-        "error must name the fix: {stderr}"
-    );
-    // …admitted under the sparse backend (a fast O(n)-edge algorithm).
+    // Past the dense cap, a sparse-friendly spec is admitted by the
+    // algorithms that keep it sparse: thm1 and exact run it in the CSR
+    // backend, wilson holds O(m) state.
     let g = generators::star(10_000);
-    let out = run_cct(&[
-        "wilson",
-        "--graph",
-        "star:10000",
-        "--backend",
-        "sparse",
-        "--seed",
-        "1",
-    ]);
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    assert_valid_spanning_tree(&String::from_utf8_lossy(&out.stdout), &g);
-    // Dense-only families stay capped even under the sparse backend.
-    let out = run_cct(&["thm1", "--graph", "complete:10000", "--backend", "sparse"]);
-    assert!(!out.status.success());
+    for alg in ["wilson", "thm1", "exact"] {
+        let out = run_cct(&[alg, "--graph", "star:10000", "--seed", "1"]);
+        assert!(
+            out.status.success(),
+            "{alg}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        assert_valid_spanning_tree(&String::from_utf8_lossy(&out.stdout), &g);
+    }
+    // The algorithms that hold Θ(n²) state keep the dense cap…
+    for alg in ["mst", "direction4", "doubling"] {
+        let out = run_cct(&[alg, "--graph", "star:10000", "--seed", "1"]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{alg}: {stderr}");
+        assert!(stderr.contains("too large"), "{alg}: {stderr}");
+    }
+    // …and dense-only families stay capped for every algorithm.
+    let out = run_cct(&["thm1", "--graph", "complete:10000"]);
+    assert_eq!(out.status.code(), Some(1));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("too large"));
 }
 
 #[test]
@@ -398,17 +376,18 @@ fn edge_lists_with_uniformly_huge_weights_print_a_tree() {
 
 #[test]
 fn cct_max_n_overrides_the_cap() {
-    // A lowered cap rejects what the default admits…
+    // A lowered cap rejects what the default admits (a path is
+    // sparse-friendly, so wilson's cap is 8 × 32 = 256)…
     let out = run_cct_env(
-        &["wilson", "--graph", "path:64", "--seed", "1"],
+        &["wilson", "--graph", "path:300", "--seed", "1"],
         &[("CCT_MAX_N", "32")],
     );
-    assert!(!out.status.success(), "CCT_MAX_N=32 must reject path:64");
-    // …and a raised cap admits what the default rejects (a star keeps
-    // the walk fast: O(n log n) cover time).
-    let g = generators::star(9_000);
+    assert!(!out.status.success(), "CCT_MAX_N=32 must reject path:300");
+    // …and a raised cap admits what the default rejects (a wheel is
+    // dense-only; its hub keeps the walk fast).
+    let g = generators::wheel(9_000);
     let out = run_cct_env(
-        &["wilson", "--graph", "star:9000", "--seed", "1"],
+        &["wilson", "--graph", "wheel:9000", "--seed", "1"],
         &[("CCT_MAX_N", "10000")],
     );
     assert!(

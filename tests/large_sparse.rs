@@ -16,7 +16,7 @@ fn rng(seed: u64) -> rand::rngs::StdRng {
 
 #[test]
 fn path_1e5_sparse_backend_stays_csr_resident() {
-    // A 10⁵-vertex path under --backend sparse: the default walk length
+    // A 10⁵-vertex path in the sparse backend: the default walk length
     // pushes the doubling table far past `max_table_bytes`, so prepare
     // must hold CSR-only state — n² bytes (10 GB dense-equivalent ÷ 8)
     // is the failure line, ~3 MB of CSR the expectation.
@@ -123,9 +123,12 @@ fn path_1e6_edge_list_loads_and_samples_its_spanning_tree() {
     let n = 1_000_000;
     let file = "tests/data/path_1e6.el";
     ensure_path_1e6(file, n);
-    let limits = cct::graph::spec::SpecLimits::from_env().with_sparse_backend(true);
+    let limits = cct::graph::spec::SpecLimits {
+        keeps_sparse: true,
+        ..cct::graph::spec::SpecLimits::from_env()
+    };
     let g = cct::graph::spec::parse_spec_with_limits(&format!("file:{file}"), &mut rng(1), &limits)
-        .expect("file: spec admits a 10⁶-vertex load under the sparse backend");
+        .expect("file: spec admits a 10⁶-vertex load for a sparse consumer");
     assert_eq!((g.n(), g.m()), (n, n - 1));
     let sampler = CliqueTreeSampler::new(SamplerConfig::new().backend(Backend::Sparse));
     let prepared = sampler.prepare(&g).expect("connected input");

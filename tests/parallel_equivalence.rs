@@ -39,9 +39,10 @@ fn worker_sweep() -> Vec<usize> {
 /// at their pre-backend cost), while any other backend runs the
 /// {Dense, that backend} pairing (Dense stays in as the reference leg).
 fn backend_sweep() -> Vec<Backend> {
-    match std::env::var("CCT_BACKEND")
-        .ok()
-        .and_then(|s| Backend::parse(&s))
+    let named = std::env::var("CCT_BACKEND").ok();
+    match Backend::ALL
+        .into_iter()
+        .find(|b| Some(b.as_str()) == named.as_deref())
     {
         None => vec![Backend::Dense, Backend::Sparse, Backend::Auto],
         Some(Backend::Dense) => vec![Backend::Dense],

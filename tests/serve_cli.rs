@@ -162,12 +162,16 @@ fn bad_requests_exit_nonzero_with_the_server_message() {
     // One worker: a request that killed it would leave the final
     // petersen request without a reply.
     let _server = spawn_server_with(&socket, &["--accept-limit", "4", "--workers", "1"]);
-    // One edge naming vertex 10^11: refused by the size cap before the
-    // graph would allocate adjacency for every vertex up to that id.
+    // One edge naming vertex 10^11, and a weight 10^300 times its
+    // neighbour's: the service refuses `file:` specs before it opens
+    // the file, so neither reaches the graph builder or the sampler.
     let huge = std::env::temp_dir().join(format!("cct-serve-cli-huge-{}.el", std::process::id()));
     std::fs::write(&huge, "0 100000000000\n").unwrap();
+    let heavy = std::env::temp_dir().join(format!("cct-serve-cli-heavy-{}.el", std::process::id()));
+    std::fs::write(&heavy, "0 1 1e300\n1 2 1\n").unwrap();
     let huge_spec = format!("file:{}", huge.display());
-    for spec in ["no-such-family:4", huge_spec.as_str()] {
+    let heavy_spec = format!("file:{}", heavy.display());
+    for spec in ["no-such-family:4", &huge_spec, &heavy_spec] {
         let bad_spec = request(&socket, &["--graph", spec]);
         assert!(!bad_spec.status.success());
         assert!(
@@ -177,19 +181,51 @@ fn bad_requests_exit_nonzero_with_the_server_message() {
         );
     }
     std::fs::remove_file(&huge).unwrap();
-    // A weight 10^300 times its neighbour's: the graph builds, and the
-    // sampler refuses it with an error frame instead of a panic.
-    let heavy = std::env::temp_dir().join(format!("cct-serve-cli-heavy-{}.el", std::process::id()));
-    std::fs::write(&heavy, "0 1 1e300\n1 2 1\n").unwrap();
-    let bad_weights = request(&socket, &["--graph", &format!("file:{}", heavy.display())]);
     std::fs::remove_file(&heavy).unwrap();
-    assert!(!bad_weights.status.success());
-    assert!(
-        String::from_utf8_lossy(&bad_weights.stderr).contains("max/min ratio"),
-        "stderr: {}",
-        String::from_utf8_lossy(&bad_weights.stderr)
-    );
     // The service survives the bad requests and keeps serving.
+    let ok = request(&socket, &["--graph", "petersen"]);
+    assert!(ok.status.success());
+}
+
+#[test]
+fn file_specs_are_refused_without_reading_the_file() {
+    let socket = socket_path("file");
+    let _server = spawn_server_with(&socket, &["--accept-limit", "2", "--workers", "1"]);
+    // A server that parsed this file would quote its first token back
+    // in the edge-list error.
+    let secret = std::env::temp_dir().join(format!("cct-serve-cli-secret-{}", std::process::id()));
+    std::fs::write(&secret, "secret-token-123 is not an edge\n").unwrap();
+    let out = request(&socket, &["--graph", &format!("file:{}", secret.display())]);
+    std::fs::remove_file(&secret).unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success());
+    assert!(stderr.contains("bad graph spec"), "stderr: {stderr}");
+    assert!(!stderr.contains("secret-token-123"), "stderr: {stderr}");
+    // The same worker then serves a generator spec.
+    let ok = request(&socket, &["--graph", "petersen"]);
+    assert!(ok.status.success());
+}
+
+#[test]
+fn caps_follow_the_algorithm_and_the_worker_survives() {
+    let socket = socket_path("caps");
+    let _server = spawn_server_with(&socket, &["--accept-limit", "3", "--workers", "1"]);
+    // MST replicates an n-word label array on each of n machines, so it
+    // keeps the dense cap: cycle:20000 is an error frame, not 3.2 GB.
+    let mst = request(&socket, &["--graph", "cycle:20000", "--algorithm", "mst"]);
+    let stderr = String::from_utf8_lossy(&mst.stderr);
+    assert!(!mst.status.success());
+    assert!(stderr.contains("too large"), "stderr: {stderr}");
+    // thm1 keeps a sparse input sparse, past the dense cap.
+    let path = request(&socket, &["--graph", "path:20000", "--seed", "7"]);
+    assert!(
+        path.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&path.stderr)
+    );
+    let tree = String::from_utf8_lossy(&path.stdout);
+    assert_eq!(tree.lines().count(), 1, "one draw, one tree line");
+    assert_eq!(tree.split_whitespace().count(), 1 + 19_999, "n - 1 edges");
     let ok = request(&socket, &["--graph", "petersen"]);
     assert!(ok.status.success());
 }
