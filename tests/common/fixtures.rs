@@ -250,3 +250,43 @@ pub fn exact_suite() -> Vec<Fixture> {
         ),
     ]
 }
+
+/// Seed-42 draws on the measured semiring engine, which the suites
+/// above never run: its product is the one engine that routes operand
+/// blocks between machines, the eager power table is its fallback, and
+/// a phase block reaches it padded to `diag(T, I)` and restricted back.
+/// The regular graphs are drawn from a fixed seed; `WalkLength::Fixed(4)`
+/// makes the exact variant extend its tables (Las Vegas), squaring
+/// through the engine. Captured before the dense engine product, the
+/// dense table builder and the dense Corollary-2 route were deleted.
+pub fn semiring_suite() -> Vec<ScalePin> {
+    use cct::core::EngineChoice;
+    use rand::SeedableRng;
+    let regular =
+        |n| generators::random_regular(n, 4, &mut rand::rngs::StdRng::seed_from_u64(2025));
+    vec![
+        (
+            "semiring thm1 regular:32:4",
+            regular(32),
+            SamplerConfig::new().engine(EngineChoice::Semiring),
+            0x8750_9aeb_9977_c078,
+            11740,
+        ),
+        (
+            "semiring exact regular:32:4",
+            regular(32),
+            SamplerConfig::exact_variant().engine(EngineChoice::Semiring),
+            0x19e0_c4fc_800a_49c4,
+            23328,
+        ),
+        (
+            "semiring exact fixed-4 regular:64:4",
+            regular(64),
+            SamplerConfig::exact_variant()
+                .engine(EngineChoice::Semiring)
+                .walk_length(WalkLength::Fixed(4)),
+            0x7cfd_7796_94f3_4fca,
+            24473,
+        ),
+    ]
+}

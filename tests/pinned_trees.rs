@@ -215,3 +215,28 @@ fn iterated_squaring_route_matches_exact_solve_trees() {
         assert_eq!(a.rounds, b.rounds, "{name}");
     }
 }
+
+#[test]
+fn semiring_engine_pins_hold_cold_and_prepared() {
+    // The measured engine's products, its eager power tables and the
+    // padded phase blocks, through both the cold and the prepared path.
+    for (name, g, config, hash, rounds) in fixtures::semiring_suite() {
+        let sampler = CliqueTreeSampler::new(config);
+        let prepared = sampler.prepare(&g).unwrap();
+        for (path, report) in [
+            (
+                "cold",
+                sampler.sample(&g, &mut rand::rngs::StdRng::seed_from_u64(42)),
+            ),
+            (
+                "prepared",
+                prepared.sample(&mut rand::rngs::StdRng::seed_from_u64(42)),
+            ),
+        ] {
+            let report = report.unwrap();
+            let case = format!("{name}, {path}");
+            assert_eq!(fixtures::tree_hash(report.tree.edges()), hash, "{case}");
+            assert_eq!(report.total_rounds(), rounds, "{case}");
+        }
+    }
+}
