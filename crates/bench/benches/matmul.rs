@@ -1,7 +1,7 @@
 //! Criterion bench: distributed matrix multiplication engines (the
 //! dominant per-phase cost, Lemma 5).
 
-use cct_linalg::{normalize_rows, Matrix};
+use cct_linalg::{normalize_rows, Matrix, PMatrix};
 use cct_sim::{Clique, FastOracleEngine, MatMulEngine, SemiringEngine};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::{Rng, SeedableRng};
@@ -19,6 +19,7 @@ fn bench_matmul(c: &mut Criterion) {
     for n in [64usize, 128, 216] {
         let a = random_stochastic(n, 1);
         let b_mat = random_stochastic(n, 2);
+        let (a_p, b_p) = (PMatrix::Dense(a.clone()), PMatrix::Dense(b_mat.clone()));
         group.bench_with_input(BenchmarkId::new("local", n), &n, |bench, _| {
             bench.iter(|| a.matmul(&b_mat));
         });
@@ -35,14 +36,14 @@ fn bench_matmul(c: &mut Criterion) {
             let engine = FastOracleEngine::default();
             bench.iter(|| {
                 let mut clique = Clique::new(n);
-                engine.multiply(&mut clique, &a, &b_mat)
+                engine.multiply(&mut clique, &a_p, &b_p)
             });
         });
         group.bench_with_input(BenchmarkId::new("semiring_simulated", n), &n, |bench, _| {
             let engine = SemiringEngine::new(1);
             bench.iter(|| {
                 let mut clique = Clique::new(n);
-                engine.multiply(&mut clique, &a, &b_mat)
+                engine.multiply(&mut clique, &a_p, &b_p)
             });
         });
     }

@@ -2,6 +2,7 @@
 //! (the per-phase derivative-graph cost of §2.4).
 
 use cct_graph::generators;
+use cct_linalg::Repr;
 use cct_schur::{
     schur_transition_exact, schur_transition_from_shortcut, shortcut_by_squaring, shortcut_exact,
     VertexSubset,
@@ -24,7 +25,7 @@ fn bench_schur(c: &mut Criterion) {
             b.iter(|| shortcut_exact(&g, &s));
         });
         group.bench_with_input(BenchmarkId::new("shortcut_squaring", n), &n, |b, _| {
-            b.iter(|| shortcut_by_squaring(&g, &s, 1e-10, 64));
+            b.iter(|| shortcut_by_squaring(&g, &s, 1e-10, 64, Repr::Dense));
         });
         group.bench_with_input(BenchmarkId::new("schur_laplacian", n), &n, |b, _| {
             b.iter(|| schur_transition_exact(&g, &s));

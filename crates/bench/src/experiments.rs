@@ -849,6 +849,7 @@ pub fn e17(quick: bool) {
 /// baseline (`--json` / `--baseline`).
 pub fn e18(quick: bool) -> crate::json::Json {
     use crate::json::Json;
+    use cct_linalg::Repr;
     use cct_schur::{shortcut_by_squaring, shortcut_by_squaring_dense};
     banner(
         "E18",
@@ -878,7 +879,7 @@ pub fn e18(quick: bool) -> crate::json::Json {
         let dense_ms = t.elapsed().as_secs_f64() * 1e3 / reps as f64;
         let t = std::time::Instant::now();
         for _ in 0..reps {
-            let (q, u) = shortcut_by_squaring(&g, &s, 1e-12, 64);
+            let (q, u) = shortcut_by_squaring(&g, &s, 1e-12, 64, Repr::Dense);
             assert_eq!(u, used, "block/dense squaring count diverged");
             std::hint::black_box(q);
         }

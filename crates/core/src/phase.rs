@@ -419,7 +419,7 @@ pub(crate) fn top_down_phase<R: Rng + ?Sized>(
                 // borrowed base (e.g. the prepared phase-1 cache) is
                 // never touched.
                 let last = powers.last();
-                let mut sq = engine.multiply_p(clique, last, last);
+                let mut sq = engine.multiply(clique, last, last);
                 sq.round_inplace(config.precision.rounding());
                 powers.push(sq);
             }

@@ -29,7 +29,7 @@ use crate::report::{PhaseMethod, PhaseReport, SampleReport};
 use cct_graph::{Graph, SpanningTree};
 use cct_linalg::{CsrMatrix, Matrix, PMatrix, Repr};
 use cct_schur::{
-    sample_first_visit_edge_with, schur_transition_from_shortcut_p, shortcut_by_squaring_pmatrix,
+    sample_first_visit_edge_with, schur_transition_from_shortcut_p, shortcut_by_squaring,
     shortcut_exact, VertexSubset,
 };
 use cct_sim::{
@@ -398,10 +398,10 @@ fn sample_with<R: Rng + ?Sized>(
                 let q = match config.schur {
                     SchurComputation::ExactSolve => PMatrix::Dense(shortcut_exact(g, &s)),
                     SchurComputation::IteratedSquaring { tol } => {
-                        // The adaptive route: starts in the backend's
-                        // representation, promoting per the fill-in
-                        // tracker; bit-identical to the dense block route.
-                        shortcut_by_squaring_pmatrix(g, &s, tol, 64, repr).0
+                        // Starts in the backend's representation,
+                        // promoting per the fill-in tracker; bit-identical
+                        // to the dense 2n × 2n route.
+                        shortcut_by_squaring(g, &s, tol, 64, repr).0
                     }
                 };
                 // Corollary 2's chain is 2n × 2n: charge the paper's
@@ -1073,9 +1073,9 @@ mod tests {
                         // down to which categories record words at all.
                         let top = padded_table.level(5);
                         let mut padded_clique = Clique::new(n);
-                        let padded_ext = engine.multiply_p(&mut padded_clique, top, top);
+                        let padded_ext = engine.multiply(&mut padded_clique, top, top);
                         let mut clique = Clique::new(n);
-                        let ext = block.multiply_p(&mut clique, table.level(5), table.level(5));
+                        let ext = block.multiply(&mut clique, table.level(5), table.level(5));
                         assert_eq!(clique.ledger(), padded_clique.ledger(), "{case}, ext");
                         assert_eq!(ext.to_dense(), s_block(&padded_ext, &s), "{case}, ext");
                     }

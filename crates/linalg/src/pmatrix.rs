@@ -57,7 +57,7 @@
 //! about 2/3 fill. Promotion is a representation change only; by the
 //! contract above it never changes a computed bit.
 
-use crate::{CsrMatrix, FixedPoint, Matrix};
+use crate::{CsrMatrix, Matrix};
 use rand::Rng;
 
 /// A concrete matrix representation, chosen by the backend knob.
@@ -95,22 +95,6 @@ pub enum PMatrix {
 }
 
 impl PMatrix {
-    /// An all-zero matrix in the given representation.
-    pub fn zeros(rows: usize, cols: usize, repr: Repr) -> Self {
-        match repr {
-            Repr::Dense => PMatrix::Dense(Matrix::zeros(rows, cols)),
-            Repr::Sparse => PMatrix::Sparse(CsrMatrix::zeros(rows, cols)),
-        }
-    }
-
-    /// The `n × n` identity in the given representation.
-    pub fn identity(n: usize, repr: Repr) -> Self {
-        match repr {
-            Repr::Dense => PMatrix::Dense(Matrix::identity(n)),
-            Repr::Sparse => PMatrix::Sparse(CsrMatrix::identity(n)),
-        }
-    }
-
     /// The representation this value currently uses.
     pub fn repr(&self) -> Repr {
         match self {
@@ -270,14 +254,6 @@ impl PMatrix {
         }
     }
 
-    /// Borrows the dense payload, if this is the dense representation.
-    pub fn as_dense(&self) -> Option<&Matrix> {
-        match self {
-            PMatrix::Dense(m) => Some(m),
-            PMatrix::Sparse(_) => None,
-        }
-    }
-
     /// The fill-in tracker: promotes a sparse matrix to dense once its
     /// CSR footprint reaches the dense footprint (the memory break-even,
     /// ≈ 2/3 fill). Dense inputs pass through. Values are unchanged bit
@@ -288,27 +264,6 @@ impl PMatrix {
                 PMatrix::Dense(m.to_dense())
             }
             other => other,
-        }
-    }
-
-    /// Compresses a dense product back to CSR when that is strictly
-    /// cheaper (used by pipelines whose operands were sparse but whose
-    /// kernel produced a dense buffer). Values unchanged bit for bit.
-    /// The decision is made from a count-only scan; the CSR copy is
-    /// built only when it actually wins (densified products — the
-    /// common case after a couple of squarings — cost no allocation).
-    pub fn compacted(self) -> PMatrix {
-        match self {
-            PMatrix::Dense(m) => {
-                let nnz = m.as_slice().iter().filter(|&&x| x != 0.0).count();
-                let csr_bytes = nnz * 12 + (m.rows() + 1) * 8;
-                if csr_bytes < m.as_slice().len() * 8 {
-                    PMatrix::Sparse(CsrMatrix::from_dense(&m))
-                } else {
-                    PMatrix::Dense(m)
-                }
-            }
-            other => other.promoted(),
         }
     }
 
@@ -371,12 +326,6 @@ impl PMatrix {
         }
     }
 
-    /// Truncates every entry toward zero (Lemma 7's `round(M)`), in
-    /// place; sparse entries truncated to exactly zero are dropped.
-    pub fn truncate_inplace(&mut self, fp: FixedPoint) {
-        self.round_inplace(crate::Rounding::Fixed(fp));
-    }
-
     /// Applies a [`crate::Rounding`] rule to every entry in place —
     /// the representation-adaptive `round(M)` of the power pipelines.
     /// `Exact` is a no-op; sparse entries rounded to exactly zero are
@@ -424,6 +373,7 @@ impl From<CsrMatrix> for PMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{FixedPoint, Rounding};
     use rand::SeedableRng;
 
     fn banded(n: usize, band: usize) -> Matrix {
@@ -512,8 +462,8 @@ mod tests {
         let d = Matrix::from_rows(&[vec![0.5, 1.0 / 64.0], vec![0.0, 0.75]]);
         let mut dense = PMatrix::Dense(d.clone());
         let mut sparse = PMatrix::Sparse(CsrMatrix::from_dense(&d));
-        dense.truncate_inplace(fp);
-        sparse.truncate_inplace(fp);
+        dense.round_inplace(Rounding::Fixed(fp));
+        sparse.round_inplace(Rounding::Fixed(fp));
         assert_eq!(sparse.to_dense(), dense.to_dense());
         assert_eq!(sparse.nnz(), 2, "1/64 truncates to zero at 4 bits");
     }
@@ -527,8 +477,8 @@ mod tests {
         let d = Matrix::from_rows(&[vec![1.0 / 64.0, 1.0 / 128.0], vec![0.5, 0.5]]);
         let mut dense = PMatrix::Dense(d.clone());
         let mut sparse = PMatrix::Sparse(CsrMatrix::from_dense(&d));
-        dense.truncate_inplace(fp);
-        sparse.truncate_inplace(fp);
+        dense.round_inplace(Rounding::Fixed(fp));
+        sparse.round_inplace(Rounding::Fixed(fp));
         assert_eq!(sparse.row_sum(0), 0.0);
         let mut r1 = rand::rngs::StdRng::seed_from_u64(5);
         let mut r2 = rand::rngs::StdRng::seed_from_u64(5);
@@ -561,7 +511,5 @@ mod tests {
         for i in 0..8 {
             assert_eq!(sparse.row_sum(i), dense.row_sum(i));
         }
-        // compacted() round-trips a sparse-worthy dense buffer.
-        assert!(PMatrix::Dense(banded(64, 1)).compacted().is_sparse());
     }
 }

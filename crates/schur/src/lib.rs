@@ -42,8 +42,7 @@ pub use schur::{
     schur_transition_from_shortcut, schur_transition_from_shortcut_p,
 };
 pub use shortcut::{
-    absorbing_chain, absorbing_chain_blocks, absorbing_chain_blocks_p, sample_first_visit_edge,
-    sample_first_visit_edge_with, shortcut_by_squaring, shortcut_by_squaring_dense,
-    shortcut_by_squaring_pmatrix, shortcut_exact,
+    absorbing_chain, absorbing_chain_blocks, sample_first_visit_edge, sample_first_visit_edge_with,
+    shortcut_by_squaring, shortcut_by_squaring_dense, shortcut_exact,
 };
 pub use subset::VertexSubset;

@@ -121,7 +121,7 @@ pub fn entry_matrix(g: &Graph, s: &VertexSubset) -> Matrix {
 }
 
 /// Corollary 3: the Schur transition matrix from the shortcut matrix
-/// `q` (as produced by [`crate::shortcut_exact`] or
+/// `q` (as produced by [`crate::shortcut_exact`], or densified from
 /// [`crate::shortcut_by_squaring`]): rows of `Q·R` restricted to `S`,
 /// diagonal dropped, renormalized by `M_u = 1/(1 − (QR)[u,u])`.
 ///

@@ -10,9 +10,12 @@
 //!   `Q = (I − T)^{-1} · A` (reference);
 //! * [`shortcut_by_squaring`] — the paper's distributed route
 //!   (Corollary 2): iterated squaring of the `2n × 2n` absorbing chain
-//!   `R`, which converges to `R^∞` with `Q[u,v] = R^∞[u', v'']`. Returns
-//!   the number of multiplications so the caller (`cct-core`) can charge
-//!   matrix-multiplication rounds.
+//!   `R`, which converges to `R^∞` with `Q[u,v] = R^∞[u', v'']`. It
+//!   squares the chain's two live `n × n` blocks as [`PMatrix`] values in
+//!   either representation, and returns the number of multiplications so
+//!   the caller (`cct-core`) can charge matrix-multiplication rounds.
+//!   [`shortcut_by_squaring_dense`] squares the full `2n × 2n` chain;
+//!   it is the reference the block route is tested against.
 
 use crate::VertexSubset;
 use cct_graph::Graph;
@@ -75,30 +78,45 @@ pub fn absorbing_chain(g: &Graph, s: &VertexSubset) -> Matrix {
     r
 }
 
-/// The two live blocks of the Corollary-2 absorbing chain: the transient
-/// block `T = R[L, L]` (walk stays outside `S`) and the absorption block
-/// `A = R[L, R]` (mass that has arrived in `S`, indexed by the pre-entry
-/// vertex). The bottom half `[0, I]` is constant under squaring and never
-/// materialized.
-pub fn absorbing_chain_blocks(g: &Graph, s: &VertexSubset) -> (Matrix, Matrix) {
+/// The two live blocks of the Corollary-2 absorbing chain, in `repr`:
+/// the transient block `T = R[L, L]` (walk stays outside `S`) and the
+/// absorption block `A = R[L, R]` (mass that has arrived in `S`, indexed
+/// by the pre-entry vertex). The bottom half `[0, I]` is constant under
+/// squaring and never materialized.
+///
+/// Both blocks are built row by row from the CSR transition matrix —
+/// `T` gets one entry per edge leaving `S`, `A` is diagonal — without
+/// `n × n` scratch; `Repr::Dense` densifies the result. Every entry is
+/// the one [`absorbing_chain`] holds, bit for bit: the same `w/deg`
+/// probabilities, summed into `A` in the same increasing-`v` order.
+///
+/// # Panics
+///
+/// Panics if the subset universe mismatches the graph.
+pub fn absorbing_chain_blocks(g: &Graph, s: &VertexSubset, repr: Repr) -> (PMatrix, PMatrix) {
     let n = g.n();
     assert_eq!(s.universe(), n, "subset universe must match graph");
-    let p = g.transition_matrix();
-    let mut t = Matrix::zeros(n, n);
-    let mut a = Matrix::zeros(n, n);
+    let p = g.transition_pmatrix(Repr::Sparse);
+    let mut t = CsrMatrix::builder(n, n);
+    let mut a = CsrMatrix::builder(n, n);
     for u in 0..n {
-        for v in 0..n {
-            if p[(u, v)] == 0.0 {
-                continue;
-            }
+        let mut absorb = 0.0f64;
+        p.for_each_in_row(u, |v, p_uv| {
             if s.contains(v) {
-                a[(u, u)] += p[(u, v)];
+                absorb += p_uv;
             } else {
-                t[(u, v)] += p[(u, v)];
+                t.push(v, p_uv);
             }
-        }
+        });
+        t.finish_row();
+        a.push(u, absorb);
+        a.finish_row();
     }
-    (t, a)
+    let (t, a) = (t.build(), a.build());
+    match repr {
+        Repr::Dense => (PMatrix::Dense(t.to_dense()), PMatrix::Dense(a.to_dense())),
+        Repr::Sparse => (PMatrix::Sparse(t), PMatrix::Sparse(a)),
+    }
 }
 
 /// Corollary 2: computes `Q` by iterated squaring of the absorbing chain
@@ -110,11 +128,19 @@ pub fn absorbing_chain_blocks(g: &Graph, s: &VertexSubset) -> (Matrix, Matrix) {
 ///
 /// The chain `R = [[T, A], [0, I]]` is block triangular with a constant
 /// bottom half, so `R² = [[T², TA + A], [0, I]]`: each squaring is two
-/// `n × n` products — `(T, A) ← (T², TA + A)` — written into reused
-/// scratch buffers, instead of the eight-`n × n`-multiply-equivalent
-/// dense `2n × 2n` square. The result is bit-identical to the dense route
-/// ([`shortcut_by_squaring_dense`], kept as the reference): every entry
-/// accumulates the same products in the same order.
+/// `n × n` [`PMatrix`] products — `(T, A) ← (T², TA + A)` — instead of
+/// the eight-`n × n`-multiply-equivalent dense `2n × 2n` square. The
+/// blocks start in `repr`; a sparse start squares CSR blocks, promoting
+/// to dense as fill-in crosses the [`PMatrix`] tracker's break-even, and
+/// `Q` comes back in whatever representation it ended in.
+///
+/// The result is **bit-identical** to [`shortcut_by_squaring_dense`]
+/// (kept as the reference) in every representation: every entry
+/// accumulates the same products in the same order — the dense kernel
+/// accumulates the `T·A` inner products first (inner index `< n`) and the
+/// lone `A·I` term last, matched here by the product then
+/// [`PMatrix::add_in_place`] — and the convergence check reads the same
+/// row sums.
 ///
 /// The result under-approximates the true `Q` by at most the residual
 /// transient mass (a subtractive error, as §2.4 requires).
@@ -127,116 +153,18 @@ pub fn shortcut_by_squaring(
     s: &VertexSubset,
     tol: f64,
     max_squarings: usize,
-) -> (Matrix, usize) {
+    repr: Repr,
+) -> (PMatrix, usize) {
     let n = g.n();
     assert!(!s.is_empty(), "S must be non-empty");
-    let (mut t, mut a) = absorbing_chain_blocks(g, s);
-    let mut t_next = Matrix::zeros(n, n);
-    let mut a_next = Matrix::zeros(n, n);
+    let (mut t, mut a) = absorbing_chain_blocks(g, s, repr);
     let mut used = 0;
     while used < max_squarings {
         // Largest remaining transient mass: max over rows of `T`'s total.
-        let worst: f64 = (0..n)
-            .map(|u| t.row(u).iter().sum::<f64>())
-            .fold(0.0, f64::max);
-        if worst <= tol {
-            break;
-        }
-        // (T, A) ← (T², T·A + A). The dense 2n × 2n kernel accumulates
-        // the `T·A` inner products first (inner index < n) and the lone
-        // `A·I` term last — matched here by `matmul_into` then
-        // `add_in_place`, so the blocks stay bit-identical to it.
-        t.square_into(&mut t_next);
-        t.matmul_into(&a, &mut a_next);
-        a_next.add_in_place(&a);
-        std::mem::swap(&mut t, &mut t_next);
-        std::mem::swap(&mut a, &mut a_next);
-        used += 1;
-    }
-    (a, used)
-}
-
-/// The Corollary-2 live blocks in the requested representation: the
-/// sparse route builds `T` (one CSR entry per edge leaving `S`) and the
-/// diagonal `A` directly from the adjacency lists, without the dense
-/// `n × n` buffers. Entry values use the same `w/deg` arithmetic and
-/// per-row accumulation order as [`absorbing_chain_blocks`], so the two
-/// representations hold bit-identical probabilities.
-///
-/// # Panics
-///
-/// Panics if the subset universe mismatches the graph.
-pub fn absorbing_chain_blocks_p(g: &Graph, s: &VertexSubset, repr: Repr) -> (PMatrix, PMatrix) {
-    let n = g.n();
-    assert_eq!(s.universe(), n, "subset universe must match graph");
-    match repr {
-        Repr::Dense => {
-            let (t, a) = absorbing_chain_blocks(g, s);
-            (PMatrix::Dense(t), PMatrix::Dense(a))
-        }
-        Repr::Sparse => {
-            let mut tb = CsrMatrix::builder(n, n);
-            let mut ab = CsrMatrix::builder(n, n);
-            for u in 0..n {
-                let d = g.degree(u);
-                let mut absorb = 0.0f64;
-                for &(v, w) in g.neighbors(u) {
-                    // Same accumulation order as the dense route: the
-                    // adjacency list is sorted by v, matching its
-                    // `for v in 0..n` sweep.
-                    let p_uv = w / d;
-                    if s.contains(v) {
-                        absorb += p_uv;
-                    } else {
-                        tb.push(v, p_uv);
-                    }
-                }
-                tb.finish_row();
-                ab.push(u, absorb);
-                ab.finish_row();
-            }
-            (PMatrix::Sparse(tb.build()), PMatrix::Sparse(ab.build()))
-        }
-    }
-}
-
-/// [`shortcut_by_squaring`] on the representation-adaptive backend:
-/// starts in `repr` (the sparse route squares CSR blocks, promoting to
-/// dense automatically as fill-in crosses the [`PMatrix`] tracker's
-/// break-even) and returns `Q` in whatever representation it ended in.
-///
-/// The result is **bit-identical** to [`shortcut_by_squaring`] (and so
-/// to [`shortcut_by_squaring_dense`]) for every representation: each
-/// squaring performs `(T, A) ← (T², T·A + A)` with the same per-entry
-/// accumulation order in both kernels, and the convergence check reads
-/// the same row sums. Unit- and property-tested at exact equality.
-///
-/// # Panics
-///
-/// Panics if `s` is empty or the universe mismatches.
-pub fn shortcut_by_squaring_pmatrix(
-    g: &Graph,
-    s: &VertexSubset,
-    tol: f64,
-    max_squarings: usize,
-    repr: Repr,
-) -> (PMatrix, usize) {
-    if repr == Repr::Dense {
-        let (q, used) = shortcut_by_squaring(g, s, tol, max_squarings);
-        return (PMatrix::Dense(q), used);
-    }
-    let n = g.n();
-    assert!(!s.is_empty(), "S must be non-empty");
-    let (mut t, mut a) = absorbing_chain_blocks_p(g, s, Repr::Sparse);
-    let mut used = 0;
-    while used < max_squarings {
         let worst: f64 = (0..n).map(|u| t.row_sum(u)).fold(0.0, f64::max);
         if worst <= tol {
             break;
         }
-        // (T, A) ← (T², T·A + A), exactly as the dense block route —
-        // the sparse kernels consume the inner index in the same
-        // strictly increasing order, and the `+ A` term lands last.
         let t_next = t.square(1);
         let mut a_next = t.matmul(&a, 1);
         a_next.add_in_place(&a);
@@ -248,7 +176,7 @@ pub fn shortcut_by_squaring_pmatrix(
 }
 
 /// The pre-block-decomposition reference: dense iterated squaring of the
-/// full `2n × 2n` absorbing chain. Kept for the equivalence test suite
+/// full `2n × 2n` absorbing chain. Kept for the equivalence test suites
 /// and the `e18` benchmark; [`shortcut_by_squaring`] returns bit-identical
 /// results at a quarter of the flops.
 pub fn shortcut_by_squaring_dense(
@@ -381,7 +309,8 @@ mod tests {
         ] {
             let s = VertexSubset::new(g.n(), &[0, 1, 2]);
             let exact = shortcut_exact(&g, &s);
-            let (approx, used) = shortcut_by_squaring(&g, &s, 1e-12, 64);
+            let (approx, used) = shortcut_by_squaring(&g, &s, 1e-12, 64, Repr::Dense);
+            let approx = approx.into_dense();
             assert!(used > 0);
             assert!(
                 exact.max_abs_diff(&approx) < 1e-9,
@@ -400,83 +329,62 @@ mod tests {
 
     #[test]
     fn block_squaring_is_bit_identical_to_dense() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(13);
+        // The block route must reproduce the full 2n × 2n squaring
+        // exactly — same Q bits, same squaring count — whether it starts
+        // sparse (promoting as fill-in grows) or dense.
+        let er = |n, p, seed| {
+            generators::erdos_renyi_connected(n, p, &mut rand::rngs::StdRng::seed_from_u64(seed))
+        };
         for g in [
             generators::complete(6),
             generators::lollipop(4, 3),
             generators::grid(2, 4),
             generators::petersen(),
-            generators::erdos_renyi_connected(12, 0.4, &mut rng),
-        ] {
-            let s = VertexSubset::new(g.n(), &[0, 1, 2]);
-            for tol in [1e-3, 1e-12] {
-                let (block, used_b) = shortcut_by_squaring(&g, &s, tol, 64);
-                let (dense, used_d) = shortcut_by_squaring_dense(&g, &s, tol, 64);
-                assert_eq!(used_b, used_d, "n = {}, tol = {tol}", g.n());
-                // Same products, same accumulation order: exactly equal,
-                // not merely close.
-                assert_eq!(block, dense, "n = {}, tol = {tol}", g.n());
-            }
-        }
-    }
-
-    #[test]
-    fn pmatrix_squaring_is_bit_identical_in_both_representations() {
-        // The adaptive route must reproduce the dense block route
-        // exactly — same Q bits, same squaring count — whether it starts
-        // sparse (promoting as fill-in grows) or dense.
-        let mut rng = rand::rngs::StdRng::seed_from_u64(17);
-        for g in [
+            er(12, 0.4, 13),
             generators::cycle(24),
             generators::grid(3, 5),
-            generators::petersen(),
-            generators::erdos_renyi_connected(14, 0.3, &mut rng),
+            er(14, 0.3, 17),
         ] {
             let s = VertexSubset::new(g.n(), &[0, 1, 2]);
             for tol in [1e-3, 1e-12] {
-                let (reference, used_ref) = shortcut_by_squaring(&g, &s, tol, 64);
+                let (dense, used_d) = shortcut_by_squaring_dense(&g, &s, tol, 64);
                 for repr in [Repr::Dense, Repr::Sparse] {
-                    let (q, used) = shortcut_by_squaring_pmatrix(&g, &s, tol, 64, repr);
-                    assert_eq!(used, used_ref, "n = {}, tol = {tol}, {repr:?}", g.n());
-                    assert_eq!(
-                        q.to_dense(),
-                        reference,
-                        "n = {}, tol = {tol}, {repr:?}",
-                        g.n()
-                    );
+                    let (block, used_b) = shortcut_by_squaring(&g, &s, tol, 64, repr);
+                    let case = format!("n = {}, tol = {tol}, {repr:?}", g.n());
+                    assert_eq!(used_b, used_d, "{case}");
+                    // Same products, same accumulation order: exactly
+                    // equal, not merely close.
+                    assert_eq!(block.to_dense(), dense, "{case}");
                 }
             }
         }
     }
 
     #[test]
-    fn sparse_absorbing_blocks_match_dense() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(19);
-        for g in [
-            generators::lollipop(4, 3),
-            generators::erdos_renyi_connected(11, 0.4, &mut rng),
-        ] {
-            let s = VertexSubset::new(g.n(), &[0, 2, 4]);
-            let (td, ad) = absorbing_chain_blocks(&g, &s);
-            let (ts, asp) = absorbing_chain_blocks_p(&g, &s, Repr::Sparse);
-            assert!(ts.is_sparse() && asp.is_sparse());
-            assert_eq!(ts.to_dense(), td);
-            assert_eq!(asp.to_dense(), ad);
-        }
-    }
-
-    #[test]
     fn absorbing_chain_blocks_match_full_chain() {
-        let (g, s) = figure2();
-        let full = absorbing_chain(&g, &s);
-        let (t, a) = absorbing_chain_blocks(&g, &s);
-        let n = g.n();
-        for u in 0..n {
-            for v in 0..n {
-                assert_eq!(t[(u, v)], full[(u, v)]);
-                assert_eq!(a[(u, v)], full[(u, n + v)]);
-                assert_eq!(full[(n + u, v)], 0.0);
-                assert_eq!(full[(n + u, n + v)], f64::from(u == v));
+        let mut rng = rand::rngs::StdRng::seed_from_u64(19);
+        let with_s = |g: Graph| {
+            let s = VertexSubset::new(g.n(), &[0, 2, 4]);
+            (g, s)
+        };
+        for (g, s) in [
+            figure2(),
+            with_s(generators::lollipop(4, 3)),
+            with_s(generators::erdos_renyi_connected(11, 0.4, &mut rng)),
+        ] {
+            let full = absorbing_chain(&g, &s);
+            let n = g.n();
+            for repr in [Repr::Dense, Repr::Sparse] {
+                let (t, a) = absorbing_chain_blocks(&g, &s, repr);
+                assert_eq!((t.repr(), a.repr()), (repr, repr));
+                for u in 0..n {
+                    for v in 0..n {
+                        assert_eq!(t.get(u, v), full[(u, v)], "{repr:?}");
+                        assert_eq!(a.get(u, v), full[(u, n + v)], "{repr:?}");
+                        assert_eq!(full[(n + u, v)], 0.0);
+                        assert_eq!(full[(n + u, n + v)], f64::from(u == v));
+                    }
+                }
             }
         }
     }

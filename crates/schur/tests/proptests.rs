@@ -3,7 +3,7 @@
 //! probabilistic invariants of `Q` and `S`.
 
 use cct_graph::generators;
-use cct_linalg::is_row_stochastic;
+use cct_linalg::{is_row_stochastic, Repr};
 use cct_schur::{
     entry_matrix, schur_laplacian, schur_transition_exact, schur_transition_from_shortcut,
     shortcut_by_squaring, shortcut_by_squaring_dense, shortcut_exact, VertexSubset,
@@ -73,7 +73,7 @@ proptest! {
     #[test]
     fn squaring_under_approximates_exact((g, s) in graph_and_subset()) {
         let exact = shortcut_exact(&g, &s);
-        let (approx, _) = shortcut_by_squaring(&g, &s, 1e-10, 64);
+        let approx = shortcut_by_squaring(&g, &s, 1e-10, 64, Repr::Dense).0.into_dense();
         for u in 0..g.n() {
             for v in 0..g.n() {
                 prop_assert!(approx[(u, v)] <= exact[(u, v)] + 1e-9);
@@ -92,7 +92,8 @@ proptest! {
         // but the property pins the contract at the 1e-12 tolerance the
         // sampler's fixed-point pipeline relies on.)
         for tol in [1e-4, 1e-12] {
-            let (block, used_b) = shortcut_by_squaring(&g, &s, tol, 64);
+            let (block, used_b) = shortcut_by_squaring(&g, &s, tol, 64, Repr::Dense);
+            let block = block.into_dense();
             let (dense, used_d) = shortcut_by_squaring_dense(&g, &s, tol, 64);
             prop_assert_eq!(used_b, used_d, "squaring counts diverged at tol {}", tol);
             prop_assert!(

@@ -21,7 +21,10 @@
 //! [`FastOracleEngine`], which multiplies locally and charges the
 //! published round cost instead of simulating the algebraic algorithm.
 //! The paper uses that algorithm as a black box, so its analysis needs
-//! only the cost.
+//! only the cost. An engine has one product method, on
+//! [`cct_linalg::PMatrix`] operands in either representation, and the
+//! Algorithm-1 power tables ([`distributed_powers`],
+//! [`distributed_powers_deferred`]) are built from it.
 //!
 //! Local computation can run *concurrently* across machines — matching
 //! the model, where rounds are synchronous but machines compute in
@@ -55,8 +58,8 @@ mod parallel;
 pub use clique::{Clique, Envelope};
 pub use ledger::{CostCategory, RoundLedger};
 pub use matmul::{
-    distributed_powers, distributed_powers_deferred, distributed_powers_p, BlockEngine,
-    DeferredPowers, FastOracleEngine, MatMulEngine, SemiringEngine, UnitCostEngine, ALPHA,
+    distributed_powers, distributed_powers_deferred, BlockEngine, DeferredPowers, FastOracleEngine,
+    MatMulEngine, SemiringEngine, UnitCostEngine, ALPHA,
 };
 pub use mst::{boruvka_mst, MstError, MstMsg, MstOutcome, MstProgram};
 pub use parallel::{machine_seed, par_map, MachineProgram, ParallelClique, Workers};

@@ -16,8 +16,14 @@
 //!   it as a black box, and its `Õ(n^{1/2+α})` analysis consumes only
 //!   the cost model, which this engine reproduces.
 //!
-//! Both engines produce numerically identical products up to accumulation
-//! order (tested), so swapping engines changes only the ledger.
+//! Every engine multiplies [`PMatrix`] operands, dense or CSR. The
+//! local engines compute through [`PMatrix::matmul`], the one place that
+//! decides how a product runs for a pair of representations; the
+//! semiring protocol ships CSR row slices and assembles a sparse product
+//! only when both operands are sparse. Bits and charges are the same in
+//! either representation (the `cct-linalg` contract), and the engines
+//! produce numerically identical products up to accumulation order
+//! (tested), so swapping engines changes only the ledger.
 
 use crate::{Clique, CostCategory, Envelope, MachineProgram, ParallelClique};
 use cct_linalg::{CsrMatrix, Matrix, PMatrix, Rounding};
@@ -42,41 +48,24 @@ enum SemiringMsg {
     Partial(usize, usize, Vec<(u32, f64)>),
 }
 
-/// A borrowed operand in either representation, with sparse row-slice
-/// extraction for the operand shipments.
-#[derive(Clone, Copy)]
-enum Rows<'a> {
-    Dense(&'a Matrix),
-    Sparse(&'a CsrMatrix),
-}
-
-impl Rows<'_> {
-    fn shape(&self) -> (usize, usize) {
-        match self {
-            Rows::Dense(m) => m.shape(),
-            Rows::Sparse(m) => m.shape(),
-        }
-    }
-
-    /// The non-zero entries of `row[lo..hi]` as (offset, value) pairs.
-    fn piece(&self, row: usize, lo: usize, hi: usize) -> Vec<(u32, f64)> {
-        match self {
-            Rows::Dense(m) => m.row(row)[lo..hi]
+/// The non-zero entries of `m`'s `row[lo..hi]` as (offset, value) pairs.
+fn piece(m: &PMatrix, row: usize, lo: usize, hi: usize) -> Vec<(u32, f64)> {
+    match m {
+        PMatrix::Dense(m) => m.row(row)[lo..hi]
+            .iter()
+            .enumerate()
+            .filter(|&(_, &x)| x != 0.0)
+            .map(|(off, &x)| (off as u32, x))
+            .collect(),
+        PMatrix::Sparse(m) => {
+            let (cols, vals) = m.row(row);
+            let start = cols.partition_point(|&c| (c as usize) < lo);
+            let end = cols.partition_point(|&c| (c as usize) < hi);
+            cols[start..end]
                 .iter()
-                .enumerate()
-                .filter(|&(_, &x)| x != 0.0)
-                .map(|(off, &x)| (off as u32, x))
-                .collect(),
-            Rows::Sparse(m) => {
-                let (cols, vals) = m.row(row);
-                let start = cols.partition_point(|&c| (c as usize) < lo);
-                let end = cols.partition_point(|&c| (c as usize) < hi);
-                cols[start..end]
-                    .iter()
-                    .zip(&vals[start..end])
-                    .map(|(&c, &x)| ((c as usize - lo) as u32, x))
-                    .collect()
-            }
+                .zip(&vals[start..end])
+                .map(|(&c, &x)| ((c as usize - lo) as u32, x))
+                .collect()
         }
     }
 }
@@ -85,6 +74,11 @@ impl Rows<'_> {
 ///
 /// Implementations must (a) return the true product and (b) charge their
 /// round cost to the clique's ledger under [`CostCategory::MatMul`].
+/// Operands and product are [`PMatrix`]: sparse inputs multiply through
+/// the CSR kernels, and sparse products stay sparse until the fill-in
+/// tracker promotes them. The charged rounds and words are the same in
+/// every representation — the ledger bills the paper's protocol, which
+/// is representation-agnostic — and so are the computed bits.
 pub trait MatMulEngine {
     /// Multiplies `a · b` on the clique, charging rounds.
     ///
@@ -92,35 +86,7 @@ pub trait MatMulEngine {
     ///
     /// Implementations may panic if the operands are not square `n × n`
     /// matrices matching the clique size.
-    fn multiply(&self, clique: &mut Clique, a: &Matrix, b: &Matrix) -> Matrix;
-
-    /// Representation-adaptive [`MatMulEngine::multiply`]: operands and
-    /// result are [`PMatrix`], so sparse inputs multiply through the
-    /// CSR kernels (and sparse products stay sparse until the fill-in
-    /// tracker promotes them). The charged rounds and words are
-    /// **identical** to the dense route — the ledger bills the paper's
-    /// protocol, which is representation-agnostic — and so are the
-    /// computed bits (the `cct-linalg` contract). The default densifies
-    /// and delegates; the engines in this crate override it.
-    fn multiply_p(&self, clique: &mut Clique, a: &PMatrix, b: &PMatrix) -> PMatrix {
-        let a_dense;
-        let a_ref = match a.as_dense() {
-            Some(m) => m,
-            None => {
-                a_dense = a.to_dense();
-                &a_dense
-            }
-        };
-        let b_dense;
-        let b_ref = match b.as_dense() {
-            Some(m) => m,
-            None => {
-                b_dense = b.to_dense();
-                &b_dense
-            }
-        };
-        PMatrix::Dense(self.multiply(clique, a_ref, b_ref))
-    }
+    fn multiply(&self, clique: &mut Clique, a: &PMatrix, b: &PMatrix) -> PMatrix;
 
     /// Human-readable engine name for reports.
     fn name(&self) -> &'static str;
@@ -144,24 +110,28 @@ pub trait MatMulEngine {
     /// Rounds this engine charges for one `n × n` multiply, without
     /// performing one. Used to charge *analytic* costs for multiplies the
     /// simulation performs out-of-band (e.g. the `2n × 2n` absorbing-chain
-    /// squarings of Corollary 2). The default runs a scratch multiply of
-    /// identity matrices and reads the ledger, so measured and charged
+    /// squarings of Corollary 2).
+    ///
+    /// An engine with [`MatMulEngine::analytic_multiply_charges`] answers
+    /// from them. An engine that measures traffic runs a scratch multiply
+    /// of identity matrices and reads the ledger, so measured and charged
     /// costs can never drift apart — but the answer is a pure function of
     /// the engine and `n`, so it is memoized per `(engine name, n)`
     /// process-wide: repeated ledger-cost queries (one per `sample()`
-    /// call) stop paying an `O(n³)` multiply each. Engines whose charged
-    /// cost depends on construction parameters (not just the name and
-    /// `n`) must override this method, as [`FastOracleEngine`] does.
+    /// call) stop paying an `O(n³)` multiply each.
     fn rounds_for_multiply(&self, n: usize) -> u64 {
         use std::collections::HashMap;
         use std::sync::{Mutex, OnceLock};
         static MEMO: OnceLock<Mutex<HashMap<(&'static str, usize), u64>>> = OnceLock::new();
+        if let Some((rounds, _)) = self.analytic_multiply_charges(n) {
+            return rounds;
+        }
         let memo = MEMO.get_or_init(|| Mutex::new(HashMap::new()));
         if let Some(&rounds) = memo.lock().expect("memo poisoned").get(&(self.name(), n)) {
             return rounds;
         }
         let mut scratch = Clique::new(n);
-        let id = Matrix::identity(n);
+        let id = PMatrix::Sparse(CsrMatrix::identity(n));
         let _ = self.multiply(&mut scratch, &id, &id);
         let rounds = scratch.ledger().total_rounds();
         memo.lock()
@@ -217,8 +187,8 @@ struct SemiringMachine<'m> {
     n: usize,
     c: usize,
     s: usize,
-    a: Rows<'m>,
-    b: Rows<'m>,
+    a: &'m PMatrix,
+    b: &'m PMatrix,
     /// Row `id` of the product, filled by the terminal round.
     acc: RowAcc,
 }
@@ -245,7 +215,7 @@ impl SemiringMachine<'_> {
             if lo >= n {
                 continue;
             }
-            let piece = self.a.piece(r, lo, hi);
+            let piece = piece(self.a, r, lo, hi);
             for j in 0..c {
                 outbox.push(Envelope::new(
                     self.cube(bi, j, k),
@@ -260,7 +230,7 @@ impl SemiringMachine<'_> {
             if lo >= n {
                 continue;
             }
-            let piece = self.b.piece(r, lo, hi);
+            let piece = piece(self.b, r, lo, hi);
             for i in 0..c {
                 outbox.push(Envelope::new(
                     self.cube(i, j, bk),
@@ -377,17 +347,17 @@ impl Default for SemiringEngine {
     }
 }
 
-impl SemiringEngine {
-    /// The shared three-round protocol over borrowed operands in either
-    /// representation. With `sparse_out` the machines accumulate their
-    /// owned rows sparsely and the result is assembled straight into
-    /// CSR — no `Θ(n²)` staging buffer, no densifying round-trip — then
-    /// run through the promotion tracker (the exact same representation
-    /// decision `compacted()` would have made, on the exact same bits).
-    fn run(&self, clique: &mut Clique, a: Rows<'_>, b: Rows<'_>, sparse_out: bool) -> PMatrix {
+impl MatMulEngine for SemiringEngine {
+    /// The three-round protocol over the borrowed operands. When both
+    /// are sparse the machines accumulate their owned rows sparsely and
+    /// the product is assembled straight into CSR — no `Θ(n²)` staging
+    /// buffer — then run through the promotion tracker, the same
+    /// representation [`PMatrix::matmul`] returns; otherwise it is dense.
+    fn multiply(&self, clique: &mut Clique, a: &PMatrix, b: &PMatrix) -> PMatrix {
         let n = clique.n();
         assert_eq!(a.shape(), (n, n), "operand A must be n × n");
         assert_eq!(b.shape(), (n, n), "operand B must be n × n");
+        let sparse_out = a.is_sparse() && b.is_sparse();
         let c = ((n as f64).cbrt().floor() as usize).max(1);
         let s = n.div_ceil(c); // block side (last blocks may be smaller)
 
@@ -439,26 +409,6 @@ impl SemiringEngine {
             PMatrix::Dense(out)
         }
     }
-}
-
-impl MatMulEngine for SemiringEngine {
-    fn multiply(&self, clique: &mut Clique, a: &Matrix, b: &Matrix) -> Matrix {
-        self.run(clique, Rows::Dense(a), Rows::Dense(b), false)
-            .into_dense()
-    }
-
-    fn multiply_p(&self, clique: &mut Clique, a: &PMatrix, b: &PMatrix) -> PMatrix {
-        fn rows(m: &PMatrix) -> Rows<'_> {
-            match m {
-                PMatrix::Dense(d) => Rows::Dense(d),
-                PMatrix::Sparse(s) => Rows::Sparse(s),
-            }
-        }
-        // A sparse product may still be sparse: accumulate and assemble
-        // in CSR directly (values unchanged bit for bit).
-        let sparse_out = a.is_sparse() && b.is_sparse();
-        self.run(clique, rows(a), rows(b), sparse_out)
-    }
 
     fn name(&self) -> &'static str {
         "semiring-n^(1/3)"
@@ -509,43 +459,23 @@ impl Default for FastOracleEngine {
 }
 
 impl MatMulEngine for FastOracleEngine {
-    fn multiply(&self, clique: &mut Clique, a: &Matrix, b: &Matrix) -> Matrix {
+    fn multiply(&self, clique: &mut Clique, a: &PMatrix, b: &PMatrix) -> PMatrix {
         let n = clique.n();
         assert_eq!(a.shape(), (n, n), "operand A must be n × n");
         assert_eq!(b.shape(), (n, n), "operand B must be n × n");
-        let rounds = self.rounds_per_multiply(n);
-        clique.ledger_mut().charge(CostCategory::MatMul, rounds);
-        // The algebraic algorithm moves Θ(n²) words in aggregate; record
-        // the per-matrix volume for the bandwidth reports.
-        clique
-            .ledger_mut()
-            .add_words(CostCategory::MatMul, (n * n * self.words_per_entry) as u64);
+        // The algebraic algorithm moves Θ(n²) words in aggregate; the
+        // oracle bills the published algorithm, not this simulator's
+        // storage.
+        let words = (n * n * self.words_per_entry) as u64;
+        charge_multiply(clique, (self.rounds_per_multiply(n), words));
         // Local compute, row-sharded: machine i owns output row i, so the
         // row-parallel kernel is exactly the per-machine concurrent step
         // (bit-identical to sequential at any thread count).
-        a.matmul_parallel(b, self.threads)
-    }
-
-    fn multiply_p(&self, clique: &mut Clique, a: &PMatrix, b: &PMatrix) -> PMatrix {
-        let n = clique.n();
-        assert_eq!(a.shape(), (n, n), "operand A must be n × n");
-        assert_eq!(b.shape(), (n, n), "operand B must be n × n");
-        // Identical analytic charges to the dense route: the oracle
-        // bills the published algorithm, not this simulator's storage.
-        let rounds = self.rounds_per_multiply(n);
-        clique.ledger_mut().charge(CostCategory::MatMul, rounds);
-        clique
-            .ledger_mut()
-            .add_words(CostCategory::MatMul, (n * n * self.words_per_entry) as u64);
         a.matmul(b, self.threads)
     }
 
     fn name(&self) -> &'static str {
         "fast-oracle-n^alpha"
-    }
-
-    fn rounds_for_multiply(&self, n: usize) -> u64 {
-        self.rounds_per_multiply(n)
     }
 
     fn analytic_multiply_charges(&self, n: usize) -> Option<(u64, u64)> {
@@ -566,22 +496,13 @@ pub struct UnitCostEngine {
 }
 
 impl MatMulEngine for UnitCostEngine {
-    fn multiply(&self, clique: &mut Clique, a: &Matrix, b: &Matrix) -> Matrix {
-        clique.ledger_mut().charge(CostCategory::MatMul, 1);
-        a.matmul_parallel(b, self.threads.max(1))
-    }
-
-    fn multiply_p(&self, clique: &mut Clique, a: &PMatrix, b: &PMatrix) -> PMatrix {
+    fn multiply(&self, clique: &mut Clique, a: &PMatrix, b: &PMatrix) -> PMatrix {
         clique.ledger_mut().charge(CostCategory::MatMul, 1);
         a.matmul(b, self.threads.max(1))
     }
 
     fn name(&self) -> &'static str {
         "unit-cost"
-    }
-
-    fn rounds_for_multiply(&self, _n: usize) -> u64 {
-        1
     }
 
     fn analytic_multiply_charges(&self, _n: usize) -> Option<(u64, u64)> {
@@ -591,8 +512,8 @@ impl MatMulEngine for UnitCostEngine {
 
 /// Charges one analytic multiply: `rounds` under [`CostCategory::MatMul`],
 /// plus `words` when non-zero — a zero word count records nothing, as
-/// [`UnitCostEngine::multiply_p`] records none (the ledger would
-/// otherwise gain an explicit zero entry).
+/// [`UnitCostEngine::multiply`] records none (the ledger would otherwise
+/// gain an explicit zero entry).
 fn charge_multiply(clique: &mut Clique, (rounds, words): (u64, u64)) {
     clique.ledger_mut().charge(CostCategory::MatMul, rounds);
     if words > 0 {
@@ -705,19 +626,13 @@ impl<'a> BlockEngine<'a> {
 }
 
 impl MatMulEngine for BlockEngine<'_> {
-    /// [`MatMulEngine::multiply_p`] on copies of the dense operands.
-    fn multiply(&self, clique: &mut Clique, a: &Matrix, b: &Matrix) -> Matrix {
-        self.multiply_p(clique, &a.clone().into(), &b.clone().into())
-            .into_dense()
-    }
-
-    fn multiply_p(&self, clique: &mut Clique, a: &PMatrix, b: &PMatrix) -> PMatrix {
+    fn multiply(&self, clique: &mut Clique, a: &PMatrix, b: &PMatrix) -> PMatrix {
         let n = clique.n();
         let k = self.support.len();
         assert_eq!(a.shape(), (k, k), "operand A must be the support block");
         assert_eq!(b.shape(), (k, k), "operand B must be the support block");
         if k == n {
-            return self.engine.multiply_p(clique, a, b);
+            return self.engine.multiply(clique, a, b);
         }
         match self.engine.analytic_multiply_charges(n) {
             Some(charges) => {
@@ -727,7 +642,7 @@ impl MatMulEngine for BlockEngine<'_> {
             None => {
                 let product = self
                     .engine
-                    .multiply_p(clique, &self.pad(a, n), &self.pad(b, n));
+                    .multiply(clique, &self.pad(a, n), &self.pad(b, n));
                 self.restrict(&product)
             }
         }
@@ -741,6 +656,8 @@ impl MatMulEngine for BlockEngine<'_> {
         self.engine.analytic_multiply_charges(n)
     }
 
+    /// The wrapped engine's answer: the scratch multiply the default
+    /// would run takes `n × n` operands, not this engine's blocks.
     fn rounds_for_multiply(&self, n: usize) -> u64 {
         self.engine.rounds_for_multiply(n)
     }
@@ -753,11 +670,18 @@ impl MatMulEngine for BlockEngine<'_> {
 /// to machine `j` — `n` entries per machine per power, i.e.
 /// `words_per_entry` rounds by Lenzen routing).
 ///
-/// Returns the power table: index `k` holds `M^{2^k}`.
+/// Returns the power table: index `k` holds `M^{2^k}`, in whatever
+/// representation the engine's products come back in — the early powers
+/// of a sparse transition matrix stay CSR, and squaring promotes later
+/// levels to dense through the fill-in tracker. The computed bits and
+/// the charges are the same whichever representation `m` starts in.
 ///
 /// `m` is the clique's `n × n` matrix, or a square block of one with
 /// fewer rows when `engine` is a [`BlockEngine`]; the charges are those
 /// of `n × n` products either way.
+///
+/// The sampler builds its tables with [`distributed_powers_deferred`];
+/// this eager builder is its fallback for engines that measure traffic.
 ///
 /// # Panics
 ///
@@ -766,35 +690,50 @@ impl MatMulEngine for BlockEngine<'_> {
 pub fn distributed_powers(
     clique: &mut Clique,
     engine: &dyn MatMulEngine,
-    m: &Matrix,
-    levels: usize,
-    rounding: Rounding,
-) -> Vec<Matrix> {
-    distributed_powers_impl(clique, m, levels, rounding, |clique, last| {
-        engine.multiply(clique, last, last)
-    })
-}
-
-/// [`distributed_powers`] on the representation-adaptive backend: the
-/// table holds [`PMatrix`] levels, so the early powers of a sparse
-/// transition matrix stay CSR (this is where the sparse backend's
-/// memory win lands — squaring promotes later levels to dense through
-/// the fill-in tracker). Round and word charges are identical to the
-/// dense route, and so are the computed bits.
-///
-/// # Panics
-///
-/// As [`distributed_powers`].
-pub fn distributed_powers_p(
-    clique: &mut Clique,
-    engine: &dyn MatMulEngine,
     m: &PMatrix,
     levels: usize,
     rounding: Rounding,
 ) -> Vec<PMatrix> {
-    distributed_powers_impl(clique, m, levels, rounding, |clique, last| {
-        engine.multiply_p(clique, last, last)
-    })
+    let mut table = Vec::with_capacity(levels);
+    table.push(first_level(clique, m, levels, rounding));
+    for _ in 1..levels {
+        let last = table.last().expect("non-empty");
+        // Round the engine's product in place: no clone-per-level.
+        let mut sq = engine.multiply(clique, last, last);
+        sq.round_inplace(rounding);
+        table.push(sq);
+    }
+    charge_redistribution(clique, levels, rounding);
+    table
+}
+
+/// Level 0 of a power table on `m`: `m` itself, rounded.
+///
+/// # Panics
+///
+/// As [`distributed_powers`].
+fn first_level(clique: &Clique, m: &PMatrix, levels: usize, rounding: Rounding) -> PMatrix {
+    assert!(
+        m.is_square() && m.rows() <= clique.n(),
+        "matrix must be square with at most the clique's n rows"
+    );
+    assert!(levels > 0, "need at least one level");
+    let mut first = m.clone();
+    first.round_inplace(rounding);
+    first
+}
+
+/// Charges step 3 of Algorithm 1, the column redistribution, for a
+/// table of `levels` powers — for the eager and the deferred builder.
+fn charge_redistribution(clique: &mut Clique, levels: usize, rounding: Rounding) {
+    let n = clique.n();
+    let wpe = rounding.words_per_entry(n) as u64;
+    for _ in 0..levels {
+        clique.ledger_mut().charge(CostCategory::MatMul, wpe);
+        clique
+            .ledger_mut()
+            .add_words(CostCategory::MatMul, (n * n) as u64 * wpe);
+    }
 }
 
 /// A lazily materialized Algorithm-1 power table: level `k` holds
@@ -804,7 +743,7 @@ pub fn distributed_powers_p(
 ///
 /// The constructor ([`distributed_powers_deferred`]) charges the
 /// clique's ledger for **every** level immediately — the same per-
-/// category totals the eager [`distributed_powers_p`] route charges —
+/// category totals the eager [`distributed_powers`] route charges —
 /// and defers only the local numeric work. Ledger equality is
 /// per-category totals (the [`crate::RoundLedger`] representation), so
 /// *when* a charge lands is invisible: a run that touches only the
@@ -974,7 +913,7 @@ impl std::fmt::Debug for DeferredPowers {
     }
 }
 
-/// [`distributed_powers_p`] with lazy level materialization: charges the
+/// [`distributed_powers`] with lazy level materialization: charges the
 /// full Algorithm-1 cost (squarings plus column redistributions) up
 /// front and returns a [`DeferredPowers`] whose levels compute on
 /// demand.
@@ -985,7 +924,7 @@ impl std::fmt::Debug for DeferredPowers {
 /// this is about work, not bits).
 ///
 /// Engines without analytic charges fall back to eager materialization
-/// through the engine itself — same type, same totals, no deferral.
+/// through [`distributed_powers`] — same type, same totals, no deferral.
 ///
 /// `m` may be a phase's `|S| × |S|` block (see [`BlockEngine`], which
 /// the measured-cost fallback needs to run its protocol on the block):
@@ -1003,95 +942,21 @@ pub fn distributed_powers_deferred(
     rounding: Rounding,
     threads: usize,
 ) -> DeferredPowers {
-    let n = clique.n();
-    assert!(
-        m.is_square() && m.rows() <= n,
-        "matrix must be square with at most the clique's n rows"
-    );
-    assert!(levels > 0, "need at least one level");
     let threads = threads.max(1);
-    let Some(charges) = engine.analytic_multiply_charges(n) else {
+    let Some(charges) = engine.analytic_multiply_charges(clique.n()) else {
         // Measured-cost engine: the charges only exist if the protocol
         // actually runs, so materialize eagerly.
-        let table = distributed_powers_p(clique, engine, m, levels, rounding);
+        let table = distributed_powers(clique, engine, m, levels, rounding);
         return DeferredPowers::from_materialized(table, threads, rounding);
     };
-    // Charge everything the eager route would charge, in one place:
-    // levels−1 squarings plus the per-level column redistribution of
-    // Algorithm 1 step 3. Per-category totals equal the eager route's.
-    let wpe = rounding.words_per_entry(n) as u64;
+    let first = first_level(clique, m, levels, rounding);
+    // Charge everything the eager route would charge: levels−1
+    // squarings plus the per-level column redistribution.
     for _ in 1..levels {
         charge_multiply(clique, charges);
     }
-    for _ in 0..levels {
-        clique.ledger_mut().charge(CostCategory::MatMul, wpe);
-        clique
-            .ledger_mut()
-            .add_words(CostCategory::MatMul, (n * n) as u64 * wpe);
-    }
-    let mut first = m.clone();
-    first.round_inplace(rounding);
+    charge_redistribution(clique, levels, rounding);
     DeferredPowers::lazy(first, levels, threads, rounding)
-}
-
-/// The shared Algorithm-1 skeleton behind both power-table builders.
-trait PowerLevel: Clone {
-    fn shape(&self) -> (usize, usize);
-    fn round(&mut self, rounding: Rounding);
-}
-
-impl PowerLevel for Matrix {
-    fn shape(&self) -> (usize, usize) {
-        Matrix::shape(self)
-    }
-    fn round(&mut self, rounding: Rounding) {
-        rounding.round_matrix_inplace(self);
-    }
-}
-
-impl PowerLevel for PMatrix {
-    fn shape(&self) -> (usize, usize) {
-        PMatrix::shape(self)
-    }
-    fn round(&mut self, rounding: Rounding) {
-        self.round_inplace(rounding);
-    }
-}
-
-fn distributed_powers_impl<M: PowerLevel>(
-    clique: &mut Clique,
-    m: &M,
-    levels: usize,
-    rounding: Rounding,
-    mut square: impl FnMut(&mut Clique, &M) -> M,
-) -> Vec<M> {
-    let n = clique.n();
-    let (rows, cols) = m.shape();
-    assert!(
-        rows == cols && rows <= n,
-        "matrix must be square with at most the clique's n rows"
-    );
-    assert!(levels > 0, "need at least one level");
-    let wpe = rounding.words_per_entry(n) as u64;
-    let mut table = Vec::with_capacity(levels);
-    let mut first = m.clone();
-    first.round(rounding);
-    table.push(first);
-    for _ in 1..levels {
-        let last = table.last().expect("non-empty");
-        // Round the engine's product in place: no clone-per-level.
-        let mut sq = square(clique, last);
-        sq.round(rounding);
-        table.push(sq);
-    }
-    // Step 3 of Algorithm 1: column redistribution of every power.
-    for _ in 0..levels {
-        clique.ledger_mut().charge(CostCategory::MatMul, wpe);
-        clique
-            .ledger_mut()
-            .add_words(CostCategory::MatMul, (n * n) as u64 * wpe);
-    }
-    table
 }
 
 #[cfg(test)]
@@ -1107,15 +972,20 @@ mod tests {
         m
     }
 
+    /// `random_stochastic` as a dense engine operand.
+    fn random_operand(n: usize, seed: u64) -> PMatrix {
+        PMatrix::Dense(random_stochastic(n, seed))
+    }
+
     #[test]
     fn semiring_matches_local_product() {
         for n in [1usize, 2, 5, 8, 27, 30] {
-            let a = random_stochastic(n, 1);
-            let b = random_stochastic(n, 2);
+            let a = random_operand(n, 1);
+            let b = random_operand(n, 2);
             let mut clique = Clique::new(n);
             let engine = SemiringEngine::new(1);
             let dist = engine.multiply(&mut clique, &a, &b);
-            let local = a.matmul(&b);
+            let local = a.matmul(&b, 1);
             assert!(
                 dist.max_abs_diff(&local) < 1e-12,
                 "n = {n}: diff {}",
@@ -1129,7 +999,7 @@ mod tests {
         // Rounds should grow roughly like n^{1/3} · const, far below n.
         let mut rounds = Vec::new();
         for n in [27usize, 64, 125] {
-            let a = random_stochastic(n, 3);
+            let a = random_operand(n, 3);
             let mut clique = Clique::new(n);
             SemiringEngine::new(1).multiply(&mut clique, &a, &a);
             rounds.push((n, clique.ledger().total_rounds()));
@@ -1150,8 +1020,8 @@ mod tests {
     #[test]
     fn semiring_is_bit_identical_at_every_thread_count() {
         for n in [5usize, 27, 30] {
-            let a = random_stochastic(n, 20);
-            let b = random_stochastic(n, 21);
+            let a = random_operand(n, 20);
+            let b = random_operand(n, 21);
             let mut base = Clique::new(n);
             let reference = SemiringEngine::new(1).multiply(&mut base, &a, &b);
             for threads in [2usize, 4, 8] {
@@ -1170,12 +1040,12 @@ mod tests {
     #[test]
     fn fast_oracle_matches_and_charges_formula() {
         let n = 32;
-        let a = random_stochastic(n, 4);
-        let b = random_stochastic(n, 5);
+        let a = random_operand(n, 4);
+        let b = random_operand(n, 5);
         let mut clique = Clique::new(n);
         let engine = FastOracleEngine::new(ALPHA, 2, 1);
         let prod = engine.multiply(&mut clique, &a, &b);
-        assert!(prod.max_abs_diff(&a.matmul(&b)) < 1e-12);
+        assert!(prod.max_abs_diff(&a.matmul(&b, 1)) < 1e-12);
         let expect = ((n as f64).powf(ALPHA).ceil() as u64) * 2;
         assert_eq!(clique.ledger().rounds(CostCategory::MatMul), expect);
     }
@@ -1183,8 +1053,8 @@ mod tests {
     #[test]
     fn engines_agree_with_each_other() {
         let n = 27;
-        let a = random_stochastic(n, 6);
-        let b = random_stochastic(n, 7);
+        let a = random_operand(n, 6);
+        let b = random_operand(n, 7);
         let mut c1 = Clique::new(n);
         let mut c2 = Clique::new(n);
         let r1 = SemiringEngine::new(1).multiply(&mut c1, &a, &b);
@@ -1200,16 +1070,16 @@ mod tests {
         let table = distributed_powers(
             &mut clique,
             &UnitCostEngine::default(),
-            &p,
+            &PMatrix::Dense(p.clone()),
             5,
             Rounding::Exact,
         );
         let expect = powers_of_two(&p, 5, 1);
         for (a, b) in table.iter().zip(&expect) {
-            assert!(a.max_abs_diff(b) < 1e-12);
+            assert!(a.to_dense().max_abs_diff(b) < 1e-12);
         }
         for m in &table {
-            assert!(is_row_stochastic(m, 1e-9));
+            assert!(is_row_stochastic(&m.to_dense(), 1e-9));
         }
     }
 
@@ -1222,12 +1092,12 @@ mod tests {
         let table = distributed_powers(
             &mut clique,
             &UnitCostEngine::default(),
-            &p,
+            &PMatrix::Dense(p),
             4,
             Rounding::Fixed(fp),
         );
         for m in &table {
-            assert!(cct_linalg::is_row_substochastic(m, 1e-12));
+            assert!(cct_linalg::is_row_substochastic(&m.to_dense(), 1e-12));
         }
         // Squaring count: 3 multiplies + 4 column redistributions.
         let wpe = fp.words_per_entry(n) as u64;
@@ -1235,7 +1105,7 @@ mod tests {
     }
 
     #[test]
-    fn multiply_p_matches_multiply_bits_and_ledger_in_every_representation() {
+    fn multiply_is_bit_identical_with_one_ledger_in_every_representation() {
         // Banded operand: genuinely sparse, so the CSR kernels run.
         let n = 27;
         let dense_op = Matrix::from_fn(n, n, |i, j| {
@@ -1251,10 +1121,12 @@ mod tests {
             Box::new(SemiringEngine::new(1)),
         ];
         for engine in &engines {
-            let mut reference_clique = Clique::new(n);
-            let reference = engine.multiply(&mut reference_clique, &dense_op, &dense_op);
             let sparse_op = PMatrix::Sparse(CsrMatrix::from_dense(&dense_op));
             let dense_p = PMatrix::Dense(dense_op.clone());
+            let mut reference_clique = Clique::new(n);
+            let reference = engine
+                .multiply(&mut reference_clique, &dense_p, &dense_p)
+                .into_dense();
             for (label, a, b) in [
                 ("d*d", &dense_p, &dense_p),
                 ("s*s", &sparse_op, &sparse_op),
@@ -1262,7 +1134,7 @@ mod tests {
                 ("d*s", &dense_p, &sparse_op),
             ] {
                 let mut clique = Clique::new(n);
-                let prod = engine.multiply_p(&mut clique, a, b);
+                let prod = engine.multiply(&mut clique, a, b);
                 assert_eq!(
                     prod.to_dense(),
                     reference,
@@ -1280,17 +1152,20 @@ mod tests {
     }
 
     #[test]
-    fn distributed_powers_p_matches_dense_table_and_ledger() {
+    fn distributed_powers_match_in_both_representations() {
         let n = 16;
         let p = random_stochastic(n, 8);
         let mut dense_clique = Clique::new(n);
-        let dense_table = distributed_powers(
+        let dense_table: Vec<Matrix> = distributed_powers(
             &mut dense_clique,
             &UnitCostEngine::default(),
-            &p,
+            &PMatrix::Dense(p.clone()),
             5,
             Rounding::Exact,
-        );
+        )
+        .into_iter()
+        .map(PMatrix::into_dense)
+        .collect();
         for (repr, pm) in [
             (cct_linalg::Repr::Dense, PMatrix::Dense(p.clone())),
             (
@@ -1299,7 +1174,7 @@ mod tests {
             ),
         ] {
             let mut clique = Clique::new(n);
-            let table = distributed_powers_p(
+            let table = distributed_powers(
                 &mut clique,
                 &UnitCostEngine::default(),
                 &pm,
@@ -1322,7 +1197,7 @@ mod tests {
             }
         });
         let mut clique = Clique::new(32);
-        let table = distributed_powers_p(
+        let table = distributed_powers(
             &mut clique,
             &UnitCostEngine::default(),
             &PMatrix::Sparse(CsrMatrix::from_dense(&cyc)),
@@ -1357,7 +1232,7 @@ mod tests {
             for engine in &engines {
                 let mut eager_clique = Clique::new(n);
                 let eager =
-                    distributed_powers_p(&mut eager_clique, engine.as_ref(), &pm, 6, rounding);
+                    distributed_powers(&mut eager_clique, engine.as_ref(), &pm, 6, rounding);
                 let mut lazy_clique = Clique::new(n);
                 let lazy = distributed_powers_deferred(
                     &mut lazy_clique,
@@ -1404,7 +1279,7 @@ mod tests {
         let engine = SemiringEngine::new(1);
         assert!(engine.analytic_multiply_charges(n).is_none());
         let mut eager_clique = Clique::new(n);
-        let eager = distributed_powers_p(&mut eager_clique, &engine, &pm, 4, Rounding::Exact);
+        let eager = distributed_powers(&mut eager_clique, &engine, &pm, 4, Rounding::Exact);
         let mut lazy_clique = Clique::new(n);
         let lazy =
             distributed_powers_deferred(&mut lazy_clique, &engine, &pm, 4, Rounding::Exact, 1);
@@ -1425,17 +1300,18 @@ mod tests {
         let sparse = PMatrix::Sparse(CsrMatrix::from_dense(&p));
         let engine = SemiringEngine::new(1);
         let mut c1 = Clique::new(n);
-        let prod = engine.multiply_p(&mut c1, &sparse, &sparse);
+        let prod = engine.multiply(&mut c1, &sparse, &sparse);
         assert!(prod.is_sparse(), "banded square stays under break-even");
         let mut c2 = Clique::new(n);
-        let reference = engine.multiply(&mut c2, &p, &p);
-        assert_eq!(prod.to_dense(), reference);
+        let dense = PMatrix::Dense(p);
+        let reference = engine.multiply(&mut c2, &dense, &dense);
+        assert_eq!(prod.to_dense(), reference.into_dense());
         assert_eq!(c1.ledger(), c2.ledger(), "analytic charges unchanged");
     }
 
     #[test]
     fn default_rounds_for_multiply_is_memoized_and_correct() {
-        // The semiring engine uses the trait default: the memoized answer
+        // The semiring engine measures its charges: the memoized answer
         // must equal a fresh measured multiply, across repeated queries
         // and engine instances, and the second query must not run the
         // scratch multiply (observable as a large speedup; here we settle
@@ -1443,11 +1319,27 @@ mod tests {
         let n = 30;
         let first = SemiringEngine::new(1).rounds_for_multiply(n);
         let mut clique = Clique::new(n);
-        let a = random_stochastic(n, 99);
+        let a = random_operand(n, 99);
         SemiringEngine::new(1).multiply(&mut clique, &a, &a);
         assert_eq!(first, clique.ledger().total_rounds());
         assert_eq!(SemiringEngine::new(4).rounds_for_multiply(n), first);
         assert_eq!(SemiringEngine::new(1).rounds_for_multiply(n), first);
+    }
+
+    #[test]
+    fn analytic_rounds_for_multiply_never_reads_the_memo() {
+        // The memo is keyed by engine name, so two oracles that share
+        // their name but not their parameters must each answer from
+        // their own formula, in either query order.
+        let n = 64;
+        let cheap = FastOracleEngine::new(ALPHA, 1, 1);
+        let dear = FastOracleEngine::new(0.5, 3, 1);
+        assert_eq!(cheap.name(), dear.name());
+        assert_ne!(cheap.rounds_per_multiply(n), dear.rounds_per_multiply(n));
+        for _ in 0..2 {
+            assert_eq!(cheap.rounds_for_multiply(n), cheap.rounds_per_multiply(n));
+            assert_eq!(dear.rounds_for_multiply(n), dear.rounds_per_multiply(n));
+        }
     }
 
     #[test]

@@ -73,23 +73,25 @@ proptest! {
         let mut b = Matrix::from_fn(n, n, |_, _| rng.gen::<f64>());
         normalize_rows(&mut a);
         normalize_rows(&mut b);
+        let local = a.matmul(&b);
+        let (a, b) = (a.into(), b.into());
         let mut c1 = Clique::new(n);
         let mut c2 = Clique::new(n);
-        let p1 = SemiringEngine::new(1).multiply(&mut c1, &a, &b);
-        let p2 = FastOracleEngine::default().multiply(&mut c2, &a, &b);
+        let p1 = SemiringEngine::new(1).multiply(&mut c1, &a, &b).into_dense();
+        let p2 = FastOracleEngine::default().multiply(&mut c2, &a, &b).into_dense();
         prop_assert!(p1.max_abs_diff(&p2) < 1e-12);
-        prop_assert!(p1.max_abs_diff(&a.matmul(&b)) < 1e-12);
+        prop_assert!(p1.max_abs_diff(&local) < 1e-12);
     }
 
     #[test]
     fn rounds_for_multiply_matches_measured(n in 2usize..=30) {
         // The analytic charge used for out-of-band multiplies must agree
         // with what a real multiply through the engine would cost.
-        use cct_linalg::Matrix;
+        use cct_linalg::{Matrix, PMatrix};
         let engine = SemiringEngine::new(1);
         let claimed = engine.rounds_for_multiply(n);
         let mut clique = Clique::new(n);
-        let id = Matrix::identity(n);
+        let id = PMatrix::Dense(Matrix::identity(n));
         engine.multiply(&mut clique, &id, &id);
         prop_assert_eq!(claimed, clique.ledger().total_rounds());
     }
