@@ -327,63 +327,84 @@ mod tests {
         }
     }
 
-    #[test]
-    fn block_squaring_is_bit_identical_to_dense() {
-        // The block route must reproduce the full 2n × 2n squaring
-        // exactly — same Q bits, same squaring count — whether it starts
-        // sparse (promoting as fill-in grows) or dense.
-        let er = |n, p, seed| {
-            generators::erdos_renyi_connected(n, p, &mut rand::rngs::StdRng::seed_from_u64(seed))
-        };
-        for g in [
-            generators::complete(6),
-            generators::lollipop(4, 3),
-            generators::grid(2, 4),
-            generators::petersen(),
-            er(12, 0.4, 13),
-            generators::cycle(24),
-            generators::grid(3, 5),
-            er(14, 0.3, 17),
-        ] {
-            let s = VertexSubset::new(g.n(), &[0, 1, 2]);
-            for tol in [1e-3, 1e-12] {
-                let (dense, used_d) = shortcut_by_squaring_dense(&g, &s, tol, 64);
-                for repr in [Repr::Dense, Repr::Sparse] {
-                    let (block, used_b) = shortcut_by_squaring(&g, &s, tol, 64, repr);
-                    let case = format!("n = {}, tol = {tol}, {repr:?}", g.n());
-                    assert_eq!(used_b, used_d, "{case}");
-                    // Same products, same accumulation order: exactly
-                    // equal, not merely close.
-                    assert_eq!(block.to_dense(), dense, "{case}");
-                }
+    /// The block route must reproduce the full `2n × 2n` squaring
+    /// exactly — same Q bits, same squaring count — whether it starts
+    /// sparse (promoting as fill-in grows) or dense.
+    fn assert_block_squaring_matches_full_chain(g: &Graph) {
+        let s = VertexSubset::new(g.n(), &[0, 1, 2]);
+        for tol in [1e-3, 1e-12] {
+            let (dense, used_d) = shortcut_by_squaring_dense(g, &s, tol, 64);
+            for repr in [Repr::Dense, Repr::Sparse] {
+                let (block, used_b) = shortcut_by_squaring(g, &s, tol, 64, repr);
+                let case = format!("n = {}, tol = {tol}, {repr:?}", g.n());
+                assert_eq!(used_b, used_d, "{case}");
+                // Same products, same accumulation order: exactly equal,
+                // not merely close.
+                assert_eq!(block.to_dense(), dense, "{case}");
             }
         }
     }
 
     #[test]
-    fn absorbing_chain_blocks_match_full_chain() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(19);
-        let with_s = |g: Graph| {
-            let s = VertexSubset::new(g.n(), &[0, 2, 4]);
-            (g, s)
-        };
-        for (g, s) in [
-            figure2(),
-            with_s(generators::lollipop(4, 3)),
-            with_s(generators::erdos_renyi_connected(11, 0.4, &mut rng)),
+    fn block_squaring_is_bit_identical_to_dense() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(13);
+        for g in [
+            generators::complete(6),
+            generators::lollipop(4, 3),
+            generators::grid(2, 4),
+            generators::petersen(),
+            generators::erdos_renyi_connected(12, 0.4, &mut rng),
         ] {
-            let full = absorbing_chain(&g, &s);
-            let n = g.n();
-            for repr in [Repr::Dense, Repr::Sparse] {
-                let (t, a) = absorbing_chain_blocks(&g, &s, repr);
-                assert_eq!((t.repr(), a.repr()), (repr, repr));
-                for u in 0..n {
-                    for v in 0..n {
-                        assert_eq!(t.get(u, v), full[(u, v)], "{repr:?}");
-                        assert_eq!(a.get(u, v), full[(u, n + v)], "{repr:?}");
-                        assert_eq!(full[(n + u, v)], 0.0);
-                        assert_eq!(full[(n + u, n + v)], f64::from(u == v));
-                    }
+            assert_block_squaring_matches_full_chain(&g);
+        }
+    }
+
+    #[test]
+    fn pmatrix_squaring_is_bit_identical_in_both_representations() {
+        // Sparser graphs than above: a sparse start squares CSR blocks for
+        // several rounds before fill-in promotes them.
+        let mut rng = rand::rngs::StdRng::seed_from_u64(17);
+        for g in [
+            generators::cycle(24),
+            generators::grid(3, 5),
+            generators::petersen(),
+            generators::erdos_renyi_connected(14, 0.3, &mut rng),
+        ] {
+            assert_block_squaring_matches_full_chain(&g);
+        }
+    }
+
+    #[test]
+    fn sparse_absorbing_blocks_match_dense() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(19);
+        for g in [
+            generators::lollipop(4, 3),
+            generators::erdos_renyi_connected(11, 0.4, &mut rng),
+        ] {
+            let s = VertexSubset::new(g.n(), &[0, 2, 4]);
+            let (td, ad) = absorbing_chain_blocks(&g, &s, Repr::Dense);
+            let (ts, asp) = absorbing_chain_blocks(&g, &s, Repr::Sparse);
+            assert!(!td.is_sparse() && !ad.is_sparse());
+            assert!(ts.is_sparse() && asp.is_sparse());
+            assert_eq!(ts.to_dense(), td.to_dense());
+            assert_eq!(asp.to_dense(), ad.to_dense());
+        }
+    }
+
+    #[test]
+    fn absorbing_chain_blocks_match_full_chain() {
+        let (g, s) = figure2();
+        let full = absorbing_chain(&g, &s);
+        let n = g.n();
+        for repr in [Repr::Dense, Repr::Sparse] {
+            let (t, a) = absorbing_chain_blocks(&g, &s, repr);
+            assert_eq!((t.repr(), a.repr()), (repr, repr));
+            for u in 0..n {
+                for v in 0..n {
+                    assert_eq!(t.get(u, v), full[(u, v)], "{repr:?}");
+                    assert_eq!(a.get(u, v), full[(u, n + v)], "{repr:?}");
+                    assert_eq!(full[(n + u, v)], 0.0);
+                    assert_eq!(full[(n + u, n + v)], f64::from(u == v));
                 }
             }
         }
