@@ -374,6 +374,27 @@ mod tests {
         }
     }
 
+    /// Both block representations must hold, bit for bit, the live
+    /// blocks of the full `2n × 2n` chain: `T = R[L, L]`, `A = R[L, R]`,
+    /// with the constant bottom half `[0, I]`.
+    fn assert_blocks_match_full_chain(g: &Graph, s: &VertexSubset) {
+        let full = absorbing_chain(g, s);
+        let n = g.n();
+        for repr in [Repr::Dense, Repr::Sparse] {
+            let (t, a) = absorbing_chain_blocks(g, s, repr);
+            assert_eq!((t.repr(), a.repr()), (repr, repr));
+            for u in 0..n {
+                for v in 0..n {
+                    let case = format!("n = {n}, {repr:?}, ({u}, {v})");
+                    assert_eq!(t.get(u, v), full[(u, v)], "{case}");
+                    assert_eq!(a.get(u, v), full[(u, n + v)], "{case}");
+                    assert_eq!(full[(n + u, v)], 0.0);
+                    assert_eq!(full[(n + u, n + v)], f64::from(u == v));
+                }
+            }
+        }
+    }
+
     #[test]
     fn sparse_absorbing_blocks_match_dense() {
         let mut rng = rand::rngs::StdRng::seed_from_u64(19);
@@ -382,32 +403,14 @@ mod tests {
             generators::erdos_renyi_connected(11, 0.4, &mut rng),
         ] {
             let s = VertexSubset::new(g.n(), &[0, 2, 4]);
-            let (td, ad) = absorbing_chain_blocks(&g, &s, Repr::Dense);
-            let (ts, asp) = absorbing_chain_blocks(&g, &s, Repr::Sparse);
-            assert!(!td.is_sparse() && !ad.is_sparse());
-            assert!(ts.is_sparse() && asp.is_sparse());
-            assert_eq!(ts.to_dense(), td.to_dense());
-            assert_eq!(asp.to_dense(), ad.to_dense());
+            assert_blocks_match_full_chain(&g, &s);
         }
     }
 
     #[test]
     fn absorbing_chain_blocks_match_full_chain() {
         let (g, s) = figure2();
-        let full = absorbing_chain(&g, &s);
-        let n = g.n();
-        for repr in [Repr::Dense, Repr::Sparse] {
-            let (t, a) = absorbing_chain_blocks(&g, &s, repr);
-            assert_eq!((t.repr(), a.repr()), (repr, repr));
-            for u in 0..n {
-                for v in 0..n {
-                    assert_eq!(t.get(u, v), full[(u, v)], "{repr:?}");
-                    assert_eq!(a.get(u, v), full[(u, n + v)], "{repr:?}");
-                    assert_eq!(full[(n + u, v)], 0.0);
-                    assert_eq!(full[(n + u, n + v)], f64::from(u == v));
-                }
-            }
-        }
+        assert_blocks_match_full_chain(&g, &s);
     }
 
     #[test]
