@@ -32,7 +32,7 @@ fn bench_doubling(c: &mut Criterion) {
         let mut rng = rand::rngs::StdRng::seed_from_u64(4);
         b.iter(|| {
             let mut clique = Clique::new(n);
-            sample_tree_via_doubling(&mut clique, &g, 2.0, 4000, &mut rng)
+            sample_tree_via_doubling(&mut clique, &g, 2.0, 4000, &mut rng).expect("covered")
         });
     });
     group.finish();

@@ -2,9 +2,9 @@
 //! (the per-phase derivative-graph cost of §2.4).
 
 use cct_graph::generators;
-use cct_linalg::Repr;
+use cct_linalg::{PMatrix, Repr};
 use cct_schur::{
-    schur_transition_exact, schur_transition_from_shortcut, shortcut_by_squaring, shortcut_exact,
+    schur_transition_exact, schur_transition_from_shortcut_p, shortcut_by_squaring, shortcut_exact,
     VertexSubset,
 };
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -30,9 +30,9 @@ fn bench_schur(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("schur_laplacian", n), &n, |b, _| {
             b.iter(|| schur_transition_exact(&g, &s));
         });
-        let q = shortcut_exact(&g, &s);
+        let q = PMatrix::Dense(shortcut_exact(&g, &s));
         group.bench_with_input(BenchmarkId::new("schur_via_corollary3", n), &n, |b, _| {
-            b.iter(|| schur_transition_from_shortcut(&g, &s, &q));
+            b.iter(|| schur_transition_from_shortcut_p(&g, &s, &q));
         });
     }
     group.finish();

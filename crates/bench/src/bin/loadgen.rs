@@ -34,12 +34,8 @@
 //! backoff and counted, never dropped.
 
 use cct_bench::{gate, json::Json};
-use cct_serve::{exchange, exchange_frame, Algorithm, ControlCommand, Endpoint, SampleRequest};
+use cct_serve::{Algorithm, Client, ControlCommand, Endpoint, SampleRequest};
 use std::collections::VecDeque;
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
-#[cfg(unix)]
-use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
@@ -91,90 +87,6 @@ const SPECS: &[&str] = &[
     "kdense:9",
 ];
 
-/// One persistent client connection (reader half + writer half).
-enum Conn {
-    Tcp(BufReader<TcpStream>, TcpStream),
-    #[cfg(unix)]
-    Unix(BufReader<UnixStream>, UnixStream),
-}
-
-impl Conn {
-    fn open(endpoint: &Endpoint) -> Result<Conn, String> {
-        match endpoint {
-            Endpoint::Tcp(addr) => {
-                let stream =
-                    TcpStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
-                let reader = BufReader::new(stream.try_clone().map_err(|e| e.to_string())?);
-                Ok(Conn::Tcp(reader, stream))
-            }
-            #[cfg(unix)]
-            Endpoint::Unix(path) => {
-                let stream = UnixStream::connect(path)
-                    .map_err(|e| format!("connect {}: {e}", path.display()))?;
-                let reader = BufReader::new(stream.try_clone().map_err(|e| e.to_string())?);
-                Ok(Conn::Unix(reader, stream))
-            }
-            #[cfg(not(unix))]
-            Endpoint::Unix(_) => Err("unix endpoints are not supported on this platform".into()),
-        }
-    }
-
-    fn exchange(&mut self, request: &SampleRequest) -> Result<Json, String> {
-        match self {
-            Conn::Tcp(reader, writer) => exchange(reader, writer, request),
-            #[cfg(unix)]
-            Conn::Unix(reader, writer) => exchange(reader, writer, request),
-        }
-        .map_err(|e| e.to_string())
-    }
-
-    fn exchange_frame(&mut self, frame: &Json) -> Result<Json, String> {
-        match self {
-            Conn::Tcp(reader, writer) => exchange_frame(reader, writer, frame),
-            #[cfg(unix)]
-            Conn::Unix(reader, writer) => exchange_frame(reader, writer, frame),
-        }
-        .map_err(|e| e.to_string())
-    }
-
-    /// Writes a request frame without waiting for its reply — the
-    /// pipelined half of the warm phase.
-    fn send(&mut self, request: &SampleRequest) -> Result<(), String> {
-        let line = request.to_json().compact() + "\n";
-        let writer: &mut dyn Write = match self {
-            Conn::Tcp(_, writer) => writer,
-            #[cfg(unix)]
-            Conn::Unix(_, writer) => writer,
-        };
-        writer.write_all(line.as_bytes()).map_err(|e| e.to_string())
-    }
-
-    /// Reads the next reply frame (replies arrive in request order).
-    fn recv(&mut self) -> Result<Json, String> {
-        let reader: &mut dyn BufRead = match self {
-            Conn::Tcp(reader, _) => reader,
-            #[cfg(unix)]
-            Conn::Unix(reader, _) => reader,
-        };
-        let mut line = String::new();
-        match reader.read_line(&mut line) {
-            Ok(0) => return Err("server closed the connection".into()),
-            Ok(_) => {}
-            Err(e) => return Err(e.to_string()),
-        }
-        let frame = Json::parse(line.trim_end()).map_err(|e| format!("bad reply frame: {e}"))?;
-        if frame.get("ok") == Some(&Json::Bool(true)) {
-            Ok(frame)
-        } else {
-            Err(frame
-                .get("error")
-                .and_then(Json::as_str)
-                .unwrap_or("request failed")
-                .to_string())
-        }
-    }
-}
-
 /// Request `i` of the workload — the same shape across the cold and
 /// warm phases, so warm requests always hit keys the cold phase
 /// prepared. One draw per request: uniform weight keeps the trial
@@ -219,9 +131,9 @@ fn drive_conn(
     let mut latencies = Vec::new();
     let mut retries = 0u64;
     let mut failures = Vec::new();
-    let mut conn = match Conn::open(endpoint) {
-        Ok(conn) => conn,
-        Err(e) => return (latencies, retries, vec![e]),
+    let mut client = match Client::connect(endpoint) {
+        Ok(client) => client,
+        Err(e) => return (latencies, retries, vec![e.to_string()]),
     };
     let mut outstanding: VecDeque<(u64, Instant)> = VecDeque::new();
     let mut exhausted = false;
@@ -232,7 +144,7 @@ fn drive_conn(
                 exhausted = true;
                 break;
             }
-            if let Err(e) = conn.send(&workload_request(i)) {
+            if let Err(e) = client.send(&workload_request(i).to_json()) {
                 failures.push(format!("request {i}: send: {e}"));
                 return (latencies, retries, failures);
             }
@@ -241,15 +153,15 @@ fn drive_conn(
         let Some((i, began)) = outstanding.pop_front() else {
             return (latencies, retries, failures);
         };
-        match conn.recv() {
+        match client.recv() {
             Ok(_) => latencies.push(began.elapsed().as_micros() as u64),
-            Err(e) if e.contains("overloaded") => {
+            Err(e) if e.to_string().contains("overloaded") => {
                 // Backpressure is an invitation to retry, not a
                 // failure. Latency keeps the original start: the
                 // retry wait is real client-observed time.
                 retries += 1;
                 std::thread::sleep(Duration::from_millis(2));
-                if let Err(e) = conn.send(&workload_request(i)) {
+                if let Err(e) = client.send(&workload_request(i).to_json()) {
                     failures.push(format!("request {i}: resend: {e}"));
                     return (latencies, retries, failures);
                 }
@@ -407,8 +319,8 @@ fn run() -> i32 {
     };
 
     // ---- cold phase: first touch of every (algorithm, spec) key ------
-    let mut conn = match Conn::open(&endpoint) {
-        Ok(conn) => conn,
+    let mut client = match Client::connect(&endpoint) {
+        Ok(client) => client,
         Err(e) => {
             eprintln!("error: {e}");
             return 1;
@@ -420,7 +332,7 @@ fn run() -> i32 {
         for algorithm in [Algorithm::Thm1, Algorithm::Exact] {
             let mut request = SampleRequest::new(*spec).seed(7000).count(1);
             request.algorithm = algorithm;
-            if let Err(e) = conn.exchange(&request) {
+            if let Err(e) = client.exchange(&request.to_json()) {
                 eprintln!("error: cold request {algorithm} {spec}: {e}");
                 return 1;
             }
@@ -438,14 +350,14 @@ fn run() -> i32 {
     let replay = workload_request(1);
     let mut draws = Vec::new();
     for _ in 0..2 {
-        let mut fresh = match Conn::open(&endpoint) {
-            Ok(conn) => conn,
+        let mut fresh = match Client::connect(&endpoint) {
+            Ok(client) => client,
             Err(e) => {
                 eprintln!("error: {e}");
                 return 1;
             }
         };
-        match fresh.exchange(&replay) {
+        match fresh.exchange(&replay.to_json()) {
             Ok(frame) => draws.push(frame.get("draws").map(Json::compact)),
             Err(e) => {
                 eprintln!("error: replay request: {e}");
@@ -496,8 +408,8 @@ fn run() -> i32 {
     eprintln!("concurrency speedup (median warm/sequential pair): ×{speedup:.2}");
 
     // ---- server-side stats (informational) ---------------------------
-    let server_stats = conn
-        .exchange_frame(&ControlCommand::Stats.to_json())
+    let server_stats = client
+        .exchange(&ControlCommand::Stats.to_json())
         .ok()
         .and_then(|frame| frame.get("stats").cloned());
 

@@ -266,7 +266,8 @@ pub fn e5(quick: bool) {
             let mut r = rng(1300 + n as u64);
             let cover = estimate_cover_time(&g, 0, 20, 200_000_000, &mut r);
             let mut clique = Clique::new(g.n());
-            let (_tree, segments) = sample_tree_via_doubling(&mut clique, &g, 2.0, 40_000, &mut r);
+            let (_tree, segments) = sample_tree_via_doubling(&mut clique, &g, 2.0, 40_000, &mut r)
+                .expect("40 000 segments cover every family");
             println!(
                 "{name:<30} {n:>5} {:>10.0} {:>9} {segments:>9} {:>10.1}",
                 cover.mean,

@@ -264,8 +264,6 @@ pub struct SamplerConfig {
     /// Transition-matrix representation backend (memory/speed only —
     /// trees and ledgers are byte-identical across backends).
     pub backend: Backend,
-    /// Swap-chain steps per slot for large matching instances.
-    pub swap_steps_per_slot: usize,
     /// Hard cap on materialized partial-walk entries (safety net; the
     /// degenerate bipartite cases fall back to local simulation first).
     /// A top-down walk that outgrows it falls back to a leader-local
@@ -303,7 +301,6 @@ impl SamplerConfig {
             workers: Workers::Sequential,
             threads: 1,
             backend: Backend::Auto,
-            swap_steps_per_slot: 64,
             max_grid_len: 8_000_000,
             max_table_bytes: 1 << 31,
         }

@@ -19,11 +19,11 @@
 //! sets, so the first-visit edges (recovered per phase through the
 //! shortcut graph, Algorithm 4) are exactly Aldous–Broder's tree edges.
 
-use crate::sampler::SampleTreeError;
+use crate::sampler::{schur_rounds, validate, SampleTreeError};
 use cct_doubling::{doubling_walks, Balancing};
 use cct_graph::{Graph, SpanningTree};
-use cct_schur::{sample_first_visit_edge, schur_graph, shortcut_exact, VertexSubset};
-use cct_sim::{Clique, CostCategory, RoundLedger};
+use cct_schur::{sample_first_visit_edge_with, schur_graph, shortcut_exact, VertexSubset};
+use cct_sim::{Clique, CostCategory, FastOracleEngine, RoundLedger};
 use rand::Rng;
 
 /// Report of a Direction-4 run.
@@ -45,13 +45,15 @@ pub struct Direction4Report {
 /// `Schur(G, S)`, first-visit edges through Algorithm 4.
 ///
 /// The walk runs on the clique through the load-balanced doubling of §3
-/// (rounds measured); Schur/shortcut construction is charged at the same
-/// iterated-squaring rate as the main sampler.
+/// (rounds measured); each phase's Schur/shortcut construction is
+/// charged by the main sampler's rule — `4k + 1` multiplies,
+/// `k = ⌈3 log₂ n + 6⌉`, at the default fast oracle's `⌈n^α⌉` rounds
+/// each.
 ///
 /// # Errors
 ///
-/// Returns [`SampleTreeError::Disconnected`] / `EmptyGraph` on invalid
-/// input.
+/// The input check of [`crate::validate`]: [`SampleTreeError::EmptyGraph`],
+/// [`SampleTreeError::Disconnected`] or [`SampleTreeError::WeightRatio`].
 ///
 /// # Panics
 ///
@@ -77,13 +79,8 @@ pub fn direction4_sample<R: Rng + ?Sized>(
     rng: &mut R,
 ) -> Result<Direction4Report, SampleTreeError> {
     assert!(walk_factor > 0.0, "walk_factor must be positive");
+    validate(g)?;
     let n = g.n();
-    if n == 0 {
-        return Err(SampleTreeError::EmptyGraph);
-    }
-    if !g.is_connected() {
-        return Err(SampleTreeError::Disconnected);
-    }
     let mut clique = Clique::new(n);
     if n == 1 {
         return Ok(Direction4Report {
@@ -113,22 +110,20 @@ pub fn direction4_sample<R: Rng + ?Sized>(
         let s = VertexSubset::new(n, &s_vertices);
 
         // Derivative graphs. Phase 1: S = V, the walk is on G itself and
-        // the shortcut matrix is the identity.
+        // the shortcut matrix is the identity (`None`).
         let (phase_graph, q) = if s.len() == n {
-            (g.clone(), cct_linalg::Matrix::identity(n))
+            (g.clone(), None)
         } else {
-            let q = shortcut_exact(g, &s);
-            // Same charging rule as the main sampler: Corollary 2's
-            // 2n × 2n squarings. Direction 4 exists to *remove* the
-            // per-phase matmul of the walk itself, not of the Schur
-            // construction (the paper's Direction 1 discusses that).
-            let squarings = (3.0 * (n as f64).log2() + 6.0).ceil() as u64;
-            clique
-                .ledger_mut()
-                .charge(CostCategory::MatMul, squarings * 4);
+            // Same charging rule as the main sampler. Direction 4 exists
+            // to *remove* the per-phase matmul of the walk itself, not of
+            // the Schur construction (the paper's Direction 1 discusses
+            // that).
+            let rounds = schur_rounds(n, FastOracleEngine::default().rounds_per_multiply(n));
+            clique.ledger_mut().charge(CostCategory::MatMul, rounds);
             let h = schur_graph(g, &s).expect("Schur of a Laplacian is a graph");
-            (h, q)
+            (h, Some(shortcut_exact(g, &s)))
         };
+        let q_at = |a: usize, b: usize| q.as_ref().map_or(f64::from(a == b), |q| q[(a, b)]);
 
         // One doubling walk of length ~ walk_factor·|S| on the phase
         // graph, run on a |S|-machine sub-clique (machines hosting S).
@@ -161,7 +156,7 @@ pub fn direction4_sample<R: Rng + ?Sized>(
             if visited[v] {
                 continue;
             }
-            let (u, vv) = sample_first_visit_edge(g, &s, &q, prev, v, rng).ok_or(
+            let (u, vv) = sample_first_visit_edge_with(g, &s, q_at, prev, v, rng).ok_or(
                 SampleTreeError::Phase(crate::phase::PhaseError::DegenerateDistribution),
             )?;
             edges.push((u, vv));
@@ -249,6 +244,23 @@ mod tests {
         );
         let (stat, crit) = stats::goodness_of_fit(&counts, &exact, trials);
         assert!(stat < crit, "chi² = {stat:.1} ≥ {crit:.1}");
+    }
+
+    #[test]
+    fn schur_phases_are_billed_like_the_main_sampler() {
+        // Every phase after the first builds Schur(G, S) and pays
+        // (4k + 1) multiplies at ⌈n^α⌉ rounds; phase 1 has S = V and no
+        // Schur step. Nothing else in a Direction-4 run charges MatMul.
+        let g = generators::lollipop(12, 20);
+        let n = g.n() as f64;
+        let report = direction4_sample(&g, 1.0, &mut rng(6)).unwrap();
+        assert!(report.phases >= 2, "{} phases", report.phases);
+        let k = (3.0 * n.log2() + 6.0).ceil() as u64;
+        let per_multiply = n.powf(cct_sim::ALPHA).ceil() as u64;
+        assert_eq!(
+            report.rounds.rounds(CostCategory::MatMul),
+            (report.phases as u64 - 1) * (4 * k + 1) * per_multiply
+        );
     }
 
     #[test]

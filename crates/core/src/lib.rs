@@ -57,5 +57,6 @@ pub use mst::{MstEngine, MstReport};
 pub use phase::PhaseError;
 pub use report::{PhaseMethod, PhaseReport, SampleReport};
 pub use sampler::{
-    CliqueTreeSampler, PreparedPhase1State, PreparedSampler, PreparedState, SampleTreeError,
+    validate, CliqueTreeSampler, PreparedPhase1State, PreparedSampler, PreparedState,
+    SampleTreeError,
 };

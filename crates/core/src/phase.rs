@@ -799,11 +799,9 @@ fn place_midpoints<R: Rng + ?Sized>(
                 let hint = Assignment {
                     per_group: hint_slots,
                 };
-                SwapChainSampler {
-                    steps_per_slot: config.swap_steps_per_slot,
-                }
-                .sample(&inst, Some(hint), rng)
-                .expect("hinted start is feasible")
+                SwapChainSampler::default()
+                    .sample(&inst, Some(hint), rng)
+                    .expect("hinted start is feasible")
             };
             // Map value ids back to vertices and reassemble
             // chronologically.

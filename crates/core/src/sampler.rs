@@ -154,10 +154,20 @@ impl CliqueTreeSampler {
 /// in seconds per draw.
 const MAX_WEIGHT_RATIO: f64 = (1u64 << 20) as f64;
 
-/// The input check every draw relies on: `g` has a vertex, is connected,
-/// and its edge weights span at most [`MAX_WEIGHT_RATIO`]. The cold path
-/// runs it per call, [`PreparedSampler::new`] once per graph.
-fn validate(g: &Graph) -> Result<(), SampleTreeError> {
+/// The input check every walk-based sampler relies on: `g` has a
+/// vertex, is connected, and its largest edge weight is at most `2²⁰`
+/// times its smallest. [`CliqueTreeSampler::sample`] runs it per call,
+/// [`PreparedSampler::new`] once per graph, and
+/// [`crate::direction4_sample`] per call; callers of the other walk
+/// samplers (Corollary 1's doubling, Aldous–Broder, Wilson) run it
+/// first, so a lopsided or disconnected input is an error, not a walk
+/// that never covers the graph.
+///
+/// # Errors
+///
+/// [`SampleTreeError::EmptyGraph`] / [`SampleTreeError::Disconnected`]
+/// / [`SampleTreeError::WeightRatio`].
+pub fn validate(g: &Graph) -> Result<(), SampleTreeError> {
     if g.n() == 0 {
         return Err(SampleTreeError::EmptyGraph);
     }
@@ -414,8 +424,9 @@ fn sample_with<R: Rng + ?Sized>(
                 // in two n × n products — see
                 // `cct_schur::shortcut_by_squaring`), an optimization of
                 // the simulation, not of the simulated network algorithm.
-                let rounds = (4 * charged_schur_squarings(n) + 1) * rounds_per_mult;
-                clique.ledger_mut().charge(CostCategory::MatMul, rounds);
+                clique
+                    .ledger_mut()
+                    .charge(CostCategory::MatMul, schur_rounds(n, rounds_per_mult));
                 let trans_local = schur_transition_from_shortcut_p(g, &s, &q);
                 (
                     Cow::Owned(phase_matrix(trans_local, repr)),
@@ -899,6 +910,15 @@ fn unique_tree_report(g: &Graph, rho: usize, ell0: u64, clique: &mut Clique) -> 
 /// squarings ≈ `3 log₂ n + 6`.
 fn charged_schur_squarings(n: usize) -> u64 {
     (3.0 * (n as f64).log2() + 6.0).ceil() as u64
+}
+
+/// The `MatMul` rounds one phase's Schur construction is billed:
+/// Corollary 2's `k` squarings of the `2n × 2n` chain at 4× the
+/// `n × n` multiply cost, plus Corollary 3's one product `Q·R`, each
+/// `n × n` multiply at `rounds_per_mult`. Direction 4 bills its Schur
+/// phases by the same rule.
+pub(crate) fn schur_rounds(n: usize, rounds_per_mult: u64) -> u64 {
+    (4 * charged_schur_squarings(n) + 1) * rounds_per_mult
 }
 
 /// A phase's matrix: the `|S| × |S|` Schur transition in local ids,

@@ -13,7 +13,7 @@
 use crate::TWiseHash;
 use cct_graph::Graph;
 use cct_sim::{Clique, CostCategory, Envelope};
-use cct_walks::random_step;
+use cct_walks::{random_step, SampleError};
 use rand::Rng;
 
 /// Routed walk segment: (origin machine, segment index, walk vertices).
@@ -199,27 +199,29 @@ pub fn lemma10_bound(n: usize, k: u64, c: usize) -> u64 {
 ///
 /// Returns the tree and the number of segments used.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if the graph is disconnected or `max_segments` is exhausted
-/// (raise it for graphs with cover time ≫ `n log n`).
+/// [`SampleError::Disconnected`] for a disconnected graph (its cover
+/// time is infinite), and [`SampleError::StepCapExhausted`] when
+/// `max_segments` segments leave a vertex unvisited (raise it for
+/// graphs with cover time ≫ `n log n`); the cap reported is the steps
+/// those segments walked.
 pub fn sample_tree_via_doubling<R: Rng + ?Sized>(
     clique: &mut Clique,
     g: &Graph,
     segment_factor: f64,
     max_segments: u32,
     rng: &mut R,
-) -> (cct_graph::SpanningTree, u32) {
+) -> Result<(cct_graph::SpanningTree, u32), SampleError> {
     let n = g.n();
-    assert!(
-        g.is_connected(),
-        "cover time is infinite on disconnected graphs"
-    );
+    if !g.is_connected() {
+        return Err(SampleError::Disconnected);
+    }
     if n == 1 {
-        return (
+        return Ok((
             cct_graph::SpanningTree::new(1, Vec::new()).expect("trivial"),
             0,
-        );
+        ));
     }
     let seg_len = ((segment_factor * n as f64 * (n as f64).log2()).ceil() as u64).max(2);
     let mut visited = vec![false; n];
@@ -229,10 +231,11 @@ pub fn sample_tree_via_doubling<R: Rng + ?Sized>(
     let mut cur = 0usize;
     let mut segments = 0u32;
     while remaining > 0 {
-        assert!(
-            segments < max_segments,
-            "graph not covered within {max_segments} doubling segments"
-        );
+        if segments == max_segments {
+            // Each segment walks seg_len rounded up to a power of two.
+            let cap = u64::from(max_segments).saturating_mul(seg_len.next_power_of_two());
+            return Err(SampleError::StepCapExhausted { cap });
+        }
         // One doubling run; only the walk of the current endpoint is
         // consumed, so the cross-vertex correlations are irrelevant.
         let (walks, _) = doubling_walks(clique, g, seg_len, Balancing::Balanced { c: 1 }, rng);
@@ -250,10 +253,10 @@ pub fn sample_tree_via_doubling<R: Rng + ?Sized>(
         cur = *walk.last().expect("non-empty walk");
         segments += 1;
     }
-    (
+    Ok((
         cct_graph::SpanningTree::new(n, edges).expect("first-visit edges span"),
         segments,
-    )
+    ))
 }
 
 #[cfg(test)]
@@ -418,7 +421,7 @@ mod tests {
         let g = generators::random_regular(n, 4, &mut rng(8));
         let mut clique = Clique::new(n);
         let mut r = rng(9);
-        let (tree, segments) = sample_tree_via_doubling(&mut clique, &g, 2.0, 50, &mut r);
+        let (tree, segments) = sample_tree_via_doubling(&mut clique, &g, 2.0, 50, &mut r).unwrap();
         assert_eq!(tree.n(), n);
         for &(u, v) in tree.edges() {
             assert!(g.has_edge(u, v));
@@ -434,10 +437,25 @@ mod tests {
         let trials = 10_000;
         let counts = wstats::empirical_counts((0..trials).map(|_| {
             let mut clique = Clique::new(4);
-            sample_tree_via_doubling(&mut clique, &g, 2.0, 200, &mut r).0
+            sample_tree_via_doubling(&mut clique, &g, 2.0, 200, &mut r)
+                .unwrap()
+                .0
         }));
         let (stat, crit) = wstats::goodness_of_fit(&counts, &exact, trials);
         assert!(stat < crit, "chi² = {stat:.1} ≥ {crit:.1}");
+    }
+
+    #[test]
+    fn exhausted_segment_budget_and_disconnected_inputs_are_errors() {
+        // One 2-step segment cannot cover a 32-vertex path.
+        let g = generators::path(32);
+        let mut clique = Clique::new(32);
+        let result = sample_tree_via_doubling(&mut clique, &g, 0.01, 1, &mut rng(12));
+        assert_eq!(result.err(), Some(SampleError::StepCapExhausted { cap: 2 }));
+        let g = Graph::from_edges(4, &[(0, 1), (2, 3)]).unwrap();
+        let mut clique = Clique::new(4);
+        let result = sample_tree_via_doubling(&mut clique, &g, 2.0, 50, &mut rng(13));
+        assert_eq!(result.err(), Some(SampleError::Disconnected));
     }
 
     #[test]
@@ -446,7 +464,7 @@ mod tests {
         let g = generators::k_dense_irregular(25);
         let mut clique = Clique::new(25);
         let mut r = rng(11);
-        let (tree, segments) = sample_tree_via_doubling(&mut clique, &g, 2.0, 60, &mut r);
+        let (tree, segments) = sample_tree_via_doubling(&mut clique, &g, 2.0, 60, &mut r).unwrap();
         assert_eq!(tree.n(), 25);
         assert!(segments <= 20, "took {segments} segments");
     }

@@ -8,9 +8,10 @@
 //! * [`schur_laplacian`] / [`schur_transition_exact`] — Gaussian
 //!   elimination on the Laplacian (Definition 1), the sequential
 //!   reference;
-//! * [`schur_transition_from_shortcut`] — the paper's distributed route
-//!   (Corollary 3): `S[u,v] ∝ (Q·R)[u,v]` with per-row normalization
-//!   `M_u = 1/(1 − (QR)[u,u])`, built from the shortcut matrix `Q`.
+//! * [`schur_transition_from_shortcut_p`] — the paper's distributed
+//!   route (Corollary 3): `S[u,v] ∝ (Q·R)[u,v]` with per-row
+//!   normalization `M_u = 1/(1 − (QR)[u,u])`, built from the shortcut
+//!   matrix `Q` in either representation.
 
 use crate::VertexSubset;
 use cct_graph::{Graph, GraphError};
@@ -121,28 +122,17 @@ pub fn entry_matrix(g: &Graph, s: &VertexSubset) -> Matrix {
 }
 
 /// Corollary 3: the Schur transition matrix from the shortcut matrix
-/// `q` (as produced by [`crate::shortcut_exact`], or densified from
+/// `q` (as produced by [`crate::shortcut_exact`] or
 /// [`crate::shortcut_by_squaring`]): rows of `Q·R` restricted to `S`,
-/// diagonal dropped, renormalized by `M_u = 1/(1 − (QR)[u,u])`.
+/// diagonal dropped, renormalized by `M_u = 1/(1 − (QR)[u,u])`. `q` is
+/// in either representation ([`PMatrix`]): a sparse `Q` multiplies the
+/// entry matrix through the CSR kernel (bit-identical to the dense
+/// product) without densifying `Q` first.
 ///
 /// # Panics
 ///
 /// Panics if `|S| < 2` or a row's self-return mass reaches 1 (impossible
 /// when `S∖{u}` is reachable from `u`).
-pub fn schur_transition_from_shortcut(g: &Graph, s: &VertexSubset, q: &Matrix) -> Matrix {
-    assert!(s.len() >= 2, "need at least two vertices in S");
-    let qr = q.matmul(&entry_matrix(g, s));
-    schur_transition_from_qr(s, &qr)
-}
-
-/// [`schur_transition_from_shortcut`] with the shortcut matrix in either
-/// representation ([`PMatrix`]): a sparse `Q` multiplies the entry
-/// matrix through the CSR kernel (bit-identical to the dense product)
-/// without densifying `Q` first.
-///
-/// # Panics
-///
-/// As [`schur_transition_from_shortcut`].
 pub fn schur_transition_from_shortcut_p(g: &Graph, s: &VertexSubset, q: &PMatrix) -> Matrix {
     assert!(s.len() >= 2, "need at least two vertices in S");
     let r = entry_matrix(g, s);
@@ -254,7 +244,7 @@ mod tests {
             let s = VertexSubset::new(10, &[0, 3, 6, 9]);
             let exact = schur_transition_exact(&g, &s);
             let q = shortcut_exact(&g, &s);
-            let via_q = schur_transition_from_shortcut(&g, &s, &q);
+            let via_q = schur_transition_from_shortcut_p(&g, &s, &PMatrix::Dense(q));
             assert!(
                 exact.max_abs_diff(&via_q) < 1e-9,
                 "diff {}",
@@ -280,7 +270,7 @@ mod tests {
         let s = VertexSubset::new(5, &[0, 2, 4]);
         let exact = schur_transition_exact(&g, &s);
         let q = shortcut_exact(&g, &s);
-        let via_q = schur_transition_from_shortcut(&g, &s, &q);
+        let via_q = schur_transition_from_shortcut_p(&g, &s, &PMatrix::Dense(q));
         assert!(exact.max_abs_diff(&via_q) < 1e-9);
     }
 

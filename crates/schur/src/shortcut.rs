@@ -213,30 +213,14 @@ pub fn shortcut_by_squaring_dense(
 /// `Q[prev, u] · w(u,v) / wdeg_S(u)`, where `wdeg_S(u)` is `u`'s weighted
 /// degree into `S` (for unweighted graphs, `1/deg_S(u)` as in the paper).
 ///
-/// Returns `None` only if the distribution degenerates (inconsistent
-/// inputs).
-///
-/// # Panics
-///
-/// Panics if `v` has no neighbors.
-pub fn sample_first_visit_edge<R: rand::Rng + ?Sized>(
-    g: &Graph,
-    s: &VertexSubset,
-    q: &Matrix,
-    prev: usize,
-    v: usize,
-    rng: &mut R,
-) -> Option<(usize, usize)> {
-    sample_first_visit_edge_with(g, s, |u0, u| q[(u0, u)], prev, v, rng)
-}
-
-/// [`sample_first_visit_edge`] with the shortcut matrix supplied as a
-/// lookup `q(u0, u) = Q[u0, u]` instead of a materialized [`Matrix`].
-///
-/// This lets phase 1 of the sampler (where `S = V` and `Q` is the
-/// identity — a walk's pre-`S` vertex *is* its previous vertex) pass
+/// The shortcut matrix comes as a lookup `q(u0, u) = Q[u0, u]` rather
+/// than a materialized [`Matrix`]: phase 1 (where `S = V` and `Q` is the
+/// identity — a walk's pre-`S` vertex *is* its previous vertex) passes
 /// `|u0, u| f64::from(u0 == u)` instead of allocating a dense `n × n`
 /// identity it reads `O(deg)` entries of.
+///
+/// Returns `None` only if the distribution degenerates (inconsistent
+/// inputs).
 ///
 /// # Panics
 ///
@@ -424,7 +408,7 @@ mod tests {
         let mut r2 = rand::rngs::StdRng::seed_from_u64(21);
         for prev in 0..10 {
             for &(v, _) in g.neighbors(prev) {
-                let a = sample_first_visit_edge(&g, &s, &id, prev, v, &mut r1);
+                let a = sample_first_visit_edge_with(&g, &s, |u0, u| id[(u0, u)], prev, v, &mut r1);
                 let b = sample_first_visit_edge_with(
                     &g,
                     &s,
@@ -501,7 +485,7 @@ mod tests {
         let q = shortcut_exact(&g, &s);
         let mut rng = rand::rngs::StdRng::seed_from_u64(11);
         for _ in 0..50 {
-            let e = sample_first_visit_edge(&g, &s, &q, 0, 1, &mut rng).unwrap();
+            let e = sample_first_visit_edge_with(&g, &s, |a, b| q[(a, b)], 0, 1, &mut rng).unwrap();
             assert_eq!(e, (2, 1));
         }
     }
@@ -515,7 +499,7 @@ mod tests {
         let q = shortcut_exact(&g, &s);
         let mut rng = rand::rngs::StdRng::seed_from_u64(12);
         for _ in 0..20 {
-            let e = sample_first_visit_edge(&g, &s, &q, 3, 1, &mut rng).unwrap();
+            let e = sample_first_visit_edge_with(&g, &s, |a, b| q[(a, b)], 3, 1, &mut rng).unwrap();
             assert_eq!(e, (3, 1));
         }
     }

@@ -3,9 +3,9 @@
 //! probabilistic invariants of `Q` and `S`.
 
 use cct_graph::generators;
-use cct_linalg::{is_row_stochastic, Repr};
+use cct_linalg::{is_row_stochastic, PMatrix, Repr};
 use cct_schur::{
-    entry_matrix, schur_laplacian, schur_transition_exact, schur_transition_from_shortcut,
+    entry_matrix, schur_laplacian, schur_transition_exact, schur_transition_from_shortcut_p,
     shortcut_by_squaring, shortcut_by_squaring_dense, shortcut_exact, VertexSubset,
 };
 use proptest::prelude::*;
@@ -56,7 +56,7 @@ proptest! {
     fn corollary3_equals_laplacian_route((g, s) in graph_and_subset()) {
         let exact = schur_transition_exact(&g, &s);
         let q = shortcut_exact(&g, &s);
-        let via_q = schur_transition_from_shortcut(&g, &s, &q);
+        let via_q = schur_transition_from_shortcut_p(&g, &s, &PMatrix::Dense(q));
         prop_assert!(exact.max_abs_diff(&via_q) < 1e-8);
     }
 

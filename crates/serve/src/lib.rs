@@ -18,9 +18,12 @@
 //!   cache of prepared samplers with **single-flight** preparation:
 //!   concurrent requests for one (algorithm, graph) key prepare it
 //!   exactly once ([`PreparedCache`]).
-//! * **Wire** ([`serve_endpoint`], [`request_endpoint`], [`Endpoint`])
-//!   — line-delimited JSON over a Unix or TCP socket; malformed frames
-//!   get structured `{"ok": false, "error": …}` responses, never a
+//! * **Wire** ([`serve_endpoint`], [`Client`], [`Endpoint`]) —
+//!   line-delimited JSON over a Unix or TCP socket. One listener path
+//!   serves both transports through a multiplexed event loop, and a
+//!   `{"cmd": "shutdown"}` frame is its one drain trigger; one client
+//!   type speaks whole frames to either. Malformed frames get
+//!   structured `{"ok": false, "error": …}` responses, never a
 //!   disconnect.
 //!
 //! # Determinism contract
@@ -82,10 +85,7 @@ pub use service::{
 };
 pub use snapshot::RestoreSummary;
 pub use stats::{LatencyHistogram, ServeStats};
-pub use wire::{
-    exchange, exchange_frame, request_endpoint, request_endpoint_frame, serve_endpoint,
-    serve_endpoint_with_shutdown, Endpoint, MAX_FRAME_LEN,
-};
+pub use wire::{serve_endpoint, Client, Endpoint, MAX_FRAME_LEN};
 
 // Re-exported so service clients replaying draws cold don't need a
 // direct cct-sim dependency for the derivation hash.

@@ -30,12 +30,12 @@
 //!
 //! # Drain
 //!
-//! A `{"cmd": "shutdown"}` frame (or the programmatic shutdown flag of
-//! [`crate::serve_endpoint_with_shutdown`]) starts a graceful drain:
-//! stop accepting, keep serving already-open connections, flush every
-//! in-flight reply, and exit once every connection has closed — or
-//! when the drain grace period expires, whichever comes first. Every
-//! accepted request gets exactly one reply.
+//! A `{"cmd": "shutdown"}` frame is the one trigger of a graceful
+//! drain: stop accepting, keep serving already-open connections, flush
+//! every in-flight reply, and exit once every connection has closed —
+//! or when the drain grace period
+//! ([`crate::ServeOptions::drain_grace`]) expires, whichever comes
+//! first. Every accepted request gets exactly one reply.
 
 use crate::request::{ControlCommand, SampleRequest, WireFrame};
 use crate::service::{error_frame, Pending, ServeHandle, ServeOptions};
@@ -43,7 +43,6 @@ use crate::wire::MAX_FRAME_LEN;
 use cct_json::Json;
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
 /// The exact error string of a backpressure refusal — clients match on
@@ -116,7 +115,8 @@ fn classify_line(handle: &ServeHandle, bytes: &[u8]) -> LineOutcome {
 }
 
 /// The minimal stream surface the loop needs, implemented for TCP and
-/// Unix streams (the only transports the wire layer binds).
+/// Unix streams (the only transports the wire layer binds); a
+/// [`crate::Client`] holds one too.
 pub(crate) trait MuxStream: Read + Write {
     fn set_nonblocking_stream(&self) -> io::Result<()>;
     fn shutdown_stream(&self);
@@ -140,32 +140,6 @@ impl MuxStream for std::os::unix::net::UnixStream {
 
     fn shutdown_stream(&self) {
         let _ = self.shutdown(std::net::Shutdown::Both);
-    }
-}
-
-/// The loop's tunables, captured from [`ServeOptions`] before the
-/// options move into the service.
-pub(crate) struct MuxConfig {
-    pub(crate) read_timeout: Option<Duration>,
-    pub(crate) max_concurrent: usize,
-    pub(crate) max_inflight: usize,
-    pub(crate) drain_grace: Duration,
-    /// Test-only total-accept valve: after this many accepted
-    /// connections the loop stops accepting and exits once every open
-    /// connection closes. The deterministic wire tests and CI smoke
-    /// scripts rely on it; production servers pass `None`.
-    pub(crate) accept_limit: Option<u64>,
-}
-
-impl MuxConfig {
-    pub(crate) fn from_options(options: &ServeOptions, accept_limit: Option<u64>) -> Self {
-        MuxConfig {
-            read_timeout: options.read_timeout_value(),
-            max_concurrent: options.max_concurrent_value(),
-            max_inflight: options.max_inflight_value(),
-            drain_grace: options.drain_grace_value(),
-            accept_limit,
-        }
     }
 }
 
@@ -229,7 +203,6 @@ impl<S: MuxStream> Conn<S> {
 
 struct LoopState {
     inflight: usize,
-    draining: bool,
     stop_accepting: bool,
     drain_deadline: Option<Instant>,
     progress: bool,
@@ -239,16 +212,20 @@ struct LoopState {
 /// `Ok(None)` when no connection is pending (`WouldBlock`). Returns
 /// once the loop has stopped accepting **and** every connection has
 /// closed (or the drain deadline expired).
+///
+/// `accept_limit` is the test-only total-accept valve: after that many
+/// accepted connections the loop stops accepting and exits once every
+/// open connection closes. The deterministic wire tests and CI smoke
+/// scripts rely on it; production servers pass `None`.
 pub(crate) fn mux_loop<S: MuxStream>(
     mut accept: impl FnMut() -> io::Result<Option<S>>,
     handle: &ServeHandle,
-    cfg: &MuxConfig,
-    shutdown: &AtomicBool,
+    accept_limit: Option<u64>,
 ) {
+    let options = &handle.shared().options;
     let mut conns: Vec<Conn<S>> = Vec::new();
     let mut state = LoopState {
         inflight: 0,
-        draining: false,
         stop_accepting: false,
         drain_deadline: None,
         progress: false,
@@ -257,19 +234,9 @@ pub(crate) fn mux_loop<S: MuxStream>(
     let mut consecutive_errors = 0u32;
     loop {
         state.progress = false;
-        // An external shutdown request (programmatic flag) starts the
-        // same drain a {"cmd": "shutdown"} frame does.
-        if shutdown.load(Ordering::Relaxed) && !state.draining {
-            begin_drain(&mut state, cfg);
-        }
-        if let Some(limit) = cfg.accept_limit {
-            if accepted >= limit {
-                state.stop_accepting = true;
-            }
-        }
         // ---- accept ------------------------------------------------
         while !state.stop_accepting {
-            if cfg.accept_limit.is_some_and(|limit| accepted >= limit) {
+            if accept_limit.is_some_and(|limit| accepted >= limit) {
                 state.stop_accepting = true;
                 break;
             }
@@ -283,7 +250,7 @@ pub(crate) fn mux_loop<S: MuxStream>(
                     if conn.stream.set_nonblocking_stream().is_err() {
                         continue; // the stream is unusable; drop it
                     }
-                    if conns.len() >= cfg.max_concurrent {
+                    if conns.len() >= options.max_concurrent {
                         // Over the connection bound: one structured
                         // refusal frame, then close — never a silent
                         // drop.
@@ -301,7 +268,7 @@ pub(crate) fn mux_loop<S: MuxStream>(
                     consecutive_errors += 1;
                     if consecutive_errors >= 16 {
                         eprintln!("accept failing persistently, draining: {e}");
-                        begin_drain(&mut state, cfg);
+                        begin_drain(&mut state, options);
                         break;
                     }
                     eprintln!("accept error: {e}");
@@ -312,10 +279,10 @@ pub(crate) fn mux_loop<S: MuxStream>(
         }
         // ---- per-connection read / dispatch / complete / write -----
         for conn in &mut conns {
-            read_conn(conn, handle, cfg, &mut state);
+            read_conn(conn, handle, &mut state);
             complete_replies(conn, handle, &mut state);
             write_conn(conn, &mut state);
-            enforce_timeouts(conn, cfg);
+            enforce_timeouts(conn, options);
         }
         // ---- reap closed connections -------------------------------
         conns.retain_mut(|conn| {
@@ -332,9 +299,6 @@ pub(crate) fn mux_loop<S: MuxStream>(
             }
             !done
         });
-        if state.draining {
-            begin_drain(&mut state, cfg); // idempotent; see below
-        }
         // ---- exit --------------------------------------------------
         if state.stop_accepting && conns.is_empty() {
             return;
@@ -355,22 +319,16 @@ pub(crate) fn mux_loop<S: MuxStream>(
     }
 }
 
-fn begin_drain(state: &mut LoopState, cfg: &MuxConfig) {
-    state.draining = true;
+fn begin_drain(state: &mut LoopState, options: &ServeOptions) {
     state.stop_accepting = true;
     if state.drain_deadline.is_none() {
-        state.drain_deadline = Some(Instant::now() + cfg.drain_grace);
+        state.drain_deadline = Some(Instant::now() + options.drain_grace);
     }
 }
 
 /// Reads whatever the socket has (bounded per tick), slicing completed
 /// lines out of the buffer and dispatching each.
-fn read_conn<S: MuxStream>(
-    conn: &mut Conn<S>,
-    handle: &ServeHandle,
-    cfg: &MuxConfig,
-    state: &mut LoopState,
-) {
+fn read_conn<S: MuxStream>(conn: &mut Conn<S>, handle: &ServeHandle, state: &mut LoopState) {
     if conn.eof || conn.dead || conn.close_after_flush {
         return;
     }
@@ -410,7 +368,7 @@ fn read_conn<S: MuxStream>(
             state.progress = true;
             continue;
         }
-        dispatch_line(conn, handle, cfg, state, &line);
+        dispatch_line(conn, handle, state, &line);
     }
     if conn.skipping {
         // Still inside an oversized frame: discard what arrived.
@@ -429,7 +387,6 @@ fn read_conn<S: MuxStream>(
 fn dispatch_line<S: MuxStream>(
     conn: &mut Conn<S>,
     handle: &ServeHandle,
-    cfg: &MuxConfig,
     state: &mut LoopState,
     line: &[u8],
 ) {
@@ -445,11 +402,11 @@ fn dispatch_line<S: MuxStream>(
         }
         LineOutcome::Shutdown(frame) => {
             conn.replies.push_back(ReplySlot::Ready(frame));
-            begin_drain(state, cfg);
+            begin_drain(state, &handle.shared().options);
             state.progress = true;
         }
         LineOutcome::Submit(request) => {
-            if state.inflight >= cfg.max_inflight {
+            if state.inflight >= handle.shared().options.inflight_limit() {
                 // The job queue is full: structured refusal in this
                 // request's reply slot, pipeline order preserved.
                 handle.shared().stats.record_overload();
@@ -521,13 +478,13 @@ fn write_conn<S: MuxStream>(conn: &mut Conn<S>, state: &mut LoopState) {
 /// for the read timeout (with nothing owed to it) is closed cleanly; a
 /// refused connection that never reads its `overloaded` frame is cut
 /// after the drain grace.
-fn enforce_timeouts<S: MuxStream>(conn: &mut Conn<S>, cfg: &MuxConfig) {
+fn enforce_timeouts<S: MuxStream>(conn: &mut Conn<S>, options: &ServeOptions) {
     let idle = conn.last_activity.elapsed();
-    if conn.close_after_flush && !conn.flushed() && idle > cfg.drain_grace {
+    if conn.close_after_flush && !conn.flushed() && idle > options.drain_grace {
         conn.dead = true;
         return;
     }
-    if let Some(timeout) = cfg.read_timeout {
+    if let Some(timeout) = options.read_timeout {
         if conn.replies.is_empty() && conn.flushed() && idle > timeout {
             conn.eof = true;
         }

@@ -407,12 +407,18 @@ impl WireFrame {
 /// assert_ne!(spec_seed("er:64:0.2"), spec_seed("er:64:0.3"));
 /// ```
 pub fn spec_seed(spec: &str) -> u64 {
+    machine_seed(SPEC_STREAM, fnv64(spec.as_bytes()))
+}
+
+/// FNV-1a over a byte slice — behind [`spec_seed`], and the snapshot
+/// file's checksum and config fingerprint.
+pub(crate) fn fnv64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in spec.as_bytes() {
+    for &b in bytes {
         h ^= u64::from(b);
         h = h.wrapping_mul(0x0100_0000_01b3);
     }
-    machine_seed(SPEC_STREAM, h)
+    h
 }
 
 fn kind(v: &Json) -> &'static str {

@@ -172,12 +172,12 @@ pub struct ServeOptions {
     cache_capacity: usize,
     thm1: SamplerConfig,
     exact: SamplerConfig,
-    read_timeout: Option<Duration>,
-    max_concurrent: usize,
+    pub(crate) read_timeout: Option<Duration>,
+    pub(crate) max_concurrent: usize,
     /// `None` = derive from the final worker count (`4 × workers`), so
     /// a later [`Self::workers`] call moves the default with it.
     max_inflight: Option<usize>,
-    drain_grace: Duration,
+    pub(crate) drain_grace: Duration,
     snapshot_path: Option<PathBuf>,
 }
 
@@ -288,24 +288,10 @@ impl ServeOptions {
         }
     }
 
-    pub(crate) fn read_timeout_value(&self) -> Option<Duration> {
-        self.read_timeout
-    }
-
-    pub(crate) fn max_concurrent_value(&self) -> usize {
-        self.max_concurrent
-    }
-
-    pub(crate) fn max_inflight_value(&self) -> usize {
+    /// The in-flight bound the socket front-end enforces: the
+    /// [`Self::max_inflight`] setting, else `4 × workers`.
+    pub(crate) fn inflight_limit(&self) -> usize {
         self.max_inflight.unwrap_or(4 * self.workers)
-    }
-
-    pub(crate) fn drain_grace_value(&self) -> Duration {
-        self.drain_grace
-    }
-
-    pub(crate) fn snapshot_path_value(&self) -> Option<&Path> {
-        self.snapshot_path.as_deref()
     }
 }
 
@@ -446,7 +432,7 @@ impl ServeHandle {
 
     /// The snapshot path configured via [`ServeOptions::snapshot`].
     pub fn snapshot_path(&self) -> Option<&Path> {
-        self.shared.options.snapshot_path_value()
+        self.shared.options.snapshot_path.as_deref()
     }
 
     /// Serves a `{"cmd": "snapshot"}` frame: writes to the configured
@@ -479,7 +465,7 @@ impl ServeHandle {
 /// ([`crate::serve_endpoint`]) is built on this same entry point.
 pub fn serve<R>(options: ServeOptions, f: impl FnOnce(ServeHandle) -> R) -> R {
     let cache = PreparedCache::new(options.cache_capacity);
-    if let Some(path) = options.snapshot_path_value() {
+    if let Some(path) = options.snapshot_path.as_deref() {
         // A rejected snapshot is a warm-start opportunity lost, never a
         // startup failure: report it and serve cold.
         match snapshot::load_snapshot(path, &options, &cache) {

@@ -53,7 +53,7 @@
 //! therefore byte-identical to cold runs *unconditionally*.
 
 use crate::cache::{CacheKey, PreparedCache};
-use crate::request::Algorithm;
+use crate::request::{fnv64, Algorithm};
 use crate::service::{build_spec_graph, ServeOptions};
 use cct_core::{PreparedSampler, SamplerConfig};
 use cct_linalg::{CsrMatrix, Matrix, PMatrix};
@@ -79,17 +79,6 @@ pub struct RestoreSummary {
     pub restored: usize,
     /// Entries rejected by verification and left to rebuild cold.
     pub skipped: usize,
-}
-
-/// FNV-1a over a byte slice — the file checksum and the config
-/// fingerprint share it.
-fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0100_0000_01b3);
-    }
-    h
 }
 
 /// A config's identity for snapshot compatibility: the FNV hash of its

@@ -15,28 +15,28 @@
 //!
 //! Besides sampling requests, a connection accepts control frames
 //! ([`crate::ControlCommand`]): `{"cmd": "stats"}`,
-//! `{"cmd": "snapshot"}`, and `{"cmd": "shutdown"}` (which starts a
-//! graceful drain of the whole endpoint — see [`crate::mux`]'s
-//! module docs via [`serve_endpoint`]).
+//! `{"cmd": "snapshot"}`, and `{"cmd": "shutdown"}` — the one trigger
+//! of a graceful drain of the whole endpoint (see [`serve_endpoint`]).
 //!
-//! [`serve_endpoint`] drives every connection from one multiplexed
-//! nonblocking event loop with explicit backpressure
-//! ([`crate::ServeOptions::max_concurrent`],
-//! [`crate::ServeOptions::max_inflight`]) and idle-connection timeouts
-//! ([`crate::ServeOptions::read_timeout`]).
+//! Two halves, one per side of the socket:
+//!
+//! * [`serve_endpoint`] binds either transport and drives every
+//!   connection from one multiplexed nonblocking event loop with
+//!   explicit backpressure ([`crate::ServeOptions::max_concurrent`],
+//!   [`crate::ServeOptions::max_inflight`]) and idle-connection
+//!   timeouts ([`crate::ServeOptions::read_timeout`]);
+//! * [`Client`] connects to either transport and speaks whole frames:
+//!   [`Client::exchange`] for one round trip, [`Client::send`] /
+//!   [`Client::recv`] to pipeline.
 
-use crate::mux::{self, MuxConfig};
-use crate::request::SampleRequest;
-use crate::service::{serve, ServeHandle, ServeOptions};
+use crate::mux::{self, MuxStream};
+use crate::service::{serve, ServeError, ServeOptions};
 use cct_json::Json;
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 #[cfg(unix)]
 use std::os::unix::net::{UnixListener, UnixStream};
-use std::path::{Path, PathBuf};
-use std::sync::atomic::AtomicBool;
-
-use crate::service::ServeError;
+use std::path::PathBuf;
 
 /// Hard cap on the length of one request frame, in bytes. A line that
 /// exceeds it is answered with `{"ok": false, "error": …}` and
@@ -91,57 +91,95 @@ impl std::fmt::Display for Endpoint {
     }
 }
 
-/// Client half of one frame exchange on an established stream: writes
-/// `frame` as one line, reads one response line, and interprets its
-/// `"ok"` field.
+/// A client connection to a served endpoint, over either transport:
+/// whole request frames out, whole reply frames back.
 ///
-/// # Errors
-///
-/// [`ServeError`] for I/O failures, unparseable response frames, and
-/// `{"ok": false}` responses (carrying the server's error message).
-pub fn exchange_frame<R: BufRead, W: Write>(
-    reader: &mut R,
-    writer: &mut W,
-    frame: &Json,
-) -> Result<Json, ServeError> {
-    let io_err = |e: io::Error| ServeError::new(format!("connection error: {e}"));
-    writer
-        .write_all(frame.compact().as_bytes())
-        .map_err(io_err)?;
-    writer.write_all(b"\n").map_err(io_err)?;
-    writer.flush().map_err(io_err)?;
-    let mut line = String::new();
-    let n = reader.read_line(&mut line).map_err(io_err)?;
-    if n == 0 {
-        return Err(ServeError::new("server closed the connection"));
+/// [`Client::exchange`] is one request/response round trip;
+/// [`Client::send`] and [`Client::recv`] split it, so a client can
+/// pipeline several frames before reading any reply — replies come
+/// back in request order, one per frame.
+pub struct Client {
+    stream: BufReader<Box<dyn MuxStream + Send>>,
+}
+
+impl Client {
+    /// Connects to `endpoint`.
+    ///
+    /// # Errors
+    ///
+    /// [`ServeError`] naming the endpoint when the connection fails.
+    pub fn connect(endpoint: &Endpoint) -> Result<Client, ServeError> {
+        let failed = |e: io::Error| ServeError::new(format!("connect {endpoint}: {e}"));
+        let stream: Box<dyn MuxStream + Send> = match endpoint {
+            Endpoint::Tcp(addr) => Box::new(TcpStream::connect(addr).map_err(failed)?),
+            #[cfg(unix)]
+            Endpoint::Unix(path) => Box::new(UnixStream::connect(path).map_err(failed)?),
+            #[cfg(not(unix))]
+            Endpoint::Unix(_) => return Err(unix_unsupported()),
+        };
+        Ok(Client {
+            stream: BufReader::new(stream),
+        })
     }
-    let reply = Json::parse(line.trim_end())
-        .map_err(|e| ServeError::new(format!("unparseable response frame: {e}")))?;
-    match reply.get("ok") {
-        Some(Json::Bool(true)) => Ok(reply),
-        Some(Json::Bool(false)) => Err(ServeError::new(
-            reply
-                .get("error")
-                .and_then(Json::as_str)
-                .unwrap_or("unspecified server error"),
-        )),
-        _ => Err(ServeError::new("response frame missing 'ok' field")),
+
+    /// Writes `frame` as one line without waiting for its reply.
+    ///
+    /// # Errors
+    ///
+    /// [`ServeError`] for I/O failures.
+    pub fn send(&mut self, frame: &Json) -> Result<(), ServeError> {
+        let mut line = frame.compact();
+        line.push('\n');
+        self.stream
+            .get_mut()
+            .write_all(line.as_bytes())
+            .map_err(connection_error)
+    }
+
+    /// Reads the next reply line and interprets its `"ok"` field.
+    ///
+    /// # Errors
+    ///
+    /// [`ServeError`] for I/O failures, a closed connection,
+    /// unparseable reply frames, and `{"ok": false}` replies (carrying
+    /// the server's error message).
+    pub fn recv(&mut self) -> Result<Json, ServeError> {
+        let mut line = String::new();
+        if self.stream.read_line(&mut line).map_err(connection_error)? == 0 {
+            return Err(ServeError::new("server closed the connection"));
+        }
+        let reply = Json::parse(line.trim_end())
+            .map_err(|e| ServeError::new(format!("unparseable response frame: {e}")))?;
+        match reply.get("ok") {
+            Some(Json::Bool(true)) => Ok(reply),
+            Some(Json::Bool(false)) => Err(ServeError::new(
+                reply
+                    .get("error")
+                    .and_then(Json::as_str)
+                    .unwrap_or("unspecified server error"),
+            )),
+            _ => Err(ServeError::new("response frame missing 'ok' field")),
+        }
+    }
+
+    /// One round trip: [`Client::send`], then [`Client::recv`].
+    ///
+    /// # Errors
+    ///
+    /// As [`Client::send`] and [`Client::recv`].
+    pub fn exchange(&mut self, frame: &Json) -> Result<Json, ServeError> {
+        self.send(frame)?;
+        self.recv()
     }
 }
 
-/// Client half of one request/response exchange on an established
-/// stream.
-///
-/// # Errors
-///
-/// [`ServeError`] for I/O failures, unparseable response frames, and
-/// `{"ok": false}` responses (carrying the server's error message).
-pub fn exchange<R: BufRead, W: Write>(
-    reader: &mut R,
-    writer: &mut W,
-    request: &SampleRequest,
-) -> Result<Json, ServeError> {
-    exchange_frame(reader, writer, &request.to_json())
+fn connection_error(e: io::Error) -> ServeError {
+    ServeError::new(format!("connection error: {e}"))
+}
+
+#[cfg(not(unix))]
+fn unix_unsupported() -> ServeError {
+    ServeError::new("unix endpoints are not supported on this platform")
 }
 
 /// Binds `endpoint`, runs a service, and drives every connection from
@@ -152,6 +190,12 @@ pub fn exchange<R: BufRead, W: Write>(
 /// the bound address — for TCP with port 0, the *resolved* address —
 /// before the first accept, so callers can print it or connect from
 /// another thread.
+///
+/// The server runs until a `{"cmd": "shutdown"}` frame drains it: it
+/// stops accepting, flushes every in-flight reply, and exits once all
+/// connections close (bounded by [`crate::ServeOptions::drain_grace`]).
+/// If a snapshot path is configured, the cache is snapshotted on the
+/// way out.
 ///
 /// `accept_limit` is a **test-only shutdown valve**: after that many
 /// *lifetime* accepted connections (including empty ones, e.g. another
@@ -172,53 +216,18 @@ pub fn serve_endpoint(
     accept_limit: Option<u64>,
     on_ready: impl FnOnce(&str),
 ) -> Result<(), ServeError> {
-    serve_endpoint_with_shutdown(
-        endpoint,
-        options,
-        accept_limit,
-        &AtomicBool::new(false),
-        on_ready,
-    )
-}
-
-/// [`serve_endpoint`] with an external shutdown flag: setting
-/// `shutdown` to `true` starts the same graceful drain a
-/// `{"cmd": "shutdown"}` frame does — stop accepting, flush every
-/// in-flight reply, exit once all connections close (bounded by
-/// [`crate::ServeOptions::drain_grace`]). If a snapshot path is
-/// configured, the cache is snapshotted on the way out.
-///
-/// # Errors
-///
-/// [`ServeError`] for bind failures.
-pub fn serve_endpoint_with_shutdown(
-    endpoint: &Endpoint,
-    options: ServeOptions,
-    accept_limit: Option<u64>,
-    shutdown: &AtomicBool,
-    on_ready: impl FnOnce(&str),
-) -> Result<(), ServeError> {
-    let cfg = MuxConfig::from_options(&options, accept_limit);
+    let bind_failed = |e: io::Error| ServeError::new(format!("bind {endpoint}: {e}"));
     match endpoint {
         Endpoint::Tcp(addr) => {
-            let listener = TcpListener::bind(addr)
-                .map_err(|e| ServeError::new(format!("bind {addr}: {e}")))?;
-            listener
-                .set_nonblocking(true)
-                .map_err(|e| ServeError::new(format!("set_nonblocking: {e}")))?;
-            let local = listener
-                .local_addr()
-                .map_err(|e| ServeError::new(format!("local_addr: {e}")))?;
-            serve(options, |handle| {
-                on_ready(&local.to_string());
-                mux::mux_loop(
-                    || nonblocking_accept(listener.accept().map(|(s, _)| s)),
-                    &handle,
-                    &cfg,
-                    shutdown,
-                );
-                final_snapshot(&handle);
-            });
+            let listener = TcpListener::bind(addr).map_err(bind_failed)?;
+            let local = listener.local_addr().map_err(bind_failed)?;
+            listener.set_nonblocking(true).map_err(bind_failed)?;
+            serve_listener(
+                || listener.accept().map(|(s, _)| s),
+                options,
+                accept_limit,
+                || on_ready(&local.to_string()),
+            );
             Ok(())
         }
         #[cfg(unix)]
@@ -236,103 +245,55 @@ pub fn serve_endpoint_with_shutdown(
                 }
                 let _ = std::fs::remove_file(path);
             }
-            let listener = UnixListener::bind(path)
-                .map_err(|e| ServeError::new(format!("bind {}: {e}", path.display())))?;
-            listener
-                .set_nonblocking(true)
-                .map_err(|e| ServeError::new(format!("set_nonblocking: {e}")))?;
-            serve(options, |handle| {
-                on_ready(&format!("unix:{}", path.display()));
-                mux::mux_loop(
-                    || nonblocking_accept(listener.accept().map(|(s, _)| s)),
-                    &handle,
-                    &cfg,
-                    shutdown,
-                );
-                final_snapshot(&handle);
-            });
+            let listener = UnixListener::bind(path).map_err(bind_failed)?;
+            listener.set_nonblocking(true).map_err(bind_failed)?;
+            serve_listener(
+                || listener.accept().map(|(s, _)| s),
+                options,
+                accept_limit,
+                || on_ready(&endpoint.to_string()),
+            );
             let _ = std::fs::remove_file(path);
             Ok(())
         }
         #[cfg(not(unix))]
-        Endpoint::Unix(_) => Err(ServeError::new(
-            "unix endpoints are not supported on this platform",
-        )),
+        Endpoint::Unix(_) => Err(unix_unsupported()),
     }
 }
 
-fn nonblocking_accept<S>(result: io::Result<S>) -> io::Result<Option<S>> {
-    match result {
-        Ok(stream) => Ok(Some(stream)),
-        Err(e) if e.kind() == io::ErrorKind::WouldBlock => Ok(None),
-        Err(e) => Err(e),
-    }
-}
-
-/// Writes a final cache snapshot on graceful exit, if a path is
-/// configured. Best-effort: a failure is reported, not fatal.
-fn final_snapshot(handle: &ServeHandle) {
-    if let Some(path) = handle.snapshot_path().map(Path::to_path_buf) {
-        if let Err(e) = handle.write_snapshot(&path) {
-            eprintln!("snapshot write failed: {e}");
+/// The listener body both transports share: run the service, drive the
+/// multiplexed loop over a nonblocking listener's `accept` until it
+/// drains, then write the final snapshot.
+fn serve_listener<S: MuxStream>(
+    mut accept: impl FnMut() -> io::Result<S>,
+    options: ServeOptions,
+    accept_limit: Option<u64>,
+    on_ready: impl FnOnce(),
+) {
+    serve(options, |handle| {
+        on_ready();
+        mux::mux_loop(
+            || match accept() {
+                Ok(stream) => Ok(Some(stream)),
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => Ok(None),
+                Err(e) => Err(e),
+            },
+            &handle,
+            accept_limit,
+        );
+        // Best-effort: a failed snapshot is reported, not fatal.
+        if let Some(path) = handle.snapshot_path() {
+            if let Err(e) = handle.write_snapshot(path) {
+                eprintln!("snapshot write failed: {e}");
+            }
         }
-    }
-}
-
-fn tcp_split(stream: TcpStream) -> io::Result<(BufReader<TcpStream>, TcpStream)> {
-    Ok((BufReader::new(stream.try_clone()?), stream))
-}
-
-#[cfg(unix)]
-fn unix_split(stream: UnixStream) -> io::Result<(BufReader<UnixStream>, UnixStream)> {
-    Ok((BufReader::new(stream.try_clone()?), stream))
-}
-
-/// Connects to a served endpoint, performs one request/response
-/// exchange, and returns the parsed `{"ok": true}` frame.
-///
-/// # Errors
-///
-/// [`ServeError`] for connect/I-O failures and error responses.
-pub fn request_endpoint(endpoint: &Endpoint, request: &SampleRequest) -> Result<Json, ServeError> {
-    request_endpoint_frame(endpoint, &request.to_json())
-}
-
-/// Connects to a served endpoint, sends one arbitrary frame (e.g. a
-/// [`crate::ControlCommand`]'s `to_json`), and returns the parsed
-/// `{"ok": true}` reply.
-///
-/// # Errors
-///
-/// [`ServeError`] for connect/I-O failures and error responses.
-pub fn request_endpoint_frame(endpoint: &Endpoint, frame: &Json) -> Result<Json, ServeError> {
-    match endpoint {
-        Endpoint::Tcp(addr) => {
-            let stream = TcpStream::connect(addr)
-                .map_err(|e| ServeError::new(format!("connect {addr}: {e}")))?;
-            let (mut reader, mut writer) =
-                tcp_split(stream).map_err(|e| ServeError::new(format!("connection error: {e}")))?;
-            exchange_frame(&mut reader, &mut writer, frame)
-        }
-        #[cfg(unix)]
-        Endpoint::Unix(path) => {
-            let stream = UnixStream::connect(path)
-                .map_err(|e| ServeError::new(format!("connect {}: {e}", path.display())))?;
-            let (mut reader, mut writer) = unix_split(stream)
-                .map_err(|e| ServeError::new(format!("connection error: {e}")))?;
-            exchange_frame(&mut reader, &mut writer, frame)
-        }
-        #[cfg(not(unix))]
-        Endpoint::Unix(_) => Err(ServeError::new(
-            "unix endpoints are not supported on this platform",
-        )),
-    }
+    });
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::request::{Algorithm, ControlCommand};
+    use crate::request::{Algorithm, ControlCommand, SampleRequest};
     use cct_core::{EngineChoice, SamplerConfig, WalkLength};
 
     fn quick_options() -> ServeOptions {
@@ -455,8 +416,14 @@ mod tests {
             });
             let bound = Endpoint::Tcp(addr_rx.recv().unwrap());
             let request = SampleRequest::new("petersen").seed(42).count(2);
-            let a = request_endpoint(&bound, &request).unwrap();
-            let b = request_endpoint(&bound, &request).unwrap();
+            let a = Client::connect(&bound)
+                .unwrap()
+                .exchange(&request.to_json())
+                .unwrap();
+            let b = Client::connect(&bound)
+                .unwrap()
+                .exchange(&request.to_json())
+                .unwrap();
             // The determinism contract covers the draws; cache metadata
             // legitimately differs between the two connections.
             assert_eq!(a.get("draws"), b.get("draws"));
@@ -533,8 +500,10 @@ mod tests {
                 .unwrap();
             });
             ready_rx.recv().unwrap();
-            let frame =
-                request_endpoint(&endpoint, &SampleRequest::new("complete:8").seed(3)).unwrap();
+            let frame = Client::connect(&endpoint)
+                .unwrap()
+                .exchange(&SampleRequest::new("complete:8").seed(3).to_json())
+                .unwrap();
             assert_eq!(frame.get("ok"), Some(&Json::Bool(true)));
         });
         assert!(!path.exists(), "socket file removed on shutdown");
@@ -552,9 +521,56 @@ mod tests {
                 .unwrap();
             });
             let bound = Endpoint::Tcp(addr_rx.recv().unwrap());
-            let err =
-                request_endpoint(&bound, &SampleRequest::new("no-such-family:9")).unwrap_err();
+            let err = Client::connect(&bound)
+                .unwrap()
+                .exchange(&SampleRequest::new("no-such-family:9").to_json())
+                .unwrap_err();
             assert!(err.to_string().contains("bad graph spec"), "{err}");
         });
+    }
+
+    #[test]
+    fn client_pipelines_frames_and_reads_replies_in_order() {
+        let endpoint = Endpoint::parse("127.0.0.1:0").unwrap();
+        let (addr_tx, addr_rx) = std::sync::mpsc::channel::<String>();
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                serve_endpoint(&endpoint, quick_options(), Some(1), move |addr| {
+                    addr_tx.send(addr.to_string()).unwrap();
+                })
+                .unwrap();
+            });
+            let bound = Endpoint::Tcp(addr_rx.recv().unwrap());
+            let mut client = Client::connect(&bound).unwrap();
+            // Three frames out before any reply is read.
+            for frame in [
+                SampleRequest::new("petersen").seed(5).to_json(),
+                SampleRequest::new("no-such-family:9").to_json(),
+                ControlCommand::Stats.to_json(),
+            ] {
+                client.send(&frame).unwrap();
+            }
+            let draw = client.recv().unwrap();
+            assert_eq!(draw.get("draws").unwrap().as_arr().unwrap().len(), 1);
+            let err = client.recv().unwrap_err();
+            assert!(err.to_string().contains("bad graph spec"), "{err}");
+            // The stats frame renders only after both replies ahead of
+            // it, so it counts both requests and the one error.
+            let stats = client.recv().unwrap();
+            let stats = stats.get("stats").expect("stats frame");
+            let thm1 = stats.get("requests").unwrap().get("thm1");
+            assert_eq!(thm1.and_then(Json::as_u64), Some(2));
+            assert_eq!(stats.get("errors").and_then(Json::as_u64), Some(1));
+        });
+        // Nothing listens on a port just released: the error names the
+        // endpoint.
+        let closed = TcpListener::bind("127.0.0.1:0").unwrap();
+        let bound = Endpoint::Tcp(closed.local_addr().unwrap().to_string());
+        drop(closed);
+        let err = Client::connect(&bound).err().expect("connect must fail");
+        assert!(
+            err.to_string().starts_with(&format!("connect {bound}: ")),
+            "{err}"
+        );
     }
 }

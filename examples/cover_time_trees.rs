@@ -46,7 +46,8 @@ fn main() {
     for (name, g) in inputs {
         let cover = estimate_cover_time(&g, 0, 30, 100_000_000, &mut rng);
         let mut clique = Clique::new(g.n());
-        let (tree, segments) = sample_tree_via_doubling(&mut clique, &g, 2.0, 4000, &mut rng);
+        let (tree, segments) =
+            sample_tree_via_doubling(&mut clique, &g, 2.0, 4000, &mut rng).expect("covered");
         let ok = tree.edges().iter().all(|&(u, v)| g.has_edge(u, v));
         println!(
             "{name:<34} {:>10.0} {:>10} {segments:>9} {:>8}",

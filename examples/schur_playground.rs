@@ -6,8 +6,9 @@
 //! ```
 
 use cct::graph::Graph;
+use cct::linalg::PMatrix;
 use cct::schur::{
-    schur_graph, schur_transition_exact, schur_transition_from_shortcut, shortcut_exact,
+    schur_graph, schur_transition_exact, schur_transition_from_shortcut_p, shortcut_exact,
     VertexSubset,
 };
 
@@ -64,7 +65,7 @@ fn main() {
     }
 
     // Corollary 3: rebuilding the Schur transitions from Q agrees.
-    let via_q = schur_transition_from_shortcut(&g, &s, &q);
+    let via_q = schur_transition_from_shortcut_p(&g, &s, &PMatrix::Dense(q));
     let diff = t.max_abs_diff(&via_q);
     println!("\nCorollary 3 cross-check: max |S_laplacian − S_shortcut| = {diff:.2e}");
     assert!(diff < 1e-12);

@@ -291,15 +291,17 @@ fn run_request(args: &[String]) -> Result<(), String> {
     }
     let connect = connect.ok_or("request needs --connect (see --help)")?;
     let endpoint = cct::serve::Endpoint::parse(&connect).map_err(|e| e.to_string())?;
+    let frame = cct::serve::Client::connect(&endpoint)
+        .and_then(|mut client| {
+            client.exchange(&command.map_or_else(|| request.to_json(), |c| c.to_json()))
+        })
+        .map_err(|e| e.to_string())?;
     // Control frames print the server's reply verbatim and exit — they
     // carry no draws to unpack.
-    if let Some(command) = command {
-        let frame = cct::serve::request_endpoint_frame(&endpoint, &command.to_json())
-            .map_err(|e| e.to_string())?;
+    if command.is_some() {
         println!("{}", frame.pretty());
         return Ok(());
     }
-    let frame = cct::serve::request_endpoint(&endpoint, &request).map_err(|e| e.to_string())?;
     let missing = || "malformed response frame".to_string();
     let draws = frame
         .get("draws")
@@ -458,6 +460,13 @@ fn run() -> Result<(), String> {
         return Ok(());
     }
 
+    // The walk samplers share the phase samplers' input check: a
+    // disconnected graph or a weight ratio past 2^20 is an error up
+    // front, not a walk that never covers the graph. (mst is exact on
+    // any positive weights.)
+    if matches!(algorithm.as_str(), "doubling" | "aldous-broder" | "wilson") {
+        cct::core::validate(&g).map_err(|e| e.to_string())?;
+    }
     for t in 0..trials {
         if trials > 1 {
             eprintln!("— trial {}", t + 1);
@@ -480,7 +489,8 @@ fn run() -> Result<(), String> {
             "doubling" => {
                 let mut clique = Clique::new(g.n());
                 let (tree, segments) =
-                    sample_tree_via_doubling(&mut clique, &g, 2.0, 100_000, &mut rng);
+                    sample_tree_via_doubling(&mut clique, &g, 2.0, 100_000, &mut rng)
+                        .map_err(|e| e.to_string())?;
                 print_tree(&tree, dot);
                 eprintln!(
                     "rounds: {} over {segments} doubling segments",

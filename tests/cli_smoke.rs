@@ -334,25 +334,36 @@ fn edge_lists_naming_huge_ids_are_errors_not_aborts() {
         assert!(stderr.starts_with("error: "), "{name}: {stderr}");
         assert!(stderr.contains(needle), "{name}: {stderr}");
     }
-    // A weight 10^14 or 10^300 times the next line's builds a graph the
-    // samplers then refuse: a clean `error:` after the `graph:` line,
-    // not a failed Schur solve or a wrapped walk length.
-    for (name, lines) in [
-        ("w1e14", "0 1 1e14\n1 2 1\n"),
-        ("w1e300", "0 1 1e300\n1 2 1\n"),
+    // A weight 10^14 or 10^300 times the next line's, or two disjoint
+    // triangles, build a graph every walk sampler then refuses: a clean
+    // `error:` after the `graph:` line, not a failed Schur solve, a
+    // wrapped walk length, a walk that never leaves the heavy edge, or
+    // doubling's cover-time assertion.
+    for (name, lines, needle) in [
+        ("w1e14", "0 1 1e14\n1 2 1\n", "max/min ratio"),
+        ("w1e300", "0 1 1e300\n1 2 1\n", "max/min ratio"),
+        (
+            "two-triangles",
+            "0 1\n1 2\n2 0\n3 4\n4 5\n5 3\n",
+            "graph is disconnected",
+        ),
     ] {
         let path = dir.join(format!("cct-cli-{name}-{}.el", std::process::id()));
         std::fs::write(&path, lines).unwrap();
-        for algorithm in ["thm1", "exact"] {
+        for algorithm in [
+            "thm1",
+            "exact",
+            "doubling",
+            "direction4",
+            "aldous-broder",
+            "wilson",
+        ] {
             let out = run_cct(&[algorithm, "--graph", &format!("file:{}", path.display())]);
             let stderr = String::from_utf8_lossy(&out.stderr);
             let last = stderr.lines().last().unwrap_or_default();
             assert_eq!(out.status.code(), Some(1), "{name} {algorithm}: {stderr}");
             assert!(last.starts_with("error: "), "{name} {algorithm}: {stderr}");
-            assert!(
-                last.contains("max/min ratio"),
-                "{name} {algorithm}: {stderr}"
-            );
+            assert!(last.contains(needle), "{name} {algorithm}: {stderr}");
         }
         std::fs::remove_file(&path).unwrap();
     }

@@ -103,7 +103,9 @@ fn doubling_sampler_matches_exact_distribution() {
     let mut r = rng(7);
     let counts = stats::empirical_counts((0..trials).map(|_| {
         let mut clique = Clique::new(4);
-        sample_tree_via_doubling(&mut clique, &g, 2.0, 500, &mut r).0
+        sample_tree_via_doubling(&mut clique, &g, 2.0, 500, &mut r)
+            .unwrap()
+            .0
     }));
     let (stat, crit) = stats::goodness_of_fit(&counts, &exact, trials);
     assert!(stat < crit, "doubling sampler: {stat:.1} ≥ {crit:.1}");

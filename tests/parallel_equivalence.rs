@@ -234,7 +234,8 @@ proptest! {
         let doubling = || {
             let mut clique = Clique::new(g.n());
             let (tree, _) =
-                sample_tree_via_doubling(&mut clique, &g, 2.0, 100_000, &mut rng(sample_seed));
+                sample_tree_via_doubling(&mut clique, &g, 2.0, 100_000, &mut rng(sample_seed))
+                    .expect("connected");
             (tree, clique.ledger().clone())
         };
         let direction4 = || {
