@@ -230,7 +230,12 @@ impl SwapChainSampler {
             let before = inst.weight(v1, g1) * inst.weight(v2, g2);
             let after = inst.weight(v2, g1) * inst.weight(v1, g2);
             debug_assert!(before > 0.0, "chain left the positive-weight region");
-            let accept = after > 0.0 && (after >= before || rng.gen::<f64>() < after / before);
+            // Every weight comparison consumes one uniform, whichever way
+            // it goes: two products that are equal in exact arithmetic can
+            // differ in their last bits, and the branch they take must not
+            // decide how much of the stream the proposal uses.
+            let u: f64 = rng.gen();
+            let accept = after > 0.0 && (after >= before || u < after / before);
             if accept {
                 state.per_group[g1][s1] = v2;
                 state.per_group[g2][s2] = v1;
@@ -397,6 +402,26 @@ mod tests {
             assert!(!a.per_group[1].contains(&0));
             assert!(inst.assignment_weight(&a) > 0.0);
         }
+    }
+
+    #[test]
+    fn swap_chain_stream_use_ignores_last_bit_noise() {
+        // Equal weights accept every swap outright; one weight a last bit
+        // lower sends half the compared proposals through the uniform. The
+        // chain must consume the same stream either way.
+        let flat = MatchingInstance::new(vec![2, 2], vec![2, 2], vec![vec![1.0; 2]; 2]).unwrap();
+        let noisy = MatchingInstance::new(
+            vec![2, 2],
+            vec![2, 2],
+            vec![vec![1.0, 1.0 - f64::EPSILON], vec![1.0, 1.0]],
+        )
+        .unwrap();
+        let sampler = SwapChainSampler::default();
+        let mut r1 = rng(59);
+        let mut r2 = rng(59);
+        sampler.sample(&flat, None, &mut r1).unwrap();
+        sampler.sample(&noisy, None, &mut r2).unwrap();
+        assert_eq!(r1.gen::<u64>(), r2.gen::<u64>(), "streams diverged");
     }
 
     #[test]
