@@ -133,11 +133,12 @@ impl PhaseWalkResult {
 /// The base is a [`DeferredPowers`] table: its distributed-construction
 /// cost was charged in full when it was built (the charge-up-front
 /// contract), and reading `level(k)` here materializes the level's
-/// *numeric* content on demand, memoized. A phase that never touches
-/// the high levels (small `τ`, early truncation, or the out-of-core
-/// route skipping the table entirely) therefore never pays their
-/// `Θ(n²)`-or-`Θ(nnz)` storage — while the ledger stays bit-identical
-/// to an eager build.
+/// *numeric* content on demand, memoized, up to the table's settled
+/// level, which stands for every level above it. A phase that never
+/// touches the high levels (small `τ`, early truncation, or the
+/// out-of-core route skipping the table entirely), or whose table
+/// settles, therefore never pays their `Θ(n²)`-or-`Θ(nnz)` storage —
+/// while the ledger stays bit-identical to an eager build.
 pub(crate) struct PowerTable<'a> {
     base: &'a DeferredPowers,
     extra: Vec<PMatrix>,

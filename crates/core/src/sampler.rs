@@ -283,7 +283,8 @@ struct Phase1Cache {
     /// distributed-construction cost is charged in full at `prepare()`
     /// time (captured in `ledger` below for per-sample replay), but a
     /// level's numeric content materializes only when a walk first
-    /// reads it — memoized across samples. On a sparse backend the
+    /// reads it — memoized across samples — and nothing above the
+    /// table's settled level is ever computed. On a sparse backend the
     /// early levels additionally stay CSR until fill-in promotes them.
     /// Both effects land in [`PreparedSampler::matrix_bytes`]: a
     /// freshly prepared sampler holds little more than the transition
@@ -678,11 +679,15 @@ impl PreparedSampler {
     /// ledgers are bit-identical to an eager build — per-category
     /// totals don't care *when* a charge lands), but a level's numeric
     /// content materializes only when a sample first reads it, and is
-    /// memoized thereafter. Consequently this figure **grows across the
-    /// first samples** — from roughly the transition matrix alone after
-    /// `prepare()` to the full table footprint once a walk has touched
-    /// every level — and is a true point-in-time resident measurement,
-    /// not an a-priori capacity bound.
+    /// memoized thereafter. Levels above the table's settled level — the
+    /// first level that agrees with the one below it, within the drift
+    /// bound `DeferredPowers` documents — are that level and are never
+    /// stored. Consequently this figure **grows across the first
+    /// samples** — from roughly the transition matrix alone after
+    /// `prepare()` to the footprint of the levels up to the settled one
+    /// (all `log₂ ℓ + 1` of them if the table never settles) — and is a
+    /// true point-in-time resident measurement, not an a-priori
+    /// capacity bound.
     pub fn matrix_bytes(&self) -> usize {
         let cache: usize = self
             .data
@@ -744,7 +749,8 @@ impl PreparedSampler {
     /// A borrowed view of the cached state a snapshot must persist: the
     /// transition matrix, the **materialized** phase-1 table levels
     /// (absent levels stay `None` — they cost nothing and rebuild on
-    /// demand), and the exact ledger delta replayed per draw.
+    /// demand; so do the levels above the settled one), and the exact
+    /// ledger delta replayed per draw.
     ///
     /// This is the write half of warm-restart persistence; the read
     /// half is [`PreparedSampler::restore`].
@@ -773,6 +779,10 @@ impl PreparedSampler {
     /// `levels[k]` is the snapshotted level `k` of the phase-1 table
     /// (`None` where the server never materialized it); level 0 is
     /// always rebuilt fresh and any snapshot entry for it is ignored.
+    /// Installed levels are checked by the table's settle rule, so the
+    /// restored table settles where the original did, and levels above
+    /// that (which a snapshot written before the rule existed carries)
+    /// are dropped.
     /// `ledger` must be `Some` exactly when the configuration builds a
     /// phase-1 cache.
     ///
@@ -807,6 +817,12 @@ impl PreparedSampler {
                     ));
                 }
                 for (k, level) in levels.into_iter().enumerate() {
+                    if cache.powers.settled_level().is_some_and(|s| k > s) {
+                        // Installing re-runs the settle rule, so the
+                        // restored table settles where the original did;
+                        // a level above that is the settled level.
+                        break;
+                    }
                     let Some(m) = level else { continue };
                     if k == 0 || cache.powers.materialized_level(k).is_some() {
                         // Level 0 (and every eagerly built level) was
@@ -1424,6 +1440,54 @@ mod tests {
         // A second draw reuses the memoized levels.
         prepared.sample(&mut rng(506)).unwrap();
         assert_eq!(prepared.matrix_bytes(), after);
+    }
+
+    #[test]
+    fn restore_reproduces_the_settled_phase1_table() {
+        // Default ℓ on complete:64 gives a 20-level phase-1 table that
+        // settles within a few levels. The restored sampler must hold the
+        // same levels — none above the settled one — and draw the same
+        // trees.
+        let g = generators::complete(64);
+        let config = SamplerConfig::new();
+        let original = CliqueTreeSampler::new(config.clone()).prepare(&g).unwrap();
+        original.sample(&mut rng(507)).unwrap();
+        let cache = original
+            .data
+            .phase1
+            .as_ref()
+            .expect("phase 1 runs top-down");
+        let settled = cache.powers.settled_level().expect("complete:64 settles");
+        assert!(settled + 1 < cache.powers.len());
+        let state = original.snapshot_state();
+        let phase1 = state.phase1.expect("phase-1 state");
+        assert!(phase1.levels[settled + 1..].iter().all(Option::is_none));
+        let levels: Vec<Option<PMatrix>> = phase1.levels.iter().map(|l| l.cloned()).collect();
+        let restored = PreparedSampler::restore(
+            config.clone(),
+            &g,
+            state.p,
+            levels.clone(),
+            Some(phase1.ledger),
+        )
+        .unwrap();
+        assert_eq!(restored.matrix_bytes(), original.matrix_bytes());
+        // A snapshot from before the cutoff also carries the levels above
+        // the settled one; restore drops them.
+        let mut padded = levels;
+        padded[settled + 1] = Some(cache.powers.level(settled).clone());
+        let from_padded =
+            PreparedSampler::restore(config, &g, state.p, padded, Some(phase1.ledger)).unwrap();
+        assert_eq!(from_padded.matrix_bytes(), original.matrix_bytes());
+        for seed in 508..511 {
+            let want = original.sample(&mut rng(seed)).unwrap();
+            for got in [&restored, &from_padded] {
+                let got = got.sample(&mut rng(seed)).unwrap();
+                assert_eq!(got.tree, want.tree, "seed {seed}");
+                assert_eq!(got.rounds, want.rounds, "seed {seed}");
+            }
+        }
+        assert_eq!(restored.matrix_bytes(), original.matrix_bytes());
     }
 
     #[test]

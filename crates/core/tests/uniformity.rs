@@ -3,7 +3,7 @@
 //! placement), footnote 1 (weighted graphs), and the Appendix exact
 //! variant.
 
-use cct_core::{CliqueTreeSampler, Placement, SamplerConfig, Variant, WalkLength};
+use cct_core::{CliqueTreeSampler, PhaseMethod, Placement, SamplerConfig, Variant, WalkLength};
 use cct_graph::{generators, spanning_tree_distribution, Graph, SpanningTree};
 use cct_walks::stats;
 use rand::SeedableRng;
@@ -157,4 +157,41 @@ fn sampler_agrees_with_aldous_broder_on_star_plus() {
     // Star + one extra edge: 0 is the hub; extra edge (1, 2).
     let g = Graph::from_edges(5, &[(0, 1), (0, 2), (0, 3), (0, 4), (1, 2)]).unwrap();
     assert_uniform(&g, quick(4.0), 12_000, 1010, "star-plus");
+}
+
+/// The paper's `ℓ` (the default `WalkLength`) with `ρ = 2`: every phase
+/// adds one vertex, and each phase with `|S| > 2` walks top-down on a
+/// table of `log₂ ℓ + 1` levels, most of which lie above the level where
+/// the table settles — so the draw reads the settled level far more
+/// often than a squared one.
+fn assert_uniform_top_down(g: &Graph, trials: usize, seed: u64, label: &str) {
+    let config = SamplerConfig::new().rho(2);
+    let report = CliqueTreeSampler::new(config.clone())
+        .sample(g, &mut rng(seed))
+        .expect("sampling failed");
+    let top_down = report
+        .phases
+        .iter()
+        .filter(|p| p.method == PhaseMethod::TopDown)
+        .count();
+    assert!(top_down >= 2, "{label}: only {top_down} top-down phases");
+    assert_uniform(g, config, trials, seed, label);
+}
+
+#[test]
+fn uniform_on_grid_2x3_at_the_paper_length() {
+    // 15 spanning trees.
+    assert_uniform_top_down(&generators::grid(2, 3), 12_000, 1011, "grid:2x3/paper-ell");
+}
+
+#[test]
+fn uniform_on_wheel_6_at_the_paper_length() {
+    // Hub plus a 5-cycle: 121 spanning trees.
+    assert_uniform_top_down(&generators::wheel(6), 12_000, 1012, "wheel:6/paper-ell");
+}
+
+#[test]
+fn uniform_on_k6_at_the_paper_length() {
+    // 6⁴ = 1,296 spanning trees: about 15 expected draws per tree.
+    assert_uniform_top_down(&generators::complete(6), 20_000, 1013, "K6/paper-ell");
 }

@@ -737,7 +737,8 @@ fn charge_redistribution(clique: &mut Clique, levels: usize, rounding: Rounding)
 }
 
 /// A lazily materialized Algorithm-1 power table: level `k` holds
-/// `M^{2^k}`, computed on demand and memoized.
+/// `M^{2^k}`, computed on demand and memoized, up to the level where
+/// the powers stop changing.
 ///
 /// # The charge-up-front contract
 ///
@@ -748,7 +749,8 @@ fn charge_redistribution(clique: &mut Clique, levels: usize, rounding: Rounding)
 /// per-category totals (the [`crate::RoundLedger`] representation), so
 /// *when* a charge lands is invisible: a run that touches only the
 /// first three levels produces the same ledger as one that touches all
-/// of them, and both match the eager route bit for bit.
+/// of them, and both match the eager route bit for bit. Levels the
+/// table never computes (see below) are charged all the same.
 ///
 /// Deferral requires the engine's multiply cost to be an analytic
 /// function of `n` ([`MatMulEngine::analytic_multiply_charges`]);
@@ -756,16 +758,91 @@ fn charge_redistribution(clique: &mut Clique, levels: usize, rounding: Rounding)
 /// to eager materialization inside the constructor, so callers hold a
 /// single type either way.
 ///
+/// # The settled level
+///
 /// Each level is squared from the previous with the representation-
 /// adaptive [`PMatrix::matmul`] followed by the same fixed-point
 /// truncation the eager route applies — identical bits, identical
-/// promotion decisions. Levels live in [`std::sync::OnceLock`] slots, so
-/// a shared table is `Sync` and prepared samplers stay shareable across
-/// worker threads.
+/// promotion decisions — and then compared with the level below it.
+/// The first level `k` that agrees with level `k − 1` is the table's
+/// *settled level*: every level above it **is** level `k`, returned by
+/// reference, and is never computed or stored. "Agree" means:
+///
+/// * under [`Rounding::Fixed`], bit-for-bit equality. Squaring is a pure
+///   function of the operand's value, so every eager level above an
+///   equal pair is that same matrix: fixed-point tables keep the eager
+///   table's bits exactly;
+/// * under [`Rounding::Exact`], every entry moved by at most
+///   `2^min(k, 22) · ε`. The walk needs `ℓ`
+///   steps to cover (the paper sets `ℓ = Θ̃(n³)`, §2.1), but fast
+///   mixers reach their stationary matrix within a few levels. Above
+///   it, squaring changes only rounding drift, and that drift doubles
+///   per level: a row whose sum is `1 + δ` squares to `1 + 2δ`. On the
+///   graphs measured, consecutive eager levels past mixing differ by a
+///   fixed fraction of `2^k · ε` (`0.016` on `complete:64`, `0.026` on
+///   `lollipop:64:64`), so the eager top level `K` carries drift of
+///   order `2^K · ε` against the settled level's `2^k · ε`, `k < K`.
+///   The rule could fire early only on a chain whose slowest mode moves
+///   an entry of size `a` by less than `2^k · ε` per level, i.e. with
+///   spectral gap `γ ≲ 2ε / a`. Such a walk needs `ℓ ≳ a / 2ε` steps,
+///   and at that level the eager table's own drift is of order `a`:
+///   the eager numbers are no better than the settled ones there. The
+///   unit tests bound the settled level against every eager level above
+///   it.
+///
+/// The bound stops doubling at level 22, at `2^22 · ε = 2^-30 ≈ 9.3e-10`:
+/// a weighted `ℓ` saturates at `2^62`, and `2^k · ε` passes `0.25` at
+/// `k = 50`, where it would no longer tell a mixed level from an
+/// unmixed one. With the cap, two levels that differ anywhere by `1e-9`
+/// never agree. A table that has not settled by level 22 either has not
+/// mixed or drifts faster than the cap; it keeps squaring, as the eager
+/// table does.
+///
+/// Levels live in [`std::sync::OnceLock`] slots, so a shared table is
+/// `Sync` and prepared samplers stay shareable across worker threads.
+/// The settled index is published before the level it names, so no
+/// reader that sees the level can square past it.
 pub struct DeferredPowers {
     levels: Vec<std::sync::OnceLock<PMatrix>>,
+    settled: std::sync::OnceLock<usize>,
     threads: usize,
     rounding: Rounding,
+}
+
+/// The level at which [`settle_tolerance`] stops doubling.
+const SETTLE_CAP_LEVEL: usize = 22;
+
+/// How far an entry of level `k` may move from level `k − 1` for the
+/// two to agree: `2^min(k, 22) · ε` under [`Rounding::Exact`] (the
+/// drift level `k` already carries, capped; see [`DeferredPowers`]),
+/// `0` under [`Rounding::Fixed`].
+fn settle_tolerance(k: usize, rounding: Rounding) -> f64 {
+    if rounding.is_exact() {
+        f64::EPSILON * (1u64 << k.min(SETTLE_CAP_LEVEL)) as f64
+    } else {
+        0.0
+    }
+}
+
+/// Whether `next`, the square of `prev` at table level `k`, agrees with
+/// `prev`: every entry within [`settle_tolerance`], compared by value
+/// across representations in `O(rows · cols)`.
+///
+/// # Panics
+///
+/// Panics if the shapes differ.
+fn has_settled(prev: &PMatrix, next: &PMatrix, k: usize, rounding: Rounding) -> bool {
+    assert_eq!(prev.shape(), next.shape(), "shape mismatch");
+    let tol = settle_tolerance(k, rounding);
+    let cols = prev.cols();
+    let (mut a, mut b) = (vec![0.0; cols], vec![0.0; cols]);
+    (0..prev.rows()).all(|i| {
+        a.fill(0.0);
+        b.fill(0.0);
+        prev.for_each_in_row(i, |j, x| a[j] = x);
+        next.for_each_in_row(i, |j, x| b[j] = x);
+        a.iter().zip(&b).all(|(x, y)| (x - y).abs() <= tol)
+    })
 }
 
 impl DeferredPowers {
@@ -783,6 +860,7 @@ impl DeferredPowers {
             .collect();
         DeferredPowers {
             levels,
+            settled: std::sync::OnceLock::new(),
             threads,
             rounding,
         }
@@ -800,6 +878,7 @@ impl DeferredPowers {
         }
         DeferredPowers {
             levels: slots,
+            settled: std::sync::OnceLock::new(),
             threads,
             rounding,
         }
@@ -816,36 +895,58 @@ impl DeferredPowers {
     }
 
     /// Level `k` (`M^{2^k}`), materializing it — and any missing lower
-    /// levels — on first access.
+    /// levels — on first access. Above the settled level, this is the
+    /// settled level itself.
     ///
     /// # Panics
     ///
     /// Panics if `k >= self.len()`.
     pub fn level(&self, k: usize) -> &PMatrix {
         assert!(k < self.levels.len(), "level {k} out of range");
-        // Materialize bottom-up so the recursion depth is 1.
-        for i in 1..=k {
+        // Materialize bottom-up so the recursion depth is 1, and stop at
+        // the settled level, which stands for every level above it.
+        let mut i = 0;
+        while i < k && self.settled.get() != Some(&i) {
+            i += 1;
             if self.levels[i].get().is_none() {
                 let prev = self.levels[i - 1].get().expect("lower level materialized");
                 let mut sq = prev.matmul(prev, self.threads);
                 sq.round_inplace(self.rounding);
-                // A concurrent materializer may have won the race; the
-                // value is identical either way (pure function of the
-                // previous level), so the losing square is dropped.
-                let _ = self.levels[i].set(sq);
+                self.install(i, prev, sq);
             }
         }
-        self.levels[k].get().expect("materialized above")
+        self.levels[i].get().expect("materialized above")
     }
 
-    /// How many levels are currently materialized.
+    /// Stores level `i`, the square of `prev` (level `i − 1`), marking it
+    /// settled first when it agrees with `prev`: a reader that sees level
+    /// `i` then also sees that nothing lies above it, so it never squares
+    /// past it. A concurrent materializer may have stored the level
+    /// already; the value is identical either way (a pure function of the
+    /// previous level), so the losing copy is dropped.
+    fn install(&self, i: usize, prev: &PMatrix, m: PMatrix) -> bool {
+        if has_settled(prev, &m, i, self.rounding) {
+            let _ = self.settled.set(i);
+        }
+        self.levels[i].set(m).is_ok()
+    }
+
+    /// The settled level, once the table has squared up to it: every
+    /// level above it is this one.
+    pub fn settled_level(&self) -> Option<usize> {
+        self.settled.get().copied()
+    }
+
+    /// How many levels are currently materialized: at most the settled
+    /// level plus one.
     pub fn materialized_levels(&self) -> usize {
         self.levels.iter().filter(|s| s.get().is_some()).count()
     }
 
     /// Level `k` if it has already been materialized, without forcing
     /// it. Snapshot writers use this to persist exactly the work a
-    /// server has actually done — absent levels stay absent.
+    /// server has actually done — absent levels stay absent, and so do
+    /// the levels above the settled one.
     ///
     /// # Panics
     ///
@@ -857,9 +958,13 @@ impl DeferredPowers {
 
     /// Installs a previously materialized level into an empty slot —
     /// the restore half of snapshotting. The matrix must have the same
-    /// shape as level 0; installing into an occupied slot is an error
-    /// (level 0 is always occupied), so restore targets `k >= 1` of a
-    /// freshly built lazy table.
+    /// shape as level 0, and levels install bottom-up: level `k − 1`
+    /// must be present, because the installed level is checked against
+    /// it by the same rule [`DeferredPowers::level`] applies, so a
+    /// restored table settles where the original did. Installing into an
+    /// occupied slot (level 0 always is) or above the settled level is an
+    /// error, so restore targets `1 ..= settled` of a freshly built lazy
+    /// table.
     ///
     /// Because every level is a pure function of level 0, a caller that
     /// injects bits produced by the same code from the same level 0
@@ -873,6 +978,9 @@ impl DeferredPowers {
                 self.levels.len()
             ));
         }
+        if let Some(s) = self.settled_level().filter(|&s| k > s) {
+            return Err(format!("level {k} lies above the settled level {s}"));
+        }
         let base_shape = self.levels[0]
             .get()
             .expect("level 0 always materialized")
@@ -884,14 +992,23 @@ impl DeferredPowers {
                 base_shape
             ));
         }
-        self.levels[k]
-            .set(m)
-            .map_err(|_| format!("level {k} already materialized"))
+        if k == 0 || self.levels[k].get().is_some() {
+            return Err(format!("level {k} already materialized"));
+        }
+        let prev = self.levels[k - 1]
+            .get()
+            .ok_or_else(|| format!("level {k} installed before level {}", k - 1))?;
+        if self.install(k, prev, m) {
+            Ok(())
+        } else {
+            Err(format!("level {k} already materialized"))
+        }
     }
 
     /// Allocated heap bytes of the materialized levels — the power-table
     /// term of a prepared sampler's resident-byte accounting. Absent
-    /// levels cost nothing: that is the point.
+    /// levels cost nothing, and neither do the levels above the settled
+    /// one: that is the point.
     pub fn resident_bytes(&self) -> usize {
         self.levels
             .iter()
@@ -905,9 +1022,10 @@ impl std::fmt::Debug for DeferredPowers {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "DeferredPowers {{ {}/{} levels materialized, {} bytes }}",
+            "DeferredPowers {{ {}/{} levels materialized, settled at {:?}, {} bytes }}",
             self.materialized_levels(),
             self.len(),
+            self.settled_level(),
             self.resident_bytes()
         )
     }
@@ -916,7 +1034,10 @@ impl std::fmt::Debug for DeferredPowers {
 /// [`distributed_powers`] with lazy level materialization: charges the
 /// full Algorithm-1 cost (squarings plus column redistributions) up
 /// front and returns a [`DeferredPowers`] whose levels compute on
-/// demand.
+/// demand. Up to the table's settled level the levels are the eager
+/// table's bits; above it they are the settled level, within the bound
+/// [`DeferredPowers`] documents (bit for bit under
+/// [`Rounding::Fixed`]).
 ///
 /// `threads` is the local worker width for deferred squarings; pass the
 /// same width the engine was constructed with so deferred and eager
@@ -1266,6 +1387,207 @@ mod tests {
                 assert_eq!(lazy_clique.ledger(), eager_clique.ledger());
             }
         }
+    }
+
+    /// The transition matrix of a graph spec (random families seeded
+    /// with 2025), in `repr`.
+    fn spec_matrix(spec: &str, repr: cct_linalg::Repr) -> PMatrix {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(2025);
+        cct_graph::spec::parse_spec(spec, &mut rng)
+            .unwrap()
+            .transition_pmatrix(repr)
+    }
+
+    /// Builds `levels`-level eager and lazy tables of `m`, reads the lazy
+    /// top level, and checks the settle contract against the eager one:
+    /// the ledgers agree, levels up to the settled one are the eager bits,
+    /// every level above it is the settled level by reference and lies
+    /// within `settle_tolerance` of the eager level, and nothing above
+    /// it was computed. Returns the eager table and the settled level.
+    fn check_settled_table(
+        m: &PMatrix,
+        levels: usize,
+        rounding: Rounding,
+        label: &str,
+    ) -> (Vec<PMatrix>, Option<usize>) {
+        let n = m.rows();
+        let engine = UnitCostEngine::default();
+        let mut eager_clique = Clique::new(n);
+        let eager = distributed_powers(&mut eager_clique, &engine, m, levels, rounding);
+        let mut lazy_clique = Clique::new(n);
+        let lazy = distributed_powers_deferred(&mut lazy_clique, &engine, m, levels, rounding, 1);
+        assert_eq!(
+            lazy_clique.ledger(),
+            eager_clique.ledger(),
+            "{label}: ledger"
+        );
+        let top = lazy.level(levels - 1);
+        let settled = lazy.settled_level();
+        let s = settled.unwrap_or(levels - 1);
+        assert_eq!(
+            lazy.materialized_levels(),
+            s + 1,
+            "{label}: squared past {s}"
+        );
+        for (k, want) in eager.iter().enumerate() {
+            let got = lazy.level(k);
+            if k <= s {
+                assert_eq!(got.to_dense(), want.to_dense(), "{label}: level {k}");
+            } else {
+                assert!(std::ptr::eq(got, lazy.level(s)), "{label}: level {k}");
+                let drift = want.max_abs_diff(got);
+                assert!(
+                    drift <= settle_tolerance(k, rounding),
+                    "{label}: eager level {k} is {drift:e} from the settled level {s}"
+                );
+            }
+        }
+        assert!(std::ptr::eq(top, lazy.level(s)));
+        (eager, settled)
+    }
+
+    #[test]
+    fn fast_mixers_settle_early_on_the_eager_bits() {
+        use cct_linalg::Repr;
+        for spec in ["complete:64", "regular:64:4"] {
+            let mut settled_at = Vec::new();
+            for repr in [Repr::Dense, Repr::Sparse] {
+                let m = spec_matrix(spec, repr);
+                let label = format!("{spec} {repr:?}");
+                let (_, settled) = check_settled_table(&m, 20, Rounding::Exact, &label);
+                let s = settled.unwrap_or_else(|| panic!("{label}: never settled"));
+                assert!(s <= 10, "{label}: settled only at level {s}");
+                settled_at.push(s);
+            }
+            assert_eq!(settled_at[0], settled_at[1], "{spec}: representations");
+        }
+    }
+
+    #[test]
+    fn slow_mixers_settle_only_after_their_levels_agree_to_1e_9() {
+        // A slow mixer's early levels differ by far more than the drift
+        // bound; the rule must wait until consecutive eager levels agree
+        // to 1e-9, and from there the settled level stays within the
+        // bound of every eager level above it.
+        let weighted_cycle = {
+            let edges: Vec<(usize, usize, f64)> = (0..64)
+                .map(|i| (i, (i + 1) % 64, if i == 0 { 65536.0 } else { 1.0 }))
+                .collect();
+            let g = cct_graph::Graph::from_weighted_edges(64, &edges).unwrap();
+            g.transition_pmatrix(cct_linalg::Repr::Dense)
+        };
+        let cases = [
+            (
+                "cycle:128",
+                spec_matrix("cycle:128", cct_linalg::Repr::Sparse),
+            ),
+            (
+                "lollipop:64:64",
+                spec_matrix("lollipop:64:64", cct_linalg::Repr::Dense),
+            ),
+            (
+                "grid:8x16",
+                spec_matrix("grid:8x16", cct_linalg::Repr::Sparse),
+            ),
+            ("cycle:64 with one 2^16 edge", weighted_cycle),
+        ];
+        for (label, m) in cases {
+            let (eager, settled) = check_settled_table(&m, 26, Rounding::Exact, label);
+            let s = settled.unwrap_or_else(|| panic!("{label}: never settled"));
+            let first_close = (1..eager.len())
+                .find(|&k| eager[k].max_abs_diff(&eager[k - 1]) <= 1e-9)
+                .expect("the eager table mixes");
+            assert!(
+                s >= first_close && first_close >= 10,
+                "{label}: settled at {s}, levels first agree to 1e-9 at {first_close}"
+            );
+        }
+    }
+
+    #[test]
+    fn fixed_point_tables_keep_the_eager_bits() {
+        // Truncation drains mass each squaring, so a coarse grid reaches
+        // an exact fixed point; a fine one may not within the table.
+        for (spec, bits) in [
+            ("complete:64", 8),
+            ("complete:64", 24),
+            ("regular:64:4", 12),
+        ] {
+            let fp = cct_linalg::FixedPoint::new(bits);
+            for repr in [cct_linalg::Repr::Dense, cct_linalg::Repr::Sparse] {
+                let m = spec_matrix(spec, repr);
+                let label = format!("{spec} {repr:?} at {bits} bits");
+                let (eager, settled) = check_settled_table(&m, 20, Rounding::Fixed(fp), &label);
+                if let Some(s) = settled {
+                    for k in s..eager.len() {
+                        assert_eq!(eager[k].to_dense(), eager[s].to_dense(), "{label}: {k}");
+                    }
+                }
+                if bits == 8 {
+                    assert!(settled.is_some(), "{label}: never settled");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn racing_readers_share_one_settled_level() {
+        // Serve workers share prepared tables: two readers released at
+        // once must get the same level, and neither may square past the
+        // settled one.
+        let m = spec_matrix("complete:64", cct_linalg::Repr::Dense);
+        let engine = UnitCostEngine::default();
+        for round in 0..16 {
+            let mut clique = Clique::new(64);
+            let table =
+                distributed_powers_deferred(&mut clique, &engine, &m, 20, Rounding::Exact, 1);
+            let barrier = std::sync::Barrier::new(2);
+            let (a, b) = std::thread::scope(|scope| {
+                let read = || {
+                    barrier.wait();
+                    table.level(19)
+                };
+                let a = scope.spawn(read);
+                let b = scope.spawn(read);
+                (a.join().unwrap(), b.join().unwrap())
+            });
+            assert!(
+                std::ptr::eq(a, b),
+                "round {round}: readers got different levels"
+            );
+            let s = table.settled_level().expect("complete:64 settles");
+            assert!(std::ptr::eq(a, table.level(s)), "round {round}");
+            assert_eq!(table.materialized_levels(), s + 1, "round {round}");
+        }
+    }
+
+    #[test]
+    fn restored_levels_settle_where_the_original_did() {
+        let m = spec_matrix("complete:64", cct_linalg::Repr::Dense);
+        let engine = UnitCostEngine::default();
+        let mut clique = Clique::new(64);
+        let original =
+            distributed_powers_deferred(&mut clique, &engine, &m, 20, Rounding::Exact, 1);
+        original.level(19);
+        let s = original.settled_level().expect("complete:64 settles");
+        let restored =
+            distributed_powers_deferred(&mut clique, &engine, &m, 20, Rounding::Exact, 1);
+        assert!(
+            restored.set_level(2, original.level(2).clone()).is_err(),
+            "gap"
+        );
+        for k in 1..=s {
+            restored.set_level(k, original.level(k).clone()).unwrap();
+        }
+        assert_eq!(restored.settled_level(), Some(s));
+        assert_eq!(restored.resident_bytes(), original.resident_bytes());
+        let above = original.level(s).clone();
+        assert!(
+            restored.set_level(s + 1, above).is_err(),
+            "above the settled level"
+        );
+        assert_eq!(restored.level(19).to_dense(), original.level(19).to_dense());
+        assert_eq!(restored.materialized_levels(), s + 1);
     }
 
     #[test]
