@@ -34,7 +34,10 @@
 //! rejected whole. The ledger is the table's exact round charge. Only
 //! **materialized** levels are present: absent levels rebuild lazily on
 //! demand, which is the point of the deferred table, and level 0 is
-//! always absent because it is `p`. A matrix is a tag byte (0 dense,
+//! always absent because it is `p`. No level above the table's settled
+//! level is ever materialized, so none is written; restore re-runs the
+//! settle rule on the levels it installs and drops any above the
+//! settled one (files written before the rule existed carry them). A matrix is a tag byte (0 dense,
 //! 1 CSR), `rows u32` and `cols u32`, then either `rows × cols`
 //! row-major `f64`s or, per row, `nnz u32` followed by `nnz` pairs of
 //! `column u32, value f64`.

@@ -773,22 +773,23 @@ fn charge_redistribution(clique: &mut Clique, levels: usize, rounding: Rounding)
 ///   equal pair is that same matrix: fixed-point tables keep the eager
 ///   table's bits exactly;
 /// * under [`Rounding::Exact`], every entry moved by at most
-///   `2^min(k, 22) · ε`. The walk needs `ℓ`
-///   steps to cover (the paper sets `ℓ = Θ̃(n³)`, §2.1), but fast
-///   mixers reach their stationary matrix within a few levels. Above
-///   it, squaring changes only rounding drift, and that drift doubles
-///   per level: a row whose sum is `1 + δ` squares to `1 + 2δ`. On the
-///   graphs measured, consecutive eager levels past mixing differ by a
-///   fixed fraction of `2^k · ε` (`0.016` on `complete:64`, `0.026` on
-///   `lollipop:64:64`), so the eager top level `K` carries drift of
-///   order `2^K · ε` against the settled level's `2^k · ε`, `k < K`.
-///   The rule could fire early only on a chain whose slowest mode moves
-///   an entry of size `a` by less than `2^k · ε` per level, i.e. with
-///   spectral gap `γ ≲ 2ε / a`. Such a walk needs `ℓ ≳ a / 2ε` steps,
-///   and at that level the eager table's own drift is of order `a`:
-///   the eager numbers are no better than the settled ones there. The
-///   unit tests bound the settled level against every eager level above
-///   it.
+///   `2^min(k, 22) · ε`. The walk needs `ℓ` steps to cover (the paper
+///   sets `ℓ = Θ̃(n³)`, §2.1), but fast mixers reach their stationary
+///   matrix within a few levels. Above that, squaring changes only
+///   rounding drift, which doubles per level: a row whose sum is
+///   `1 + δ` squares to `1 + 2δ`. On the graphs measured, consecutive
+///   eager levels past mixing differ by a fixed fraction of `2^k · ε`
+///   (`0.016` on `complete:64`, `0.026` on `lollipop:64:64`), so eager
+///   level `j > k` differs from the settled level by about its own
+///   drift, of order `2^j · ε`: returning level `k` adds no error beyond
+///   what the eager level carries. The rule could fire too early only
+///   on a chain whose slowest mode, of spectral gap `γ`, still moves an
+///   entry of size `a` by less than `2^k · ε` per level, i.e. with
+///   `γ · a ≲ 2ε`. Even then the settled level misses at level `j > k`
+///   only that mode's remaining change, at most `2^j · γ · a ≲
+///   2^{j+1} · ε` per entry: twice the `2^j · ε` the rule takes as the
+///   drift of eager level `j`. The unit tests check the settled level
+///   against every eager level above it, up to level 25.
 ///
 /// The bound stops doubling at level 22, at `2^22 · ε = 2^-30 ≈ 9.3e-10`:
 /// a weighted `ℓ` saturates at `2^62`, and `2^k · ε` passes `0.25` at
