@@ -141,6 +141,29 @@ impl WalkLength {
     }
 }
 
+/// How the per-phase distinct-vertex budget `ρ` is chosen.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Rho {
+    /// `⌊√n⌋`, Theorem 1's budget (the default).
+    Sqrt,
+    /// `⌊n^{1/3}⌋`, the exact variant's budget (Appendix §5).
+    CubeRoot,
+    /// A fixed budget (tests and experiments).
+    Fixed(usize),
+}
+
+impl Rho {
+    /// The budget for an `n`-vertex graph, floored at 2.
+    pub fn resolve(self, n: usize) -> usize {
+        let base = match self {
+            Rho::Sqrt => (n as f64).sqrt().floor() as usize,
+            Rho::CubeRoot => (n as f64).cbrt().floor() as usize,
+            Rho::Fixed(r) => r,
+        };
+        base.max(2)
+    }
+}
+
 /// Monte Carlo (Theorem 1) vs. Las Vegas (Appendix §5.1) semantics when a
 /// phase's `ℓ`-length walk fails to visit `ρ` distinct vertices.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -236,10 +259,8 @@ impl Precision {
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct SamplerConfig {
-    /// Distinct-vertex budget per phase; `None` = `⌊√n⌋` (Theorem 1).
-    pub rho: Option<usize>,
-    /// Exact-variant flag: `ρ = ⌊n^{1/3}⌋` when `rho` is `None`.
-    pub cube_root_rho: bool,
+    /// Distinct-vertex budget per phase.
+    pub rho: Rho,
     /// Walk-length policy.
     pub walk_length: WalkLength,
     /// Failure semantics.
@@ -290,8 +311,7 @@ impl SamplerConfig {
     /// Theorem 1 defaults.
     pub fn new() -> Self {
         SamplerConfig {
-            rho: None,
-            cube_root_rho: false,
+            rho: Rho::Sqrt,
             walk_length: WalkLength::Paper { epsilon: 1e-2 },
             variant: Variant::MonteCarlo,
             placement: Placement::Matching,
@@ -310,17 +330,17 @@ impl SamplerConfig {
     /// restarts, error-free per-pair placement).
     pub fn exact_variant() -> Self {
         SamplerConfig {
-            cube_root_rho: true,
+            rho: Rho::CubeRoot,
             variant: Variant::LasVegas,
             placement: Placement::PerPairShuffle,
             ..SamplerConfig::new()
         }
     }
 
-    /// Overrides the per-phase distinct-vertex budget.
+    /// Fixes the per-phase distinct-vertex budget ([`Rho::Fixed`]).
     pub fn rho(mut self, rho: usize) -> Self {
         assert!(rho >= 2, "rho must be at least 2");
-        self.rho = Some(rho);
+        self.rho = Rho::Fixed(rho);
         self
     }
 
@@ -408,15 +428,9 @@ impl SamplerConfig {
         self
     }
 
-    /// The phase budget for an `n`-vertex graph: the override, else
-    /// `⌊n^{1/3}⌋` (exact variant) or `⌊√n⌋`, floored at 2.
+    /// The phase budget for an `n`-vertex graph ([`Rho::resolve`]).
     pub fn resolve_rho(&self, n: usize) -> usize {
-        let base = match self.rho {
-            Some(r) => r,
-            None if self.cube_root_rho => (n as f64).cbrt().floor() as usize,
-            None => (n as f64).sqrt().floor() as usize,
-        };
-        base.max(2)
+        self.rho.resolve(n)
     }
 }
 
@@ -474,6 +488,11 @@ mod tests {
         assert_eq!(e.resolve_rho(1000), 10);
         let o = SamplerConfig::new().rho(5);
         assert_eq!(o.resolve_rho(1000), 5);
+        // A fixed budget overrides the exact variant's cube root.
+        let eo = SamplerConfig::exact_variant().rho(5);
+        assert_eq!(eo.rho, Rho::Fixed(5));
+        assert_eq!(eo.resolve_rho(1000), 5);
+        assert_eq!(Rho::Fixed(1).resolve(1000), 2); // floor at 2
     }
 
     #[test]
@@ -481,7 +500,8 @@ mod tests {
         let e = SamplerConfig::exact_variant();
         assert_eq!(e.variant, Variant::LasVegas);
         assert_eq!(e.placement, Placement::PerPairShuffle);
-        assert!(e.cube_root_rho);
+        assert_eq!(e.rho, Rho::CubeRoot);
+        assert_eq!(SamplerConfig::new().rho, Rho::Sqrt);
     }
 
     #[test]

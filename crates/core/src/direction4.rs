@@ -147,7 +147,9 @@ pub fn direction4_sample<R: Rng + ?Sized>(
         clique.ledger_mut().merge(sub.ledger());
         let walk = &walks[start_local];
 
-        // Algorithm 4 on first visits (global ids).
+        // Algorithm 4 on first visits (global ids), billed as the main
+        // sampler bills it: 3 rounds per phase and 2 + 2·deg(v) words per
+        // new vertex v.
         clique.ledger_mut().charge(CostCategory::FirstVisit, 3);
         let to_global = |local: usize| if s.len() == n { local } else { s.global(local) };
         let mut fresh = 0usize;
@@ -160,6 +162,9 @@ pub fn direction4_sample<R: Rng + ?Sized>(
                 SampleTreeError::Phase(crate::phase::PhaseError::DegenerateDistribution),
             )?;
             edges.push((u, vv));
+            clique
+                .ledger_mut()
+                .add_words(CostCategory::FirstVisit, 2 + 2 * g.num_neighbors(v) as u64);
             visited[v] = true;
             remaining -= 1;
             fresh += 1;
@@ -251,6 +256,8 @@ mod tests {
         // Every phase after the first builds Schur(G, S) and pays
         // (4k + 1) multiplies at ⌈n^α⌉ rounds; phase 1 has S = V and no
         // Schur step. Nothing else in a Direction-4 run charges MatMul.
+        // Algorithm 4 costs 3 rounds per phase and 2 + 2·deg(v) words per
+        // newly visited vertex v — every vertex but the start, once.
         let g = generators::lollipop(12, 20);
         let n = g.n() as f64;
         let report = direction4_sample(&g, 1.0, &mut rng(6)).unwrap();
@@ -261,6 +268,12 @@ mod tests {
             report.rounds.rounds(CostCategory::MatMul),
             (report.phases as u64 - 1) * (4 * k + 1) * per_multiply
         );
+        assert_eq!(
+            report.rounds.rounds(CostCategory::FirstVisit),
+            3 * report.phases as u64
+        );
+        let words: u64 = (1..g.n()).map(|v| 2 + 2 * g.num_neighbors(v) as u64).sum();
+        assert_eq!(report.rounds.words(CostCategory::FirstVisit), words);
     }
 
     #[test]

@@ -49,14 +49,11 @@ mod sampler;
 
 pub use cct_sim::Workers;
 pub use config::{
-    Backend, EngineChoice, Placement, Precision, SamplerConfig, SchurComputation, Variant,
+    Backend, EngineChoice, Placement, Precision, Rho, SamplerConfig, SchurComputation, Variant,
     WalkLength,
 };
 pub use direction4::{direction4_sample, Direction4Report};
 pub use mst::{MstEngine, MstReport};
 pub use phase::PhaseError;
 pub use report::{PhaseMethod, PhaseReport, SampleReport};
-pub use sampler::{
-    validate, CliqueTreeSampler, PreparedPhase1State, PreparedSampler, PreparedState,
-    SampleTreeError,
-};
+pub use sampler::{validate, CliqueTreeSampler, PreparedSampler, SampleTreeError};

@@ -283,9 +283,10 @@ struct Phase1Cache {
     /// distributed-construction cost is charged in full at `prepare()`
     /// time (captured in `ledger` below for per-sample replay), but a
     /// level's numeric content materializes only when a walk first
-    /// reads it — memoized across samples — and nothing above the
-    /// table's settled level is ever computed. On a sparse backend the
-    /// early levels additionally stay CSR until fill-in promotes them.
+    /// reads it (or [`PreparedSampler::warm`] forces it) — memoized
+    /// across samples — and nothing above the table's settled level is
+    /// ever computed. On a sparse backend the early levels additionally
+    /// stay CSR until fill-in promotes them.
     /// Both effects land in [`PreparedSampler::matrix_bytes`]: a
     /// freshly prepared sampler holds little more than the transition
     /// matrix.
@@ -682,12 +683,13 @@ impl PreparedSampler {
     /// memoized thereafter. Levels above the table's settled level — the
     /// first level that agrees with the one below it, within the drift
     /// bound `DeferredPowers` documents — are that level and are never
-    /// stored. Consequently this figure **grows across the first
-    /// samples** — from roughly the transition matrix alone after
-    /// `prepare()` to the footprint of the levels up to the settled one
-    /// (all `log₂ ℓ + 1` of them if the table never settles) — and is a
-    /// true point-in-time resident measurement, not an a-priori
-    /// capacity bound.
+    /// stored. Consequently this figure **grows on the first sample**
+    /// — from roughly the transition matrix alone after `prepare()` to
+    /// the footprint of the levels up to the settled one (all
+    /// `log₂ ℓ + 1` of them if the table never settles), which is also
+    /// what [`PreparedSampler::warm`] leaves — and is a true
+    /// point-in-time resident measurement, not an a-priori capacity
+    /// bound.
     pub fn matrix_bytes(&self) -> usize {
         let cache: usize = self
             .data
@@ -746,133 +748,17 @@ impl PreparedSampler {
         std::sync::Arc::new(self)
     }
 
-    /// A borrowed view of the cached state a snapshot must persist: the
-    /// transition matrix, the **materialized** phase-1 table levels
-    /// (absent levels stay `None` — they cost nothing and rebuild on
-    /// demand; so do the levels above the settled one), and the exact
-    /// ledger delta replayed per draw.
-    ///
-    /// This is the write half of warm-restart persistence; the read
-    /// half is [`PreparedSampler::restore`].
-    pub fn snapshot_state(&self) -> PreparedState<'_> {
-        PreparedState {
-            p: &self.data.p,
-            phase1: self.data.phase1.as_ref().map(|cache| PreparedPhase1State {
-                levels: (0..cache.powers.len())
-                    .map(|k| cache.powers.materialized_level(k))
-                    .collect(),
-                ledger: &cache.ledger,
-            }),
+    /// Materializes the cached phase-1 table up to its settled level, or
+    /// every level if it never settles: the state a served key reaches
+    /// after its first draw, whose phase-1 walk reads the table's top
+    /// level. A server restored from a snapshot re-prepares each key and
+    /// warms it, so its first draws cost what a warm key's do. A no-op
+    /// when phase 1 builds no table.
+    pub fn warm(&self) {
+        if let Some(cache) = &self.data.phase1 {
+            cache.powers.level(cache.powers.len() - 1);
         }
     }
-
-    /// Rebuilds a prepared sampler from snapshotted state, **verifying
-    /// before trusting**: the skeleton is re-prepared from scratch via
-    /// [`PreparedSampler::new`] (cheap for analytic engines — the
-    /// doubling table is deferred), the fresh transition matrix and
-    /// ledger are compared bit-for-bit against the snapshot, and only
-    /// then are the snapshot's materialized table levels injected into
-    /// the fresh lazy table. A snapshot taken under a different config,
-    /// graph, or code version therefore fails closed — the caller
-    /// rebuilds cold instead of serving corrupt bits.
-    ///
-    /// `levels[k]` is the snapshotted level `k` of the phase-1 table
-    /// (`None` where the server never materialized it); level 0 is
-    /// always rebuilt fresh and any snapshot entry for it is ignored.
-    /// Installed levels are checked by the table's settle rule, so the
-    /// restored table settles where the original did, and levels above
-    /// that (which a snapshot written before the rule existed carries)
-    /// are dropped.
-    /// `ledger` must be `Some` exactly when the configuration builds a
-    /// phase-1 cache.
-    ///
-    /// # Errors
-    ///
-    /// A human-readable description of the first mismatch (or the
-    /// underlying prepare error). Restore never returns a partially
-    /// trusted sampler.
-    pub fn restore(
-        config: SamplerConfig,
-        g: &Graph,
-        p: &PMatrix,
-        levels: Vec<Option<PMatrix>>,
-        ledger: Option<&RoundLedger>,
-    ) -> Result<Self, String> {
-        let fresh = PreparedSampler::new(config, g).map_err(|e| format!("prepare failed: {e}"))?;
-        if fresh.data.p != *p {
-            return Err(
-                "transition matrix mismatch (config, graph, or code version changed)".into(),
-            );
-        }
-        match (&fresh.data.phase1, ledger) {
-            (Some(cache), Some(snap_ledger)) => {
-                if !cache.ledger.same_totals(snap_ledger) {
-                    return Err("phase-1 ledger mismatch (config or code version changed)".into());
-                }
-                if levels.len() != cache.powers.len() {
-                    return Err(format!(
-                        "phase-1 table has {} levels, snapshot has {}",
-                        cache.powers.len(),
-                        levels.len()
-                    ));
-                }
-                for (k, level) in levels.into_iter().enumerate() {
-                    if cache.powers.settled_level().is_some_and(|s| k > s) {
-                        // Installing re-runs the settle rule, so the
-                        // restored table settles where the original did;
-                        // a level above that is the settled level.
-                        break;
-                    }
-                    let Some(m) = level else { continue };
-                    if k == 0 || cache.powers.materialized_level(k).is_some() {
-                        // Level 0 (and every eagerly built level) was
-                        // just recomputed from verified inputs; the
-                        // snapshot copy is redundant.
-                        continue;
-                    }
-                    cache.powers.set_level(k, m)?;
-                }
-            }
-            (None, None) => {
-                if levels.iter().any(Option::is_some) {
-                    return Err(
-                        "snapshot carries phase-1 levels but this configuration builds no table"
-                            .into(),
-                    );
-                }
-            }
-            (Some(_), None) => {
-                return Err(
-                    "snapshot lacks a phase-1 ledger but this configuration builds a table".into(),
-                )
-            }
-            (None, Some(_)) => {
-                return Err(
-                    "snapshot carries a phase-1 ledger but this configuration builds no table"
-                        .into(),
-                )
-            }
-        }
-        Ok(fresh)
-    }
-}
-
-/// Borrowed snapshot view of a [`PreparedSampler`] — see
-/// [`PreparedSampler::snapshot_state`].
-pub struct PreparedState<'a> {
-    /// The graph's transition matrix in its resolved representation.
-    pub p: &'a PMatrix,
-    /// The phase-1 doubling-table state, when the configuration builds
-    /// one.
-    pub phase1: Option<PreparedPhase1State<'a>>,
-}
-
-/// The phase-1 half of [`PreparedState`].
-pub struct PreparedPhase1State<'a> {
-    /// `levels[k]` is table level `k` (`P^{2^k}`) if materialized.
-    pub levels: Vec<Option<&'a PMatrix>>,
-    /// The exact ledger delta the table's construction charged.
-    pub ledger: &'a RoundLedger,
 }
 
 /// Compile-time audit that the prepare-once/sample-many handle stays
@@ -1444,50 +1330,35 @@ mod tests {
 
     #[test]
     fn restore_reproduces_the_settled_phase1_table() {
-        // Default ℓ on complete:64 gives a 20-level phase-1 table that
-        // settles within a few levels. The restored sampler must hold the
-        // same levels — none above the settled one — and draw the same
-        // trees.
-        let g = generators::complete(64);
+        // A snapshot restore re-prepares each key and warms it. Default ℓ
+        // gives a 20-level phase-1 table that settles within a few levels,
+        // on dense (complete:64) and CSR (regular:64:4) levels alike. The
+        // warmed sampler must hold what a served original holds after its
+        // first draw — the same bytes, nothing above the settled level —
+        // and draw the same trees.
         let config = SamplerConfig::new();
-        let original = CliqueTreeSampler::new(config.clone()).prepare(&g).unwrap();
-        original.sample(&mut rng(507)).unwrap();
-        let cache = original
-            .data
-            .phase1
-            .as_ref()
-            .expect("phase 1 runs top-down");
-        let settled = cache.powers.settled_level().expect("complete:64 settles");
-        assert!(settled + 1 < cache.powers.len());
-        let state = original.snapshot_state();
-        let phase1 = state.phase1.expect("phase-1 state");
-        assert!(phase1.levels[settled + 1..].iter().all(Option::is_none));
-        let levels: Vec<Option<PMatrix>> = phase1.levels.iter().map(|l| l.cloned()).collect();
-        let restored = PreparedSampler::restore(
-            config.clone(),
-            &g,
-            state.p,
-            levels.clone(),
-            Some(phase1.ledger),
-        )
-        .unwrap();
-        assert_eq!(restored.matrix_bytes(), original.matrix_bytes());
-        // A snapshot from before the cutoff also carries the levels above
-        // the settled one; restore drops them.
-        let mut padded = levels;
-        padded[settled + 1] = Some(cache.powers.level(settled).clone());
-        let from_padded =
-            PreparedSampler::restore(config, &g, state.p, padded, Some(phase1.ledger)).unwrap();
-        assert_eq!(from_padded.matrix_bytes(), original.matrix_bytes());
-        for seed in 508..511 {
-            let want = original.sample(&mut rng(seed)).unwrap();
-            for got in [&restored, &from_padded] {
-                let got = got.sample(&mut rng(seed)).unwrap();
+        for g in [
+            generators::complete(64),
+            generators::random_regular(64, 4, &mut rng(506)),
+        ] {
+            let original = CliqueTreeSampler::new(config.clone()).prepare(&g).unwrap();
+            original.sample(&mut rng(507)).unwrap();
+            let warmed = PreparedSampler::new(config.clone(), &g).unwrap();
+            warmed.warm();
+            assert_eq!(warmed.matrix_bytes(), original.matrix_bytes());
+            let powers = &warmed.data.phase1.as_ref().expect("top-down").powers;
+            let settled = powers.settled_level().expect("settles");
+            assert!(settled + 1 < powers.len());
+            assert_eq!(powers.materialized_levels(), settled + 1);
+            for seed in 508..511 {
+                let want = original.sample(&mut rng(seed)).unwrap();
+                let got = warmed.sample(&mut rng(seed)).unwrap();
                 assert_eq!(got.tree, want.tree, "seed {seed}");
                 assert_eq!(got.rounds, want.rounds, "seed {seed}");
             }
+            warmed.warm();
+            assert_eq!(warmed.matrix_bytes(), original.matrix_bytes());
         }
-        assert_eq!(restored.matrix_bytes(), original.matrix_bytes());
     }
 
     #[test]

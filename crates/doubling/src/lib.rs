@@ -38,10 +38,8 @@
 #[allow(clippy::module_inception)]
 mod doubling;
 mod hash;
-mod pagerank;
 
 pub use doubling::{
     doubling_walks, lemma10_bound, sample_tree_via_doubling, Balancing, DoublingStats,
 };
 pub use hash::{TWiseHash, FIELD};
-pub use pagerank::{estimate_visit_distribution, exact_visit_distribution, VisitEstimate};

@@ -287,17 +287,17 @@ impl PreparedCache {
         inner.entries.retain(|(_, s)| !Arc::ptr_eq(s, slot));
     }
 
-    /// The ready entries in LRU order (least recently used first) —
-    /// the write half of snapshot persistence. In-flight and failed
-    /// preparations are skipped: a snapshot captures only state that
-    /// has proven itself by serving.
-    pub fn ready_entries(&self) -> Vec<(CacheKey, Arc<PreparedSampler>)> {
+    /// The keys of the ready entries in LRU order (least recently used
+    /// first) — what a snapshot persists. In-flight and failed
+    /// preparations are skipped: a snapshot captures only keys that
+    /// have proven themselves by serving.
+    pub fn ready_keys(&self) -> Vec<CacheKey> {
         let inner = self.inner.lock().expect("cache lock");
         inner
             .entries
             .iter()
             .filter_map(|(k, slot)| match &*slot.state.lock().expect("slot lock") {
-                SlotState::Ready(p) => Some((k.clone(), Arc::clone(p))),
+                SlotState::Ready(_) => Some(k.clone()),
                 _ => None,
             })
             .collect()
@@ -491,9 +491,9 @@ mod tests {
         let stats = cache.stats();
         assert_eq!((stats.misses, stats.len), (0, 1));
         assert_eq!(stats.total_prepares(), 0);
-        // ready_entries sees it; a second insert for the same key is a
+        // ready_keys sees it; a second insert for the same key is a
         // no-op (live state wins).
-        assert_eq!(cache.ready_entries().len(), 1);
+        assert_eq!(cache.ready_keys(), std::slice::from_ref(&k));
         cache.insert_ready(k, prepare(6).unwrap().into_shared());
         assert_eq!(cache.stats().len, 1);
         // Capacity still bounds restored entries.

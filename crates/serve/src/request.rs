@@ -411,7 +411,7 @@ pub fn spec_seed(spec: &str) -> u64 {
 }
 
 /// FNV-1a over a byte slice — behind [`spec_seed`], and the snapshot
-/// file's checksum and config fingerprint.
+/// file's checksum.
 pub(crate) fn fnv64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {

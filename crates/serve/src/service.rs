@@ -11,7 +11,7 @@ use crate::cache::{CacheInfo, CacheKey, CacheStats, PreparedCache};
 use crate::request::{spec_seed, Algorithm, SampleRequest};
 use crate::snapshot;
 use crate::stats::ServeStats;
-use cct_core::{CliqueTreeSampler, SamplerConfig};
+use cct_core::{CliqueTreeSampler, PreparedSampler, SamplerConfig};
 use cct_json::Json;
 use cct_sim::{RoundLedger, Workers};
 use rand::SeedableRng;
@@ -268,11 +268,12 @@ impl ServeOptions {
         self
     }
 
-    /// Enables cache persistence: the prepared-sampler cache is
-    /// restored from `path` at startup (corrupted or mismatched
-    /// snapshots are rejected and rebuilt cold — see
-    /// [`crate::snapshot`]) and written back on graceful shutdown or
-    /// on a `{"cmd": "snapshot"}` frame.
+    /// Enables cache persistence: the keys of the prepared-sampler
+    /// cache are written to `path` on graceful shutdown or on a
+    /// `{"cmd": "snapshot"}` frame, and at startup every key in `path`
+    /// is prepared under the current configs and warmed before the
+    /// server takes requests (a corrupted or other-version file is
+    /// rejected and the server starts cold — see [`crate::snapshot`]).
     pub fn snapshot(mut self, path: impl Into<PathBuf>) -> Self {
         self.snapshot_path = Some(path.into());
         self
@@ -415,19 +416,15 @@ impl ServeHandle {
         self.shared.stats.frame(&self.shared.cache.stats())
     }
 
-    /// Writes the cache's ready entries to `path` as a versioned
-    /// snapshot (see [`crate::snapshot`]). Returns the entry count.
+    /// Writes the keys of the cache's ready entries to `path` as a
+    /// versioned snapshot (see [`crate::snapshot`]). Returns the entry
+    /// count.
     ///
     /// # Errors
     ///
     /// [`ServeError`] for I/O failures.
     pub fn write_snapshot(&self, path: &Path) -> Result<usize, ServeError> {
-        snapshot::write_snapshot(
-            path,
-            &self.shared.cache.ready_entries(),
-            &self.shared.options,
-        )
-        .map_err(ServeError::new)
+        snapshot::write_snapshot(path, &self.shared.cache.ready_keys()).map_err(ServeError::new)
     }
 
     /// The snapshot path configured via [`ServeOptions::snapshot`].
@@ -470,7 +467,7 @@ pub fn serve<R>(options: ServeOptions, f: impl FnOnce(ServeHandle) -> R) -> R {
         // startup failure: report it and serve cold.
         match snapshot::load_snapshot(path, &options, &cache) {
             Ok(summary) if summary.skipped > 0 => eprintln!(
-                "snapshot {}: restored {}, skipped {} (stale entries rebuild cold)",
+                "snapshot {}: restored {}, skipped {} (keys that no longer prepare)",
                 path.display(),
                 summary.restored,
                 summary.skipped
@@ -518,6 +515,21 @@ fn worker_loop(rx: &Mutex<mpsc::Receiver<Job>>, shared: &Shared) {
         // the send error is not the worker's problem.
         let _ = job.reply.send(result);
     }
+}
+
+/// Prepares a phase-sampler key under the serving config for its
+/// algorithm: the cache's miss path, and snapshot restore, so a restored
+/// key holds what a live miss would prepare.
+pub(crate) fn prepare_key(
+    key: &CacheKey,
+    options: &ServeOptions,
+) -> Result<PreparedSampler, String> {
+    // The graph is a pure function of the spec string (the cache key's
+    // half of the determinism contract).
+    let graph = build_spec_graph(&key.graph_spec, key.algorithm)?;
+    CliqueTreeSampler::new(options.config_for(key.algorithm).clone())
+        .prepare(&graph)
+        .map_err(|e| e.to_string())
 }
 
 /// Builds the graph a spec denotes — a pure function of the spec string
@@ -590,14 +602,9 @@ fn process(shared: &Shared, request: SampleRequest) -> Result<SampleResponse, Se
         algorithm: request.algorithm,
         graph_spec: request.graph_spec.clone(),
     };
-    let (prepared, cache) = shared.cache.get_or_prepare(&key, || {
-        // The graph is a pure function of the spec string (the cache
-        // key's half of the determinism contract).
-        let graph = build_spec_graph(&key.graph_spec, key.algorithm)?;
-        CliqueTreeSampler::new(shared.options.config_for(key.algorithm).clone())
-            .prepare(&graph)
-            .map_err(|e| e.to_string())
-    });
+    let (prepared, cache) = shared
+        .cache
+        .get_or_prepare(&key, || prepare_key(&key, &shared.options));
     let prepared = prepared.map_err(ServeError::new)?;
     let mut draws = Vec::with_capacity(request.count as usize);
     for i in 0..request.count {

@@ -145,19 +145,6 @@ impl RoundLedger {
         self.words.get(&category).copied().unwrap_or(0)
     }
 
-    /// `true` if `other` records the same totals: per-category rounds
-    /// and words plus the saturation flag. Unlike `==`, this ignores
-    /// *how* the totals are stored — a category charged an explicit
-    /// zero and a category never touched compare equal, so ledgers
-    /// rebuilt from serialized totals (e.g. a cache snapshot) compare
-    /// correctly against originals.
-    pub fn same_totals(&self, other: &RoundLedger) -> bool {
-        self.saturated == other.saturated
-            && CostCategory::ALL
-                .iter()
-                .all(|&c| self.rounds(c) == other.rounds(c) && self.words(c) == other.words(c))
-    }
-
     /// Total rounds across all categories (saturating, like the
     /// per-category accumulation).
     pub fn total_rounds(&self) -> u64 {

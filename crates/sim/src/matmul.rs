@@ -925,11 +925,11 @@ impl DeferredPowers {
     /// past it. A concurrent materializer may have stored the level
     /// already; the value is identical either way (a pure function of the
     /// previous level), so the losing copy is dropped.
-    fn install(&self, i: usize, prev: &PMatrix, m: PMatrix) -> bool {
+    fn install(&self, i: usize, prev: &PMatrix, m: PMatrix) {
         if has_settled(prev, &m, i, self.rounding) {
             let _ = self.settled.set(i);
         }
-        self.levels[i].set(m).is_ok()
+        let _ = self.levels[i].set(m);
     }
 
     /// The settled level, once the table has squared up to it: every
@@ -942,68 +942,6 @@ impl DeferredPowers {
     /// level plus one.
     pub fn materialized_levels(&self) -> usize {
         self.levels.iter().filter(|s| s.get().is_some()).count()
-    }
-
-    /// Level `k` if it has already been materialized, without forcing
-    /// it. Snapshot writers use this to persist exactly the work a
-    /// server has actually done — absent levels stay absent, and so do
-    /// the levels above the settled one.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k >= self.len()`.
-    pub fn materialized_level(&self, k: usize) -> Option<&PMatrix> {
-        assert!(k < self.levels.len(), "level {k} out of range");
-        self.levels[k].get()
-    }
-
-    /// Installs a previously materialized level into an empty slot —
-    /// the restore half of snapshotting. The matrix must have the same
-    /// shape as level 0, and levels install bottom-up: level `k − 1`
-    /// must be present, because the installed level is checked against
-    /// it by the same rule [`DeferredPowers::level`] applies, so a
-    /// restored table settles where the original did. Installing into an
-    /// occupied slot (level 0 always is) or above the settled level is an
-    /// error, so restore targets `1 ..= settled` of a freshly built lazy
-    /// table.
-    ///
-    /// Because every level is a pure function of level 0, a caller that
-    /// injects bits produced by the same code from the same level 0
-    /// preserves the table's value; integrity of the surrounding state
-    /// is the caller's contract (the serve snapshot layer verifies the
-    /// base matrix and ledger before injecting).
-    pub fn set_level(&self, k: usize, m: PMatrix) -> Result<(), String> {
-        if k >= self.levels.len() {
-            return Err(format!(
-                "level {k} out of range (table has {})",
-                self.levels.len()
-            ));
-        }
-        if let Some(s) = self.settled_level().filter(|&s| k > s) {
-            return Err(format!("level {k} lies above the settled level {s}"));
-        }
-        let base_shape = self.levels[0]
-            .get()
-            .expect("level 0 always materialized")
-            .shape();
-        if m.shape() != base_shape {
-            return Err(format!(
-                "level {k} shape {:?} does not match table shape {:?}",
-                m.shape(),
-                base_shape
-            ));
-        }
-        if k == 0 || self.levels[k].get().is_some() {
-            return Err(format!("level {k} already materialized"));
-        }
-        let prev = self.levels[k - 1]
-            .get()
-            .ok_or_else(|| format!("level {k} installed before level {}", k - 1))?;
-        if self.install(k, prev, m) {
-            Ok(())
-        } else {
-            Err(format!("level {k} already materialized"))
-        }
     }
 
     /// Allocated heap bytes of the materialized levels — the power-table
@@ -1560,35 +1498,6 @@ mod tests {
             assert!(std::ptr::eq(a, table.level(s)), "round {round}");
             assert_eq!(table.materialized_levels(), s + 1, "round {round}");
         }
-    }
-
-    #[test]
-    fn restored_levels_settle_where_the_original_did() {
-        let m = spec_matrix("complete:64", cct_linalg::Repr::Dense);
-        let engine = UnitCostEngine::default();
-        let mut clique = Clique::new(64);
-        let original =
-            distributed_powers_deferred(&mut clique, &engine, &m, 20, Rounding::Exact, 1);
-        original.level(19);
-        let s = original.settled_level().expect("complete:64 settles");
-        let restored =
-            distributed_powers_deferred(&mut clique, &engine, &m, 20, Rounding::Exact, 1);
-        assert!(
-            restored.set_level(2, original.level(2).clone()).is_err(),
-            "gap"
-        );
-        for k in 1..=s {
-            restored.set_level(k, original.level(k).clone()).unwrap();
-        }
-        assert_eq!(restored.settled_level(), Some(s));
-        assert_eq!(restored.resident_bytes(), original.resident_bytes());
-        let above = original.level(s).clone();
-        assert!(
-            restored.set_level(s + 1, above).is_err(),
-            "above the settled level"
-        );
-        assert_eq!(restored.level(19).to_dense(), original.level(19).to_dense());
-        assert_eq!(restored.materialized_levels(), s + 1);
     }
 
     #[test]

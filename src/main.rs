@@ -91,11 +91,10 @@ SERVE OPTIONS (cct serve — the batched sampling service):
                        'overloaded' error frame in its reply slot
     --read-timeout S   close a connection that has been idle for S
                        seconds (default 30; 0 disables the timeout)
-    --snapshot PATH    restore the prepared-sampler cache from PATH at
-                       startup (verified entry-by-entry; corrupt or
-                       stale snapshots rebuild cold) and write it back
-                       on {\"cmd\": \"snapshot\"} frames and graceful
-                       shutdown
+    --snapshot PATH    record the cache's keys in PATH on
+                       {\"cmd\": \"snapshot\"} frames and graceful
+                       shutdown, and prepare and warm every key in PATH
+                       at startup (a corrupt file starts cold)
     --accept-limit N   test valve: stop accepting after N lifetime
                        connections and exit once they all close
     The endpoint also answers control frames on any connection:

@@ -1,10 +1,9 @@
 //! Integration tests for the beyond-the-paper extensions: Direction 4,
-//! the MST strawman negative control, the PageRank estimator, Kirchhoff
-//! marginals, and the extra generators — all through the public facade.
+//! the MST strawman negative control, Kirchhoff marginals, and the extra
+//! generators — all through the public facade.
 
 use cct::core::direction4_sample;
 use cct::core::{CliqueTreeSampler, EngineChoice, SamplerConfig, WalkLength};
-use cct::doubling::{estimate_visit_distribution, exact_visit_distribution};
 use cct::graph::{
     effective_resistance, generators, spanning_tree_distribution, spanning_tree_edge_marginals,
 };
@@ -84,18 +83,6 @@ fn strawman_negative_control_via_facade() {
         stats::empirical_counts((0..trials).map(|_| random_weight_mst(&g, &mut r).unwrap()));
     let (stat, crit) = stats::goodness_of_fit(&counts, &mst_law, trials);
     assert!(stat < crit);
-}
-
-#[test]
-fn pagerank_estimator_matches_power_iteration() {
-    let mut r = rng(6);
-    let g = generators::hypercube(3);
-    let tau = 8;
-    let exact = exact_visit_distribution(&g, tau);
-    let est = estimate_visit_distribution(&g, tau, 1200, &mut r);
-    for (v, (a, b)) in est.distribution.iter().zip(&exact).enumerate() {
-        assert!((a - b).abs() < 0.02, "vertex {v}: {a} vs {b}");
-    }
 }
 
 #[test]

@@ -129,6 +129,47 @@ fn served_draw_equals_the_cli_at_the_derived_seed() {
 }
 
 #[test]
+fn snapshot_restart_serves_the_same_trees_without_preparing() {
+    // Two server processes on one snapshot file: the first serves a
+    // key, then exits at its accept limit and writes the snapshot; the
+    // second restores it and answers the same request from the cache.
+    let socket = socket_path("snapshot");
+    let snapshot =
+        std::env::temp_dir().join(format!("cct-serve-cli-{}.snapshot", std::process::id()));
+    let _ = std::fs::remove_file(&snapshot);
+    let args = ["--graph", "er:64:0.2", "--seed", "7", "--count", "2"];
+    let serve_once = || {
+        let snapshot = snapshot.to_str().unwrap();
+        let mut server =
+            spawn_server_with(&socket, &["--snapshot", snapshot, "--accept-limit", "1"]);
+        let out = request(&socket, &args);
+        assert!(
+            out.status.success(),
+            "request failed: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let status = server.0.wait().expect("server exit");
+        assert!(status.success(), "server exited non-zero");
+        out
+    };
+    let cold = serve_once();
+    assert!(String::from_utf8_lossy(&cold.stderr).contains("prepares = 1"));
+    // The snapshot holds the key, not its matrices.
+    let size = std::fs::metadata(&snapshot)
+        .expect("snapshot written")
+        .len();
+    assert!(size < 1024, "snapshot is {size} bytes");
+    let warm = serve_once();
+    assert_eq!(warm.stdout, cold.stdout, "restored server drew other trees");
+    let stderr = String::from_utf8_lossy(&warm.stderr);
+    assert!(
+        stderr.contains("hit = true, prepares = 0"),
+        "stderr: {stderr}"
+    );
+    std::fs::remove_file(&snapshot).unwrap();
+}
+
+#[test]
 fn stats_and_shutdown_control_the_server() {
     // No accept limit: the server runs until asked to drain, so the
     // shutdown frame — not connection exhaustion — is what stops it.
