@@ -22,7 +22,7 @@
 use crate::sampler::{schur_rounds, validate, SampleTreeError};
 use cct_doubling::{doubling_walks, Balancing};
 use cct_graph::{Graph, SpanningTree};
-use cct_schur::{sample_first_visit_edge_with, schur_graph, shortcut_exact, VertexSubset};
+use cct_schur::{sample_first_visit_edge, schur_graph, shortcut_exact, subset_wdeg, VertexSubset};
 use cct_sim::{Clique, CostCategory, FastOracleEngine, RoundLedger};
 use rand::Rng;
 
@@ -149,8 +149,9 @@ pub fn direction4_sample<R: Rng + ?Sized>(
 
         // Algorithm 4 on first visits (global ids), billed as the main
         // sampler bills it: 3 rounds per phase and 2 + 2·deg(v) words per
-        // new vertex v.
+        // new vertex v. Locally, wdeg_S is one O(m) pass per phase.
         clique.ledger_mut().charge(CostCategory::FirstVisit, 3);
+        let wdeg_s = subset_wdeg(g, &s);
         let to_global = |local: usize| if s.len() == n { local } else { s.global(local) };
         let mut fresh = 0usize;
         for w in walk.windows(2) {
@@ -158,7 +159,7 @@ pub fn direction4_sample<R: Rng + ?Sized>(
             if visited[v] {
                 continue;
             }
-            let (u, vv) = sample_first_visit_edge_with(g, &s, q_at, prev, v, rng).ok_or(
+            let (u, vv) = sample_first_visit_edge(g, &wdeg_s, q_at, prev, v, rng).ok_or(
                 SampleTreeError::Phase(crate::phase::PhaseError::DegenerateDistribution),
             )?;
             edges.push((u, vv));

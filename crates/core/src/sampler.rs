@@ -8,7 +8,9 @@
 //! * **top-down**: the shortcut matrix `Q` and the Schur transition
 //!   (Corollaries 2–3, charged at the paper's iterated-squaring
 //!   multiplication counts), then the top-down truncated walk on
-//!   `Schur(G, S)` (Outline 3);
+//!   `Schur(G, S)` (Outline 3). Locally, the default `ExactSolve` route
+//!   factors `I − T` once and solves only `Q`'s non-zero columns, and
+//!   Corollary 3 multiplies only the `S × S` block it reads;
 //! * **leader-local**: the leader collects the same Schur transition and
 //!   walks it step by step, for final phases (`|S| ≤ ρ`), degenerate
 //!   bipartite phase graphs and walks past the grid cap;
@@ -16,9 +18,10 @@
 //!   and builds no matrix at all.
 //!
 //! Every newly visited vertex then gets its first-visit edge in `G`:
-//! Algorithm 4 samples it on the Schur routes, and the streamed walk
-//! recorded it directly. The union of first-visit edges across phases
-//! is the Aldous–Broder spanning tree.
+//! Algorithm 4 samples it on the Schur routes, reading a `wdeg_S` array
+//! built once per phase in `O(m)`, and the streamed walk recorded it
+//! directly. The union of first-visit edges across phases is the
+//! Aldous–Broder spanning tree.
 
 use crate::config::{EngineChoice, SamplerConfig, SchurComputation, Variant, WalkLength};
 use crate::phase::{
@@ -29,8 +32,8 @@ use crate::report::{PhaseMethod, PhaseReport, SampleReport};
 use cct_graph::{Graph, SpanningTree};
 use cct_linalg::{CsrMatrix, Matrix, PMatrix, Repr};
 use cct_schur::{
-    sample_first_visit_edge_with, schur_transition_from_shortcut_p, shortcut_by_squaring,
-    shortcut_exact, VertexSubset,
+    sample_first_visit_edge, schur_transition_from_shortcut_p, shortcut_by_squaring,
+    shortcut_exact, subset_wdeg, VertexSubset,
 };
 use cct_sim::{
     distributed_powers_deferred, BlockEngine, Clique, CostCategory, DeferredPowers,
@@ -501,6 +504,8 @@ fn sample_with<R: Rng + ?Sized>(
             // newly visited vertex. O(1) rounds: the leader scatters
             // each v's predecessor, machine v polls its neighbors for
             // Q[prev,u]/deg_S(u), and the sampled edges are gathered.
+            // Locally, wdeg_S is one O(m) pass per phase.
+            let wdeg_s = subset_wdeg(g, &s);
             let fv_words: u64 = walk
                 .first_visits
                 .iter()
@@ -511,7 +516,7 @@ fn sample_with<R: Rng + ?Sized>(
             ledger.add_words(CostCategory::FirstVisit, fv_words);
             for &(v, prev) in &walk.first_visits {
                 let (u, vv) =
-                    sample_first_visit_edge_with(g, &s, |a, b| q.weight(a, b), prev, v, rng)
+                    sample_first_visit_edge(g, &wdeg_s, |a, b| q.weight(a, b), prev, v, rng)
                         .ok_or(SampleTreeError::Phase(PhaseError::DegenerateDistribution))?;
                 debug_assert_eq!(vv, v);
                 edges.push((u, v));

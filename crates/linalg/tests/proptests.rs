@@ -139,9 +139,14 @@ fn assert_lu_matches_scalar(a: &Matrix, rhs: &Matrix) {
     let b = rhs.col(0);
     assert_eq!(fast.solve(&b), reference.solve(&b));
     assert_eq!(fast.solve_matrix(rhs), reference.solve_matrix(rhs));
+    let n = a.rows();
+    assert_eq!(fast.inverse(), reference.solve_matrix(&Matrix::identity(n)));
+    // Every other column of the inverse, in reverse order.
+    let cols: Vec<usize> = (0..n).rev().step_by(2).collect();
+    let unit_cols = Matrix::from_fn(n, cols.len(), |i, c| f64::from(i == cols[c]));
     assert_eq!(
-        fast.inverse(),
-        reference.solve_matrix(&Matrix::identity(a.rows()))
+        fast.inverse_columns(&cols),
+        reference.solve_matrix(&unit_cols)
     );
 }
 

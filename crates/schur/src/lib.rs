@@ -39,10 +39,10 @@ mod subset;
 
 pub use schur::{
     entry_matrix, schur_graph, schur_laplacian, schur_transition_exact,
-    schur_transition_from_shortcut_p,
+    schur_transition_from_shortcut_p, subset_wdeg,
 };
 pub use shortcut::{
-    absorbing_chain, absorbing_chain_blocks, sample_first_visit_edge_with, shortcut_by_squaring,
-    shortcut_by_squaring_dense, shortcut_exact,
+    absorbing_chain, absorbing_chain_blocks, sample_first_visit_edge, sample_first_visit_edge_with,
+    shortcut_by_squaring, shortcut_by_squaring_dense, shortcut_exact,
 };
 pub use subset::VertexSubset;

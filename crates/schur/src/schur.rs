@@ -11,11 +11,15 @@
 //! * [`schur_transition_from_shortcut_p`] — the paper's distributed
 //!   route (Corollary 3): `S[u,v] ∝ (Q·R)[u,v]` with per-row
 //!   normalization `M_u = 1/(1 − (QR)[u,u])`, built from the shortcut
-//!   matrix `Q` in either representation.
+//!   matrix `Q` in either representation. Only the `S × S` block of
+//!   `Q·R` is read, so only it is computed: `Q`'s `S` rows times `R`'s
+//!   `S` columns, at most `|S|²·n` multiply-adds (CSR operands skip
+//!   their zeros), not the `n³` of the full product, and bit-identical
+//!   to it.
 
 use crate::VertexSubset;
 use cct_graph::{Graph, GraphError};
-use cct_linalg::{Lu, Matrix, PMatrix};
+use cct_linalg::{CsrMatrix, Lu, Matrix, PMatrix};
 
 /// The Schur complement of the Laplacian onto `S` (Definition 1):
 /// `L_SS − L_{S,S̄} · L_{S̄,S̄}^{-1} · L_{S̄,S}`, a `|S| × |S|` Laplacian in
@@ -95,6 +99,25 @@ pub fn schur_transition_exact(g: &Graph, s: &VertexSubset) -> Matrix {
     })
 }
 
+/// `wdeg_S(u)`: `u`'s weighted degree into `S`, summed in adjacency
+/// order. The one expression behind every `wdeg_S` value the crate uses
+/// — the entry matrix's normalizer and Algorithm 4's — so all of them
+/// hold the same bits.
+pub(crate) fn wdeg_s_of(g: &Graph, s: &VertexSubset, u: usize) -> f64 {
+    g.neighbors(u)
+        .iter()
+        .filter(|&&(v, _)| s.contains(v))
+        .map(|&(_, w)| w)
+        .sum()
+}
+
+/// `wdeg_S(u)` for every vertex `u`, in one `O(m)` pass: the per-phase
+/// array that [`crate::sample_first_visit_edge`] reads instead of
+/// rescanning each neighbor's adjacency list for every new vertex.
+pub fn subset_wdeg(g: &Graph, s: &VertexSubset) -> Vec<f64> {
+    (0..g.n()).map(|u| wdeg_s_of(g, s, u)).collect()
+}
+
 /// The one-step "entry" matrix `R` of Corollary 3:
 /// `R[u,v] = w(u,v)/wdeg_S(u)` for `{u,v} ∈ E, v ∈ S`; `R[u,u] = 1` when
 /// `u` has no neighbor in `S`.
@@ -102,12 +125,7 @@ pub fn entry_matrix(g: &Graph, s: &VertexSubset) -> Matrix {
     let n = g.n();
     let mut r = Matrix::zeros(n, n);
     for u in 0..n {
-        let wdeg_s: f64 = g
-            .neighbors(u)
-            .iter()
-            .filter(|&&(v, _)| s.contains(v))
-            .map(|&(_, w)| w)
-            .sum();
+        let wdeg_s = wdeg_s_of(g, s, u);
         if wdeg_s == 0.0 {
             r[(u, u)] = 1.0;
             continue;
@@ -121,13 +139,67 @@ pub fn entry_matrix(g: &Graph, s: &VertexSubset) -> Matrix {
     r
 }
 
+/// The `S` columns of the entry matrix (`n × |S|`, local column ids):
+/// CSR built row by row from the sorted adjacency lists, then run
+/// through the fill-in tracker. Every stored entry is the one
+/// [`entry_matrix`] holds at `(u, s.global(j))`, bit for bit; the other
+/// `n − |S|` columns are the ones Corollary 3 never reads.
+fn entry_columns(g: &Graph, s: &VertexSubset) -> PMatrix {
+    let mut r = CsrMatrix::builder(g.n(), s.len());
+    for u in 0..g.n() {
+        let d = wdeg_s_of(g, s, u);
+        if d == 0.0 {
+            if let Some(i) = s.local_index(u) {
+                r.push(i, 1.0);
+            }
+        } else {
+            for &(v, w) in g.neighbors(u) {
+                if let Some(j) = s.local_index(v) {
+                    r.push(j, w / d);
+                }
+            }
+        }
+        r.finish_row();
+    }
+    PMatrix::Sparse(r.build()).promoted()
+}
+
+/// The rows `rows` of `q`, in `q`'s representation.
+fn select_rows(q: &PMatrix, rows: &[usize]) -> PMatrix {
+    match q {
+        PMatrix::Dense(q) => {
+            let mut out = Matrix::zeros(rows.len(), q.cols());
+            for (i, &u) in rows.iter().enumerate() {
+                out.row_mut(i).copy_from_slice(q.row(u));
+            }
+            PMatrix::Dense(out)
+        }
+        PMatrix::Sparse(q) => {
+            let mut out = CsrMatrix::builder(rows.len(), q.cols());
+            for &u in rows {
+                let (cols, vals) = q.row(u);
+                for (&j, &x) in cols.iter().zip(vals) {
+                    out.push(j as usize, x);
+                }
+                out.finish_row();
+            }
+            PMatrix::Sparse(out.build())
+        }
+    }
+}
+
 /// Corollary 3: the Schur transition matrix from the shortcut matrix
 /// `q` (as produced by [`crate::shortcut_exact`] or
 /// [`crate::shortcut_by_squaring`]): rows of `Q·R` restricted to `S`,
-/// diagonal dropped, renormalized by `M_u = 1/(1 − (QR)[u,u])`. `q` is
-/// in either representation ([`PMatrix`]): a sparse `Q` multiplies the
-/// entry matrix through the CSR kernel (bit-identical to the dense
-/// product) without densifying `Q` first.
+/// diagonal dropped, renormalized by `M_u = 1/(1 − (QR)[u,u])`.
+///
+/// Only the `S × S` block of `Q·R` is ever read, so only that block is
+/// computed: `Q`'s `S` rows (`|S| × n`) times the entry matrix's `S`
+/// columns (`n × |S|`, CSR until fill-in promotes it), one
+/// [`PMatrix::matmul`] of `|S|²·n` multiply-adds at most instead of the
+/// `n³` of the full product. `q` is in either representation. Each
+/// block entry accumulates the same products in the same order as the
+/// full product, so the result is bit-identical to it.
 ///
 /// # Panics
 ///
@@ -135,40 +207,120 @@ pub fn entry_matrix(g: &Graph, s: &VertexSubset) -> Matrix {
 /// when `S∖{u}` is reachable from `u`).
 pub fn schur_transition_from_shortcut_p(g: &Graph, s: &VertexSubset, q: &PMatrix) -> Matrix {
     assert!(s.len() >= 2, "need at least two vertices in S");
-    let r = entry_matrix(g, s);
-    let qr = match q {
-        PMatrix::Dense(q) => q.matmul(&r),
-        PMatrix::Sparse(q) => q.matmul_dense_rhs(&r, 1),
-    };
-    schur_transition_from_qr(s, &qr)
-}
-
-/// Shared tail of the Corollary-3 construction: restrict `Q·R` to `S`,
-/// drop the diagonal, renormalize rows by `M_u = 1/(1 − (QR)[u,u])`.
-fn schur_transition_from_qr(s: &VertexSubset, qr: &Matrix) -> Matrix {
+    let r_s = entry_columns(g, s);
+    let qr = select_rows(q, s.list()).matmul(&r_s, 1);
     let k = s.len();
-    Matrix::from_fn(k, k, |i, j| {
-        if i == j {
-            return 0.0;
-        }
-        let (u, v) = (s.global(i), s.global(j));
-        let self_mass = qr[(u, u)];
+    let mut t = Matrix::zeros(k, k);
+    for i in 0..k {
+        let (u, self_mass) = (s.global(i), qr.get(i, i));
         assert!(
             self_mass < 1.0 - 1e-12,
             "vertex {u} cannot reach S∖{{u}}; M_u diverges"
         );
-        qr[(u, v)] / (1.0 - self_mass)
-    })
+        let row = t.row_mut(i);
+        qr.for_each_in_row(i, |j, x| {
+            if j != i {
+                row[j] = x / (1.0 - self_mass);
+            }
+        });
+    }
+    t
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::shortcut_exact;
+    use crate::{shortcut_by_squaring, shortcut_exact};
     use cct_graph::generators;
-    use cct_linalg::is_row_stochastic;
+    use cct_linalg::{is_row_stochastic, Repr};
     use cct_walks::random_step;
     use rand::SeedableRng;
+
+    /// Corollary 3 the dense way: the full `n × n` entry matrix, the
+    /// full product `Q·R`, then the `S × S` read with its normalization.
+    fn schur_transition_dense_reference(g: &Graph, s: &VertexSubset, q: &PMatrix) -> Matrix {
+        let r = entry_matrix(g, s);
+        let qr = match q {
+            PMatrix::Dense(q) => q.matmul(&r),
+            PMatrix::Sparse(q) => q.matmul_dense_rhs(&r, 1),
+        };
+        let k = s.len();
+        Matrix::from_fn(k, k, |i, j| {
+            if i == j {
+                return 0.0;
+            }
+            let (u, v) = (s.global(i), s.global(j));
+            qr[(u, v)] / (1.0 - qr[(u, u)])
+        })
+    }
+
+    /// The block route equals the dense reference exactly (not within a
+    /// tolerance), for a dense `Q` from the exact solve and a CSR `Q`
+    /// from one squaring of the absorbing chain (still sparse).
+    fn assert_block_corollary3_is_exact(g: &Graph, s: &VertexSubset) {
+        let exact = PMatrix::Dense(shortcut_exact(g, s));
+        let (squared, _) = shortcut_by_squaring(g, s, 0.0, 1, Repr::Sparse);
+        assert!(squared.is_sparse(), "n = {}: Q was promoted", g.n());
+        for q in [exact, squared] {
+            assert_eq!(
+                schur_transition_from_shortcut_p(g, s, &q),
+                schur_transition_dense_reference(g, s, &q),
+                "n = {}, S = {:?}, {:?} Q",
+                g.n(),
+                s.list(),
+                q.repr()
+            );
+        }
+    }
+
+    /// `g` reweighted from `1` to `2²⁰`, the largest ratio the sampler
+    /// accepts.
+    fn spread_weights(g: &Graph) -> Graph {
+        const W: [f64; 5] = [1.0, 33.0, 1000.0, 33333.0, 1_048_576.0];
+        let edges: Vec<(usize, usize, f64)> = g
+            .edges()
+            .iter()
+            .map(|&(u, v, _)| (u, v, W[(u + 2 * v) % 5]))
+            .collect();
+        let h = Graph::from_weighted_edges(g.n(), &edges).unwrap();
+        let lightest = edges.iter().map(|e| e.2).fold(f64::INFINITY, f64::min);
+        assert_eq!(h.max_weight() / lightest, f64::from(1 << 20));
+        h
+    }
+
+    #[test]
+    fn block_corollary3_equals_full_product() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(44);
+        let er = generators::erdos_renyi_connected(12, 0.35, &mut rng);
+        for g in [
+            generators::petersen(),
+            generators::cycle(10),
+            generators::lollipop(5, 4),
+            spread_weights(&er),
+            spread_weights(&generators::lollipop(5, 4)),
+            er,
+        ] {
+            let n = g.n();
+            let mixed: Vec<usize> = (0..n).filter(|v| v % 3 != 1).collect();
+            let all_but_one: Vec<usize> = (1..n).collect();
+            for list in [mixed, all_but_one, vec![0, n - 1]] {
+                assert_block_corollary3_is_exact(&g, &VertexSubset::new(n, &list));
+            }
+        }
+    }
+
+    #[test]
+    fn block_corollary3_handles_members_without_neighbors_in_s() {
+        // Figure 2's leaves and cycle vertex 0 have no neighbor in S:
+        // their entry-matrix row is the self-loop R[x, x] = 1.
+        let (g, s) = figure2();
+        assert!(s.list().iter().all(|&x| wdeg_s_of(&g, &s, x) == 0.0));
+        assert_block_corollary3_is_exact(&g, &s);
+        let g = generators::cycle(8);
+        let s = VertexSubset::new(8, &[0, 2, 3, 5]);
+        assert_eq!(wdeg_s_of(&g, &s, 0), 0.0);
+        assert_block_corollary3_is_exact(&g, &s);
+    }
 
     /// Figure 2: star with centre C (id 2), leaves A=0, B=1, D=3,
     /// S = {A, B, D}.

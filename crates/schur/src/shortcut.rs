@@ -7,7 +7,10 @@
 //!
 //! Two constructions are provided:
 //! * [`shortcut_exact`] — the fundamental-matrix solve
-//!   `Q = (I − T)^{-1} · A` (reference);
+//!   `Q = (I − T)^{-1} · A`: one LU factorization of `I − T` (`⅔n³`
+//!   flops), then one inverse column (about `4n²/3` flops) per column
+//!   of `Q` that can be non-zero — the vertices with a neighbor in `S` —
+//!   instead of the whole inverse;
 //! * [`shortcut_by_squaring`] — the paper's distributed route
 //!   (Corollary 2): iterated squaring of the `2n × 2n` absorbing chain
 //!   `R`, which converges to `R^∞` with `Q[u,v] = R^∞[u', v'']`. It
@@ -16,7 +19,12 @@
 //!   the caller (`cct-core`) can charge matrix-multiplication rounds.
 //!   [`shortcut_by_squaring_dense`] squares the full `2n × 2n` chain;
 //!   it is the reference the block route is tested against.
+//!
+//! Algorithm 4 ([`sample_first_visit_edge`]) reads `O(deg(v))` entries
+//! of `Q` and of a per-phase `wdeg_S` array ([`crate::subset_wdeg`]) per
+//! newly visited vertex `v`.
 
+use crate::schur::wdeg_s_of;
 use crate::VertexSubset;
 use cct_graph::Graph;
 use cct_linalg::{CsrMatrix, Lu, Matrix, PMatrix, Repr};
@@ -24,6 +32,15 @@ use cct_linalg::{CsrMatrix, Lu, Matrix, PMatrix, Repr};
 /// Exact shortcut transition matrix via the fundamental matrix:
 /// `Q = (I − T)^{-1} A`, where `T[u,v] = P[u,v]·[v ∉ S]` and
 /// `A = diag(Σ_{v∈S} P[u,v])`.
+///
+/// `I − T` and `A` are built from `P`'s CSR rows. Column `v` of `Q` is
+/// column `v` of `(I − T)^{-1}` times `A[v]`, so it is zero unless `v`
+/// has a neighbor in `S`: one LU factorization, then
+/// [`Lu::inverse_columns`] for just those columns (about `4n²/3` flops
+/// each) instead of the whole inverse. Each solved column holds the
+/// bits the full inverse holds (the solves treat columns
+/// independently); the skipped columns are `+0.0`, where `inverse · 0`
+/// could have been `-0.0`.
 ///
 /// # Panics
 ///
@@ -33,25 +50,31 @@ pub fn shortcut_exact(g: &Graph, s: &VertexSubset) -> Matrix {
     let n = g.n();
     assert_eq!(s.universe(), n, "subset universe must match graph");
     assert!(!s.is_empty(), "S must be non-empty");
-    let p = g.transition_matrix();
+    let p = g.transition_pmatrix(Repr::Sparse);
     // T: transitions that stay outside S; a[u]: one-step absorption mass.
     let mut i_minus_t = Matrix::identity(n);
     let mut a = vec![0.0f64; n];
-    for u in 0..n {
-        for v in 0..n {
-            if p[(u, v)] == 0.0 {
-                continue;
-            }
+    for (u, a_u) in a.iter_mut().enumerate() {
+        let row = i_minus_t.row_mut(u);
+        p.for_each_in_row(u, |v, p_uv| {
             if s.contains(v) {
-                a[u] += p[(u, v)];
+                *a_u += p_uv;
             } else {
-                i_minus_t[(u, v)] -= p[(u, v)];
+                row[v] -= p_uv;
             }
-        }
+        });
     }
     let lu = Lu::new(&i_minus_t).expect("I - T is invertible when S is reachable");
-    let inv = lu.inverse();
-    Matrix::from_fn(n, n, |u, v| inv[(u, v)] * a[v])
+    let absorbing: Vec<usize> = (0..n).filter(|&v| a[v] > 0.0).collect();
+    let inv_cols = lu.inverse_columns(&absorbing);
+    let mut q = Matrix::zeros(n, n);
+    for u in 0..n {
+        let (q_row, inv_row) = (q.row_mut(u), inv_cols.row(u));
+        for (&v, &x) in absorbing.iter().zip(inv_row) {
+            q_row[v] = x * a[v];
+        }
+    }
+    q
 }
 
 /// The auxiliary absorbing chain of Corollary 2 on `L ∪ R` (two copies of
@@ -211,7 +234,9 @@ pub fn shortcut_by_squaring_dense(
 ///
 /// By Bayes' rule the predecessor `u` is drawn over `N_G(v)` with weight
 /// `Q[prev, u] · w(u,v) / wdeg_S(u)`, where `wdeg_S(u)` is `u`'s weighted
-/// degree into `S` (for unweighted graphs, `1/deg_S(u)` as in the paper).
+/// degree into `S` (for unweighted graphs, `1/deg_S(u)` as in the paper),
+/// read from `wdeg_s` — the phase's [`crate::subset_wdeg`] array, built
+/// once per phase in `O(m)`, so each draw costs `O(deg(v))`.
 ///
 /// The shortcut matrix comes as a lookup `q(u0, u) = Q[u0, u]` rather
 /// than a materialized [`Matrix`]: phase 1 (where `S = V` and `Q` is the
@@ -224,6 +249,24 @@ pub fn shortcut_by_squaring_dense(
 ///
 /// # Panics
 ///
+/// Panics if `v` has no neighbors or `wdeg_s` is shorter than `g.n()`.
+pub fn sample_first_visit_edge<R: rand::Rng + ?Sized>(
+    g: &Graph,
+    wdeg_s: &[f64],
+    q: impl Fn(usize, usize) -> f64,
+    prev: usize,
+    v: usize,
+    rng: &mut R,
+) -> Option<(usize, usize)> {
+    first_visit_edge(g, |u| wdeg_s[u], q, prev, v, rng)
+}
+
+/// [`sample_first_visit_edge`] for a single draw: sums `wdeg_S(u)` over
+/// `u`'s adjacency list for each neighbor `u` of `v` (`O(deg²)`) instead
+/// of reading a per-phase array. Same weights, same stream, same edge.
+///
+/// # Panics
+///
 /// Panics if `v` has no neighbors.
 pub fn sample_first_visit_edge_with<R: rand::Rng + ?Sized>(
     g: &Graph,
@@ -233,33 +276,187 @@ pub fn sample_first_visit_edge_with<R: rand::Rng + ?Sized>(
     v: usize,
     rng: &mut R,
 ) -> Option<(usize, usize)> {
+    first_visit_edge(g, |u| wdeg_s_of(g, s, u), q, prev, v, rng)
+}
+
+/// Algorithm 4's weight-and-sample body, whatever supplies `wdeg_S`.
+fn first_visit_edge<R: rand::Rng + ?Sized>(
+    g: &Graph,
+    wdeg_s: impl Fn(usize) -> f64,
+    q: impl Fn(usize, usize) -> f64,
+    prev: usize,
+    v: usize,
+    rng: &mut R,
+) -> Option<(usize, usize)> {
+    let weights = first_visit_weights(g, wdeg_s, q, prev, v);
+    cct_linalg::sample_index(rng, &weights).map(|idx| (g.neighbors(v)[idx].0, v))
+}
+
+/// The Bayes weight `Q[prev, u] · w(u,v) / wdeg_S(u)` of each neighbor
+/// `u` of `v`, in adjacency order.
+fn first_visit_weights(
+    g: &Graph,
+    wdeg_s: impl Fn(usize) -> f64,
+    q: impl Fn(usize, usize) -> f64,
+    prev: usize,
+    v: usize,
+) -> Vec<f64> {
     let nbrs = g.neighbors(v);
     assert!(!nbrs.is_empty(), "vertex {v} has no neighbors");
-    let weights: Vec<f64> = nbrs
-        .iter()
+    nbrs.iter()
         .map(|&(u, w_uv)| {
-            let wdeg_s: f64 = g
-                .neighbors(u)
-                .iter()
-                .filter(|&&(x, _)| s.contains(x))
-                .map(|&(_, w)| w)
-                .sum();
-            if wdeg_s > 0.0 {
-                q(prev, u) * w_uv / wdeg_s
+            let d = wdeg_s(u);
+            if d > 0.0 {
+                q(prev, u) * w_uv / d
             } else {
                 0.0
             }
         })
-        .collect();
-    cct_linalg::sample_index(rng, &weights).map(|idx| (nbrs[idx].0, v))
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::subset_wdeg;
     use cct_graph::generators;
     use cct_walks::random_step;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The shortcut matrix through the full inverse: dense `P`, a solve
+    /// on every identity column, then `Q[u,v] = inv[u,v]·a[v]`.
+    fn shortcut_full_inverse(g: &Graph, s: &VertexSubset) -> Matrix {
+        let n = g.n();
+        let p = g.transition_matrix();
+        let mut i_minus_t = Matrix::identity(n);
+        let mut a = vec![0.0f64; n];
+        for u in 0..n {
+            for v in 0..n {
+                if p[(u, v)] == 0.0 {
+                    continue;
+                }
+                if s.contains(v) {
+                    a[u] += p[(u, v)];
+                } else {
+                    i_minus_t[(u, v)] -= p[(u, v)];
+                }
+            }
+        }
+        let inv = Lu::new(&i_minus_t)
+            .unwrap()
+            .solve_matrix(&Matrix::identity(n));
+        Matrix::from_fn(n, n, |u, v| inv[(u, v)] * a[v])
+    }
+
+    #[test]
+    fn absorbing_column_solves_equal_the_full_inverse() {
+        // `==` on every entry: only the sign of an exact zero may differ.
+        let mut rng = rand::rngs::StdRng::seed_from_u64(23);
+        let weighted = generators::with_deterministic_integer_weights(
+            &generators::erdos_renyi_connected(12, 0.3, &mut rng),
+            1 << 20,
+            5,
+        )
+        .unwrap();
+        for g in [
+            generators::petersen(),
+            generators::cycle(9),
+            generators::lollipop(5, 4),
+            generators::complete(7),
+            weighted,
+        ] {
+            let n = g.n();
+            let spread: Vec<usize> = (0..n).filter(|v| v % 4 == 0).collect();
+            let all_but_one: Vec<usize> = (1..n).collect();
+            for list in [spread, all_but_one, vec![0, n - 1], (0..n).collect()] {
+                let s = VertexSubset::new(n, &list);
+                assert_eq!(
+                    shortcut_exact(&g, &s),
+                    shortcut_full_inverse(&g, &s),
+                    "n = {n}, S = {list:?}"
+                );
+            }
+        }
+    }
+
+    /// Algorithm 4's weights as they read before the per-phase `wdeg_S`
+    /// array: each neighbor's degree into `S` summed afresh per draw.
+    fn rescan_weights(
+        g: &Graph,
+        s: &VertexSubset,
+        q: impl Fn(usize, usize) -> f64,
+        prev: usize,
+        v: usize,
+    ) -> Vec<f64> {
+        g.neighbors(v)
+            .iter()
+            .map(|&(u, w_uv)| {
+                let wdeg_s: f64 = g
+                    .neighbors(u)
+                    .iter()
+                    .filter(|&&(x, _)| s.contains(x))
+                    .map(|&(_, w)| w)
+                    .sum();
+                if wdeg_s > 0.0 {
+                    q(prev, u) * w_uv / wdeg_s
+                } else {
+                    0.0
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn per_phase_wdeg_matches_the_rescan() {
+        // Same weights bit for bit, same edge and same rng state after
+        // every (prev, v) draw, with S = V (Q the identity) and with a
+        // proper subset (Q solved).
+        let k6 =
+            generators::with_deterministic_integer_weights(&generators::complete(6), 8, 2).unwrap();
+        for g in [generators::petersen(), k6, generators::lollipop(5, 4)] {
+            let n = g.n();
+            let proper: Vec<usize> = (0..n).filter(|v| v % 3 != 2).collect();
+            for list in [(0..n).collect::<Vec<_>>(), proper] {
+                let s = VertexSubset::new(n, &list);
+                let q = shortcut_exact(&g, &s);
+                let wdeg = subset_wdeg(&g, &s);
+                let mut rngs = [21u64; 3].map(rand::rngs::StdRng::seed_from_u64);
+                let mut drawn = 0;
+                for &prev in s.list() {
+                    for &v in s.list().iter().filter(|&&v| v != prev) {
+                        let qf = |a: usize, b: usize| q[(a, b)];
+                        let case = format!("n = {n}, |S| = {}, ({prev}, {v})", s.len());
+                        let bits =
+                            |w: Vec<f64>| w.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+                        let weights = rescan_weights(&g, &s, qf, prev, v);
+                        assert_eq!(
+                            bits(first_visit_weights(&g, |u| wdeg[u], qf, prev, v)),
+                            bits(weights.clone()),
+                            "{case}"
+                        );
+                        let [r0, r1, r2] = &mut rngs;
+                        // `None` where no walk from prev enters S at v.
+                        let want = cct_linalg::sample_index(r0, &weights)
+                            .map(|idx| (g.neighbors(v)[idx].0, v));
+                        drawn += usize::from(want.is_some());
+                        assert_eq!(
+                            sample_first_visit_edge(&g, &wdeg, qf, prev, v, r1),
+                            want,
+                            "{case}"
+                        );
+                        assert_eq!(
+                            sample_first_visit_edge_with(&g, &s, qf, prev, v, r2),
+                            want,
+                            "{case}"
+                        );
+                        let next = r0.gen::<u64>();
+                        assert_eq!((r1.gen::<u64>(), r2.gen::<u64>()), (next, next), "{case}");
+                    }
+                }
+                assert!(drawn > 0, "n = {n}, |S| = {}: nothing drawn", s.len());
+            }
+        }
+    }
 
     /// The paper's Figure 2 graph: a star with centre C and leaves
     /// A, B, D. Vertex ids: A=0, B=1, C=2, D=3; S = {A, B, D}.
