@@ -32,8 +32,8 @@ use crate::report::{PhaseMethod, PhaseReport, SampleReport};
 use cct_graph::{Graph, SpanningTree};
 use cct_linalg::{CsrMatrix, Matrix, PMatrix, Repr};
 use cct_schur::{
-    sample_first_visit_edge, schur_transition_from_shortcut_p, shortcut_by_squaring,
-    shortcut_exact, subset_wdeg, VertexSubset,
+    sample_first_visit_edge, schur_transition_with_weights, shortcut_by_squaring, shortcut_exact,
+    subset_wdeg, VertexSubset,
 };
 use cct_sim::{
     distributed_powers_deferred, BlockEngine, Clique, CostCategory, DeferredPowers,
@@ -406,9 +406,12 @@ fn sample_with<R: Rng + ?Sized>(
             // itself: Schur(G, V) = G (the transition matrix is
             // borrowed, not cloned) and the shortcut matrix is the
             // symbolic identity (a walk's pre-S vertex is its previous
-            // vertex) — phase 1 allocates no n² scratch at all.
-            let (t0, q): (Cow<'_, PMatrix>, PhaseShortcut) = if s.len() == n {
-                (Cow::Borrowed(p), PhaseShortcut::Identity)
+            // vertex) — phase 1 allocates no n² scratch at all. Later
+            // phases also carry the Schur walk's stationary weights for
+            // the power table; phase 1's are G's degrees, computed only
+            // if its table is built here.
+            let (t0, q, weights) = if s.len() == n {
+                (Cow::Borrowed(p), PhaseShortcut::Identity, None)
             } else {
                 let q = match config.schur {
                     SchurComputation::ExactSolve => PMatrix::Dense(shortcut_exact(g, &s)),
@@ -432,10 +435,11 @@ fn sample_with<R: Rng + ?Sized>(
                 clique
                     .ledger_mut()
                     .charge(CostCategory::MatMul, schur_rounds(n, rounds_per_mult));
-                let trans_local = schur_transition_from_shortcut_p(g, &s, &q);
+                let (trans_local, weights) = schur_transition_with_weights(g, &s, &q);
                 (
                     Cow::Owned(phase_matrix(trans_local, repr)),
                     PhaseShortcut::Mat(q),
+                    Some(weights),
                 )
             };
 
@@ -467,7 +471,8 @@ fn sample_with<R: Rng + ?Sized>(
                             ell0.trailing_zeros() as usize + 1,
                             rounding,
                             threads,
-                        );
+                        )
+                        .with_stationary_weights(weights.unwrap_or_else(|| weighted_degrees(g)));
                         &owned_powers
                     }
                 };
@@ -638,7 +643,8 @@ impl PreparedSampler {
                 rc.ell0.trailing_zeros() as usize + 1,
                 rc.rounding,
                 rc.threads,
-            );
+            )
+            .with_stationary_weights(weighted_degrees(g));
             Phase1Cache {
                 powers,
                 ledger: scratch.take_ledger(),
@@ -668,8 +674,9 @@ impl PreparedSampler {
     }
 
     /// Total resident bytes of the prepared state: the transition
-    /// matrix, every **materialized** level of the cached phase-1
-    /// doubling table, and the cached ledger delta replayed per draw.
+    /// matrix and every **materialized** level of the cached phase-1
+    /// doubling table. (The cached ledger delta replayed per draw is two
+    /// fixed arrays and owns no heap memory.)
     ///
     /// This is the allocation that pins the practical size cap (a dense
     /// 8192² `f64` matrix is 512 MB, and the table retains `log₂ ℓ` of
@@ -687,8 +694,9 @@ impl PreparedSampler {
     /// content materializes only when a sample first reads it, and is
     /// memoized thereafter. Levels above the table's settled level — the
     /// first level that agrees with the one below it, within the drift
-    /// bound `DeferredPowers` documents — are that level and are never
-    /// stored. Consequently this figure **grows on the first sample**
+    /// bound `DeferredPowers` documents, or the first dense level at the
+    /// stationary row — are that level and are never stored.
+    /// Consequently this figure **grows on the first sample**
     /// — from roughly the transition matrix alone after `prepare()` to
     /// the footprint of the levels up to the settled one (all
     /// `log₂ ℓ + 1` of them if the table never settles), which is also
@@ -700,7 +708,7 @@ impl PreparedSampler {
             .data
             .phase1
             .as_ref()
-            .map_or(0, |c| c.powers.resident_bytes() + c.ledger.memory_bytes());
+            .map_or(0, |c| c.powers.resident_bytes());
         self.data.p.resident_bytes() + cache
     }
 
@@ -826,6 +834,12 @@ fn charged_schur_squarings(n: usize) -> u64 {
 /// phases by the same rule.
 pub(crate) fn schur_rounds(n: usize, rounds_per_mult: u64) -> u64 {
     (4 * charged_schur_squarings(n) + 1) * rounds_per_mult
+}
+
+/// `G`'s weighted degrees: the stationary weights of the walk on `G`,
+/// for which `P = D⁻¹W` satisfies detailed balance.
+fn weighted_degrees(g: &Graph) -> Vec<f64> {
+    (0..g.n()).map(|u| g.degree(u)).collect()
 }
 
 /// A phase's matrix: the `|S| × |S|` Schur transition in local ids,

@@ -64,12 +64,45 @@ pub(crate) fn matmul_rows_into(
     lo: usize,
     hi: usize,
 ) {
+    panel_rows::<false>(a, b, out, k, m, lo, hi);
+}
+
+/// [`matmul_rows_into`] restricted to the output panels on or above the
+/// diagonal: row `i` starts at the panel holding column `i`, so every
+/// entry `(i, j ≥ i)` is computed — each one bit for bit the full
+/// kernel's, since an entry's accumulation never depends on its
+/// neighbors — and the panels wholly below the diagonal are left as
+/// they were. The caller fills them (see `Matrix::square_reversible`).
+pub(crate) fn matmul_upper_rows_into(
+    a: &[f64],
+    b: &[f64],
+    out: &mut [f64],
+    k: usize,
+    m: usize,
+    lo: usize,
+    hi: usize,
+) {
+    panel_rows::<true>(a, b, out, k, m, lo, hi);
+}
+
+/// The panel kernel behind [`matmul_rows_into`] (`UPPER = false`: every
+/// panel) and [`matmul_upper_rows_into`] (`UPPER = true`: row `i` from
+/// the panel holding column `i`).
+fn panel_rows<const UPPER: bool>(
+    a: &[f64],
+    b: &[f64],
+    out: &mut [f64],
+    k: usize,
+    m: usize,
+    lo: usize,
+    hi: usize,
+) {
     for k0 in (0..k).step_by(KC) {
         let k1 = (k0 + KC).min(k);
         for i in lo..hi {
             let a_row = &a[i * k + k0..i * k + k1];
             let out_row = &mut out[(i - lo) * m..(i - lo + 1) * m];
-            let mut j = 0;
+            let mut j = if UPPER { i / LANES * LANES } else { 0 };
             while j + LANES <= m {
                 let mut acc = [0.0f64; LANES];
                 acc.copy_from_slice(&out_row[j..j + LANES]);

@@ -417,3 +417,94 @@ proptest! {
         }
     }
 }
+
+/// Sizes on both sides of the panel kernel's `KC = 64` inner tile and
+/// `LANES = 8` output panel, for the half-product properties.
+const KERNEL_EDGES: [usize; 14] = [1, 2, 7, 8, 9, 63, 64, 65, 71, 72, 127, 128, 129, 200];
+
+/// A size in `1..=200`, drawn half the time from [`KERNEL_EDGES`].
+fn kernel_size() -> impl Strategy<Value = usize> {
+    prop_oneof![
+        (0..KERNEL_EDGES.len()).prop_map(|i| KERNEL_EDGES[i]),
+        1usize..=200
+    ]
+}
+
+/// A random reversible chain on `n` states: symmetric edge weights on a
+/// hashed pattern (density ~1/3, self-loops included, plus a cycle so
+/// no row is empty), spread over `2^spread` by a hashed power of two,
+/// and `P = D⁻¹W`. Returns `P` and its stationary weights `D`.
+fn reversible_chain(n: usize, seed: u64, spread: u32) -> (Matrix, Vec<f64>) {
+    let mut w = Matrix::zeros(n, n);
+    for i in 0..n {
+        for j in i..n {
+            let on_cycle = j == (i + 1) % n;
+            if on_cycle || hashed_entry(i, j, seed ^ 0x2b) < 0.33 {
+                let exp = (hashed_entry(i, j, seed ^ 0x5e) * f64::from(spread)).floor();
+                let x = (1.0 + hashed_entry(i, j, seed)) * 2f64.powf(exp);
+                w[(i, j)] = x;
+                w[(j, i)] = x;
+            }
+        }
+    }
+    let deg: Vec<f64> = (0..n).map(|i| w.row(i).iter().sum()).collect();
+    let p = Matrix::from_fn(n, n, |i, j| w[(i, j)] / deg[i]);
+    (p, deg)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn half_product_keeps_the_full_kernels_upper_bits_at_every_thread_count(
+        n in kernel_size(),
+        seed in any::<u64>(),
+    ) {
+        // Any square operand (a fifth of its entries exact zeros, for
+        // the zero-skip): the upper entries are kernel outputs whatever
+        // the weights, and the whole result shards deterministically.
+        let a = Matrix::from_fn(n, n, |i, j| {
+            let x = hashed_entry(i, j, seed);
+            if x < 0.2 { 0.0 } else { x }
+        });
+        let weights: Vec<f64> = (0..n).map(|i| 1.0 + hashed_entry(i, 0, seed ^ 0x7a)).collect();
+        let full = a.matmul_parallel(&a, 1);
+        let bits = |m: &Matrix| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+        let one = a.square_reversible(&weights, 1);
+        for i in 0..n {
+            for j in i..n {
+                prop_assert_eq!(
+                    one[(i, j)].to_bits(), full[(i, j)].to_bits(),
+                    "n = {}: upper entry ({}, {})", n, i, j
+                );
+            }
+        }
+        for threads in [2usize, 4] {
+            prop_assert_eq!(
+                bits(&a.square_reversible(&weights, threads)), bits(&one),
+                "n = {}: {} threads", n, threads
+            );
+        }
+    }
+
+    #[test]
+    fn half_product_lower_triangle_matches_the_full_product_on_reversible_chains(
+        n in kernel_size(),
+        seed in any::<u64>(),
+        spread in prop_oneof![Just(20u32), 0u32..=20],
+    ) {
+        let (p, d) = reversible_chain(n, seed, spread);
+        let full = p.matmul_parallel(&p, 1);
+        let half = p.square_reversible(&d, 2);
+        for i in 0..n {
+            for j in 0..i {
+                let (x, y) = (half[(i, j)], full[(i, j)]);
+                prop_assert!(
+                    (x - y).abs() <= 1e-13 * x.abs().max(y.abs()),
+                    "n = {}, spread 2^{}: ({}, {}) is {:e}, the full product {:e}",
+                    n, spread, i, j, x, y
+                );
+            }
+        }
+    }
+}

@@ -39,7 +39,7 @@ mod subset;
 
 pub use schur::{
     entry_matrix, schur_graph, schur_laplacian, schur_transition_exact,
-    schur_transition_from_shortcut_p, subset_wdeg,
+    schur_transition_from_shortcut_p, schur_transition_with_weights, subset_wdeg,
 };
 pub use shortcut::{
     absorbing_chain, absorbing_chain_blocks, sample_first_visit_edge, sample_first_visit_edge_with,

@@ -15,7 +15,10 @@
 //!   `Q·R` is read, so only it is computed: `Q`'s `S` rows times `R`'s
 //!   `S` columns, at most `|S|²·n` multiply-adds (CSR operands skip
 //!   their zeros), not the `n³` of the full product, and bit-identical
-//!   to it.
+//!   to it. [`schur_transition_with_weights`] also returns the Schur
+//!   walk's stationary weights, the Schur degrees
+//!   `deg(u)·(1 − (QR)[u,u])`, which the sampler's power tables use to
+//!   square half of each dense level.
 
 use crate::VertexSubset;
 use cct_graph::{Graph, GraphError};
@@ -206,17 +209,39 @@ fn select_rows(q: &PMatrix, rows: &[usize]) -> PMatrix {
 /// Panics if `|S| < 2` or a row's self-return mass reaches 1 (impossible
 /// when `S∖{u}` is reachable from `u`).
 pub fn schur_transition_from_shortcut_p(g: &Graph, s: &VertexSubset, q: &PMatrix) -> Matrix {
+    schur_transition_with_weights(g, s, q).0
+}
+
+/// [`schur_transition_from_shortcut_p`] together with the Schur walk's
+/// stationary weights, the Schur degrees `w_u = deg(u)·(1 − (QR)[u,u])`
+/// in `s.list()` order: `deg(u)` is `u`'s weighted degree in `G`, and
+/// `1 − (QR)[u,u]` is the chance that the walk from `u` first re-enters
+/// `S` away from `u`, so `w_u` is the diagonal of
+/// [`schur_laplacian`] and `w_u·T[u,v] = deg(u)·(QR)[u,v]` is the Schur
+/// graph's edge weight, symmetric up to rounding (detailed balance).
+/// The transition is the same matrix, bit for bit.
+///
+/// # Panics
+///
+/// As [`schur_transition_from_shortcut_p`].
+pub fn schur_transition_with_weights(
+    g: &Graph,
+    s: &VertexSubset,
+    q: &PMatrix,
+) -> (Matrix, Vec<f64>) {
     assert!(s.len() >= 2, "need at least two vertices in S");
     let r_s = entry_columns(g, s);
     let qr = select_rows(q, s.list()).matmul(&r_s, 1);
     let k = s.len();
     let mut t = Matrix::zeros(k, k);
+    let mut weights = Vec::with_capacity(k);
     for i in 0..k {
         let (u, self_mass) = (s.global(i), qr.get(i, i));
         assert!(
             self_mass < 1.0 - 1e-12,
             "vertex {u} cannot reach S∖{{u}}; M_u diverges"
         );
+        weights.push(g.degree(u) * (1.0 - self_mass));
         let row = t.row_mut(i);
         qr.for_each_in_row(i, |j, x| {
             if j != i {
@@ -224,7 +249,7 @@ pub fn schur_transition_from_shortcut_p(g: &Graph, s: &VertexSubset, q: &PMatrix
             }
         });
     }
-    t
+    (t, weights)
 }
 
 #[cfg(test)]
@@ -320,6 +345,53 @@ mod tests {
         let s = VertexSubset::new(8, &[0, 2, 3, 5]);
         assert_eq!(wdeg_s_of(&g, &s, 0), 0.0);
         assert_block_corollary3_is_exact(&g, &s);
+    }
+
+    /// Whether `a` and `b` agree to `tol` relative to the larger.
+    fn close(a: f64, b: f64, tol: f64) -> bool {
+        (a - b).abs() <= tol * a.abs().max(b.abs())
+    }
+
+    #[test]
+    fn corollary3_weights_are_the_schur_degrees_and_balance_the_walk() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(44);
+        let er = generators::erdos_renyi_connected(12, 0.35, &mut rng);
+        let regular = cct_graph::spec::parse_spec("regular:64:4", &mut rng).unwrap();
+        for base in [
+            generators::petersen(),
+            generators::lollipop(5, 4),
+            er,
+            regular,
+        ] {
+            for (g, tol) in [(spread_weights(&base), 1e-10), (base, 1e-13)] {
+                let n = g.n();
+                // Vertex 0 and its non-neighbors: 0 has no neighbor in S.
+                let lonely: Vec<usize> = (0..n).filter(|&v| v == 0 || !g.has_edge(0, v)).collect();
+                let all_but_one: Vec<usize> = (1..n).collect();
+                for list in [vec![0, n - 1], all_but_one, lonely] {
+                    let s = VertexSubset::new(n, &list);
+                    let label = format!("n = {n}, |S| = {}, tol {tol:e}", s.len());
+                    let q = PMatrix::Dense(shortcut_exact(&g, &s));
+                    let (t, w) = schur_transition_with_weights(&g, &s, &q);
+                    let l = schur_laplacian(&g, &s);
+                    for i in 0..s.len() {
+                        // Both routes subtract from deg(u)-sized numbers
+                        // (1 − (QR)[u,u] here, L_uu minus the eliminated
+                        // part there), so they agree to ε·deg(u), not to
+                        // ε·w_u: on the reweighted lollipop with S = {0, 8}
+                        // the walk escapes with chance 9.2e-7 and the two
+                        // differ by 6.2e-10 relative.
+                        let deg = g.degree(s.global(i));
+                        let diff = (w[i] - l[(i, i)]).abs();
+                        assert!(diff <= 1e-13 * deg, "{label}: w[{i}] is {diff:e} off");
+                        for j in 0..s.len() {
+                            let (a, b) = (w[i] * t[(i, j)], w[j] * t[(j, i)]);
+                            assert!(close(a, b, tol), "{label}: ({i}, {j}) {a:e} vs {b:e}");
+                        }
+                    }
+                }
+            }
+        }
     }
 
     /// Figure 2: star with centre C (id 2), leaves A=0, B=1, D=3,

@@ -7,7 +7,6 @@
 //! (matrix multiplication vs. binary search vs. routing, matching the
 //! per-component analysis of Lemmas 5 and 11).
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// What a batch of rounds was spent on.
@@ -50,7 +49,22 @@ impl CostCategory {
         CostCategory::Doubling,
         CostCategory::Misc,
     ];
+
+    /// This category's position in [`CostCategory::ALL`], the slot that
+    /// holds its counters in a [`RoundLedger`].
+    fn index(self) -> usize {
+        self as usize
+    }
 }
+
+// `index` relies on `ALL` listing the variants in declaration order.
+const _: () = {
+    let mut i = 0;
+    while i < CostCategory::ALL.len() {
+        assert!(CostCategory::ALL[i] as usize == i);
+        i += 1;
+    }
+};
 
 impl fmt::Display for CostCategory {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -72,6 +86,10 @@ impl fmt::Display for CostCategory {
 
 /// Accumulated rounds and words, split by [`CostCategory`].
 ///
+/// Two fixed arrays indexed by category hold the counters, so a ledger
+/// owns no heap memory and charging one never allocates. Equality is by
+/// value: a category charged zero equals one never charged.
+///
 /// # Examples
 ///
 /// ```
@@ -87,8 +105,8 @@ impl fmt::Display for CostCategory {
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RoundLedger {
-    rounds: BTreeMap<CostCategory, u64>,
-    words: BTreeMap<CostCategory, u64>,
+    rounds: [u64; CostCategory::ALL.len()],
+    words: [u64; CostCategory::ALL.len()],
     saturated: bool,
 }
 
@@ -119,14 +137,14 @@ impl RoundLedger {
     /// Charges `rounds` rounds under `category`. Saturates at `u64::MAX`
     /// (setting [`RoundLedger::saturated`]) instead of wrapping.
     pub fn charge(&mut self, category: CostCategory, rounds: u64) {
-        self.saturated |= accumulate(self.rounds.entry(category).or_insert(0), rounds);
+        self.saturated |= accumulate(&mut self.rounds[category.index()], rounds);
     }
 
     /// Records `words` machine-words of traffic under `category` (does not
     /// by itself advance time). Saturates at `u64::MAX` (setting
     /// [`RoundLedger::saturated`]) instead of wrapping.
     pub fn add_words(&mut self, category: CostCategory, words: u64) {
-        self.saturated |= accumulate(self.words.entry(category).or_insert(0), words);
+        self.saturated |= accumulate(&mut self.words[category.index()], words);
     }
 
     /// `true` if any accumulation overflowed and pinned at `u64::MAX` —
@@ -137,43 +155,41 @@ impl RoundLedger {
 
     /// Rounds charged under one category.
     pub fn rounds(&self, category: CostCategory) -> u64 {
-        self.rounds.get(&category).copied().unwrap_or(0)
+        self.rounds[category.index()]
     }
 
     /// Words recorded under one category.
     pub fn words(&self, category: CostCategory) -> u64 {
-        self.words.get(&category).copied().unwrap_or(0)
+        self.words[category.index()]
     }
 
     /// Total rounds across all categories (saturating, like the
     /// per-category accumulation).
     pub fn total_rounds(&self) -> u64 {
-        self.rounds.values().fold(0u64, |a, &b| a.saturating_add(b))
+        self.rounds.iter().fold(0u64, |a, &b| a.saturating_add(b))
     }
 
     /// Total words across all categories (saturating, like the
     /// per-category accumulation).
     pub fn total_words(&self) -> u64 {
-        self.words.values().fold(0u64, |a, &b| a.saturating_add(b))
+        self.words.iter().fold(0u64, |a, &b| a.saturating_add(b))
     }
 
     /// Non-zero `(category, rounds)` entries, sorted by category.
     pub fn breakdown(&self) -> Vec<(CostCategory, u64)> {
-        self.rounds
-            .iter()
-            .filter(|(_, &r)| r > 0)
-            .map(|(&c, &r)| (c, r))
+        CostCategory::ALL
+            .into_iter()
+            .zip(self.rounds)
+            .filter(|&(_, r)| r > 0)
             .collect()
     }
 
     /// Adds every charge from `other` into `self` (propagating the
     /// saturation flag).
     pub fn merge(&mut self, other: &RoundLedger) {
-        for (&c, &r) in &other.rounds {
-            self.charge(c, r);
-        }
-        for (&c, &w) in &other.words {
-            self.add_words(c, w);
+        for c in CostCategory::ALL {
+            self.charge(c, other.rounds(c));
+            self.add_words(c, other.words(c));
         }
         self.saturated |= other.saturated;
     }
@@ -181,16 +197,6 @@ impl RoundLedger {
     /// Resets the ledger to empty and returns the previous contents.
     pub fn take(&mut self) -> RoundLedger {
         std::mem::take(self)
-    }
-
-    /// Estimated heap bytes this ledger occupies — the "cached ledger
-    /// delta" term of a prepared sampler's resident-byte accounting.
-    /// Each `BTreeMap` entry is costed at its key/value payload plus
-    /// node overhead (a constant 32 bytes, deliberately coarse: the
-    /// ledger is metadata, orders of magnitude below the matrices it
-    /// rides along with).
-    pub fn memory_bytes(&self) -> usize {
-        (self.rounds.len() + self.words.len()) * (std::mem::size_of::<(CostCategory, u64)>() + 32)
     }
 }
 
@@ -293,6 +299,26 @@ mod tests {
         let taken = clean.take();
         assert!(taken.saturated());
         assert!(!clean.saturated());
+    }
+
+    #[test]
+    fn a_zero_charge_equals_no_charge() {
+        let mut l = RoundLedger::new();
+        l.charge(CostCategory::MatMul, 0);
+        l.add_words(CostCategory::Gather, 0);
+        assert_eq!(l, RoundLedger::new());
+        assert!(l.breakdown().is_empty());
+        assert_eq!(format!("{l}"), format!("{}", RoundLedger::new()));
+    }
+
+    #[test]
+    fn breakdown_lists_categories_in_declaration_order() {
+        let mut l = RoundLedger::new();
+        for &c in CostCategory::ALL.iter().rev() {
+            l.charge(c, 1);
+        }
+        let order: Vec<CostCategory> = l.breakdown().into_iter().map(|(c, _)| c).collect();
+        assert_eq!(order, CostCategory::ALL);
     }
 
     #[test]

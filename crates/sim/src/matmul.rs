@@ -510,15 +510,11 @@ impl MatMulEngine for UnitCostEngine {
     }
 }
 
-/// Charges one analytic multiply: `rounds` under [`CostCategory::MatMul`],
-/// plus `words` when non-zero — a zero word count records nothing, as
-/// [`UnitCostEngine::multiply`] records none (the ledger would otherwise
-/// gain an explicit zero entry).
+/// Charges one analytic multiply: `rounds` and `words` under
+/// [`CostCategory::MatMul`].
 fn charge_multiply(clique: &mut Clique, (rounds, words): (u64, u64)) {
     clique.ledger_mut().charge(CostCategory::MatMul, rounds);
-    if words > 0 {
-        clique.ledger_mut().add_words(CostCategory::MatMul, words);
-    }
+    clique.ledger_mut().add_words(CostCategory::MatMul, words);
 }
 
 /// An engine's view of square blocks of the clique's `n × n` matrices.
@@ -799,6 +795,48 @@ fn charge_redistribution(clique: &mut Clique, levels: usize, rounding: Rounding)
 /// mixed or drifts faster than the cap; it keeps squaring, as the eager
 /// table does.
 ///
+/// # Stationary weights
+///
+/// Every table the sampler builds holds powers of a reversible walk: on
+/// `G`, `P = D⁻¹W` with stationary weights the weighted degrees, and on
+/// `Schur(G, S)`, itself a weighted graph, with the Schur degrees. The
+/// sampler attaches them with [`DeferredPowers::with_stationary_weights`].
+///
+/// * **The guard.** The table keeps the weights only under
+///   [`Rounding::Exact`] (truncation breaks detailed balance) and only
+///   if level 0 satisfies `w_i·M[i,j] = w_j·M[j,i]` to `n·ε` relative
+///   on every pair, checked once in `O(n²)`. Schur phases of unweighted
+///   graphs pass with room to spare (a few `ε`); phases of graphs
+///   reweighted toward the `2²⁰` ratio can miss it by `10³ ε` and more,
+///   up to a pair that is zero on one side only, and their tables drop
+///   the weights and behave exactly as tables without them.
+/// * **Half product.** A dense level of a table with weights squares
+///   through [`Matrix::square_reversible`]: the kernel computes only the
+///   output panels on or above the diagonal, each entry bit for bit the
+///   full kernel's on the same operand, and detailed balance fills the
+///   rest, `M²[i,j] = M²[j,i]·w_j/w_i`, a few `ε` relative from the full
+///   product's entry. CSR levels keep the general product.
+/// * **Stationary settle.** A newly squared dense level `k` whose every
+///   entry lies within the next level's tolerance `2^min(k+1, 22)·ε` of
+///   the stationary row `w/Σw` is the settled level, which saves the
+///   squaring the consecutive-level rule (still in force) spends to
+///   confirm it. Such a level differs from every eager level `j > k` by
+///   at most the `2^{j+1}·ε` allowed above: in exact arithmetic the even
+///   powers of a reversible walk approach the stationary matrix `Π`
+///   monotonically — each mode of `M^{2^k} − Π` is raised to the
+///   `2^{j−k}`-th power, its eigenvalue `λ^{2^k}` lying in `[0, 1)` — so
+///   eager level `j` lies no farther from `Π` than level `k` does, plus
+///   its own drift of order `2^j·ε`, and `2^min(k+1, 22)·ε ≤ 2^j·ε`.
+///
+/// So a table with weights no longer returns the eager table's bits
+/// below its settled level: each level is squared from the table's own
+/// lower level, whose lower triangle came from detailed balance, and
+/// those last-bit differences propagate as rounding drift does. Every
+/// level it returns lies within `2^{min(k, 22)+1}·ε` of eager level `k`
+/// (the unit tests check this up to level 25, measuring at most `0.42`
+/// of `2^min(k, 22)·ε`), and it settles at the level the table without
+/// weights settles at or one below. The ledger does not change.
+///
 /// Levels live in [`std::sync::OnceLock`] slots, so a shared table is
 /// `Sync` and prepared samplers stay shareable across worker threads.
 /// The settled index is published before the level it names, so no
@@ -808,6 +846,15 @@ pub struct DeferredPowers {
     settled: std::sync::OnceLock<usize>,
     threads: usize,
     rounding: Rounding,
+    /// The walk's stationary weights, when the table was given them and
+    /// level 0 passed the detailed-balance guard.
+    stationary: Option<Stationary>,
+}
+
+/// A table's stationary weights `w` and the stationary row `w / Σw`.
+struct Stationary {
+    weights: Vec<f64>,
+    row: Vec<f64>,
 }
 
 /// The level at which [`settle_tolerance`] stops doubling.
@@ -823,6 +870,35 @@ fn settle_tolerance(k: usize, rounding: Rounding) -> f64 {
     } else {
         0.0
     }
+}
+
+/// Whether `m` satisfies detailed balance for `weights` to `n·ε`
+/// relative on every pair: `|w_i·m[i,j] − w_j·m[j,i]| ≤ n·ε·max` of the
+/// two sides, which also requires `m`'s zero pattern to be symmetric.
+/// `O(n²)` on a dense `m`, `O(nnz·log deg)` on CSR.
+fn detailed_balance_holds(m: &PMatrix, weights: &[f64]) -> bool {
+    let n = m.rows();
+    if weights.len() != n || !weights.iter().all(|w| w.is_finite() && *w > 0.0) {
+        return false;
+    }
+    let tol = n as f64 * f64::EPSILON;
+    let mut holds = true;
+    for i in 0..n {
+        m.for_each_in_row(i, |j, x| {
+            let (a, b) = (weights[i] * x, weights[j] * m.get(j, i));
+            holds &= (a - b).abs() <= tol * a.abs().max(b.abs());
+        });
+        if !holds {
+            return false;
+        }
+    }
+    true
+}
+
+/// Whether every entry of `m` lies within `tol` of its column's entry in
+/// the stationary row.
+fn is_stationary(m: &Matrix, row: &[f64], tol: f64) -> bool {
+    (0..m.rows()).all(|i| m.row(i).iter().zip(row).all(|(x, p)| (x - p).abs() <= tol))
 }
 
 /// Whether `next`, the square of `prev` at table level `k`, agrees with
@@ -864,6 +940,7 @@ impl DeferredPowers {
             settled: std::sync::OnceLock::new(),
             threads,
             rounding,
+            stationary: None,
         }
     }
 
@@ -882,6 +959,37 @@ impl DeferredPowers {
             settled: std::sync::OnceLock::new(),
             threads,
             rounding,
+            stationary: None,
+        }
+    }
+
+    /// Gives the table its walk's stationary weights `w`, for which level
+    /// 0 should satisfy detailed balance, `w_i·M[i,j] = w_j·M[j,i]`. The
+    /// table keeps them only under [`Rounding::Exact`] and only if level
+    /// 0 passes that check to `n·ε` relative on every pair (`O(n²)`,
+    /// once); otherwise it drops them and squares exactly as a table
+    /// without weights. See [`DeferredPowers`] for the two uses.
+    pub fn with_stationary_weights(mut self, weights: Vec<f64>) -> Self {
+        let first = self.levels[0]
+            .get()
+            .expect("level 0 is always materialized");
+        if self.rounding.is_exact() && detailed_balance_holds(first, &weights) {
+            let total: f64 = weights.iter().sum();
+            let row = weights.iter().map(|w| w / total).collect();
+            self.stationary = Some(Stationary { weights, row });
+        }
+        self
+    }
+
+    /// The square of level `prev`: half a product filled by detailed
+    /// balance for a dense level of a table with weights, the general
+    /// product otherwise.
+    fn square(&self, prev: &PMatrix) -> PMatrix {
+        match (&self.stationary, prev) {
+            (Some(st), PMatrix::Dense(m)) => {
+                PMatrix::Dense(m.square_reversible(&st.weights, self.threads))
+            }
+            _ => prev.matmul(prev, self.threads),
         }
     }
 
@@ -911,7 +1019,7 @@ impl DeferredPowers {
             i += 1;
             if self.levels[i].get().is_none() {
                 let prev = self.levels[i - 1].get().expect("lower level materialized");
-                let mut sq = prev.matmul(prev, self.threads);
+                let mut sq = self.square(prev);
                 sq.round_inplace(self.rounding);
                 self.install(i, prev, sq);
             }
@@ -920,13 +1028,21 @@ impl DeferredPowers {
     }
 
     /// Stores level `i`, the square of `prev` (level `i − 1`), marking it
-    /// settled first when it agrees with `prev`: a reader that sees level
-    /// `i` then also sees that nothing lies above it, so it never squares
+    /// settled first when it agrees with `prev` or, for a dense level of
+    /// a table with weights, lies within the next level's settle
+    /// tolerance of the stationary row: a reader that sees level `i`
+    /// then also sees that nothing lies above it, so it never squares
     /// past it. A concurrent materializer may have stored the level
     /// already; the value is identical either way (a pure function of the
     /// previous level), so the losing copy is dropped.
     fn install(&self, i: usize, prev: &PMatrix, m: PMatrix) {
-        if has_settled(prev, &m, i, self.rounding) {
+        let stationary = match (&self.stationary, &m) {
+            (Some(st), PMatrix::Dense(d)) => {
+                is_stationary(d, &st.row, settle_tolerance(i + 1, self.rounding))
+            }
+            _ => false,
+        };
+        if stationary || has_settled(prev, &m, i, self.rounding) {
             let _ = self.settled.set(i);
         }
         let _ = self.levels[i].set(m);
@@ -977,6 +1093,14 @@ impl std::fmt::Debug for DeferredPowers {
 /// table's bits; above it they are the settled level, within the bound
 /// [`DeferredPowers`] documents (bit for bit under
 /// [`Rounding::Fixed`]).
+///
+/// The returned table has no stationary weights. The sampler attaches
+/// its walk's with [`DeferredPowers::with_stationary_weights`]; if level
+/// 0 passes the detailed-balance guard, dense levels square as half a
+/// product filled by detailed balance, and a dense level already within
+/// the next level's tolerance of the stationary row settles the table.
+/// Its levels are then within `2^{min(k, 22)+1}·ε` of the eager ones
+/// rather than their bits (see [`DeferredPowers`]).
 ///
 /// `threads` is the local worker width for deferred squarings; pass the
 /// same width the engine was constructed with so deferred and eager
@@ -1497,6 +1621,186 @@ mod tests {
             let s = table.settled_level().expect("complete:64 settles");
             assert!(std::ptr::eq(a, table.level(s)), "round {round}");
             assert_eq!(table.materialized_levels(), s + 1, "round {round}");
+        }
+    }
+
+    /// A graph spec's transition matrix in `repr` and its weighted
+    /// degrees, the walk's stationary weights.
+    fn spec_walk(spec: &str, repr: cct_linalg::Repr) -> (PMatrix, Vec<f64>) {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(2025);
+        let g = cct_graph::spec::parse_spec(spec, &mut rng).unwrap();
+        walk_of(&g, repr)
+    }
+
+    fn walk_of(g: &cct_graph::Graph, repr: cct_linalg::Repr) -> (PMatrix, Vec<f64>) {
+        let degrees = (0..g.n()).map(|u| g.degree(u)).collect();
+        (g.transition_pmatrix(repr), degrees)
+    }
+
+    /// A lazy table of `m` with `levels` levels, given `weights` if any.
+    fn lazy_table(
+        m: &PMatrix,
+        levels: usize,
+        rounding: Rounding,
+        weights: Option<&[f64]>,
+    ) -> DeferredPowers {
+        let mut clique = Clique::new(m.rows());
+        let table = distributed_powers_deferred(
+            &mut clique,
+            &UnitCostEngine::default(),
+            m,
+            levels,
+            rounding,
+            1,
+        );
+        match weights {
+            Some(w) => table.with_stationary_weights(w.to_vec()),
+            None => table,
+        }
+    }
+
+    /// Every case of the weighted-table tests: the fast mixers in both
+    /// representations, the slow mixers, and a cycle with one heavy edge.
+    fn weighted_cases() -> Vec<(String, PMatrix, Vec<f64>)> {
+        use cct_linalg::Repr;
+        let mut cases = Vec::new();
+        for spec in ["complete:64", "regular:64:4"] {
+            for repr in [Repr::Dense, Repr::Sparse] {
+                let (m, w) = spec_walk(spec, repr);
+                cases.push((format!("{spec} {repr:?}"), m, w));
+            }
+        }
+        for (spec, repr) in [
+            ("cycle:128", Repr::Sparse),
+            ("grid:8x16", Repr::Sparse),
+            ("lollipop:64:64", Repr::Dense),
+        ] {
+            let (m, w) = spec_walk(spec, repr);
+            cases.push((spec.to_string(), m, w));
+        }
+        let edges: Vec<(usize, usize, f64)> = (0..64)
+            .map(|i| (i, (i + 1) % 64, if i == 0 { 65536.0 } else { 1.0 }))
+            .collect();
+        let heavy = cct_graph::Graph::from_weighted_edges(64, &edges).unwrap();
+        let (m, w) = walk_of(&heavy, Repr::Dense);
+        cases.push(("cycle:64 with one 2^16 edge".to_string(), m, w));
+        cases
+    }
+
+    /// How far a weighted table's level `k` may lie from the eager
+    /// full-product level `k`: twice the level's settle tolerance.
+    fn weighted_bound(k: usize) -> f64 {
+        2.0 * settle_tolerance(k, Rounding::Exact)
+    }
+
+    #[test]
+    fn weighted_tables_settle_no_later_and_stay_within_the_bound() {
+        const LEVELS: usize = 26;
+        for (label, m, w) in weighted_cases() {
+            let mut eager_clique = Clique::new(m.rows());
+            let eager = distributed_powers(
+                &mut eager_clique,
+                &UnitCostEngine::default(),
+                &m,
+                LEVELS,
+                Rounding::Exact,
+            );
+            let plain = lazy_table(&m, LEVELS, Rounding::Exact, None);
+            let weighted = lazy_table(&m, LEVELS, Rounding::Exact, Some(&w));
+            assert!(weighted.stationary.is_some(), "{label}: guard");
+            plain.level(LEVELS - 1);
+            weighted.level(LEVELS - 1);
+            let s_plain = plain.settled_level().expect("the weightless table settles");
+            let s = weighted
+                .settled_level()
+                .unwrap_or_else(|| panic!("{label}: never settled"));
+            assert!(
+                s == s_plain || s + 1 == s_plain,
+                "{label}: settled at {s}, the weightless table at {s_plain}"
+            );
+            assert_eq!(weighted.materialized_levels(), s + 1, "{label}");
+            for (k, want) in eager.iter().enumerate() {
+                let got = weighted.level(k);
+                if k > s {
+                    assert!(std::ptr::eq(got, weighted.level(s)), "{label}: level {k}");
+                }
+                let diff = want.max_abs_diff(got);
+                assert!(
+                    diff <= weighted_bound(k),
+                    "{label}: level {k} is {diff:e} from the eager level (settled at {s})"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn weights_change_no_bit_of_a_fixed_point_table() {
+        let fp = FixedPoint::new(12);
+        for (label, m, w) in weighted_cases() {
+            let plain = lazy_table(&m, 20, Rounding::Fixed(fp), None);
+            let weighted = lazy_table(&m, 20, Rounding::Fixed(fp), Some(&w));
+            assert!(weighted.stationary.is_none(), "{label}");
+            plain.level(19);
+            weighted.level(19);
+            assert_eq!(weighted.settled_level(), plain.settled_level(), "{label}");
+            for k in 0..20 {
+                assert_eq!(weighted.level(k), plain.level(k), "{label}: level {k}");
+            }
+        }
+    }
+
+    #[test]
+    fn racing_readers_share_one_settled_level_of_a_weighted_table() {
+        let (m, w) = spec_walk("complete:64", cct_linalg::Repr::Dense);
+        for round in 0..16 {
+            let table = lazy_table(&m, 20, Rounding::Exact, Some(&w));
+            assert!(table.stationary.is_some());
+            let barrier = std::sync::Barrier::new(2);
+            let (a, b) = std::thread::scope(|scope| {
+                let read = || {
+                    barrier.wait();
+                    table.level(19)
+                };
+                let a = scope.spawn(read);
+                let b = scope.spawn(read);
+                (a.join().unwrap(), b.join().unwrap())
+            });
+            assert!(
+                std::ptr::eq(a, b),
+                "round {round}: readers got different levels"
+            );
+            let s = table.settled_level().expect("complete:64 settles");
+            assert!(std::ptr::eq(a, table.level(s)), "round {round}");
+            assert_eq!(table.materialized_levels(), s + 1, "round {round}");
+        }
+    }
+
+    #[test]
+    fn schur_phases_that_fail_the_guard_square_as_without_weights() {
+        use cct_schur::{schur_transition_with_weights, shortcut_exact, VertexSubset};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(2025);
+        let g = cct_graph::spec::parse_spec("regular:64:4", &mut rng).unwrap();
+        const W: [f64; 5] = [1.0, 33.0, 1000.0, 33333.0, 1_048_576.0];
+        let edges: Vec<(usize, usize, f64)> = g
+            .edges()
+            .iter()
+            .map(|&(u, v, _)| (u, v, W[(u + 2 * v) % 5]))
+            .collect();
+        let g = cct_graph::Graph::from_weighted_edges(64, &edges).unwrap();
+        // Half the vertices: with weights spanning 2^20, this phase's
+        // Schur transitions miss detailed balance by about 10^4 ε.
+        let s = VertexSubset::new(64, &(0..64).step_by(2).collect::<Vec<_>>());
+        let q = PMatrix::Dense(shortcut_exact(&g, &s));
+        let (t, w) = schur_transition_with_weights(&g, &s, &q);
+        let m = PMatrix::Dense(t);
+        let plain = lazy_table(&m, 20, Rounding::Exact, None);
+        let weighted = lazy_table(&m, 20, Rounding::Exact, Some(&w));
+        assert!(weighted.stationary.is_none(), "the guard passed");
+        plain.level(19);
+        weighted.level(19);
+        assert_eq!(weighted.settled_level(), plain.settled_level());
+        for k in 0..20 {
+            assert_eq!(weighted.level(k), plain.level(k), "level {k}");
         }
     }
 
