@@ -882,17 +882,22 @@ fn detailed_balance_holds(m: &PMatrix, weights: &[f64]) -> bool {
         return false;
     }
     let tol = n as f64 * f64::EPSILON;
-    let mut holds = true;
-    for i in 0..n {
-        m.for_each_in_row(i, |j, x| {
-            let (a, b) = (weights[i] * x, weights[j] * m.get(j, i));
-            holds &= (a - b).abs() <= tol * a.abs().max(b.abs());
-        });
-        if !holds {
-            return false;
+    let balanced = |i: usize, j: usize, x: f64, y: f64| {
+        let (a, b) = (weights[i] * x, weights[j] * y);
+        (a - b).abs() <= tol * a.abs().max(b.abs())
+    };
+    match m {
+        PMatrix::Dense(d) => {
+            (0..n).all(|i| (i + 1..n).all(|j| balanced(i, j, d[(i, j)], d[(j, i)])))
         }
+        // Every stored entry against its transpose: an entry whose
+        // transpose is not stored meets a zero.
+        PMatrix::Sparse(_) => (0..n).all(|i| {
+            let mut holds = true;
+            m.for_each_in_row(i, |j, x| holds &= balanced(i, j, x, m.get(j, i)));
+            holds
+        }),
     }
-    true
 }
 
 /// Whether every entry of `m` lies within `tol` of its column's entry in
