@@ -127,8 +127,8 @@ impl PhaseWalkResult {
 /// The phase's power table: a borrowed *lazy* base (the prepared
 /// phase-1 cache or this phase's freshly built [`DeferredPowers`] —
 /// never cloned) plus the transient levels Las Vegas extensions append
-/// per walk. Splitting the two keeps the prepared path allocation-free
-/// for the common no-extension draw.
+/// per walk. Splitting the two keeps phase 1 allocation-free for the
+/// common no-extension draw.
 ///
 /// The base is a [`DeferredPowers`] table: its distributed-construction
 /// cost was charged in full when it was built (the charge-up-front

@@ -117,7 +117,9 @@ impl CliqueTreeSampler {
     }
 
     /// Samples a spanning tree of `g`, returning the tree together with
-    /// the full round/traffic report.
+    /// the full round/traffic report: [`CliqueTreeSampler::prepare`] then
+    /// one [`PreparedSampler::sample`]. To draw several trees from one
+    /// graph, prepare it once.
     ///
     /// # Errors
     ///
@@ -130,16 +132,15 @@ impl CliqueTreeSampler {
         g: &Graph,
         rng: &mut R,
     ) -> Result<SampleReport, SampleTreeError> {
-        validate(g)?;
-        sample_with(&self.config, g, None, rng)
+        self.prepare(g)?.sample(rng)
     }
 
     /// Preprocesses `g` for repeated sampling: validates the input once,
     /// builds the transition matrix, and precomputes the phase-1 power
     /// table (phase 1 always walks on `G` itself, since
     /// `Schur(G, V) = G`). The returned [`PreparedSampler`] serves
-    /// `sample()` calls without redoing any graph-global work, with trees
-    /// and ledgers bit-identical to this sampler's.
+    /// `sample()` calls without redoing any graph-global work; a draw
+    /// depends only on the seed, not on how many draws came before it.
     ///
     /// # Errors
     ///
@@ -159,8 +160,8 @@ const MAX_WEIGHT_RATIO: f64 = (1u64 << 20) as f64;
 
 /// The input check every walk-based sampler relies on: `g` has a
 /// vertex, is connected, and its largest edge weight is at most `2²⁰`
-/// times its smallest. [`CliqueTreeSampler::sample`] runs it per call,
-/// [`PreparedSampler::new`] once per graph, and
+/// times its smallest. [`PreparedSampler::new`] runs it once per graph
+/// (so [`CliqueTreeSampler::sample`] once per call), and
 /// [`crate::direction4_sample`] per call; callers of the other walk
 /// samplers (Corollary 1's doubling, Aldous–Broder, Wilson) run it
 /// first, so a lopsided or disconnected input is an error, not a walk
@@ -184,7 +185,8 @@ pub fn validate(g: &Graph) -> Result<(), SampleTreeError> {
     Ok(())
 }
 
-/// Resolved per-run pieces shared by the cold and prepared paths.
+/// The config resolved for one graph: [`PreparedSampler::new`] reads it
+/// to build the prepared state, and every draw resolves it again.
 struct ResolvedConfig {
     workers: usize,
     /// Local worker width for matrix kernels (max of `workers` and the
@@ -268,8 +270,8 @@ fn table_exceeds_cap(n: usize, ell0: u64, max_table_bytes: usize) -> bool {
 /// `start` takes the top-down route. Otherwise the leader walks it
 /// locally: when `|S| ≤ ρ` (the whole matrix fits the `O(1)`-round
 /// submatrix budget) or when the phase graph is degenerate bipartite.
-/// The phase loop asks this of every in-core phase, and
-/// [`PreparedSampler::new`] of phase 1 (`t0 = P`, `start = 0`).
+/// [`PreparedSampler::new`] asks this of phase 1 (`t0 = P`,
+/// `start = 0`), and the phase loop of every later in-core phase.
 fn walks_top_down(t0: &PMatrix, start: usize, rho: usize) -> bool {
     let s_len = t0.rows();
     s_len > rho && !is_degenerate_bipartite(t0, start, rho.min(s_len))
@@ -278,8 +280,8 @@ fn walks_top_down(t0: &PMatrix, start: usize, rho: usize) -> bool {
 /// The phase-1 work a [`PreparedSampler`] hoists out of the per-sample
 /// loop: the doubling table of `P` (phase 1 walks on `G` itself) and the
 /// exact ledger charges its distributed construction incurred, replayed
-/// verbatim on every sample so round counts stay bit-identical to the
-/// cold path.
+/// verbatim on every sample, so every draw's ledger bills the table as
+/// if the draw had built it.
 #[derive(Debug)]
 struct Phase1Cache {
     /// The doubling table as a *lazy* [`DeferredPowers`]: the
@@ -317,25 +319,20 @@ impl PhaseShortcut {
     }
 }
 
-/// What a [`PreparedSampler`] carries into the phase loop: the graph's
-/// transition matrix and (when phase 1 takes the top-down route) the
-/// cached phase-1 doubling table.
-#[derive(Debug)]
-struct PreparedData {
-    p: PMatrix,
-    phase1: Option<Phase1Cache>,
-}
-
-/// The phase loop, for a graph [`validate`] accepted. `prepared` carries
-/// a [`PreparedSampler`]'s cached graph-global work (with its ledger
-/// charges); `None` is the cold path that recomputes everything per
-/// call.
+/// The phase loop, over the graph-global work `prepared` holds: the
+/// transition matrix and, when phase 1 walks top-down, its cached
+/// doubling table and ledger charges. Later phases build their Schur
+/// transitions and tables per draw.
 fn sample_with<R: Rng + ?Sized>(
-    config: &SamplerConfig,
-    g: &Graph,
-    prepared: Option<&PreparedData>,
+    prepared: &PreparedSampler,
     rng: &mut R,
 ) -> Result<SampleReport, SampleTreeError> {
+    let PreparedSampler {
+        config,
+        graph: g,
+        p,
+        phase1,
+    } = prepared;
     let n = g.n();
     let ResolvedConfig {
         workers,
@@ -355,14 +352,6 @@ fn sample_with<R: Rng + ?Sized>(
         // tree: answer exactly in O(m), before any matrix exists.
         return Ok(unique_tree_report(g, rho, ell0, &mut clique));
     }
-    // The prepared path borrows the transition matrix computed once in
-    // `prepare()`; the cold path builds it per call (CSR straight from
-    // the adjacency lists for the sparse representations, no n²).
-    let p: Cow<'_, PMatrix> = match prepared {
-        Some(d) => Cow::Borrowed(&d.p),
-        None => Cow::Owned(g.transition_pmatrix(repr)),
-    };
-    let p = p.as_ref();
     let mut visited = vec![false; n];
     visited[0] = true; // W[0] = s: the leader's vertex (§2.1, Alg. 1)
     let mut remaining = n - 1;
@@ -408,8 +397,7 @@ fn sample_with<R: Rng + ?Sized>(
             // symbolic identity (a walk's pre-S vertex is its previous
             // vertex) — phase 1 allocates no n² scratch at all. Later
             // phases also carry the Schur walk's stationary weights for
-            // the power table; phase 1's are G's degrees, computed only
-            // if its table is built here.
+            // their power table.
             let (t0, q, weights) = if s.len() == n {
                 (Cow::Borrowed(p), PhaseShortcut::Identity, None)
             } else {
@@ -444,27 +432,24 @@ fn sample_with<R: Rng + ?Sized>(
             };
 
             // ── Top-down: phase 1's table is the doubling table of P
-            // itself — graph-global work the prepared path computed
-            // once. Replaying the cached ledger keeps the round
-            // accounting bit-identical to the cold recomputation. The
-            // cached levels are *borrowed* (Las Vegas extensions land in
-            // the table's transient tail), so a prepared draw allocates
-            // no copy of the table at all.
-            let top_down = walks_top_down(&t0, start, rho).then(|| {
-                // Products of the phase's |S| × |S| blocks, billed as the
-                // n × n products the distributed protocol performs.
-                let block_engine = BlockEngine::new(engine.as_ref(), s.list(), threads);
-                let cached = prepared
-                    .and_then(|d| d.phase1.as_ref())
-                    .filter(|_| s.len() == n);
-                let owned_powers;
-                let base: &DeferredPowers = match cached {
-                    Some(cache) => {
-                        clique.ledger_mut().merge(&cache.ledger);
-                        &cache.powers
-                    }
-                    None => {
-                        owned_powers = distributed_powers_deferred(
+            // itself, built once by `prepare()`. Replaying its cached
+            // ledger bills this draw what building the table costs, and
+            // its levels are *borrowed* (Las Vegas extensions land in the
+            // table's transient tail), so a draw allocates no copy of it.
+            // Later phases build their table here, weighted by the Schur
+            // walk's stationary distribution. Products of the phase's
+            // |S| × |S| blocks are billed as the n × n products the
+            // distributed protocol performs.
+            let block_engine = BlockEngine::new(engine.as_ref(), s.list(), threads);
+            let built: Option<DeferredPowers>;
+            let table = match weights {
+                None => phase1.as_ref().map(|cache| {
+                    clique.ledger_mut().merge(&cache.ledger);
+                    &cache.powers
+                }),
+                Some(weights) => {
+                    built = walks_top_down(&t0, start, rho).then(|| {
+                        distributed_powers_deferred(
                             &mut clique,
                             &block_engine,
                             &t0,
@@ -472,10 +457,12 @@ fn sample_with<R: Rng + ?Sized>(
                             rounding,
                             threads,
                         )
-                        .with_stationary_weights(weights.unwrap_or_else(|| weighted_degrees(g)));
-                        &owned_powers
-                    }
-                };
+                        .with_stationary_weights(weights)
+                    });
+                    built.as_ref()
+                }
+            };
+            let top_down = table.map(|base| {
                 top_down_phase(
                     &mut clique,
                     &block_engine,
@@ -576,18 +563,19 @@ fn sample_with<R: Rng + ?Sized>(
     })
 }
 
-/// A prepare-once / sample-many handle: the graph-global preprocessing
-/// (input validation, the transition matrix, and the phase-1 power table
-/// where `Schur(G, V) = G`) is done once, and every [`PreparedSampler::sample`]
-/// call reuses it. Trees and round ledgers are bit-identical to the cold
-/// [`CliqueTreeSampler::sample`] path for the same seed — the cache also
-/// replays the exact ledger charges its construction incurred.
+/// A prepare-once / sample-many handle, and the one draw path: the
+/// graph-global preprocessing (input validation, the transition matrix,
+/// and the phase-1 power table where `Schur(G, V) = G`) is done once,
+/// and every [`PreparedSampler::sample`] call reuses it.
+/// [`CliqueTreeSampler::sample`] is a fresh preparation plus one draw,
+/// so for the same seed it returns the same tree and round ledger as a
+/// draw from a long-lived preparation — the cache replays the exact
+/// ledger charges its construction incurred.
 ///
-/// This is the serving-path API. Amortizing the phase-1 preprocessing
-/// across repeated `sample()` calls on the same graph measured ×1.03–1.68
-/// draws per second over the cold path (experiment `e18`,
-/// `BENCH_e18.json`): the gain grows with `n`, and phases 2+ still
-/// build their own tables on every draw.
+/// This is the serving-path API. Drawing repeatedly from one preparation
+/// measured ×1.03–1.68 draws per second over preparing per draw
+/// (experiment `e18`, `BENCH_e18.json`): the gain grows with `n`, and
+/// phases 2+ still build their own tables on every draw.
 ///
 /// # Examples
 ///
@@ -612,7 +600,11 @@ fn sample_with<R: Rng + ?Sized>(
 pub struct PreparedSampler {
     config: SamplerConfig,
     graph: Graph,
-    data: PreparedData,
+    /// The transition matrix `P`, in the representation the backend knob
+    /// resolved to (CSR out of core).
+    p: PMatrix,
+    /// Phase 1's doubling table, when phase 1 walks top-down.
+    phase1: Option<Phase1Cache>,
 }
 
 impl PreparedSampler {
@@ -644,7 +636,9 @@ impl PreparedSampler {
                 rc.rounding,
                 rc.threads,
             )
-            .with_stationary_weights(weighted_degrees(g));
+            // The walk on G is reversible: P = D⁻¹W satisfies detailed
+            // balance with G's weighted degrees.
+            .with_stationary_weights((0..g.n()).map(|u| g.degree(u)).collect());
             Phase1Cache {
                 powers,
                 ledger: scratch.take_ledger(),
@@ -653,7 +647,8 @@ impl PreparedSampler {
         Ok(PreparedSampler {
             config,
             graph: g.clone(),
-            data: PreparedData { p, phase1 },
+            p,
+            phase1,
         })
     }
 
@@ -670,7 +665,7 @@ impl PreparedSampler {
     /// The matrix representation the backend knob resolved to for this
     /// graph.
     pub fn repr(&self) -> Repr {
-        self.data.p.repr()
+        self.p.repr()
     }
 
     /// Total resident bytes of the prepared state: the transition
@@ -705,22 +700,22 @@ impl PreparedSampler {
     /// bound.
     pub fn matrix_bytes(&self) -> usize {
         let cache: usize = self
-            .data
             .phase1
             .as_ref()
             .map_or(0, |c| c.powers.resident_bytes());
-        self.data.p.resident_bytes() + cache
+        self.p.resident_bytes() + cache
     }
 
     /// Samples a spanning tree, reusing the prepared graph-global work.
-    /// Same seed ⇒ same tree and same ledger as the cold path.
+    /// Same seed ⇒ same tree and same ledger, whether this is the
+    /// preparation's first draw or its thousandth.
     ///
     /// # Errors
     ///
     /// [`SampleTreeError::Phase`] if fixed-point precision was configured
     /// too low to keep the distributions alive.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> Result<SampleReport, SampleTreeError> {
-        sample_with(&self.config, &self.graph, Some(&self.data), rng)
+        sample_with(self, rng)
     }
 
     /// Wraps the prepared state for sharing across threads — the serving
@@ -729,8 +724,8 @@ impl PreparedSampler {
     /// [`PreparedSampler`] holds only immutable plain data (the config,
     /// the graph, the transition matrix, and the phase-1 power table
     /// with its ledger); `sample` takes `&self` and every per-call
-    /// mutation (Las Vegas extensions, scratch cliques) happens on
-    /// clones. It is therefore `Send + Sync` by construction — a
+    /// mutation (Las Vegas extensions, scratch cliques) lives in
+    /// per-draw state. It is therefore `Send + Sync` by construction — a
     /// compile-time assertion in this crate keeps that true — and
     /// `Arc<PreparedSampler>` can be handed to any number of concurrent
     /// samplers.
@@ -768,7 +763,7 @@ impl PreparedSampler {
     /// warms it, so its first draws cost what a warm key's do. A no-op
     /// when phase 1 builds no table.
     pub fn warm(&self) {
-        if let Some(cache) = &self.data.phase1 {
+        if let Some(cache) = &self.phase1 {
             cache.powers.level(cache.powers.len() - 1);
         }
     }
@@ -834,12 +829,6 @@ fn charged_schur_squarings(n: usize) -> u64 {
 /// phases by the same rule.
 pub(crate) fn schur_rounds(n: usize, rounds_per_mult: u64) -> u64 {
     (4 * charged_schur_squarings(n) + 1) * rounds_per_mult
-}
-
-/// `G`'s weighted degrees: the stationary weights of the walk on `G`,
-/// for which `P = D⁻¹W` satisfies detailed balance.
-fn weighted_degrees(g: &Graph) -> Vec<f64> {
-    (0..g.n()).map(|u| g.degree(u)).collect()
 }
 
 /// A phase's matrix: the `|S| × |S|` Schur transition in local ids,
@@ -1142,8 +1131,9 @@ mod tests {
 
     #[test]
     fn prepared_sampler_las_vegas_extensions_match_cold() {
-        // Las Vegas phase-1 extensions mutate a *clone* of the cached
-        // table; the cache must stay pristine and results identical.
+        // Las Vegas phase-1 extensions append to the power table's
+        // transient tail, never to the cached table, so the cache stays
+        // pristine and results identical.
         let g = generators::complete(12);
         let config = SamplerConfig::new()
             .rho(6)
@@ -1348,8 +1338,8 @@ mod tests {
     }
 
     #[test]
-    fn restore_reproduces_the_settled_phase1_table() {
-        // A snapshot restore re-prepares each key and warms it. Default ℓ
+    fn warm_reproduces_the_settled_phase1_table() {
+        // Loading a snapshot re-prepares each key and warms it. Default ℓ
         // gives a 20-level phase-1 table that settles within a few levels,
         // on dense (complete:64) and CSR (regular:64:4) levels alike. The
         // warmed sampler must hold what a served original holds after its
@@ -1365,7 +1355,7 @@ mod tests {
             let warmed = PreparedSampler::new(config.clone(), &g).unwrap();
             warmed.warm();
             assert_eq!(warmed.matrix_bytes(), original.matrix_bytes());
-            let powers = &warmed.data.phase1.as_ref().expect("top-down").powers;
+            let powers = &warmed.phase1.as_ref().expect("top-down").powers;
             let settled = powers.settled_level().expect("settles");
             assert!(settled + 1 < powers.len());
             assert_eq!(powers.materialized_levels(), settled + 1);

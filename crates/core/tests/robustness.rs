@@ -80,6 +80,26 @@ fn dense_multigraph_like_weights() {
 }
 
 #[test]
+fn draws_at_the_weight_bound_complete() {
+    // grid:8x8 reweighted from 1 to 2²⁰ (the largest ratio the sampler
+    // accepts), default config: the Schur phases' shortcut solves leave
+    // cancellation residues below zero, which must never reach a row
+    // sampler as negative weights.
+    const W: [f64; 5] = [1.0, 33.0, 1000.0, 33333.0, 1_048_576.0];
+    let edges: Vec<(usize, usize, f64)> = generators::grid(8, 8)
+        .edges()
+        .iter()
+        .map(|&(u, v, _)| (u, v, W[(u + 2 * v) % 5]))
+        .collect();
+    let g = Graph::from_weighted_edges(64, &edges).unwrap();
+    let prepared = CliqueTreeSampler::new(SamplerConfig::new())
+        .prepare(&g)
+        .unwrap();
+    let report = prepared.sample(&mut rng(1)).unwrap();
+    assert_eq!(report.tree.edges().len(), 63);
+}
+
+#[test]
 fn star_graphs_force_bipartite_fallback() {
     // Stars are bipartite with side(centre) = 1: every top-down-eligible
     // phase with start at the centre must detect degeneracy gracefully.

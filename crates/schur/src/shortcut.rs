@@ -42,6 +42,13 @@ use cct_linalg::{CsrMatrix, Lu, Matrix, PMatrix, Repr};
 /// independently); the skipped columns are `+0.0`, where `inverse · 0`
 /// could have been `-0.0`.
 ///
+/// `Q` is non-negative: the solve's cancellation can leave residues
+/// below zero (down to about `-1e-19` on graphs reweighted toward the
+/// `2²⁰` ratio), and each is stored as `+0.0`; `-0.0` stays. So `Q·R`,
+/// with the non-negative entry matrix `R`, and Corollary 3's transition
+/// are non-negative too, and Algorithm 4 never draws from a negative
+/// weight.
+///
 /// # Panics
 ///
 /// Panics if `s` is empty, its universe differs from `g.n()`, or the
@@ -71,7 +78,8 @@ pub fn shortcut_exact(g: &Graph, s: &VertexSubset) -> Matrix {
     for u in 0..n {
         let (q_row, inv_row) = (q.row_mut(u), inv_cols.row(u));
         for (&v, &x) in absorbing.iter().zip(inv_row) {
-            q_row[v] = x * a[v];
+            let q_uv = x * a[v];
+            q_row[v] = if q_uv < 0.0 { 0.0 } else { q_uv };
         }
     }
     q
@@ -629,6 +637,26 @@ mod tests {
             assert!((sum - 1.0).abs() < 1e-10, "row {u} sums to {sum}");
             assert!((0..10).all(|v| q[(u, v)] >= -1e-12));
         }
+    }
+
+    #[test]
+    fn q_and_the_schur_transition_stay_non_negative_at_the_weight_bound() {
+        // grid:8x8 reweighted from 1 to 2²⁰, S = the even vertices: the
+        // solve leaves hundreds of residues down to about -1e-19 in Q,
+        // and Corollary 3's transition inherits them through Q·R.
+        const W: [f64; 5] = [1.0, 33.0, 1000.0, 33333.0, 1_048_576.0];
+        let edges: Vec<(usize, usize, f64)> = generators::grid(8, 8)
+            .edges()
+            .iter()
+            .map(|&(u, v, _)| (u, v, W[(u + 2 * v) % 5]))
+            .collect();
+        let g = Graph::from_weighted_edges(64, &edges).unwrap();
+        let s = VertexSubset::new(64, &(0..64).step_by(2).collect::<Vec<_>>());
+        let q = shortcut_exact(&g, &s);
+        let t = crate::schur_transition_from_shortcut_p(&g, &s, &PMatrix::Dense(q.clone()));
+        let negatives = |m: &Matrix| m.as_slice().iter().filter(|&&x| x < 0.0).count();
+        assert_eq!(negatives(&q), 0, "Q");
+        assert_eq!(negatives(&t), 0, "T");
     }
 
     #[test]

@@ -63,11 +63,8 @@ OPTIONS:
                    streamed phase walks, no n^2 allocation. Trees and
                    round counts never depend on the representation.
     --seed N       RNG seed (default 2025)
-    --trials N     sample N trees (default 1)
-    --samples N    thm1/exact only: prepare the graph once and draw N
-                   trees from the PreparedSampler (same trees as N
-                   sequential --trials runs, without re-doing the
-                   per-graph preprocessing each time)
+    --trials N     sample N trees (default 1); thm1 and exact prepare
+                   the graph once and draw all N from it
     --parallel     run thm1/exact on the parallel round engine (worker
                    count auto-detected; CCT_WORKERS overrides)
     --workers N    parallel round engine with exactly N workers
@@ -135,26 +132,6 @@ fn parse_graph(spec: &str, algorithm: &str, rng: &mut rand::rngs::StdRng) -> Res
     };
     cct::graph::spec::parse_spec_with_limits(spec, rng, &limits)
         .map_err(|e| format!("{e} (see --help)"))
-}
-
-/// The phase sampler (`thm1` / `exact`) the CLI runs — one construction
-/// site shared by the `--trials` and `--samples` paths, so they can never
-/// drift apart (the prepared path's contract is "same trees as N
-/// sequential --trials runs").
-fn phase_sampler(algorithm: &str, workers: Workers) -> CliqueTreeSampler {
-    let config = if algorithm == "exact" {
-        SamplerConfig::exact_variant()
-    } else {
-        SamplerConfig::new()
-    };
-    // The effective engine width is max(threads, workers): an explicit
-    // worker policy must be exact, so only the sequential default keeps
-    // the legacy 4-thread matmul.
-    let config = match workers {
-        Workers::Sequential => config.threads(4),
-        _ => config.threads(1),
-    };
-    CliqueTreeSampler::new(config.workers(workers))
 }
 
 fn print_tree(tree: &SpanningTree, dot: bool) {
@@ -354,7 +331,6 @@ fn run() -> Result<(), String> {
     let mut graph_spec = "complete:16".to_string();
     let mut seed = 2025u64;
     let mut trials = 1usize;
-    let mut samples: Option<usize> = None;
     let mut dot = false;
     let mut workers = Workers::Sequential;
     let mut it = args.into_iter();
@@ -391,17 +367,6 @@ fn run() -> Result<(), String> {
                     .parse()
                     .map_err(|_| "bad trial count")?
             }
-            "--samples" => {
-                let k: usize = it
-                    .next()
-                    .ok_or("--samples needs a value")?
-                    .parse()
-                    .map_err(|_| "bad sample count")?;
-                if k == 0 {
-                    return Err("--samples must be at least 1".into());
-                }
-                samples = Some(k);
-            }
             "--dot" => dot = true,
             other if !other.starts_with("--") => algorithm = other.to_string(),
             other => return Err(format!("unknown option '{other}' (see --help)")),
@@ -417,33 +382,46 @@ fn run() -> Result<(), String> {
              '{algorithm}' is not parallelized (see --help)"
         ));
     }
-    // PreparedSampler serves the phase samplers; elsewhere the flag would
-    // silently degrade to --trials, so reject it instead.
-    if samples.is_some() && !matches!(algorithm.as_str(), "thm1" | "exact") {
-        return Err(format!(
-            "--samples only applies to the phase samplers (thm1, exact); \
-             use --trials for '{algorithm}' (see --help)"
-        ));
-    }
-    if samples.is_some() && trials != 1 {
-        return Err("--samples and --trials are mutually exclusive (see --help)".into());
-    }
 
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
     let g = parse_graph(&graph_spec, &algorithm, &mut rng)?;
     eprintln!("graph: {} — n = {}, m = {}", graph_spec, g.n(), g.m());
 
-    // Prepare-once/sample-many path: the graph-global preprocessing
-    // (transition matrix + phase-1 power table) runs a single time; every
-    // draw is bit-identical to the equivalent cold run at the same point
-    // of the seed stream.
-    if let Some(k) = samples {
-        let sampler = phase_sampler(&algorithm, workers);
-        let prepared = sampler.prepare(&g).map_err(|e| e.to_string())?;
-        for t in 0..k {
-            if k > 1 {
-                eprintln!("— sample {}", t + 1);
-            }
+    // thm1 and exact prepare the graph once (input check, transition
+    // matrix, phase-1 power table) and draw every trial from it: a draw
+    // depends only on the seed stream, so the trees are those of fresh
+    // runs. The walk samplers share the input check: a disconnected
+    // graph or a weight ratio past 2^20 is an error up front, not a walk
+    // that never covers the graph. (mst is exact on any positive
+    // weights.)
+    let prepared = match algorithm.as_str() {
+        "thm1" | "exact" => {
+            let config = if algorithm == "exact" {
+                SamplerConfig::exact_variant()
+            } else {
+                SamplerConfig::new()
+            };
+            // The effective engine width is max(threads, workers): an
+            // explicit worker policy must be exact, so only the
+            // sequential default keeps the legacy 4-thread matmul.
+            let config = match workers {
+                Workers::Sequential => config.threads(4),
+                _ => config.threads(1),
+            };
+            let sampler = CliqueTreeSampler::new(config.workers(workers));
+            Some(sampler.prepare(&g).map_err(|e| e.to_string())?)
+        }
+        "doubling" | "aldous-broder" | "wilson" => {
+            cct::core::validate(&g).map_err(|e| e.to_string())?;
+            None
+        }
+        _ => None,
+    };
+    for t in 0..trials {
+        if trials > 1 {
+            eprintln!("— trial {}", t + 1);
+        }
+        if let Some(prepared) = &prepared {
             let report = prepared.sample(&mut rng).map_err(|e| e.to_string())?;
             print_tree(&report.tree, dot);
             eprintln!(
@@ -455,36 +433,9 @@ fn run() -> Result<(), String> {
             if report.monte_carlo_failure {
                 eprintln!("WARNING: Monte Carlo failure — arbitrary tree emitted");
             }
-        }
-        return Ok(());
-    }
-
-    // The walk samplers share the phase samplers' input check: a
-    // disconnected graph or a weight ratio past 2^20 is an error up
-    // front, not a walk that never covers the graph. (mst is exact on
-    // any positive weights.)
-    if matches!(algorithm.as_str(), "doubling" | "aldous-broder" | "wilson") {
-        cct::core::validate(&g).map_err(|e| e.to_string())?;
-    }
-    for t in 0..trials {
-        if trials > 1 {
-            eprintln!("— trial {}", t + 1);
+            continue;
         }
         match algorithm.as_str() {
-            "thm1" | "exact" => {
-                let sampler = phase_sampler(&algorithm, workers);
-                let report = sampler.sample(&g, &mut rng).map_err(|e| e.to_string())?;
-                print_tree(&report.tree, dot);
-                eprintln!(
-                    "rounds: {} over {} phases ({})",
-                    report.total_rounds(),
-                    report.num_phases(),
-                    report.rounds
-                );
-                if report.monte_carlo_failure {
-                    eprintln!("WARNING: Monte Carlo failure — arbitrary tree emitted");
-                }
-            }
             "doubling" => {
                 let mut clique = Clique::new(g.n());
                 let (tree, segments) =

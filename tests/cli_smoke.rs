@@ -112,42 +112,54 @@ fn seed42_output_matches_the_shared_pinned_fixtures() {
 }
 
 #[test]
-fn samples_flag_draws_the_same_trees_as_sequential_trials() {
-    // The PreparedSampler contract surfaced at the CLI: `--samples K`
-    // must print exactly what `--trials K` prints, and adding
-    // `--workers N` must change neither — the combination the smoke
-    // matrix was missing.
+fn trials_draw_the_same_trees_at_every_worker_count() {
+    // thm1 prepares the graph once and draws every trial from it;
+    // adding `--workers N` must not change the trees.
     let trials = run_cct(&[
         "thm1", "--graph", "petersen", "--seed", "42", "--trials", "3",
     ]);
     assert!(trials.status.success());
-    for extra in [&[][..], &["--workers", "2"][..], &["--workers", "4"][..]] {
-        let mut args = vec![
+    for workers in ["2", "4"] {
+        let args = [
             "thm1",
             "--graph",
             "petersen",
             "--seed",
             "42",
-            "--samples",
+            "--trials",
             "3",
+            "--workers",
+            workers,
         ];
-        args.extend_from_slice(extra);
-        let samples = run_cct(&args);
+        let out = run_cct(&args);
         assert!(
-            samples.status.success(),
+            out.status.success(),
             "{args:?} failed: {}",
-            String::from_utf8_lossy(&samples.stderr)
+            String::from_utf8_lossy(&out.stderr)
         );
         assert_eq!(
-            samples.stdout, trials.stdout,
-            "--samples diverged from --trials with {extra:?}"
+            out.stdout, trials.stdout,
+            "--workers {workers} changed the trees"
         );
     }
-    // And the first sampled tree is the pinned seed-42 fixture.
+    // And the first tree is the pinned seed-42 fixture.
     let first = fixtures::tree_line(&fixtures::standard_suite()[0].2);
     assert_eq!(
         String::from_utf8_lossy(&trials.stdout).lines().next(),
         Some(first.as_str())
+    );
+}
+
+#[test]
+fn samples_flag_is_an_unknown_option() {
+    // `--trials` already prepares the graph once: there is no second
+    // flag for drawing from a preparation.
+    let out = run_cct(&["thm1", "--samples", "3"]);
+    assert_eq!(out.status.code(), Some(1));
+    assert!(
+        String::from_utf8_lossy(&out.stderr).contains("unknown option"),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
     );
 }
 
