@@ -255,7 +255,7 @@ impl Precision {
 /// let config = SamplerConfig::new()
 ///     .walk_length(WalkLength::Fixed(1 << 12))
 ///     .placement(Placement::Matching);
-/// assert_eq!(config.resolve_rho(64), 8);
+/// assert_eq!(config.rho.resolve(64), 8);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct SamplerConfig {
@@ -427,11 +427,6 @@ impl SamplerConfig {
         self.max_table_bytes = bytes;
         self
     }
-
-    /// The phase budget for an `n`-vertex graph ([`Rho::resolve`]).
-    pub fn resolve_rho(&self, n: usize) -> usize {
-        self.rho.resolve(n)
-    }
 }
 
 impl Default for SamplerConfig {
@@ -480,18 +475,18 @@ mod tests {
     #[test]
     fn rho_resolution() {
         let c = SamplerConfig::new();
-        assert_eq!(c.resolve_rho(64), 8);
-        assert_eq!(c.resolve_rho(100), 10);
-        assert_eq!(c.resolve_rho(3), 2); // floor at 2
+        assert_eq!(c.rho.resolve(64), 8);
+        assert_eq!(c.rho.resolve(100), 10);
+        assert_eq!(c.rho.resolve(3), 2); // floor at 2
         let e = SamplerConfig::exact_variant();
-        assert_eq!(e.resolve_rho(64), 4);
-        assert_eq!(e.resolve_rho(1000), 10);
+        assert_eq!(e.rho.resolve(64), 4);
+        assert_eq!(e.rho.resolve(1000), 10);
         let o = SamplerConfig::new().rho(5);
-        assert_eq!(o.resolve_rho(1000), 5);
+        assert_eq!(o.rho.resolve(1000), 5);
         // A fixed budget overrides the exact variant's cube root.
         let eo = SamplerConfig::exact_variant().rho(5);
         assert_eq!(eo.rho, Rho::Fixed(5));
-        assert_eq!(eo.resolve_rho(1000), 5);
+        assert_eq!(eo.rho.resolve(1000), 5);
         assert_eq!(Rho::Fixed(1).resolve(1000), 2); // floor at 2
     }
 

@@ -98,7 +98,9 @@ impl MstEngine {
                 unreachable!("adjacency is built from the same graph")
             }
         })?;
-        let total_weight = outcome.edges.iter().map(|&(_, _, w)| w).sum();
+        // Summed from +0.0: an empty `f64` sum is -0.0, so a one-vertex
+        // graph would weigh `-0`.
+        let total_weight = outcome.edges.iter().fold(0.0, |acc, &(_, _, w)| acc + w);
         let tree = SpanningTree::new_in(g, outcome.edges.iter().map(|&(u, v, _)| (u, v)).collect())
             .expect("the protocol returns a spanning tree of g");
         Ok(MstReport {

@@ -1,9 +1,11 @@
 //! The phase orchestrator: Theorem 1's `Õ(n^{1/2+α})`-round sampler and
 //! the Appendix's exact `Õ(n^{2/3+α})` variant.
 //!
-//! One loop runs the phases (§2.2). Each phase has `S = {unvisited} ∪
-//! {v_f}` and walks until it has seen `ρ` distinct vertices of `S`, on
-//! one of three routes:
+//! One loop, [`PreparedSampler::sample`], runs the phases (§2.2) from a
+//! plan that preparation resolves once per graph: ρ, ℓ, the table depth,
+//! the engine and its round cost per multiply. Each phase has
+//! `S = {unvisited} ∪ {v_f}` and walks until it has seen `ρ` distinct
+//! vertices of `S`, on one of three routes:
 //!
 //! * **top-down**: the shortcut matrix `Q` and the Schur transition
 //!   (Corollaries 2–3, charged at the paper's iterated-squaring
@@ -30,7 +32,7 @@ use crate::phase::{
 };
 use crate::report::{PhaseMethod, PhaseReport, SampleReport};
 use cct_graph::{Graph, SpanningTree};
-use cct_linalg::{CsrMatrix, Matrix, PMatrix, Repr};
+use cct_linalg::{CsrMatrix, Matrix, PMatrix, Repr, Rounding};
 use cct_schur::{
     sample_first_visit_edge, schur_transition_with_weights, shortcut_by_squaring, shortcut_exact,
     subset_wdeg, VertexSubset,
@@ -136,11 +138,13 @@ impl CliqueTreeSampler {
     }
 
     /// Preprocesses `g` for repeated sampling: validates the input once,
-    /// builds the transition matrix, and precomputes the phase-1 power
-    /// table (phase 1 always walks on `G` itself, since
-    /// `Schur(G, V) = G`). The returned [`PreparedSampler`] serves
-    /// `sample()` calls without redoing any graph-global work; a draw
-    /// depends only on the seed, not on how many draws came before it.
+    /// resolves the config (ρ, ℓ, the table depth, the engine and its
+    /// round cost per multiply), builds the transition matrix, and
+    /// precomputes the phase-1 power table (phase 1 always walks on `G`
+    /// itself, since `Schur(G, V) = G`). The returned [`PreparedSampler`]
+    /// serves `sample()` calls without redoing any graph-global work; a
+    /// draw depends only on the seed, not on how many draws came before
+    /// it.
     ///
     /// # Errors
     ///
@@ -160,8 +164,8 @@ const MAX_WEIGHT_RATIO: f64 = (1u64 << 20) as f64;
 
 /// The input check every walk-based sampler relies on: `g` has a
 /// vertex, is connected, and its largest edge weight is at most `2²⁰`
-/// times its smallest. [`PreparedSampler::new`] runs it once per graph
-/// (so [`CliqueTreeSampler::sample`] once per call), and
+/// times its smallest. [`CliqueTreeSampler::prepare`] runs it once per
+/// graph (so [`CliqueTreeSampler::sample`] once per call), and
 /// [`crate::direction4_sample`] per call; callers of the other walk
 /// samplers (Corollary 1's doubling, Aldous–Broder, Wilson) run it
 /// first, so a lopsided or disconnected input is an error, not a walk
@@ -185,18 +189,30 @@ pub fn validate(g: &Graph) -> Result<(), SampleTreeError> {
     Ok(())
 }
 
-/// The config resolved for one graph: [`PreparedSampler::new`] reads it
-/// to build the prepared state, and every draw resolves it again.
-struct ResolvedConfig {
+/// What a preparation works out once from the config and the graph, so
+/// that no draw resolves it again: Theorem 1's parameters (ρ, the walk
+/// length `ℓ₀` with footnote 1's weight scaling, the doubling table's
+/// depth), the engine and its round cost per multiply, the local
+/// widths, the route and the representation.
+#[derive(Debug)]
+struct Plan {
+    engine: Box<dyn MatMulEngine>,
+    /// The worker-pool width of every parallel section the round engine
+    /// owns (the phase fan-out).
     workers: usize,
     /// Local worker width for matrix kernels (max of `workers` and the
     /// legacy `threads` knob) — also the width deferred power levels
     /// square with.
     threads: usize,
-    engine: Box<dyn MatMulEngine>,
-    rounding: cct_linalg::Rounding,
+    rounding: Rounding,
     rho: usize,
     ell0: u64,
+    /// Levels of a phase's doubling table: `T, T², …, T^{ℓ₀}`, so
+    /// `log₂ ℓ₀ + 1`.
+    levels: usize,
+    /// The engine's `MatMul` rounds for one `n × n` multiply, the unit
+    /// a phase's Schur construction is billed in ([`schur_rounds`]).
+    rounds_per_mult: u64,
     /// Whether every phase takes the streamed route (see
     /// [`table_exceeds_cap`]).
     out_of_core: bool,
@@ -208,7 +224,9 @@ struct ResolvedConfig {
     repr: Repr,
 }
 
-fn resolve_config(config: &SamplerConfig, g: &Graph) -> ResolvedConfig {
+/// The plan of `config` on `g`; [`PreparedSampler::new`] resolves it
+/// once per preparation.
+fn resolve_config(config: &SamplerConfig, g: &Graph) -> Plan {
     let n = g.n();
     // `workers` drives every parallel section the round engine owns
     // (the phase fan-out); the matmul engines additionally honor the
@@ -238,14 +256,17 @@ fn resolve_config(config: &SamplerConfig, g: &Graph) -> ResolvedConfig {
         }
         _ => config.walk_length.resolve(n),
     };
-    let out_of_core = n > 1 && table_exceeds_cap(n, ell0, config.max_table_bytes);
-    ResolvedConfig {
+    let levels = ell0.trailing_zeros() as usize + 1;
+    let out_of_core = n > 1 && table_exceeds_cap(n, levels, config.max_table_bytes);
+    Plan {
+        rounds_per_mult: engine.rounds_for_multiply(n),
+        engine,
         workers,
         threads,
-        engine,
         rounding: config.precision.rounding(),
-        rho: config.resolve_rho(n),
+        rho: config.rho.resolve(n),
         ell0,
+        levels,
         out_of_core,
         repr: if out_of_core {
             Repr::Sparse
@@ -256,14 +277,12 @@ fn resolve_config(config: &SamplerConfig, g: &Graph) -> ResolvedConfig {
 }
 
 /// The out-of-core criterion: `true` when the *dense-equivalent* power
-/// table of a phase (`log₂ ℓ + 2` levels of `n² × 8`-byte matrices —
-/// the `+2` covers the transition matrix itself and one Las Vegas
-/// extension) would exceed the configured cap. Deliberately a function
-/// of `n` and `ℓ` only — never of the backend or the realized sparsity —
-/// so every backend routes the same graph the same way.
-fn table_exceeds_cap(n: usize, ell0: u64, max_table_bytes: usize) -> bool {
-    let levels = ell0.trailing_zeros() as u128;
-    (levels + 2) * 8 * (n as u128) * (n as u128) > max_table_bytes as u128
+/// table of a phase (its `levels` plus one Las Vegas extension, each an
+/// `n² × 8`-byte matrix) would exceed the configured cap. Deliberately a
+/// function of `n` and `ℓ` only — never of the backend or the realized
+/// sparsity — so every backend routes the same graph the same way.
+fn table_exceeds_cap(n: usize, levels: usize, max_table_bytes: usize) -> bool {
+    (levels as u128 + 1) * 8 * (n as u128) * (n as u128) > max_table_bytes as u128
 }
 
 /// Whether an in-core phase walking the `|S| × |S|` matrix `t0` from
@@ -319,254 +338,12 @@ impl PhaseShortcut {
     }
 }
 
-/// The phase loop, over the graph-global work `prepared` holds: the
-/// transition matrix and, when phase 1 walks top-down, its cached
-/// doubling table and ledger charges. Later phases build their Schur
-/// transitions and tables per draw.
-fn sample_with<R: Rng + ?Sized>(
-    prepared: &PreparedSampler,
-    rng: &mut R,
-) -> Result<SampleReport, SampleTreeError> {
-    let PreparedSampler {
-        config,
-        graph: g,
-        p,
-        phase1,
-    } = prepared;
-    let n = g.n();
-    let ResolvedConfig {
-        workers,
-        threads,
-        engine,
-        rounding,
-        rho,
-        ell0,
-        out_of_core,
-        repr,
-    } = resolve_config(config, g);
-    let rounds_per_mult = engine.rounds_for_multiply(n);
-
-    let mut clique = Clique::new(n);
-    if out_of_core && g.m() == n - 1 {
-        // A connected graph with n − 1 edges *is* its unique spanning
-        // tree: answer exactly in O(m), before any matrix exists.
-        return Ok(unique_tree_report(g, rho, ell0, &mut clique));
-    }
-    let mut visited = vec![false; n];
-    visited[0] = true; // W[0] = s: the leader's vertex (§2.1, Alg. 1)
-    let mut remaining = n - 1;
-    let mut vf = 0usize;
-    let mut edges: Vec<(usize, usize)> = Vec::with_capacity(n - 1);
-    let mut phases: Vec<PhaseReport> = Vec::new();
-    let mut total = RoundLedger::new();
-    let mut failure = false;
-
-    while remaining > 0 {
-        let s_size = remaining + 1;
-        let rho_phase = rho.min(s_size);
-        let new_from = edges.len();
-        let walk = if out_of_core {
-            // ── Streamed: the walk runs step by step on G itself and
-            // records each new vertex's actual entry edge (Aldous–Broder
-            // verbatim, so trees stay exactly distributed where the walk
-            // covers). The loop counts `remaining` instead of scanning
-            // `visited`, so this route keeps O(1) bookkeeping per phase
-            // and never builds S.
-            let walk = streamed_local_phase(
-                &mut clique,
-                p,
-                &visited,
-                vf,
-                rho_phase,
-                ell0,
-                config.variant,
-                config.max_grid_len as u64,
-                rng,
-            )?;
-            edges.extend(walk.first_visits.iter().map(|&(v, prev)| (prev, v)));
-            walk
-        } else {
-            let s_vertices: Vec<usize> = (0..n).filter(|&v| !visited[v] || v == vf).collect();
-            let s = VertexSubset::new(n, &s_vertices);
-            // The phase walks in S's local ids (see `crate::phase`).
-            let start = s.local_index(vf).expect("v_f is in S");
-
-            // ── Derivative graphs for this phase (§2.4). Phase 1 uses G
-            // itself: Schur(G, V) = G (the transition matrix is
-            // borrowed, not cloned) and the shortcut matrix is the
-            // symbolic identity (a walk's pre-S vertex is its previous
-            // vertex) — phase 1 allocates no n² scratch at all. Later
-            // phases also carry the Schur walk's stationary weights for
-            // their power table.
-            let (t0, q, weights) = if s.len() == n {
-                (Cow::Borrowed(p), PhaseShortcut::Identity, None)
-            } else {
-                let q = match config.schur {
-                    SchurComputation::ExactSolve => PMatrix::Dense(shortcut_exact(g, &s)),
-                    SchurComputation::IteratedSquaring { tol } => {
-                        // Starts in the backend's representation,
-                        // promoting per the fill-in tracker; bit-identical
-                        // to the dense 2n × 2n route.
-                        shortcut_by_squaring(g, &s, tol, 64, repr).0
-                    }
-                };
-                // Corollary 2's chain is 2n × 2n: charge the paper's
-                // iterated-squaring count at 4× the n × n multiply cost,
-                // and Corollary 3 one more product (Q·R) plus local
-                // normalization. These figures are *analytic* (the
-                // distributed protocol's published bill), not measured
-                // from the local computation: the local route exploits
-                // the chain's block structure ([[T, A], [0, I]] squares
-                // in two n × n products — see
-                // `cct_schur::shortcut_by_squaring`), an optimization of
-                // the simulation, not of the simulated network algorithm.
-                clique
-                    .ledger_mut()
-                    .charge(CostCategory::MatMul, schur_rounds(n, rounds_per_mult));
-                let (trans_local, weights) = schur_transition_with_weights(g, &s, &q);
-                (
-                    Cow::Owned(phase_matrix(trans_local, repr)),
-                    PhaseShortcut::Mat(q),
-                    Some(weights),
-                )
-            };
-
-            // ── Top-down: phase 1's table is the doubling table of P
-            // itself, built once by `prepare()`. Replaying its cached
-            // ledger bills this draw what building the table costs, and
-            // its levels are *borrowed* (Las Vegas extensions land in the
-            // table's transient tail), so a draw allocates no copy of it.
-            // Later phases build their table here, weighted by the Schur
-            // walk's stationary distribution. Products of the phase's
-            // |S| × |S| blocks are billed as the n × n products the
-            // distributed protocol performs.
-            let block_engine = BlockEngine::new(engine.as_ref(), s.list(), threads);
-            let built: Option<DeferredPowers>;
-            let table = match weights {
-                None => phase1.as_ref().map(|cache| {
-                    clique.ledger_mut().merge(&cache.ledger);
-                    &cache.powers
-                }),
-                Some(weights) => {
-                    built = walks_top_down(&t0, start, rho).then(|| {
-                        distributed_powers_deferred(
-                            &mut clique,
-                            &block_engine,
-                            &t0,
-                            ell0.trailing_zeros() as usize + 1,
-                            rounding,
-                            threads,
-                        )
-                        .with_stationary_weights(weights)
-                    });
-                    built.as_ref()
-                }
-            };
-            let top_down = table.map(|base| {
-                top_down_phase(
-                    &mut clique,
-                    &block_engine,
-                    &mut PowerTable::new(base),
-                    start,
-                    rho_phase,
-                    ell0,
-                    config,
-                    workers,
-                    rng,
-                )
-            });
-            let walk = match top_down {
-                Some(Ok(walk)) => walk,
-                // ── Leader-local, also when a top-down walk outgrew the
-                // grid cap (after spending its rounds and randomness).
-                None | Some(Err(PhaseError::GridCapExceeded)) => direct_local_phase(
-                    &mut clique,
-                    &t0,
-                    start,
-                    rho_phase,
-                    ell0,
-                    config.variant,
-                    rng,
-                )?,
-                Some(Err(e)) => return Err(e.into()),
-            }
-            .into_global(&s);
-
-            // ── Algorithm 4: sample first-visit edges in G for every
-            // newly visited vertex. O(1) rounds: the leader scatters
-            // each v's predecessor, machine v polls its neighbors for
-            // Q[prev,u]/deg_S(u), and the sampled edges are gathered.
-            // Locally, wdeg_S is one O(m) pass per phase.
-            let wdeg_s = subset_wdeg(g, &s);
-            let fv_words: u64 = walk
-                .first_visits
-                .iter()
-                .map(|&(v, _)| 2 + 2 * g.num_neighbors(v) as u64)
-                .sum();
-            let ledger = clique.ledger_mut();
-            ledger.charge(CostCategory::FirstVisit, 3);
-            ledger.add_words(CostCategory::FirstVisit, fv_words);
-            for &(v, prev) in &walk.first_visits {
-                let (u, vv) =
-                    sample_first_visit_edge(g, &wdeg_s, |a, b| q.weight(a, b), prev, v, rng)
-                        .ok_or(SampleTreeError::Phase(PhaseError::DegenerateDistribution))?;
-                debug_assert_eq!(vv, v);
-                edges.push((u, v));
-            }
-            walk
-        };
-        debug_assert_eq!(
-            walk.distinct,
-            walk.first_visits.len() + 1,
-            "every distinct non-start vertex must get a first-visit edge"
-        );
-        for &(_, v) in &edges[new_from..] {
-            debug_assert!(!visited[v], "vertex {v} visited twice");
-            visited[v] = true;
-        }
-        remaining -= edges.len() - new_from;
-        vf = walk.last;
-
-        let phase_ledger = clique.take_ledger();
-        total.merge(&phase_ledger);
-        phases.push(PhaseReport {
-            s_size,
-            rho: rho_phase,
-            method: walk.method,
-            ell: walk.ell_final,
-            tau: walk.tau,
-            new_vertices: walk.first_visits.len(),
-            extensions: walk.extensions,
-            rounds: phase_ledger,
-            pi_words: walk.pi_words,
-            placement_words: walk.placement_words,
-        });
-        if !walk.reached {
-            debug_assert_eq!(config.variant, Variant::MonteCarlo);
-            failure = true;
-            break;
-        }
-    }
-
-    let tree = if failure {
-        // Theorem 1's Monte Carlo semantics: emit an arbitrary
-        // spanning tree (flagged) when a phase misses its budget.
-        bfs_tree(g)
-    } else {
-        SpanningTree::new(n, edges).expect("first-visit edges of a covering walk span")
-    };
-    Ok(SampleReport {
-        tree,
-        rounds: total,
-        phases,
-        monte_carlo_failure: failure,
-    })
-}
-
 /// A prepare-once / sample-many handle, and the one draw path: the
-/// graph-global preprocessing (input validation, the transition matrix,
-/// and the phase-1 power table where `Schur(G, V) = G`) is done once,
-/// and every [`PreparedSampler::sample`] call reuses it.
+/// graph-global preprocessing (input validation, the sampler's resolved
+/// parameters — ρ, ℓ, the table depth, the engine and its round cost
+/// per multiply — the transition matrix, and the phase-1 power table
+/// where `Schur(G, V) = G`) is done once, and every
+/// [`PreparedSampler::sample`] call reuses it.
 /// [`CliqueTreeSampler::sample`] is a fresh preparation plus one draw,
 /// so for the same seed it returns the same tree and round ledger as a
 /// draw from a long-lived preparation — the cache replays the exact
@@ -605,20 +382,18 @@ pub struct PreparedSampler {
     p: PMatrix,
     /// Phase 1's doubling table, when phase 1 walks top-down.
     phase1: Option<Phase1Cache>,
+    /// The config resolved for this graph, once; every draw reads it.
+    plan: Plan,
 }
 
 impl PreparedSampler {
-    /// Validates `g` and hoists the graph-global work out of the sampling
-    /// loop. Prefer [`CliqueTreeSampler::prepare`].
-    ///
-    /// # Errors
-    ///
-    /// [`SampleTreeError::EmptyGraph`] / [`SampleTreeError::Disconnected`]
-    /// / [`SampleTreeError::WeightRatio`] for invalid inputs.
-    pub fn new(config: SamplerConfig, g: &Graph) -> Result<Self, SampleTreeError> {
+    /// Validates `g`, resolves the config into the plan every draw reads,
+    /// and hoists the graph-global work out of the sampling loop
+    /// ([`CliqueTreeSampler::prepare`]).
+    pub(crate) fn new(config: SamplerConfig, g: &Graph) -> Result<Self, SampleTreeError> {
         validate(g)?;
-        let rc = resolve_config(&config, g);
-        let p = g.transition_pmatrix(rc.repr);
+        let plan = resolve_config(&config, g);
+        let p = g.transition_pmatrix(plan.repr);
         // Phase 1 has S = V (all vertices unvisited except the leader,
         // which doubles as v_f), so its route is a function of the graph
         // and config alone. When it is top-down, build its doubling
@@ -626,15 +401,15 @@ impl PreparedSampler {
         // for per-sample replay. The table is *deferred*: its full
         // distributed cost is charged here, but level contents
         // materialize (memoized) only when a sample first reads them.
-        let phase1 = (!rc.out_of_core && walks_top_down(&p, 0, rc.rho)).then(|| {
+        let phase1 = (!plan.out_of_core && walks_top_down(&p, 0, plan.rho)).then(|| {
             let mut scratch = Clique::new(g.n());
             let powers = distributed_powers_deferred(
                 &mut scratch,
-                rc.engine.as_ref(),
+                plan.engine.as_ref(),
                 &p,
-                rc.ell0.trailing_zeros() as usize + 1,
-                rc.rounding,
-                rc.threads,
+                plan.levels,
+                plan.rounding,
+                plan.threads,
             )
             // The walk on G is reversible: P = D⁻¹W satisfies detailed
             // balance with G's weighted degrees.
@@ -649,6 +424,7 @@ impl PreparedSampler {
             graph: g.clone(),
             p,
             phase1,
+            plan,
         })
     }
 
@@ -706,25 +482,245 @@ impl PreparedSampler {
         self.p.resident_bytes() + cache
     }
 
-    /// Samples a spanning tree, reusing the prepared graph-global work.
-    /// Same seed ⇒ same tree and same ledger, whether this is the
-    /// preparation's first draw or its thousandth.
+    /// Samples a spanning tree: the phase loop, run from the plan and
+    /// over the graph-global work prepared once — the transition matrix
+    /// and, when phase 1 walks top-down, its cached doubling table and
+    /// ledger charges. Later phases build their Schur transitions and
+    /// tables per draw. Same seed ⇒ same tree and same ledger, whether
+    /// this is the preparation's first draw or its thousandth.
     ///
     /// # Errors
     ///
     /// [`SampleTreeError::Phase`] if fixed-point precision was configured
     /// too low to keep the distributions alive.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> Result<SampleReport, SampleTreeError> {
-        sample_with(self, rng)
+        let (config, g, plan) = (&self.config, &self.graph, &self.plan);
+        let n = g.n();
+        let mut clique = Clique::new(n);
+        if plan.out_of_core && g.m() == n - 1 {
+            // A connected graph with n − 1 edges *is* its unique spanning
+            // tree: answer exactly in O(m), before any matrix exists.
+            return Ok(unique_tree_report(g, plan.rho, plan.ell0, &mut clique));
+        }
+        let mut visited = vec![false; n];
+        visited[0] = true; // W[0] = s: the leader's vertex (§2.1, Alg. 1)
+        let mut remaining = n - 1;
+        let mut vf = 0usize;
+        let mut edges: Vec<(usize, usize)> = Vec::with_capacity(n - 1);
+        let mut phases: Vec<PhaseReport> = Vec::new();
+        let mut total = RoundLedger::new();
+        let mut failure = false;
+
+        while remaining > 0 {
+            let s_size = remaining + 1;
+            let rho_phase = plan.rho.min(s_size);
+            let new_from = edges.len();
+            let walk = if plan.out_of_core {
+                // ── Streamed: the walk runs step by step on G itself and
+                // records each new vertex's actual entry edge (Aldous–Broder
+                // verbatim, so trees stay exactly distributed where the walk
+                // covers). The loop counts `remaining` instead of scanning
+                // `visited`, so this route keeps O(1) bookkeeping per phase
+                // and never builds S.
+                let walk = streamed_local_phase(
+                    &mut clique,
+                    &self.p,
+                    &visited,
+                    vf,
+                    rho_phase,
+                    plan.ell0,
+                    config.variant,
+                    config.max_grid_len as u64,
+                    rng,
+                )?;
+                edges.extend(walk.first_visits.iter().map(|&(v, prev)| (prev, v)));
+                walk
+            } else {
+                let s_vertices: Vec<usize> = (0..n).filter(|&v| !visited[v] || v == vf).collect();
+                let s = VertexSubset::new(n, &s_vertices);
+                // The phase walks in S's local ids (see `crate::phase`).
+                let start = s.local_index(vf).expect("v_f is in S");
+
+                // ── Derivative graphs for this phase (§2.4). Phase 1 uses G
+                // itself: Schur(G, V) = G (the transition matrix is
+                // borrowed, not cloned) and the shortcut matrix is the
+                // symbolic identity (a walk's pre-S vertex is its previous
+                // vertex) — phase 1 allocates no n² scratch at all. Later
+                // phases also carry the Schur walk's stationary weights for
+                // their power table.
+                let (t0, q, weights) = if s.len() == n {
+                    (Cow::Borrowed(&self.p), PhaseShortcut::Identity, None)
+                } else {
+                    let q = match config.schur {
+                        SchurComputation::ExactSolve => PMatrix::Dense(shortcut_exact(g, &s)),
+                        SchurComputation::IteratedSquaring { tol } => {
+                            // Starts in the backend's representation,
+                            // promoting per the fill-in tracker; bit-identical
+                            // to the dense 2n × 2n route.
+                            shortcut_by_squaring(g, &s, tol, 64, plan.repr).0
+                        }
+                    };
+                    // Corollary 2's chain is 2n × 2n: charge the paper's
+                    // iterated-squaring count at 4× the n × n multiply cost,
+                    // and Corollary 3 one more product (Q·R) plus local
+                    // normalization. These figures are *analytic* (the
+                    // distributed protocol's published bill), not measured
+                    // from the local computation: the local route exploits
+                    // the chain's block structure ([[T, A], [0, I]] squares
+                    // in two n × n products — see
+                    // `cct_schur::shortcut_by_squaring`), an optimization of
+                    // the simulation, not of the simulated network algorithm.
+                    clique
+                        .ledger_mut()
+                        .charge(CostCategory::MatMul, schur_rounds(n, plan.rounds_per_mult));
+                    let (trans_local, weights) = schur_transition_with_weights(g, &s, &q);
+                    (
+                        Cow::Owned(phase_matrix(trans_local, plan.repr)),
+                        PhaseShortcut::Mat(q),
+                        Some(weights),
+                    )
+                };
+
+                // ── Top-down: phase 1's table is the doubling table of P
+                // itself, built once by `prepare()`. Replaying its cached
+                // ledger bills this draw what building the table costs, and
+                // its levels are *borrowed* (Las Vegas extensions land in the
+                // table's transient tail), so a draw allocates no copy of it.
+                // Later phases build their table here, weighted by the Schur
+                // walk's stationary distribution. Products of the phase's
+                // |S| × |S| blocks are billed as the n × n products the
+                // distributed protocol performs.
+                let block_engine = BlockEngine::new(plan.engine.as_ref(), s.list(), plan.threads);
+                let built: Option<DeferredPowers>;
+                let table = match weights {
+                    None => self.phase1.as_ref().map(|cache| {
+                        clique.ledger_mut().merge(&cache.ledger);
+                        &cache.powers
+                    }),
+                    Some(weights) => {
+                        built = walks_top_down(&t0, start, plan.rho).then(|| {
+                            distributed_powers_deferred(
+                                &mut clique,
+                                &block_engine,
+                                &t0,
+                                plan.levels,
+                                plan.rounding,
+                                plan.threads,
+                            )
+                            .with_stationary_weights(weights)
+                        });
+                        built.as_ref()
+                    }
+                };
+                let top_down = table.map(|base| {
+                    top_down_phase(
+                        &mut clique,
+                        &block_engine,
+                        &mut PowerTable::new(base),
+                        start,
+                        rho_phase,
+                        plan.ell0,
+                        config,
+                        plan.workers,
+                        rng,
+                    )
+                });
+                let walk = match top_down {
+                    Some(Ok(walk)) => walk,
+                    // ── Leader-local, also when a top-down walk outgrew the
+                    // grid cap (after spending its rounds and randomness).
+                    None | Some(Err(PhaseError::GridCapExceeded)) => direct_local_phase(
+                        &mut clique,
+                        &t0,
+                        start,
+                        rho_phase,
+                        plan.ell0,
+                        config.variant,
+                        rng,
+                    )?,
+                    Some(Err(e)) => return Err(e.into()),
+                }
+                .into_global(&s);
+
+                // ── Algorithm 4: sample first-visit edges in G for every
+                // newly visited vertex. O(1) rounds: the leader scatters
+                // each v's predecessor, machine v polls its neighbors for
+                // Q[prev,u]/deg_S(u), and the sampled edges are gathered.
+                // Locally, wdeg_S is one O(m) pass per phase.
+                let wdeg_s = subset_wdeg(g, &s);
+                let fv_words: u64 = walk
+                    .first_visits
+                    .iter()
+                    .map(|&(v, _)| 2 + 2 * g.num_neighbors(v) as u64)
+                    .sum();
+                let ledger = clique.ledger_mut();
+                ledger.charge(CostCategory::FirstVisit, 3);
+                ledger.add_words(CostCategory::FirstVisit, fv_words);
+                for &(v, prev) in &walk.first_visits {
+                    let (u, vv) =
+                        sample_first_visit_edge(g, &wdeg_s, |a, b| q.weight(a, b), prev, v, rng)
+                            .ok_or(SampleTreeError::Phase(PhaseError::DegenerateDistribution))?;
+                    debug_assert_eq!(vv, v);
+                    edges.push((u, v));
+                }
+                walk
+            };
+            debug_assert_eq!(
+                walk.distinct,
+                walk.first_visits.len() + 1,
+                "every distinct non-start vertex must get a first-visit edge"
+            );
+            for &(_, v) in &edges[new_from..] {
+                debug_assert!(!visited[v], "vertex {v} visited twice");
+                visited[v] = true;
+            }
+            remaining -= edges.len() - new_from;
+            vf = walk.last;
+
+            let phase_ledger = clique.take_ledger();
+            total.merge(&phase_ledger);
+            phases.push(PhaseReport {
+                s_size,
+                rho: rho_phase,
+                method: walk.method,
+                ell: walk.ell_final,
+                tau: walk.tau,
+                new_vertices: walk.first_visits.len(),
+                extensions: walk.extensions,
+                rounds: phase_ledger,
+                pi_words: walk.pi_words,
+                placement_words: walk.placement_words,
+            });
+            if !walk.reached {
+                debug_assert_eq!(config.variant, Variant::MonteCarlo);
+                failure = true;
+                break;
+            }
+        }
+
+        let tree = if failure {
+            // Theorem 1's Monte Carlo semantics: emit an arbitrary
+            // spanning tree (flagged) when a phase misses its budget.
+            bfs_tree(g)
+        } else {
+            SpanningTree::new(n, edges).expect("first-visit edges of a covering walk span")
+        };
+        Ok(SampleReport {
+            tree,
+            rounds: total,
+            phases,
+            monte_carlo_failure: failure,
+        })
     }
 
     /// Wraps the prepared state for sharing across threads — the serving
     /// path's shape, where many workers draw from one preparation.
     ///
-    /// [`PreparedSampler`] holds only immutable plain data (the config,
-    /// the graph, the transition matrix, and the phase-1 power table
-    /// with its ledger); `sample` takes `&self` and every per-call
-    /// mutation (Las Vegas extensions, scratch cliques) lives in
+    /// [`PreparedSampler`] holds only immutable plain data (the config
+    /// and its resolved plan with the engine, the graph, the transition
+    /// matrix, and the phase-1 power table with its ledger); `sample`
+    /// takes `&self` and every per-call mutation (Las Vegas extensions,
+    /// scratch cliques) lives in
     /// per-draw state. It is therefore `Send + Sync` by construction — a
     /// compile-time assertion in this crate keeps that true — and
     /// `Arc<PreparedSampler>` can be handed to any number of concurrent
@@ -969,8 +965,7 @@ mod tests {
             for engine in &engines {
                 for repr in [Repr::Dense, Repr::Sparse] {
                     for rounding in [Rounding::Exact, Rounding::Fixed(FixedPoint::new(30))] {
-                        let case =
-                            format!("trial {trial}, {}, {repr:?}, {rounding:?}", engine.name());
+                        let case = format!("trial {trial}, {engine:?}, {repr:?}, {rounding:?}");
                         let padded = pad_to_global(&local, &s, n, repr);
                         let mut padded_clique = Clique::new(n);
                         let padded_table = distributed_powers_deferred(
@@ -1029,6 +1024,27 @@ mod tests {
         // 15 vertices need first-visit edges in total.
         let total_new: usize = report.phases.iter().map(|p| p.new_vertices).sum();
         assert_eq!(total_new, 15);
+    }
+
+    #[test]
+    fn first_visits_bill_three_rounds_per_phase_and_two_plus_two_deg_words() {
+        // Algorithm 4 takes three rounds per phase: the leader scatters
+        // each new vertex's predecessor, the vertex polls its neighbors
+        // (one word out and one back per neighbor), and the sampled
+        // edges are gathered. Every vertex but the leader's is new once.
+        for g in [generators::petersen(), generators::lollipop(12, 20)] {
+            let report = CliqueTreeSampler::new(quick_config())
+                .sample(&g, &mut rng(114))
+                .unwrap();
+            assert!(!report.monte_carlo_failure);
+            let ledger = &report.rounds;
+            assert_eq!(
+                ledger.rounds(CostCategory::FirstVisit),
+                3 * report.num_phases() as u64
+            );
+            let words: u64 = (1..g.n()).map(|v| 2 + 2 * g.num_neighbors(v) as u64).sum();
+            assert_eq!(ledger.words(CostCategory::FirstVisit), words);
+        }
     }
 
     #[test]
@@ -1194,10 +1210,9 @@ mod tests {
         let edges = [(0, 1, 1e18), (1, 2, 1e18), (2, 3, 1e18)];
         let g = Graph::from_weighted_edges(4, &edges).unwrap();
         let config = SamplerConfig::new();
-        assert_eq!(resolve_config(&config, &g).ell0, 1 << 62);
-        let report = CliqueTreeSampler::new(config)
-            .sample(&g, &mut rng(113))
-            .unwrap();
+        let prepared = CliqueTreeSampler::new(config).prepare(&g).unwrap();
+        assert_eq!(prepared.plan.ell0, 1 << 62);
+        let report = prepared.sample(&mut rng(113)).unwrap();
         assert_eq!(report.tree.edges(), &[(0, 1), (1, 2), (2, 3)]);
     }
 

@@ -155,32 +155,6 @@ impl SpanningTree {
             .map(|&(u, v)| g.edge_weight(u, v).expect("tree edge must exist in graph"))
             .sum()
     }
-
-    /// Any-order parent array rooted at `root` (parent of root is root).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `root >= n`.
-    pub fn parents(&self, root: usize) -> Vec<usize> {
-        assert!(root < self.n, "root out of range");
-        let mut adj = vec![Vec::new(); self.n];
-        for &(u, v) in &self.edges {
-            adj[u].push(v);
-            adj[v].push(u);
-        }
-        let mut parent = vec![usize::MAX; self.n];
-        parent[root] = root;
-        let mut stack = vec![root];
-        while let Some(u) = stack.pop() {
-            for &v in &adj[u] {
-                if parent[v] == usize::MAX {
-                    parent[v] = u;
-                    stack.push(v);
-                }
-            }
-        }
-        parent
-    }
 }
 
 impl fmt::Display for SpanningTree {
@@ -278,16 +252,6 @@ mod tests {
         let g = Graph::from_weighted_edges(3, &[(0, 1, 2.0), (1, 2, 3.0), (0, 2, 5.0)]).unwrap();
         let t = SpanningTree::new(3, vec![(0, 1), (1, 2)]).unwrap();
         assert_eq!(t.weight_in(&g), 6.0);
-    }
-
-    #[test]
-    fn parents_rooted() {
-        let t = SpanningTree::new(4, vec![(0, 1), (1, 2), (1, 3)]).unwrap();
-        let p = t.parents(0);
-        assert_eq!(p[0], 0);
-        assert_eq!(p[1], 0);
-        assert_eq!(p[2], 1);
-        assert_eq!(p[3], 1);
     }
 
     #[test]

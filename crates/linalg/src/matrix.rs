@@ -195,11 +195,6 @@ impl Matrix {
         })
     }
 
-    /// Largest absolute entry.
-    pub fn max_abs(&self) -> f64 {
-        self.data.iter().fold(0.0, |acc, x| acc.max(x.abs()))
-    }
-
     /// Largest absolute entry-wise difference `max |a_ij − b_ij|`.
     ///
     /// # Panics
@@ -436,11 +431,6 @@ impl Matrix {
                 });
             }
         });
-    }
-
-    /// Frobenius norm `√(Σ a_ij²)`.
-    pub fn frobenius_norm(&self) -> f64 {
-        self.data.iter().map(|x| x * x).sum::<f64>().sqrt()
     }
 
     /// Applies `f` to every entry in place.
@@ -766,8 +756,6 @@ mod tests {
     #[test]
     fn norms() {
         let a = Matrix::from_rows(&[vec![3.0, 0.0], vec![0.0, -4.0]]);
-        assert_eq!(a.frobenius_norm(), 5.0);
-        assert_eq!(a.max_abs(), 4.0);
         let b = Matrix::zeros(2, 2);
         assert_eq!(a.max_abs_diff(&b), 4.0);
     }

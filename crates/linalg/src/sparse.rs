@@ -218,13 +218,6 @@ impl CsrMatrix {
         self.col_idx.capacity() * 4 + self.values.capacity() * 8 + self.row_ptr.capacity() * 8
     }
 
-    /// Drops excess capacity so resident bytes match used bytes.
-    pub fn shrink_to_fit(&mut self) {
-        self.row_ptr.shrink_to_fit();
-        self.col_idx.shrink_to_fit();
-        self.values.shrink_to_fit();
-    }
-
     /// Row `i` as parallel `(columns, values)` slices.
     ///
     /// # Panics
@@ -726,10 +719,8 @@ mod tests {
             b.push(j, 1.0 + j as f64);
         }
         b.finish_row();
-        let mut m = b.build();
+        let m = b.build();
         assert!(m.resident_bytes() >= m.memory_bytes());
-        m.shrink_to_fit();
-        assert_eq!(m.resident_bytes(), m.memory_bytes());
     }
 
     #[test]

@@ -340,7 +340,7 @@ impl PreparedCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cct_core::{EngineChoice, SamplerConfig, WalkLength};
+    use cct_core::{CliqueTreeSampler, EngineChoice, SamplerConfig, WalkLength};
     use cct_graph::generators;
 
     fn key(spec: &str) -> CacheKey {
@@ -354,7 +354,9 @@ mod tests {
         let config = SamplerConfig::new()
             .walk_length(WalkLength::ScaledCubic { factor: 4.0 })
             .engine(EngineChoice::UnitCost);
-        PreparedSampler::new(config, &generators::complete(n)).map_err(|e| e.to_string())
+        CliqueTreeSampler::new(config)
+            .prepare(&generators::complete(n))
+            .map_err(|e| e.to_string())
     }
 
     #[test]

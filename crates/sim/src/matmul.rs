@@ -79,7 +79,10 @@ fn piece(m: &PMatrix, row: usize, lo: usize, hi: usize) -> Vec<(u32, f64)> {
 /// tracker promotes them. The charged rounds and words are the same in
 /// every representation — the ledger bills the paper's protocol, which
 /// is representation-agnostic — and so are the computed bits.
-pub trait MatMulEngine {
+///
+/// Engines are `Debug + Send + Sync` plain data, so a prepared sampler
+/// that owns one can still be printed and shared across threads.
+pub trait MatMulEngine: std::fmt::Debug + Send + Sync {
     /// Multiplies `a · b` on the clique, charging rounds.
     ///
     /// # Panics
@@ -87,9 +90,6 @@ pub trait MatMulEngine {
     /// Implementations may panic if the operands are not square `n × n`
     /// matrices matching the clique size.
     fn multiply(&self, clique: &mut Clique, a: &PMatrix, b: &PMatrix) -> PMatrix;
-
-    /// Human-readable engine name for reports.
-    fn name(&self) -> &'static str;
 
     /// The `(rounds, words)` this engine would charge for one `n × n`
     /// multiply, **if** that charge is a pure function of `n` — i.e. the
@@ -115,29 +115,17 @@ pub trait MatMulEngine {
     /// An engine with [`MatMulEngine::analytic_multiply_charges`] answers
     /// from them. An engine that measures traffic runs a scratch multiply
     /// of identity matrices and reads the ledger, so measured and charged
-    /// costs can never drift apart — but the answer is a pure function of
-    /// the engine and `n`, so it is memoized per `(engine name, n)`
-    /// process-wide: repeated ledger-cost queries (one per `sample()`
-    /// call) stop paying an `O(n³)` multiply each.
+    /// costs can never drift apart. That scratch multiply costs a real
+    /// `n × n` product, so callers ask once per graph: the sampler keeps
+    /// the answer in its prepared plan.
     fn rounds_for_multiply(&self, n: usize) -> u64 {
-        use std::collections::HashMap;
-        use std::sync::{Mutex, OnceLock};
-        static MEMO: OnceLock<Mutex<HashMap<(&'static str, usize), u64>>> = OnceLock::new();
         if let Some((rounds, _)) = self.analytic_multiply_charges(n) {
-            return rounds;
-        }
-        let memo = MEMO.get_or_init(|| Mutex::new(HashMap::new()));
-        if let Some(&rounds) = memo.lock().expect("memo poisoned").get(&(self.name(), n)) {
             return rounds;
         }
         let mut scratch = Clique::new(n);
         let id = PMatrix::Sparse(CsrMatrix::identity(n));
         let _ = self.multiply(&mut scratch, &id, &id);
-        let rounds = scratch.ledger().total_rounds();
-        memo.lock()
-            .expect("memo poisoned")
-            .insert((self.name(), n), rounds);
-        rounds
+        scratch.ledger().total_rounds()
     }
 }
 
@@ -409,10 +397,6 @@ impl MatMulEngine for SemiringEngine {
             PMatrix::Dense(out)
         }
     }
-
-    fn name(&self) -> &'static str {
-        "semiring-n^(1/3)"
-    }
 }
 
 /// The fast algebraic algorithm \[17, 72\] as a cost oracle: local compute,
@@ -474,10 +458,6 @@ impl MatMulEngine for FastOracleEngine {
         a.matmul(b, self.threads)
     }
 
-    fn name(&self) -> &'static str {
-        "fast-oracle-n^alpha"
-    }
-
     fn analytic_multiply_charges(&self, n: usize) -> Option<(u64, u64)> {
         Some((
             self.rounds_per_multiply(n),
@@ -499,10 +479,6 @@ impl MatMulEngine for UnitCostEngine {
     fn multiply(&self, clique: &mut Clique, a: &PMatrix, b: &PMatrix) -> PMatrix {
         clique.ledger_mut().charge(CostCategory::MatMul, 1);
         a.matmul(b, self.threads.max(1))
-    }
-
-    fn name(&self) -> &'static str {
-        "unit-cost"
     }
 
     fn analytic_multiply_charges(&self, _n: usize) -> Option<(u64, u64)> {
@@ -538,6 +514,7 @@ fn charge_multiply(clique: &mut Clique, (rounds, words): (u64, u64)) {
 ///
 /// Operands with `n` rows (`support = 0..n`) go to the wrapped engine
 /// unchanged.
+#[derive(Debug)]
 pub struct BlockEngine<'a> {
     engine: &'a dyn MatMulEngine,
     support: &'a [usize],
@@ -642,10 +619,6 @@ impl MatMulEngine for BlockEngine<'_> {
                 self.restrict(&product)
             }
         }
-    }
-
-    fn name(&self) -> &'static str {
-        self.engine.name()
     }
 
     fn analytic_multiply_charges(&self, n: usize) -> Option<(u64, u64)> {
@@ -1327,14 +1300,12 @@ mod tests {
                 assert_eq!(
                     prod.to_dense(),
                     reference,
-                    "{}: {label} bits diverged",
-                    engine.name()
+                    "{engine:?}: {label} bits diverged"
                 );
                 assert_eq!(
                     clique.ledger(),
                     reference_clique.ledger(),
-                    "{}: {label} ledger diverged",
-                    engine.name()
+                    "{engine:?}: {label} ledger diverged"
                 );
             }
         }
@@ -1436,8 +1407,7 @@ mod tests {
                 assert_eq!(
                     lazy_clique.ledger(),
                     eager_clique.ledger(),
-                    "{}: up-front charges diverged",
-                    engine.name()
+                    "{engine:?}: up-front charges diverged"
                 );
                 assert_eq!(lazy.materialized_levels(), 1);
                 assert!(lazy.resident_bytes() < eager.iter().map(|m| m.resident_bytes()).sum());
@@ -1446,8 +1416,7 @@ mod tests {
                     assert_eq!(
                         lazy.level(k).to_dense(),
                         want.to_dense(),
-                        "{}: level {k} diverged",
-                        engine.name()
+                        "{engine:?}: level {k} diverged"
                     );
                     assert_eq!(lazy.level(k).repr(), want.repr(), "level {k} repr");
                 }
@@ -1851,35 +1820,26 @@ mod tests {
     }
 
     #[test]
-    fn default_rounds_for_multiply_is_memoized_and_correct() {
-        // The semiring engine measures its charges: the memoized answer
-        // must equal a fresh measured multiply, across repeated queries
-        // and engine instances, and the second query must not run the
-        // scratch multiply (observable as a large speedup; here we settle
-        // for value equality plus agreement across instances).
+    fn rounds_for_multiply_is_the_charged_cost() {
+        // The semiring engine measures its charges: its answer equals a
+        // measured multiply at every thread count. An oracle answers from
+        // its own formula, whatever its α and words per entry.
         let n = 30;
-        let first = SemiringEngine::new(1).rounds_for_multiply(n);
         let mut clique = Clique::new(n);
         let a = random_operand(n, 99);
         SemiringEngine::new(1).multiply(&mut clique, &a, &a);
-        assert_eq!(first, clique.ledger().total_rounds());
-        assert_eq!(SemiringEngine::new(4).rounds_for_multiply(n), first);
-        assert_eq!(SemiringEngine::new(1).rounds_for_multiply(n), first);
-    }
-
-    #[test]
-    fn analytic_rounds_for_multiply_never_reads_the_memo() {
-        // The memo is keyed by engine name, so two oracles that share
-        // their name but not their parameters must each answer from
-        // their own formula, in either query order.
-        let n = 64;
+        let measured = clique.ledger().total_rounds();
+        for threads in [1, 4] {
+            assert_eq!(
+                SemiringEngine::new(threads).rounds_for_multiply(n),
+                measured
+            );
+        }
         let cheap = FastOracleEngine::new(ALPHA, 1, 1);
         let dear = FastOracleEngine::new(0.5, 3, 1);
-        assert_eq!(cheap.name(), dear.name());
         assert_ne!(cheap.rounds_per_multiply(n), dear.rounds_per_multiply(n));
-        for _ in 0..2 {
-            assert_eq!(cheap.rounds_for_multiply(n), cheap.rounds_per_multiply(n));
-            assert_eq!(dear.rounds_for_multiply(n), dear.rounds_per_multiply(n));
+        for oracle in [cheap, dear] {
+            assert_eq!(oracle.rounds_for_multiply(n), oracle.rounds_per_multiply(n));
         }
     }
 

@@ -192,26 +192,6 @@ impl<'c> ParallelClique<'c> {
         ParallelClique { clique, workers }
     }
 
-    /// Number of machines.
-    pub fn n(&self) -> usize {
-        self.clique.n()
-    }
-
-    /// Resolved worker count.
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
-    /// Read access to the wrapped clique.
-    pub fn clique(&self) -> &Clique {
-        self.clique
-    }
-
-    /// Mutable access to the wrapped clique (for sequential sections).
-    pub fn clique_mut(&mut self) -> &mut Clique {
-        self.clique
-    }
-
     /// Runs one synchronous round of `programs`: every machine's
     /// [`MachineProgram::round`] runs concurrently on the worker pool,
     /// then the produced outboxes are exchanged — and the round cost

@@ -13,6 +13,8 @@ use cct::graph::{Graph, SpanningTree};
 use cct::prelude::*;
 use cct::sim::Clique;
 use rand::SeedableRng;
+use std::error::Error;
+use std::io::{self, Write};
 use std::process::ExitCode;
 
 const HELP: &str = "\
@@ -134,20 +136,20 @@ fn parse_graph(spec: &str, algorithm: &str, rng: &mut rand::rngs::StdRng) -> Res
         .map_err(|e| format!("{e} (see --help)"))
 }
 
-fn print_tree(tree: &SpanningTree, dot: bool) {
+fn print_tree(out: &mut impl Write, tree: &SpanningTree, dot: bool) -> io::Result<()> {
     if dot {
-        println!("graph spanning_tree {{");
+        writeln!(out, "graph spanning_tree {{")?;
         for &(u, v) in tree.edges() {
-            println!("  {u} -- {v};");
+            writeln!(out, "  {u} -- {v};")?;
         }
-        println!("}}");
+        writeln!(out, "}}")
     } else {
         let edges: Vec<String> = tree
             .edges()
             .iter()
             .map(|(u, v)| format!("{u}-{v}"))
             .collect();
-        println!("tree: {}", edges.join(" "));
+        writeln!(out, "tree: {}", edges.join(" "))
     }
 }
 
@@ -233,9 +235,9 @@ fn run_serve(args: &[String]) -> Result<(), String> {
 }
 
 /// `cct request`: one request/response exchange against a running
-/// service. Trees go to stdout (stable across replays); rounds and
+/// service. Trees go to `out` (stable across replays); rounds and
 /// cache metadata go to stderr.
-fn run_request(args: &[String]) -> Result<(), String> {
+fn run_request(args: &[String], out: &mut impl Write) -> Result<(), Box<dyn Error>> {
     let mut connect: Option<String> = None;
     let mut command: Option<cct::serve::ControlCommand> = None;
     let mut request = cct::serve::SampleRequest::new("complete:16");
@@ -262,11 +264,13 @@ fn run_request(args: &[String]) -> Result<(), String> {
             }
             "--stats" => command = Some(cct::serve::ControlCommand::Stats),
             "--shutdown" => command = Some(cct::serve::ControlCommand::Shutdown),
-            other => return Err(format!("unknown request option '{other}' (see --help)")),
+            other => return Err(format!("unknown request option '{other}' (see --help)").into()),
         }
     }
     let connect = connect.ok_or("request needs --connect (see --help)")?;
     let endpoint = cct::serve::Endpoint::parse(&connect).map_err(|e| e.to_string())?;
+    // As text, so that a broken socket is an error and not a closed
+    // stdout.
     let frame = cct::serve::Client::connect(&endpoint)
         .and_then(|mut client| {
             client.exchange(&command.map_or_else(|| request.to_json(), |c| c.to_json()))
@@ -275,7 +279,7 @@ fn run_request(args: &[String]) -> Result<(), String> {
     // Control frames print the server's reply verbatim and exit — they
     // carry no draws to unpack.
     if command.is_some() {
-        println!("{}", frame.pretty());
+        writeln!(out, "{}", frame.pretty())?;
         return Ok(());
     }
     let missing = || "malformed response frame".to_string();
@@ -297,7 +301,7 @@ fn run_request(args: &[String]) -> Result<(), String> {
                 Ok(format!("{u}-{v}"))
             })
             .collect::<Result<_, String>>()?;
-        println!("tree: {}", rendered.join(" "));
+        writeln!(out, "tree: {}", rendered.join(" "))?;
         let rounds = draw.get("rounds").and_then(|r| r.as_u64()).unwrap_or(0);
         eprintln!("rounds: {rounds}");
         if draw.get("failure").is_some() {
@@ -314,17 +318,22 @@ fn run_request(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn run() -> Result<(), String> {
+/// Runs one command. Trees, `cct request` replies and `--help` go to
+/// stdout through `out`, whose every write returns its `io::Result`:
+/// `println!` panics once the reader has gone (`cct … | head -1`), and
+/// [`main`] ends such a run quietly instead.
+fn run() -> Result<(), Box<dyn Error>> {
+    let mut out = io::stdout();
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.iter().any(|a| a == "--help" || a == "-h") {
-        print!("{HELP}");
+        out.write_all(HELP.as_bytes())?;
         return Ok(());
     }
     // The service subcommands have their own option grammars; dispatch
     // before the sampler CLI parses anything.
     match args.first().map(String::as_str) {
-        Some("serve") => return run_serve(&args[1..]),
-        Some("request") => return run_request(&args[1..]),
+        Some("serve") => return run_serve(&args[1..]).map_err(Into::into),
+        Some("request") => return run_request(&args[1..], &mut out),
         _ => {}
     }
     let mut algorithm = "thm1".to_string();
@@ -369,7 +378,7 @@ fn run() -> Result<(), String> {
             }
             "--dot" => dot = true,
             other if !other.starts_with("--") => algorithm = other.to_string(),
-            other => return Err(format!("unknown option '{other}' (see --help)")),
+            other => return Err(format!("unknown option '{other}' (see --help)").into()),
         }
     }
 
@@ -380,7 +389,8 @@ fn run() -> Result<(), String> {
         return Err(format!(
             "--parallel/--workers only apply to the parallelized engines (thm1, exact, mst); \
              '{algorithm}' is not parallelized (see --help)"
-        ));
+        )
+        .into());
     }
 
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
@@ -409,10 +419,10 @@ fn run() -> Result<(), String> {
                 _ => config.threads(1),
             };
             let sampler = CliqueTreeSampler::new(config.workers(workers));
-            Some(sampler.prepare(&g).map_err(|e| e.to_string())?)
+            Some(sampler.prepare(&g)?)
         }
         "doubling" | "aldous-broder" | "wilson" => {
-            cct::core::validate(&g).map_err(|e| e.to_string())?;
+            cct::core::validate(&g)?;
             None
         }
         _ => None,
@@ -422,8 +432,8 @@ fn run() -> Result<(), String> {
             eprintln!("— trial {}", t + 1);
         }
         if let Some(prepared) = &prepared {
-            let report = prepared.sample(&mut rng).map_err(|e| e.to_string())?;
-            print_tree(&report.tree, dot);
+            let report = prepared.sample(&mut rng)?;
+            print_tree(&mut out, &report.tree, dot)?;
             eprintln!(
                 "rounds: {} over {} phases ({})",
                 report.total_rounds(),
@@ -439,17 +449,16 @@ fn run() -> Result<(), String> {
             "doubling" => {
                 let mut clique = Clique::new(g.n());
                 let (tree, segments) =
-                    sample_tree_via_doubling(&mut clique, &g, 2.0, 100_000, &mut rng)
-                        .map_err(|e| e.to_string())?;
-                print_tree(&tree, dot);
+                    sample_tree_via_doubling(&mut clique, &g, 2.0, 100_000, &mut rng)?;
+                print_tree(&mut out, &tree, dot)?;
                 eprintln!(
                     "rounds: {} over {segments} doubling segments",
                     clique.ledger().total_rounds()
                 );
             }
             "direction4" => {
-                let report = direction4_sample(&g, 1.0, &mut rng).map_err(|e| e.to_string())?;
-                print_tree(&report.tree, dot);
+                let report = direction4_sample(&g, 1.0, &mut rng)?;
+                print_tree(&mut out, &report.tree, dot)?;
                 eprintln!(
                     "rounds: {} over {} phases; new vertices per phase: {:?}",
                     report.rounds.total_rounds(),
@@ -458,19 +467,16 @@ fn run() -> Result<(), String> {
                 );
             }
             "aldous-broder" => {
-                let tree = aldous_broder(&g, 0, &mut rng).map_err(|e| e.to_string())?;
-                print_tree(&tree, dot);
+                let tree = aldous_broder(&g, 0, &mut rng)?;
+                print_tree(&mut out, &tree, dot)?;
             }
             "wilson" => {
-                let tree = wilson(&g, 0, &mut rng).map_err(|e| e.to_string())?;
-                print_tree(&tree, dot);
+                let tree = wilson(&g, 0, &mut rng)?;
+                print_tree(&mut out, &tree, dot)?;
             }
             "mst" => {
-                let report = cct::core::MstEngine::new()
-                    .workers(workers)
-                    .run(&g)
-                    .map_err(|e| e.to_string())?;
-                print_tree(&report.tree, dot);
+                let report = cct::core::MstEngine::new().workers(workers).run(&g)?;
+                print_tree(&mut out, &report.tree, dot)?;
                 eprintln!(
                     "rounds: {} over {} Borůvka phases, tree weight {} ({})",
                     report.rounds.total_rounds(),
@@ -480,12 +486,11 @@ fn run() -> Result<(), String> {
                 );
             }
             "mst-strawman" => {
-                let tree =
-                    cct::walks::random_weight_mst(&g, &mut rng).map_err(|e| e.to_string())?;
-                print_tree(&tree, dot);
+                let tree = cct::walks::random_weight_mst(&g, &mut rng)?;
+                print_tree(&mut out, &tree, dot)?;
                 eprintln!("NOTE: this sampler is intentionally biased (§1.4)");
             }
-            other => return Err(format!("unknown algorithm '{other}' (see --help)")),
+            other => return Err(format!("unknown algorithm '{other}' (see --help)").into()),
         }
     }
     Ok(())
@@ -494,8 +499,18 @@ fn run() -> Result<(), String> {
 fn main() -> ExitCode {
     match run() {
         Ok(()) => ExitCode::SUCCESS,
-        Err(msg) => {
-            eprintln!("error: {msg}");
+        // stdout's reader has gone (`cct … | head -1`) and wants no more
+        // output: not a failure. Only stdout writes return a raw
+        // `io::Error` here; every other error arrives as text or as the
+        // library's own error type.
+        Err(e)
+            if e.downcast_ref::<io::Error>()
+                .is_some_and(|e| e.kind() == io::ErrorKind::BrokenPipe) =>
+        {
+            ExitCode::SUCCESS
+        }
+        Err(e) => {
+            eprintln!("error: {e}");
             ExitCode::FAILURE
         }
     }

@@ -7,7 +7,7 @@
 mod fixtures;
 
 use cct::graph::{generators, Graph, SpanningTree};
-use std::process::Command;
+use std::process::{Command, Stdio};
 
 /// All algorithms advertised by `cct --help`.
 const ALGORITHMS: [&str; 7] = [
@@ -419,4 +419,38 @@ fn cct_max_n_overrides_the_cap() {
         String::from_utf8_lossy(&out.stderr)
     );
     assert_valid_spanning_tree(&String::from_utf8_lossy(&out.stdout), &g);
+}
+
+#[test]
+fn a_closed_stdout_ends_the_run_quietly() {
+    // `cct … | head -1` closes the pipe after one line: a later write
+    // fails with a broken pipe, which must end the run with exit 0
+    // rather than a panic (exit 101). The read end is dropped before
+    // the child has drawn its first tree.
+    for args in [
+        &["thm1", "--trials", "3"][..],
+        &["wilson"],
+        &["thm1", "--dot"],
+    ] {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_cct"))
+            .args(args)
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("failed to spawn cct binary");
+        drop(child.stdout.take());
+        let out = child.wait_with_output().expect("cct did not finish");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
+}
+
+#[test]
+fn a_one_vertex_mst_weighs_zero() {
+    // An empty f64 sum is -0.0; the MST weight is summed from +0.0.
+    let out = run_cct(&["mst", "--graph", "complete:1"]);
+    assert!(out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("tree weight 0 ("), "{stderr}");
 }
