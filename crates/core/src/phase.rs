@@ -322,11 +322,28 @@ fn local_walk<R: Rng + ?Sized>(
 /// distinct-vertex budget and the partial walk would balloon.
 pub(crate) fn is_degenerate_bipartite(t0: &PMatrix, start: usize, rho: usize) -> bool {
     let n = t0.rows();
-    // Undirected support graph: `u ~ v` iff either direction carries
-    // mass above the threshold. One pass over the stored entries builds
-    // the symmetric adjacency (sparse rows make this O(nnz), not O(n²));
-    // the 2-coloring below is traversal-order independent, so this
-    // computes exactly the answer of a dense double-sided scan.
+    // Fail fast along the stored out-entries alone. A same-color edge
+    // there closes an odd walk through the coloring tree, so `start`'s
+    // component of the undirected support has an odd cycle and the full
+    // test below would answer `false` too. A Schur phase graph is almost
+    // never bipartite, and this finds its odd cycle within a few rows.
+    let out_entries = |u: usize, visit: &mut dyn FnMut(usize)| {
+        t0.for_each_in_row(u, |v, val| {
+            if val > 1e-15 {
+                visit(v);
+            }
+        });
+    };
+    if two_color(n, start, out_entries).is_none() {
+        return false;
+    }
+    // No odd cycle along out-entries, but one may close through an entry
+    // stored in one direction only. Undirected support graph: `u ~ v`
+    // iff either direction carries mass above the threshold. One pass
+    // over the stored entries builds the symmetric adjacency (sparse
+    // rows make this O(nnz), not O(n²)); the 2-coloring is
+    // traversal-order independent, so this computes exactly the answer
+    // of a dense double-sided scan.
     let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n];
     for u in 0..n {
         t0.for_each_in_row(u, |v, val| {
@@ -338,12 +355,26 @@ pub(crate) fn is_degenerate_bipartite(t0: &PMatrix, start: usize, rho: usize) ->
             }
         });
     }
+    let adjacent = |u: usize, visit: &mut dyn FnMut(usize)| adj[u].iter().for_each(|&v| visit(v));
+    two_color(n, start, adjacent).is_some_and(|side0| side0 < rho)
+}
+
+/// 2-colors the vertices `neighbours` reaches from `start` (it calls
+/// its visitor once per neighbour of a vertex), returning the size of
+/// `start`'s color class, or `None` once an edge joins two vertices
+/// of one color (an odd cycle or a self-loop: not bipartite).
+fn two_color(
+    n: usize,
+    start: usize,
+    neighbours: impl Fn(usize, &mut dyn FnMut(usize)),
+) -> Option<usize> {
     let mut color = vec![u8::MAX; n];
     color[start] = 0;
     let mut stack = vec![start];
     let mut side0 = 1usize;
+    let mut odd = false;
     while let Some(u) = stack.pop() {
-        for &v in &adj[u] {
+        neighbours(u, &mut |v| {
             if color[v] == u8::MAX {
                 color[v] = 1 - color[u];
                 if color[v] == 0 {
@@ -351,11 +382,14 @@ pub(crate) fn is_degenerate_bipartite(t0: &PMatrix, start: usize, rho: usize) ->
                 }
                 stack.push(v);
             } else if color[v] == color[u] {
-                return false; // odd cycle (or self-loop): not bipartite
+                odd = true;
             }
+        });
+        if odd {
+            return None;
         }
     }
-    side0 < rho
+    Some(side0)
 }
 
 /// The full distributed top-down truncated walk (Outline 3, steps 4–5),
@@ -528,9 +562,7 @@ fn run_segment<R: Rng + ?Sized>(
         let fan_seed: u64 = rng.gen();
         let sequences: Vec<Vec<usize>> = par_map(num_pairs, workers, |id| {
             let (p, q) = pairs[id];
-            let weights: Vec<f64> = (0..th.rows())
-                .map(|j| th.get(p, j) * th.get(j, q))
-                .collect();
+            let weights = midpoint_weights(th, p, q);
             let total: f64 = weights.iter().sum();
             if total.is_nan() || total <= 0.0 {
                 return Vec::new(); // degenerate — detected below
@@ -564,60 +596,24 @@ fn run_segment<R: Rng + ?Sized>(
 
         // ── Algorithm 3: distributed binary search for the truncation
         // point over the merged index space (even = old entries, odd =
-        // new midpoints).
+        // new midpoints). The simulation computes the predicate for
+        // every index in one prefix pass over a seen array, then runs
+        // the protocol's probe sequence over it, so `t_star` and the
+        // probe count are those of probing one index at a time.
         let merged_len = grid.len() + mids.len();
-        let merged = |k: usize| -> usize {
+        let merged = (0..merged_len).map(|k| {
             if k % 2 == 0 {
                 grid[k / 2]
             } else {
                 mids[(k - 1) / 2]
             }
-        };
-        let check = |t: usize| -> bool {
-            // Dist: distinct vertices of preseen ∪ merged[0..=t]; the
-            // prefix is truncatable iff Dist < ρ, or Dist == ρ with the
-            // final vertex being the ρ-th distinct vertex's first
-            // occurrence.
-            let mut seen: HashSet<usize> = preseen.clone();
-            let mut last_count = 0usize;
-            let last = merged(t);
-            for k in 0..=t {
-                let v = merged(k);
-                seen.insert(v);
-                if v == last {
-                    last_count += 1;
-                }
-                if seen.len() > rho {
-                    return false;
-                }
-            }
-            seen.len() < rho || (!preseen.contains(&last) && last_count == 1)
-        };
-        // check(0) always holds (Dist ≤ |preseen| + 1 ≤ ρ since the phase
-        // continues only while the budget is unmet).
-        let mut lo = 0usize;
-        let mut hi = merged_len - 1;
-        let mut checks = 0u64;
-        if check(hi) {
-            lo = hi;
-            checks += 1;
-        } else {
-            checks += 1;
-            while hi - lo > 1 {
-                let mid = lo + (hi - lo) / 2;
-                if check(mid) {
-                    lo = mid;
-                } else {
-                    hi = mid;
-                }
-                checks += 1;
-            }
-        }
-        let t_star = lo;
-        // Each CheckTruncationPoint costs O(1) rounds: leader scatters
-        // c_{p,q}(ℓ′) (1), pair machines send per-vertex counts (1),
-        // vertex machines aggregate to the leader (1), plus the W⁺[ℓ′]
-        // lookup (1).
+        });
+        let truncatable = truncation_points(merged, preseen, th.rows(), rho);
+        let (t_star, checks) = truncation_search(&truncatable);
+        // The ledger still bills each probe as one distributed
+        // CheckTruncationPoint of 4 rounds: leader scatters c_{p,q}(ℓ′)
+        // (1), pair machines send per-vertex counts (1), vertex machines
+        // aggregate to the leader (1), plus the W⁺[ℓ′] lookup (1).
         clique
             .ledger_mut()
             .charge(CostCategory::BinarySearch, 4 * checks);
@@ -655,6 +651,78 @@ fn run_segment<R: Rng + ?Sized>(
         grid = next_grid;
     }
     Ok(grid)
+}
+
+/// Algorithm 2's weights for the pair `(p, q)`: `th[p, j] · th[j, q]`
+/// for every `j`, read directly. A dense level pairs row `p`'s slice
+/// with the strided column `q`; a CSR level multiplies only row `p`'s
+/// stored entries, and every other weight is `0 · th[j, q] = +0.0`
+/// (entries are finite and non-negative). The bits are those of
+/// `th.get(p, j) * th.get(j, q)`, without a bounds check or a CSR
+/// binary search per read.
+fn midpoint_weights(th: &PMatrix, p: usize, q: usize) -> Vec<f64> {
+    match th {
+        PMatrix::Dense(m) => {
+            let column = m.as_slice()[q..].iter().step_by(m.cols());
+            m.row(p).iter().zip(column).map(|(&a, &b)| a * b).collect()
+        }
+        PMatrix::Sparse(m) => {
+            let mut weights = vec![0.0; m.cols()];
+            let (cols, vals) = m.row(p);
+            for (&j, &a) in cols.iter().zip(vals) {
+                weights[j as usize] = a * m.get(j as usize, q);
+            }
+            weights
+        }
+    }
+}
+
+/// Algorithm 3's predicate for every merged index, in one prefix pass
+/// over a `dim`-long seen array: `t` is a truncation point iff
+/// `Dist(t) = |preseen ∪ merged[0..=t]|` is below `rho`, or equals it
+/// and `merged[t]` is the `rho`-th distinct vertex's first occurrence.
+fn truncation_points(
+    merged: impl Iterator<Item = usize>,
+    preseen: &HashSet<usize>,
+    dim: usize,
+    rho: usize,
+) -> Vec<bool> {
+    let mut seen = vec![false; dim];
+    for &v in preseen {
+        seen[v] = true;
+    }
+    let mut dist = preseen.len();
+    merged
+        .map(|v| {
+            let first = !std::mem::replace(&mut seen[v], true);
+            dist += usize::from(first);
+            dist < rho || (dist == rho && first)
+        })
+        .collect()
+}
+
+/// Algorithm 3's probe sequence over the predicate: probe the last
+/// index, then binary-search for the last truncation point, taking
+/// index 0 as one (`Dist ≤ |preseen| + 1 ≤ ρ`, since a phase continues
+/// only while its budget is unmet). Returns `t_star` and the number of
+/// probes.
+fn truncation_search(truncatable: &[bool]) -> (usize, u64) {
+    let mut hi = truncatable.len() - 1;
+    if truncatable[hi] {
+        return (hi, 1);
+    }
+    let mut lo = 0usize;
+    let mut checks = 1u64;
+    while hi - lo > 1 {
+        let mid = lo + (hi - lo) / 2;
+        if truncatable[mid] {
+            lo = mid;
+        } else {
+            hi = mid;
+        }
+        checks += 1;
+    }
+    (lo, checks)
 }
 
 /// Places the truncated prefix's midpoints according to the configured
@@ -1036,6 +1104,238 @@ mod tests {
         let g = generators::complete(3);
         let t0 = PMatrix::Dense(g.transition_matrix());
         assert!(!is_degenerate_bipartite(&t0, 0, 3));
+    }
+
+    /// `is_degenerate_bipartite` before its fail-fast pass: the full
+    /// symmetric adjacency, then one 2-coloring. Kept as the reference.
+    fn degenerate_bipartite_full_scan(t0: &PMatrix, start: usize, rho: usize) -> bool {
+        let n = t0.rows();
+        let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n];
+        for u in 0..n {
+            t0.for_each_in_row(u, |v, val| {
+                if val > 1e-15 {
+                    adj[u].push(v);
+                    if v != u {
+                        adj[v].push(u);
+                    }
+                }
+            });
+        }
+        let mut color = vec![u8::MAX; n];
+        color[start] = 0;
+        let mut stack = vec![start];
+        let mut side0 = 1usize;
+        while let Some(u) = stack.pop() {
+            for &v in &adj[u] {
+                if color[v] == u8::MAX {
+                    color[v] = 1 - color[u];
+                    if color[v] == 0 {
+                        side0 += 1;
+                    }
+                    stack.push(v);
+                } else if color[v] == color[u] {
+                    return false;
+                }
+            }
+        }
+        side0 < rho
+    }
+
+    #[test]
+    fn fail_fast_bipartite_test_matches_the_full_scan() {
+        let assert_matches = |t0: &cct_linalg::Matrix, label: &str| {
+            let n = t0.rows();
+            for t0 in [
+                PMatrix::Dense(t0.clone()),
+                PMatrix::Sparse(cct_linalg::CsrMatrix::from_dense(t0)),
+            ] {
+                for start in 0..n {
+                    for rho in 1..=n + 1 {
+                        assert_eq!(
+                            is_degenerate_bipartite(&t0, start, rho),
+                            degenerate_bipartite_full_scan(&t0, start, rho),
+                            "{label} {:?} start {start} rho {rho}",
+                            t0.repr()
+                        );
+                    }
+                }
+            }
+        };
+        for (g, label) in [
+            (generators::path(6), "path"),
+            (generators::cycle(7), "odd cycle"),
+            (generators::grid(3, 4), "grid"),
+            (generators::complete(5), "complete"),
+        ] {
+            assert_matches(&g.transition_matrix(), label);
+        }
+        // 0 ↔ 1 both ways, but 2 → 0 and 2 → 1 stored one way only: the
+        // triangle closes through row 2, which no out-entry from 0 or 1
+        // reaches, so the fail-fast pass finds no odd cycle and the
+        // fallback must.
+        let one_way = cct_linalg::Matrix::from_rows(&[
+            vec![0.0, 1.0, 0.0],
+            vec![1.0, 0.0, 0.0],
+            vec![0.5, 0.5, 0.0],
+        ]);
+        let out_entries = |u: usize, visit: &mut dyn FnMut(usize)| {
+            one_way.row(u).iter().enumerate().for_each(|(v, &x)| {
+                if x > 1e-15 {
+                    visit(v);
+                }
+            })
+        };
+        assert_eq!(two_color(3, 0, out_entries), Some(1));
+        assert!(!degenerate_bipartite_full_scan(
+            &PMatrix::Dense(one_way.clone()),
+            0,
+            3
+        ));
+        assert_matches(&one_way, "one-way triangle");
+        // A path 0 - 1 - 2 whose closing edge 0 - 2 weighs exactly 1e-15:
+        // below the support threshold in both versions, so the graph is
+        // bipartite with start side {0, 2}, degenerate at ρ = 3.
+        let at_threshold = cct_linalg::Matrix::from_rows(&[
+            vec![0.0, 1.0, 1e-15],
+            vec![0.5, 0.0, 0.5],
+            vec![1e-15, 1.0, 0.0],
+        ]);
+        assert!(is_degenerate_bipartite(
+            &PMatrix::Dense(at_threshold.clone()),
+            0,
+            3
+        ));
+        assert_matches(&at_threshold, "1e-15 closing edge");
+    }
+
+    /// Algorithm 3 before its prefix pass: each probe rebuilds `Dist`
+    /// from a clone of `preseen`. Kept as the reference; returns
+    /// `(t_star, checks, predicate at every index)`.
+    fn per_probe_search(
+        merged: &[usize],
+        preseen: &HashSet<usize>,
+        rho: usize,
+    ) -> (usize, u64, Vec<bool>) {
+        let check = |t: usize| -> bool {
+            let mut seen: HashSet<usize> = preseen.clone();
+            let mut last_count = 0usize;
+            let last = merged[t];
+            for &v in &merged[..=t] {
+                seen.insert(v);
+                if v == last {
+                    last_count += 1;
+                }
+                if seen.len() > rho {
+                    return false;
+                }
+            }
+            seen.len() < rho || (!preseen.contains(&last) && last_count == 1)
+        };
+        let mut lo = 0usize;
+        let mut hi = merged.len() - 1;
+        let mut checks = 0u64;
+        if check(hi) {
+            lo = hi;
+            checks += 1;
+        } else {
+            checks += 1;
+            while hi - lo > 1 {
+                let mid = lo + (hi - lo) / 2;
+                if check(mid) {
+                    lo = mid;
+                } else {
+                    hi = mid;
+                }
+                checks += 1;
+            }
+        }
+        (lo, checks, (0..merged.len()).map(check).collect())
+    }
+
+    #[test]
+    fn prefix_truncation_search_matches_the_per_probe_closure() {
+        let mut r = rng(26);
+        for rho in 2..=8usize {
+            for trial in 0..300 {
+                let dim = r.gen_range(2..=2 * rho + 2);
+                // Merged sequences have odd length: grid + midpoints.
+                let len = 2 * r.gen_range(1..=24usize) + 1;
+                let merged: Vec<usize> = (0..len).map(|_| r.gen_range(0..dim)).collect();
+                // A Las Vegas continuation starts at the previous
+                // segment's last vertex with fewer than ρ vertices seen.
+                let mut preseen = HashSet::new();
+                if trial % 2 == 1 {
+                    preseen.insert(merged[0]);
+                    let target = r.gen_range(1..rho).min(dim);
+                    while preseen.len() < target {
+                        preseen.insert(r.gen_range(0..dim));
+                    }
+                }
+                let (t_ref, checks_ref, predicate_ref) = per_probe_search(&merged, &preseen, rho);
+                let predicate = truncation_points(merged.iter().copied(), &preseen, dim, rho);
+                assert_eq!(predicate, predicate_ref, "rho {rho} trial {trial}");
+                assert_eq!(
+                    truncation_search(&predicate),
+                    (t_ref, checks_ref),
+                    "rho {rho} trial {trial}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn direct_midpoint_weights_match_get_products() {
+        // Phase 1 of regular:64:4 (CSR levels until fill-in promotes
+        // them) and a later phase's Schur table on a proper S, in both
+        // representations.
+        let g = generators::random_regular(64, 4, &mut rng(64));
+        let n = g.n();
+        let phase1 = cct_sim::distributed_powers_deferred(
+            &mut Clique::new(n),
+            &UnitCostEngine::default(),
+            &g.transition_pmatrix(cct_linalg::Repr::Sparse),
+            8,
+            cct_linalg::Rounding::Exact,
+            1,
+        );
+        let s_vertices: Vec<usize> = (0..n).filter(|&v| v % 3 != 1 || v == 1).collect();
+        let s = VertexSubset::new(n, &s_vertices);
+        let q = PMatrix::Dense(cct_schur::shortcut_exact(&g, &s));
+        let (t_s, weights) = cct_schur::schur_transition_with_weights(&g, &s, &q);
+        let schur_table = |t0: PMatrix| {
+            cct_sim::distributed_powers_deferred(
+                &mut Clique::new(s.len()),
+                &UnitCostEngine::default(),
+                &t0,
+                6,
+                cct_linalg::Rounding::Exact,
+                1,
+            )
+            .with_stationary_weights(weights.clone())
+        };
+        let dense_schur = schur_table(PMatrix::Dense(t_s.clone()));
+        let sparse_schur = schur_table(PMatrix::Sparse(cct_linalg::CsrMatrix::from_dense(&t_s)));
+        let mut reprs = HashSet::new();
+        for table in [&phase1, &dense_schur, &sparse_schur] {
+            for k in 0..table.len() {
+                let th = table.level(k);
+                reprs.insert(th.repr());
+                let dim = th.rows();
+                for p in (0..dim).step_by(5) {
+                    for q in (0..dim).step_by(7) {
+                        let direct: Vec<u64> = midpoint_weights(th, p, q)
+                            .iter()
+                            .map(|w| w.to_bits())
+                            .collect();
+                        let by_get: Vec<u64> = (0..dim)
+                            .map(|j| (th.get(p, j) * th.get(j, q)).to_bits())
+                            .collect();
+                        assert_eq!(direct, by_get, "level {k} {:?} ({p}, {q})", th.repr());
+                    }
+                }
+            }
+        }
+        assert_eq!(reprs.len(), 2, "both representations were read");
     }
 
     #[test]

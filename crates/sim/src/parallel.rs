@@ -13,11 +13,12 @@
 //! * [`MachineProgram`] — a machine's state plus its per-round step
 //!   `inbox → outbox`.
 //! * [`ParallelClique`] — a driver that shards the machines of a
-//!   [`Clique`] across a `std::thread::scope` worker pool
-//!   (`min(workers, n)` shards), runs every machine's local step
-//!   concurrently, and then performs the exchange **single-threaded**
-//!   through [`Clique::route`] — so every [`crate::RoundLedger`] charge
-//!   is byte-for-byte what the sequential simulator produces.
+//!   [`Clique`] across a `std::thread::scope` worker pool (at most
+//!   `workers` shards of at least 16 machines each), runs every
+//!   machine's local step concurrently, and then performs the exchange
+//!   **single-threaded** through [`Clique::route`] — so every
+//!   [`crate::RoundLedger`] charge is byte-for-byte what the sequential
+//!   simulator produces.
 //! * [`Workers`] — the worker-pool policy (`CCT_WORKERS` overrides
 //!   [`Workers::Auto`]).
 //! * [`machine_seed`] — the determinism contract for randomized
@@ -185,8 +186,9 @@ pub struct ParallelClique<'c> {
 }
 
 impl<'c> ParallelClique<'c> {
-    /// Wraps `clique` with a worker pool of `workers` threads (capped at
-    /// the machine count; 0 and 1 both mean sequential).
+    /// Wraps `clique` with a worker pool of `workers` threads (fewer
+    /// when the machines are too few to share out; 0 and 1 both mean
+    /// sequential).
     pub fn new(clique: &'c mut Clique, workers: usize) -> Self {
         let workers = resolve_shards(clique.n(), workers);
         ParallelClique { clique, workers }
@@ -275,7 +277,7 @@ impl<'c> ParallelClique<'c> {
     }
 }
 
-/// Applies `f` to `0..n` on `min(workers, n)` scoped threads, returning
+/// Applies `f` to `0..n` on up to `workers` scoped threads, returning
 /// the results in index order (identical to a sequential map for any
 /// worker count). The workhorse behind every parallel local step.
 ///
@@ -315,16 +317,19 @@ where
     out
 }
 
-/// The one shard-count policy: at least 1, never more shards than work
-/// items (extra shards would be empty), and `n <= 1` degenerates to
-/// sequential. Every parallel section resolves through here so the
-/// policy can't drift between helpers.
+/// The fewest work items a shard takes. A scoped thread costs tens of
+/// µs to spawn, about what a machine's local step or a midpoint pair
+/// costs at the sizes the sampler runs, so a section of fewer than
+/// twice this many items runs on the caller's thread.
+const MIN_ITEMS_PER_SHARD: usize = 16;
+
+/// The one shard-count policy: at least 1, at most `workers`, and at
+/// least [`MIN_ITEMS_PER_SHARD`] items per shard, so a section of a
+/// handful of items degenerates to sequential. Every parallel section
+/// resolves through here so the policy can't drift between helpers;
+/// shard boundaries never change results (the determinism contract).
 fn resolve_shards(n: usize, workers: usize) -> usize {
-    if n <= 1 {
-        1
-    } else {
-        workers.clamp(1, n)
-    }
+    workers.clamp(1, (n / MIN_ITEMS_PER_SHARD).max(1))
 }
 
 /// Runs one round of every program concurrently, reassembling outboxes
@@ -410,6 +415,20 @@ mod tests {
                 assert_eq!(par_map(n, workers, |i| i * 3 + 1), seq, "n={n} w={workers}");
             }
         }
+    }
+
+    #[test]
+    fn tiny_sections_run_on_the_callers_thread() {
+        let caller = std::thread::current().id();
+        for n in [0usize, 1, 4, 31] {
+            let ids = par_map(n, 8, |_| std::thread::current().id());
+            assert!(ids.iter().all(|&id| id == caller), "n = {n}");
+        }
+        // 64 items make four shards of 16, each on a spawned thread.
+        let ids = par_map(64, 8, |_| std::thread::current().id());
+        let distinct: std::collections::HashSet<_> = ids.into_iter().collect();
+        assert_eq!(distinct.len(), 4);
+        assert!(!distinct.contains(&caller));
     }
 
     /// Every machine floods every other machine with its id.

@@ -227,9 +227,22 @@ fn run_serve(args: &[String]) -> Result<(), String> {
     let listen = listen.ok_or("serve needs --listen (see --help)")?;
     let endpoint = cct::serve::Endpoint::parse(&listen).map_err(|e| e.to_string())?;
     cct::serve::serve_endpoint(&endpoint, options, accept_limit, |addr| {
-        // Printed on stdout (and flushed by println!'s line buffering)
-        // so scripts can scrape the resolved address.
-        println!("serving on {addr}");
+        // Printed and flushed on stdout so scripts can scrape the
+        // resolved address. A server whose stdout is closed cannot tell
+        // anyone where it listens, and the callback cannot end the
+        // serve loop, so the run ends here: the socket file goes, and a
+        // broken pipe exits 0 as it does for every other subcommand.
+        let mut out = io::stdout();
+        if let Err(e) = writeln!(out, "serving on {addr}").and_then(|()| out.flush()) {
+            if let cct::serve::Endpoint::Unix(path) = &endpoint {
+                let _ = std::fs::remove_file(path);
+            }
+            if e.kind() == io::ErrorKind::BrokenPipe {
+                std::process::exit(0);
+            }
+            eprintln!("error: {e}");
+            std::process::exit(1);
+        }
     })
     .map_err(|e| e.to_string())
 }

@@ -446,6 +446,51 @@ fn a_closed_stdout_ends_the_run_quietly() {
     }
 }
 
+#[cfg(unix)]
+#[test]
+fn a_closed_stdout_ends_serve_quietly() {
+    // `cct serve … | head -0`: the `serving on` line meets a closed
+    // pipe. The server must exit 0 without a panic and remove its socket
+    // file. The pipe's only reader (`true`) has exited before the server
+    // starts, so its first write fails whatever the scheduling. A server
+    // that kept running would wait for its one counted connection, so a
+    // deadline kills it and fails the test.
+    let socket =
+        std::env::temp_dir().join(format!("cct-cli-smoke-closed-{}.sock", std::process::id()));
+    let _ = std::fs::remove_file(&socket);
+    let mut reader = Command::new("true")
+        .stdin(Stdio::piped())
+        .spawn()
+        .expect("failed to spawn true");
+    let closed_pipe = reader.stdin.take().expect("piped stdin");
+    reader.wait().expect("true did not finish");
+    let mut child = Command::new(env!("CARGO_BIN_EXE_cct"))
+        .args(["serve", "--listen"])
+        .arg(format!("unix:{}", socket.display()))
+        .args(["--accept-limit", "1"])
+        .stdout(closed_pipe)
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("failed to spawn cct binary");
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
+    while child.try_wait().expect("cct wait failed").is_none() {
+        if std::time::Instant::now() > deadline {
+            let _ = child.kill();
+            let _ = child.wait();
+            let _ = std::fs::remove_file(&socket);
+            panic!("cct serve kept running after its stdout closed");
+        }
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    }
+    let out = child.wait_with_output().expect("cct did not finish");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let left_behind = socket.exists();
+    let _ = std::fs::remove_file(&socket);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(!left_behind, "socket file {socket:?} left behind");
+}
+
 #[test]
 fn a_one_vertex_mst_weighs_zero() {
     // An empty f64 sum is -0.0; the MST weight is summed from +0.0.
