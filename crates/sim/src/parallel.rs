@@ -14,7 +14,7 @@
 //!   `inbox → outbox`.
 //! * [`ParallelClique`] — a driver that shards the machines of a
 //!   [`Clique`] across a `std::thread::scope` worker pool (at most
-//!   `workers` shards of at least 16 machines each), runs every
+//!   `workers` shards of at least 128 machines each), runs every
 //!   machine's local step concurrently, and then performs the exchange
 //!   **single-threaded** through [`Clique::route`] — so every
 //!   [`crate::RoundLedger`] charge is byte-for-byte what the sequential
@@ -317,11 +317,13 @@ where
     out
 }
 
-/// The fewest work items a shard takes. A scoped thread costs tens of
-/// µs to spawn, about what a machine's local step or a midpoint pair
-/// costs at the sizes the sampler runs, so a section of fewer than
-/// twice this many items runs on the caller's thread.
-const MIN_ITEMS_PER_SHARD: usize = 16;
+/// The fewest work items a shard takes, so a section of fewer than
+/// twice this many items runs on the caller's thread. Measured in
+/// release on a 2-vCPU x86-64 VM: a scoped thread costs 12–23 µs to
+/// spawn and join, and the cheapest items these sections run (a
+/// midpoint pair's weights and draws, a Borůvka machine step) about
+/// 0.2 µs each, so a shard of 128 carries about one spawn's cost.
+const MIN_ITEMS_PER_SHARD: usize = 128;
 
 /// The one shard-count policy: at least 1, at most `workers`, and at
 /// least [`MIN_ITEMS_PER_SHARD`] items per shard, so a section of a
@@ -418,17 +420,28 @@ mod tests {
     }
 
     #[test]
-    fn tiny_sections_run_on_the_callers_thread() {
+    fn small_sections_run_on_the_callers_thread() {
         let caller = std::thread::current().id();
-        for n in [0usize, 1, 4, 31] {
+        for n in [0usize, 1, 4, 2 * MIN_ITEMS_PER_SHARD - 1] {
             let ids = par_map(n, 8, |_| std::thread::current().id());
             assert!(ids.iter().all(|&id| id == caller), "n = {n}");
         }
-        // 64 items make four shards of 16, each on a spawned thread.
-        let ids = par_map(64, 8, |_| std::thread::current().id());
+        // Four minimum shards' worth of items make four shards at eight
+        // workers, each on a spawned thread.
+        let ids = par_map(4 * MIN_ITEMS_PER_SHARD, 8, |_| std::thread::current().id());
         let distinct: std::collections::HashSet<_> = ids.into_iter().collect();
         assert_eq!(distinct.len(), 4);
         assert!(!distinct.contains(&caller));
+    }
+
+    #[test]
+    fn sharded_par_map_matches_sequential() {
+        for n in [2 * MIN_ITEMS_PER_SHARD, 300, 1000, 1031] {
+            let seq: Vec<usize> = (0..n).map(|i| i * 3 + 1).collect();
+            for workers in [2usize, 3, 8] {
+                assert_eq!(par_map(n, workers, |i| i * 3 + 1), seq, "n={n} w={workers}");
+            }
+        }
     }
 
     /// Every machine floods every other machine with its id.

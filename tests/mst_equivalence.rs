@@ -122,6 +122,38 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// `mst_is_worker_invariant` runs on graphs of 4 to 13 vertices,
+    /// fewer machines than two shards take, so every worker count runs
+    /// Borůvka's machine steps on the caller's thread. Random 4-regular
+    /// graphs of 256 to 600 vertices split them into two to four shards
+    /// on spawned threads at workers 4 and 8.
+    #[test]
+    fn mst_is_worker_invariant_when_machines_shard(
+        n in 256usize..=600,
+        topo_seed in 0u64..1_000,
+        weight_seed in 0u64..1_000,
+    ) {
+        let topology = generators::random_regular(n, 4, &mut rng(topo_seed));
+        let g = with_tied_weights(&topology, weight_seed);
+        let reference = MstEngine::new()
+            .workers(Workers::Fixed(1))
+            .run(&g)
+            .expect("connected input");
+        for workers in [4usize, 8] {
+            let report = MstEngine::new()
+                .workers(Workers::Fixed(workers))
+                .run(&g)
+                .expect("connected input");
+            prop_assert_eq!(&report.tree, &reference.tree, "workers = {}", workers);
+            prop_assert_eq!(&report.rounds, &reference.rounds, "workers = {}", workers);
+            prop_assert_eq!(report.phases, reference.phases, "workers = {}", workers);
+        }
+    }
+}
+
 /// Weighted `-w` spec families feed the same contract: the MST of
 /// `er-w`/`grid-w` spec graphs matches Kruskal, and the weight-1
 /// degenerate case (unweighted spec) reduces to a minimum-edge-count

@@ -253,3 +253,53 @@ proptest! {
         prop_assert_eq!(mst(), mst(), "mst-strawman not seed-deterministic");
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    /// The sweeps above use graphs of 4 to 10 vertices, whose parallel
+    /// sections all hold fewer than two shards' worth of items, so every
+    /// worker count runs them on the caller's thread. Here a random
+    /// 4-regular graph on 160 vertices, ρ = n/2 and a 2^12-step walk make
+    /// the top-down levels fan out over hundreds of midpoint pairs (at
+    /// least 256, two shards' worth, in 79 of 80 measured draws), which
+    /// workers 4 and 8 split into shards on spawned threads. Both
+    /// samplers must still return the sequential tree and ledger.
+    #[test]
+    fn phase_samplers_are_worker_invariant_when_fan_outs_shard(
+        graph_seed in any::<u64>(),
+        sample_seed in any::<u64>(),
+    ) {
+        let n = 160;
+        let g = generators::random_regular(n, 4, &mut rng(graph_seed));
+        for exact in [false, true] {
+            let run = |workers: usize| {
+                let base = if exact {
+                    SamplerConfig::exact_variant()
+                } else {
+                    SamplerConfig::new()
+                };
+                let config = base
+                    .walk_length(WalkLength::Fixed(1 << 12))
+                    .rho(n / 2)
+                    .variant(Variant::LasVegas)
+                    .workers(Workers::Fixed(workers));
+                CliqueTreeSampler::new(config)
+                    .sample(&g, &mut rng(sample_seed))
+                    .expect("connected input")
+            };
+            let reference = run(1);
+            for workers in [4usize, 8] {
+                let got = run(workers);
+                prop_assert_eq!(
+                    &got.tree, &reference.tree,
+                    "tree mismatch: exact={} workers={}", exact, workers
+                );
+                prop_assert_eq!(
+                    &got.rounds, &reference.rounds,
+                    "ledger mismatch: exact={} workers={}", exact, workers
+                );
+            }
+        }
+    }
+}
