@@ -1,5 +1,6 @@
 //! The experiment harness: regenerates the table/series of every
-//! experiment in `cct_bench::experiments` (E1–E22, aux).
+//! experiment in `cct_bench::experiments` (E1, E3–E7, E9–E12, E14,
+//! E17–E22, aux).
 //!
 //! ```sh
 //! cargo run -p cct-bench --release --bin harness -- all [--quick]
@@ -9,16 +10,19 @@
 //! ```
 
 use cct_bench::experiments as ex;
-use cct_bench::{gate, json::Json};
+use cct_bench::gate;
+use cct_json::Json;
 
 const HELP: &str = "\
-harness — regenerate the experiment tables (E1–E22, aux)
+harness — regenerate the experiment tables (E1, E3–E7, E9–E12, E14,
+E17–E22, aux)
 
 USAGE:
     harness [EXPERIMENT...] [OPTIONS]
 
 ARGUMENTS:
-    EXPERIMENT    experiments to run: e1 … e22, aux, or all (default all)
+    EXPERIMENT    experiments to run: e1, e3–e7, e9–e12, e14, e17–e22,
+                  aux, or all (default all)
 
 OPTIONS:
     --quick           reduced-size sweep for fast iteration
@@ -26,8 +30,6 @@ OPTIONS:
                       file is re-parsed after writing; malformed output
                       is a hard error). e18, e19, e20, e21 and e22 emit
                       JSON; select exactly one of them with this flag
-                      ('all' keeps the legacy behavior of writing e18's
-                      report).
     --baseline PATH   gate the fresh report against a committed
                       BENCH_*.json baseline: exit non-zero when a gated
                       metric moved past its bound on any row both
@@ -54,20 +56,17 @@ fn run() -> i32 {
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--quick" => quick = true,
-            "--json" => match it.next() {
-                Some(p) => json_path = Some(p),
-                None => {
-                    eprintln!("error: --json needs a path (see --help)");
+            "--json" | "--baseline" => {
+                let Some(path) = it.next().filter(|p| !p.starts_with("--")) else {
+                    eprintln!("error: {arg} needs a path (see --help)");
                     return 2;
+                };
+                if arg == "--json" {
+                    json_path = Some(path);
+                } else {
+                    baseline_path = Some(path);
                 }
-            },
-            "--baseline" => match it.next() {
-                Some(p) => baseline_path = Some(p),
-                None => {
-                    eprintln!("error: --baseline needs a path (see --help)");
-                    return 2;
-                }
-            },
+            }
             other if other.starts_with("--") => {
                 eprintln!("error: unknown option '{other}' (see --help)");
                 return 2;
@@ -80,21 +79,16 @@ fn run() -> i32 {
     type Experiment = (&'static str, fn(bool));
     let experiments: Vec<Experiment> = vec![
         ("e1", ex::e1),
-        ("e2", ex::e2),
         ("e3", ex::e3),
         ("e4", ex::e4),
         ("e5", ex::e5),
         ("e6", ex::e6),
         ("e7", ex::e7),
-        ("e8", ex::e8),
         ("e9", ex::e9),
         ("e10", ex::e10),
         ("e11", ex::e11),
         ("e12", ex::e12),
-        ("e13", ex::e13),
         ("e14", ex::e14),
-        ("e15", ex::e15),
-        ("e16", ex::e16),
         ("e17", ex::e17),
         ("aux", ex::failure_probe),
     ];
@@ -117,32 +111,12 @@ fn run() -> i32 {
         eprintln!("error: unknown experiment '{bad}' (see --help)");
         return 2;
     }
-    let runs_json = |name: &str| run_all || selected.iter().any(|s| s == name);
-    let json_selected: Vec<&str> = json_runners
-        .iter()
-        .map(|(n, _)| *n)
-        .filter(|n| runs_json(n))
-        .collect();
+    let runs = |name: &str| run_all || selected.iter().any(|s| s == name);
     let flags = json_path.is_some() || baseline_path.is_some();
-    if flags && json_selected.is_empty() {
-        eprintln!("error: --json/--baseline require one of e18–e22 to be selected (see --help)");
+    if flags && json_runners.iter().filter(|(n, _)| runs(n)).count() != 1 {
+        eprintln!("error: --json/--baseline need exactly one of e18–e22 selected (see --help)");
         return 2;
     }
-    // Which report the flags apply to: an explicit lone selection wins;
-    // 'all' keeps the legacy behavior (e18's report).
-    let json_experiment = if run_all {
-        "e18"
-    } else if json_selected.len() == 1 {
-        json_selected[0]
-    } else {
-        if flags {
-            eprintln!(
-                "error: select only one of e18/e19/e20/e21/e22 with --json/--baseline (see --help)"
-            );
-            return 2;
-        }
-        "e18"
-    };
 
     println!(
         "cct experiment harness — {} mode",
@@ -150,25 +124,26 @@ fn run() -> i32 {
     );
     let started = std::time::Instant::now();
     for (name, f) in &experiments {
-        if run_all || selected.iter().any(|s| s == name) {
+        if runs(name) {
             let t = std::time::Instant::now();
             f(quick);
             println!("[{name} done in {:.1?}]", t.elapsed());
         }
     }
-    let mut gated_report: Option<Json> = None;
+    // With --json/--baseline exactly one of these runs (checked above).
+    let mut gated_report: Option<(&str, Json)> = None;
     for &(name, runner) in &json_runners {
-        if !runs_json(name) {
+        if !runs(name) {
             continue;
         }
         let t = std::time::Instant::now();
         let report = runner(quick);
         println!("[{name} done in {:.1?}]", t.elapsed());
-        if name == json_experiment {
-            gated_report = Some(report);
+        if flags {
+            gated_report = Some((name, report));
         }
     }
-    if let Some(report) = gated_report {
+    if let Some((name, report)) = gated_report {
         if let Some(path) = &json_path {
             let text = report.pretty();
             if let Err(e) = std::fs::write(path, &text) {
@@ -188,7 +163,7 @@ fn run() -> i32 {
                 eprintln!("error: {path} is malformed JSON: {e}");
                 return 1;
             }
-            println!("{json_experiment} report written to {path}");
+            println!("{name} report written to {path}");
         }
         if let Some(path) = &baseline_path {
             if !gate::run_baseline_gate(&report, path) {

@@ -33,7 +33,8 @@
 //! server's `overloaded` backpressure frame are re-sent after a short
 //! backoff and counted, never dropped.
 
-use cct_bench::{gate, json::Json};
+use cct_bench::gate;
+use cct_json::Json;
 use cct_serve::{Algorithm, Client, ControlCommand, Endpoint, SampleRequest};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};

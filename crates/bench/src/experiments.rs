@@ -1,13 +1,14 @@
-//! The experiment suite: one function per experiment (E1–E22, aux). Each
-//! function's doc comment names the paper claim it checks, and each
-//! prints the table/series that claim corresponds to.
+//! The experiment suite: one function per experiment (E1, E3–E7, E9–E12,
+//! E14, E17–E22, aux). Each function's doc comment names the paper claim
+//! it checks, and each prints the table/series that claim corresponds to.
 
-use crate::util::{banner, loglog_slope, parallel_map};
+use crate::util::{banner, loglog_slope};
 use cct_core::{
     CliqueTreeSampler, EngineChoice, Placement, Precision, SampleReport, SamplerConfig, WalkLength,
 };
 use cct_doubling::{doubling_walks, lemma10_bound, sample_tree_via_doubling, Balancing};
-use cct_graph::{generators, spanning_tree_distribution, Graph, SpanningTree};
+use cct_graph::{generators, Graph, SpanningTree};
+use cct_json::Json;
 use cct_linalg::{powers_of_two, powers_rounded, subtractive_error, FixedPoint};
 use cct_matching::{ExactPermanentSampler, MatchingInstance, SwapChainSampler};
 use cct_schur::{schur_transition_exact, shortcut_exact, VertexSubset};
@@ -46,30 +47,28 @@ pub fn e1(quick: bool) {
         "{:>5} {:>6} {:>7} {:>9} {:>9} {:>9} {:>9} {:>12}",
         "n", "m", "phases", "rounds", "matmul", "search", "other", "r/n^0.657"
     );
-    let rows = parallel_map(ns.clone(), 4, |n| {
+    let mut pts_total = Vec::new();
+    let mut pts_phases = Vec::new();
+    let mut pts_matmul = Vec::new();
+    for n in ns {
         let g = er_graph(n, 500 + n as u64);
         let config = SamplerConfig::new()
             .engine(EngineChoice::FastOracle { alpha: ALPHA })
             .threads(1);
         let report = run_once(&g, config, 600 + n as u64);
-        (n, g.m(), report)
-    });
-    let mut pts_total = Vec::new();
-    let mut pts_phases = Vec::new();
-    let mut pts_matmul = Vec::new();
-    for (n, m, report) in &rows {
         let total = report.total_rounds();
         let matmul = report.rounds.rounds(CostCategory::MatMul);
         let search = report.rounds.rounds(CostCategory::BinarySearch);
         let other = total - matmul - search;
-        let ratio = total as f64 / (*n as f64).powf(0.5 + ALPHA);
+        let ratio = total as f64 / (n as f64).powf(0.5 + ALPHA);
         println!(
-            "{n:>5} {m:>6} {:>7} {total:>9} {matmul:>9} {search:>9} {other:>9} {ratio:>12.1}",
+            "{n:>5} {:>6} {:>7} {total:>9} {matmul:>9} {search:>9} {other:>9} {ratio:>12.1}",
+            g.m(),
             report.num_phases()
         );
-        pts_total.push((*n as f64, total as f64));
-        pts_phases.push((*n as f64, report.num_phases() as f64));
-        pts_matmul.push((*n as f64, matmul as f64));
+        pts_total.push((n as f64, total as f64));
+        pts_phases.push((n as f64, report.num_phases() as f64));
+        pts_matmul.push((n as f64, matmul as f64));
     }
     println!(
         "\nfitted exponents (claim: total = 0.5 + α = {:.3} up to polylog):",
@@ -99,54 +98,7 @@ pub fn e1(quick: bool) {
     );
 }
 
-/// E2 — Theorem 1: the sampled distribution is (close to) uniform.
-pub fn e2(quick: bool) {
-    banner(
-        "E2",
-        "Theorem 1 — TVD to the uniform spanning-tree distribution",
-    );
-    let trials = if quick { 6_000 } else { 20_000 };
-    let suite: Vec<(&str, Graph)> = vec![
-        ("K4", generators::complete(4)),
-        ("K5", generators::complete(5)),
-        (
-            "C5+chord",
-            Graph::from_edges(5, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2)]).unwrap(),
-        ),
-        ("K_{2,3}", generators::complete_bipartite(2, 3)),
-        ("grid 2x3", generators::grid(2, 3)),
-    ];
-    println!(
-        "{:<10} {:>6} {:>8} {:>10} {:>10} {:>9} {:>8}",
-        "graph", "trees", "trials", "chi^2", "critical", "emp. TV", "verdict"
-    );
-    let rows = parallel_map(suite, 4, |(name, g)| {
-        let exact = spanning_tree_distribution(&g);
-        let config = SamplerConfig::new()
-            .walk_length(WalkLength::ScaledCubic { factor: 4.0 })
-            .engine(EngineChoice::UnitCost);
-        let sampler = CliqueTreeSampler::new(config);
-        let mut r = rng(700 + g.n() as u64 + g.m() as u64);
-        let mut counts: HashMap<SpanningTree, usize> = HashMap::new();
-        for _ in 0..trials {
-            let rep = sampler.sample(&g, &mut r).expect("sample");
-            *counts.entry(rep.tree).or_insert(0) += 1;
-        }
-        let (stat, crit) = stats::goodness_of_fit(&counts, &exact, trials);
-        let tv = stats::empirical_tv(&counts, &exact, trials);
-        (name, exact.len(), stat, crit, tv)
-    });
-    for (name, trees, stat, crit, tv) in rows {
-        println!(
-            "{name:<10} {trees:>6} {trials:>8} {stat:>10.2} {crit:>10.2} {tv:>9.4} {:>8}",
-            if stat < crit { "PASS" } else { "FAIL" }
-        );
-    }
-    println!("\n(TV here is sampling noise ~ √(trees/trials); the sampler's intrinsic TVD is ≤ ε)");
-}
-
-/// E3 — Appendix §5: the exact variant runs in `Õ(n^{2/3+α})` rounds and
-/// stays uniform.
+/// E3 — Appendix §5: the exact variant runs in `Õ(n^{2/3+α})` rounds.
 pub fn e3(quick: bool) {
     banner(
         "E3",
@@ -161,43 +113,25 @@ pub fn e3(quick: bool) {
         "{:>5} {:>7} {:>9} {:>12}",
         "n", "phases", "rounds", "r/n^0.824"
     );
-    let rows = parallel_map(ns.clone(), 4, |n| {
+    let mut pts = Vec::new();
+    for n in ns {
         let g = er_graph(n, 800 + n as u64);
         let config = SamplerConfig::exact_variant()
             .engine(EngineChoice::FastOracle { alpha: ALPHA })
             .threads(1);
-        (n, run_once(&g, config, 900 + n as u64))
-    });
-    let mut pts = Vec::new();
-    for (n, report) in &rows {
+        let report = run_once(&g, config, 900 + n as u64);
         let total = report.total_rounds();
         println!(
             "{n:>5} {:>7} {total:>9} {:>12.1}",
             report.num_phases(),
-            total as f64 / (*n as f64).powf(2.0 / 3.0 + ALPHA)
+            total as f64 / (n as f64).powf(2.0 / 3.0 + ALPHA)
         );
-        pts.push((*n as f64, total as f64));
+        pts.push((n as f64, total as f64));
     }
     println!(
         "\nfitted exponent: {:.3}  (claim: 2/3 + α = {:.3} up to polylog factors)",
         loglog_slope(&pts),
         2.0 / 3.0 + ALPHA
-    );
-    // Uniformity of the exact variant.
-    let trials = if quick { 6_000 } else { 20_000 };
-    let g = generators::complete(5);
-    let exact = spanning_tree_distribution(&g);
-    let config = SamplerConfig::exact_variant()
-        .walk_length(WalkLength::ScaledCubic { factor: 4.0 })
-        .engine(EngineChoice::UnitCost);
-    let sampler = CliqueTreeSampler::new(config);
-    let mut r = rng(901);
-    let counts =
-        stats::empirical_counts((0..trials).map(|_| sampler.sample(&g, &mut r).unwrap().tree));
-    let (stat, crit) = stats::goodness_of_fit(&counts, &exact, trials);
-    println!(
-        "uniformity on K5: chi² = {stat:.2} (critical {crit:.2}) over {trials} trials → {}",
-        if stat < crit { "PASS" } else { "FAIL" }
     );
 }
 
@@ -356,47 +290,6 @@ pub fn e7(_quick: bool) {
         report.tree.edges().len(),
         report.total_rounds()
     );
-}
-
-/// E8 — Lemmas 3–4: matching placement ≡ oracle placement ≡ per-pair
-/// shuffle, distributionally.
-pub fn e8(quick: bool) {
-    banner(
-        "E8",
-        "Lemmas 3–4 — midpoint placement strategies give identical tree laws",
-    );
-    let trials = if quick { 6_000 } else { 20_000 };
-    let g = generators::complete(5);
-    let exact = spanning_tree_distribution(&g);
-    println!(
-        "{:<18} {:>8} {:>10} {:>10} {:>9} {:>8}",
-        "placement", "trials", "chi^2", "critical", "emp. TV", "verdict"
-    );
-    let placements = vec![
-        ("matching", Placement::Matching),
-        ("per-pair-shuffle", Placement::PerPairShuffle),
-        ("oracle", Placement::Oracle),
-    ];
-    let rows = parallel_map(placements, 3, |(name, placement)| {
-        let config = SamplerConfig::new()
-            .rho(4)
-            .walk_length(WalkLength::ScaledCubic { factor: 4.0 })
-            .engine(EngineChoice::UnitCost)
-            .placement(placement);
-        let sampler = CliqueTreeSampler::new(config);
-        let mut r = rng(1600);
-        let counts =
-            stats::empirical_counts((0..trials).map(|_| sampler.sample(&g, &mut r).unwrap().tree));
-        let (stat, crit) = stats::goodness_of_fit(&counts, &exact, trials);
-        let tv = stats::empirical_tv(&counts, &exact, trials);
-        (name, stat, crit, tv)
-    });
-    for (name, stat, crit, tv) in rows {
-        println!(
-            "{name:<18} {trials:>8} {stat:>10.2} {crit:>10.2} {tv:>9.4} {:>8}",
-            if stat < crit { "PASS" } else { "FAIL" }
-        );
-    }
 }
 
 /// E9 — §1.8: the swap-chain matching sampler converges to the exact law.
@@ -605,43 +498,6 @@ pub fn e12(_quick: bool) {
     );
 }
 
-/// E13 — footnote 1: bounded positive integer weights.
-pub fn e13(quick: bool) {
-    banner(
-        "E13",
-        "Footnote 1 — integer edge weights ≤ W: P(T) ∝ Π_{e∈T} w(e)",
-    );
-    let trials = if quick { 6_000 } else { 20_000 };
-    let mut r = rng(2100);
-    let g = generators::with_random_integer_weights(&generators::complete(4), 8, &mut r).unwrap();
-    let exact = spanning_tree_distribution(&g);
-    let config = SamplerConfig::new()
-        .walk_length(WalkLength::ScaledCubic { factor: 8.0 })
-        .engine(EngineChoice::UnitCost);
-    let sampler = CliqueTreeSampler::new(config);
-    let counts =
-        stats::empirical_counts((0..trials).map(|_| sampler.sample(&g, &mut r).unwrap().tree));
-    let (stat, crit) = stats::goodness_of_fit(&counts, &exact, trials);
-    let tv = stats::empirical_tv(&counts, &exact, trials);
-    println!(
-        "weighted K4 (weights ≤ 8), {} trees, {trials} trials:",
-        exact.len()
-    );
-    println!(
-        "chi² = {stat:.2} (critical {crit:.2}), emp. TV = {tv:.4} → {}",
-        if stat < crit { "PASS" } else { "FAIL" }
-    );
-    // The weight-skew must be visible: heaviest tree ≫ lightest.
-    let mut probs: Vec<f64> = exact.iter().map(|(_, p)| *p).collect();
-    probs.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    println!(
-        "tree-probability spread: min {:.4}, max {:.4} ({}× — decidedly non-uniform target)",
-        probs[0],
-        probs[probs.len() - 1],
-        (probs[probs.len() - 1] / probs[0]).round()
-    );
-}
-
 /// E14 — §1.4 Direction 4: the conceptually simpler prototype the paper
 /// sketches (one doubling walk per phase on the Schur complement).
 pub fn e14(quick: bool) {
@@ -678,114 +534,9 @@ pub fn e14(quick: bool) {
             thm1.total_rounds()
         );
     }
-    // Uniformity of the prototype.
-    let trials = if quick { 6_000 } else { 15_000 };
-    let g = generators::complete(4);
-    let exact = spanning_tree_distribution(&g);
-    let mut r = rng(2501);
-    let counts = stats::empirical_counts(
-        (0..trials).map(|_| cct_core::direction4_sample(&g, 1.0, &mut r).unwrap().tree),
-    );
-    let (stat, crit) = stats::goodness_of_fit(&counts, &exact, trials);
-    println!(
-        "\nuniformity on K4: chi² = {stat:.2} (critical {crit:.2}) → {}",
-        if stat < crit { "PASS" } else { "FAIL" }
-    );
-    println!("(per-phase harvest ≫ n^(1/3) on these well-mixing inputs — Barnes–Feige is a worst-case floor;");
+    println!("\n(per-phase harvest ≫ n^(1/3) on these well-mixing inputs — Barnes–Feige is a worst-case floor;");
     println!(
         " the prototype is simpler but pays the Schur-construction matmuls per phase all the same)"
-    );
-}
-
-/// E15 — §1.4's strawman: random-weight MST is *not* uniform (negative
-/// control for the whole statistical methodology).
-pub fn e15(quick: bool) {
-    banner(
-        "E15",
-        "§1.4 strawman — random-weight MST is biased; the chi-square gate catches it",
-    );
-    let g = Graph::from_edges(4, &[(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)]).unwrap();
-    let uniform = spanning_tree_distribution(&g);
-    let mst_law = cct_walks::random_mst_distribution(&g);
-    let map: HashMap<_, _> = mst_law.into_iter().collect();
-    println!(
-        "diamond graph (C4 + chord), {} spanning trees:",
-        uniform.len()
-    );
-    println!("{:<26} {:>10} {:>12}", "tree", "uniform", "random-MST");
-    let mut tv = 0.0;
-    for (t, pu) in &uniform {
-        let pm = map[t];
-        tv += (pu - pm).abs();
-        let edges: Vec<String> = t.edges().iter().map(|(u, v)| format!("{u}{v}")).collect();
-        println!("{:<26} {pu:>10.4} {pm:>12.4}", edges.join("-"));
-    }
-    println!(
-        "exact TV distance: {:.4} (≫ 0 — the strawman is provably biased)",
-        tv / 2.0
-    );
-    let trials = if quick { 12_000 } else { 40_000 };
-    let mut r = rng(2600);
-    let counts = stats::empirical_counts(
-        (0..trials).map(|_| cct_walks::random_weight_mst(&g, &mut r).unwrap()),
-    );
-    let (stat, crit) = stats::goodness_of_fit(&counts, &uniform, trials);
-    println!(
-        "chi² vs uniform over {trials} samples: {stat:.1} (critical {crit:.1}) → {}",
-        if stat > crit {
-            "REJECTED (as it must be)"
-        } else {
-            "NOT DETECTED (trials too low)"
-        }
-    );
-}
-
-/// E16 — Kirchhoff marginals: P[e ∈ T] = w(e)·R_eff(e), checked for the
-/// distributed sampler on a graph too large to enumerate.
-pub fn e16(quick: bool) {
-    banner(
-        "E16",
-        "Kirchhoff — sampler edge marginals equal w(e)·R_eff(e) (validation beyond enumeration)",
-    );
-    let g = generators::lollipop(6, 4);
-    let marginals = cct_graph::spanning_tree_edge_marginals(&g);
-    let trials = if quick { 2_000 } else { 6_000 };
-    let config = SamplerConfig::new()
-        .walk_length(WalkLength::ScaledCubic { factor: 4.0 })
-        .engine(EngineChoice::UnitCost);
-    let sampler = CliqueTreeSampler::new(config);
-    let mut r = rng(2700);
-    let mut counts = vec![0usize; marginals.len()];
-    for _ in 0..trials {
-        let tree = sampler.sample(&g, &mut r).unwrap().tree;
-        for (i, &(u, v, _)) in marginals.iter().enumerate() {
-            if tree.contains_edge(u, v) {
-                counts[i] += 1;
-            }
-        }
-    }
-    println!("lollipop(6,4), {trials} samples:");
-    println!(
-        "{:>8} {:>12} {:>12} {:>8}",
-        "edge", "w·R_eff", "empirical", "|Δ|/σ"
-    );
-    let mut worst = 0.0f64;
-    for (i, &(u, v, p)) in marginals.iter().enumerate() {
-        let emp = counts[i] as f64 / trials as f64;
-        let sigma = (p.clamp(1e-9, 1.0) * (1.0 - p).max(1e-9) / trials as f64)
-            .sqrt()
-            .max(1e-9);
-        let z = (emp - p).abs() / sigma;
-        worst = worst.max(z);
-        println!("{:>8} {p:>12.4} {emp:>12.4} {z:>8.2}", format!("({u},{v})"));
-    }
-    println!(
-        "worst |Δ|/σ = {worst:.2} → {}",
-        if worst < 5.0 {
-            "PASS (within 5σ)"
-        } else {
-            "FAIL"
-        }
     );
 }
 
@@ -848,8 +599,7 @@ pub fn e17(quick: bool) {
 /// throughput vs cold sampling. Returns the machine-readable report the
 /// harness can write as `BENCH_e18.json` and gate against a committed
 /// baseline (`--json` / `--baseline`).
-pub fn e18(quick: bool) -> crate::json::Json {
-    use crate::json::Json;
+pub fn e18(quick: bool) -> Json {
     use cct_linalg::Repr;
     use cct_schur::{shortcut_by_squaring, shortcut_by_squaring_dense};
     banner(
@@ -991,8 +741,7 @@ pub fn e18(quick: bool) -> crate::json::Json {
 /// `BENCH_e19.json` and gates against the committed baseline (the gated
 /// metrics — the sparse/dense bytes ratio and wall-clock ratio — are
 /// ratios, so the gate is machine-independent).
-pub fn e19(quick: bool) -> crate::json::Json {
-    use crate::json::Json;
+pub fn e19(quick: bool) -> Json {
     use cct_core::Backend;
     banner(
         "E19",
@@ -1143,8 +892,7 @@ pub fn e19(quick: bool) -> crate::json::Json {
 /// report the harness writes as `BENCH_e20.json`; the gated metrics
 /// (resident bytes and their scaling ratio) are deterministic byte
 /// counts, so the gate is machine-independent.
-pub fn e20(quick: bool) -> crate::json::Json {
-    use crate::json::Json;
+pub fn e20(quick: bool) -> Json {
     use cct_core::{Backend, Variant};
     banner(
         "E20",
@@ -1377,8 +1125,7 @@ pub fn e20(quick: bool) -> crate::json::Json {
 /// sequential Kruskal and re-runs the MST at 4 workers, so a row can
 /// only reach the JSON if the distributed answer is right *and*
 /// worker-invariant.
-pub fn e21(quick: bool) -> crate::json::Json {
-    use crate::json::Json;
+pub fn e21(quick: bool) -> Json {
     use cct_core::MstEngine;
     banner(
         "E21",
@@ -1490,8 +1237,7 @@ pub fn e21(quick: bool) -> crate::json::Json {
 /// harness writes as `BENCH_e22.json`; the gated metrics are **same-run
 /// speedup ratios** (new/old measured on the same machine in the same
 /// process), so the gate is machine-independent.
-pub fn e22(quick: bool) -> crate::json::Json {
-    use crate::json::Json;
+pub fn e22(quick: bool) -> Json {
     use cct_linalg::{CsrMatrix, Matrix};
     banner(
         "E22",
@@ -1695,8 +1441,8 @@ pub fn e22(quick: bool) -> crate::json::Json {
     ])
 }
 
-/// Variant trio used by `harness all`: Monte Carlo failure-rate probe —
-/// complements E2 by measuring how often the ℓ-budget fails at small ℓ.
+/// AUX — Monte Carlo failure-rate probe: how often the ℓ-budget fails at
+/// small ℓ.
 pub fn failure_probe(quick: bool) {
     banner(
         "AUX",

@@ -9,7 +9,7 @@
 //! baseline) are skipped; a run that overlaps the baseline nowhere
 //! passes vacuously but reports so.
 
-use crate::json::Json;
+use cct_json::Json;
 use Bound::{Ceiling, CeilingFromOne, Floor, Margin, MarginOrFloor};
 
 /// A current value may be at most this factor worse than the baseline.

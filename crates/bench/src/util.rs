@@ -31,43 +31,6 @@ pub fn banner(id: &str, claim: &str) {
     println!("{}", "=".repeat(78));
 }
 
-/// Runs `f` over `items` on `threads` scoped worker threads, preserving
-/// input order in the output. Each item gets an independent seed, so
-/// parallelism never changes results.
-pub fn parallel_map<T, U, F>(items: Vec<T>, threads: usize, f: F) -> Vec<U>
-where
-    T: Send,
-    U: Send,
-    F: Fn(T) -> U + Sync,
-{
-    if threads <= 1 || items.len() <= 1 {
-        return items.into_iter().map(f).collect();
-    }
-    let mut slots: Vec<Option<U>> = items.iter().map(|_| None).collect();
-    let work: Vec<(usize, T)> = items.into_iter().enumerate().collect();
-    let queue = std::sync::Mutex::new(work);
-    let f = &f;
-    let slot_refs = std::sync::Mutex::new(&mut slots);
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let item = queue.lock().expect("queue lock").pop();
-                match item {
-                    Some((idx, t)) => {
-                        let u = f(t);
-                        slot_refs.lock().expect("slot lock")[idx] = Some(u);
-                    }
-                    None => break,
-                }
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|s| s.expect("all slots filled"))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -81,13 +44,5 @@ mod tests {
             })
             .collect();
         assert!((loglog_slope(&pts) - 1.7).abs() < 1e-9);
-    }
-
-    #[test]
-    fn parallel_map_preserves_order() {
-        let out = parallel_map((0..100).collect::<Vec<_>>(), 4, |x| x * x);
-        for (i, &v) in out.iter().enumerate() {
-            assert_eq!(v, i * i);
-        }
     }
 }

@@ -188,7 +188,8 @@ pub enum Placement {
     /// place it via a uniform within-pair permutation (error-free).
     PerPairShuffle,
     /// Infinite-bandwidth reference: use the midpoint sequences `Π_{p,q}`
-    /// directly. Exists to test Lemmas 3–4 (experiment E8); charges the
+    /// directly. Exists to test Lemmas 3–4 (the uniformity test
+    /// `matching_placement_equals_oracle_placement`); charges the
     /// bandwidth a real network could not afford.
     Oracle,
 }

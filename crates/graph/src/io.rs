@@ -228,16 +228,6 @@ fn parse_edges<R: BufRead>(reader: R) -> Result<EdgeList, EdgeListError> {
     Ok(EdgeList { n, edges })
 }
 
-/// Loads an edge-list file (see the module docs for the format).
-///
-/// # Errors
-///
-/// [`EdgeListError`] on I/O failure, malformed lines, invalid edges, or
-/// an edge-free file.
-pub fn read_edge_list(path: impl AsRef<Path>) -> Result<Graph, EdgeListError> {
-    read_edges(path)?.into_graph()
-}
-
 /// Loads an edge-list file without building the graph, so the caller
 /// can check [`EdgeList::n`] before [`EdgeList::into_graph`] allocates.
 ///
@@ -383,9 +373,9 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("cycle4.el");
         std::fs::write(&path, "0 1\n1 2\n2 3\n0 3\n").unwrap();
-        let g = read_edge_list(&path).unwrap();
+        let g = read_edges(&path).unwrap().into_graph().unwrap();
         assert_eq!((g.n(), g.m()), (4, 4));
-        assert!(read_edge_list(dir.join("missing.el")).is_err());
+        assert!(read_edges(dir.join("missing.el")).is_err());
         std::fs::remove_file(&path).ok();
     }
 }

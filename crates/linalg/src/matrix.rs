@@ -400,39 +400,6 @@ impl Matrix {
         out
     }
 
-    /// [`Matrix::matmul_parallel_into`] with the fixed (pre-stealing)
-    /// row sharding: the rows are split into `threads` equal chunks,
-    /// one scoped thread each. Retained for the `e22` bench's
-    /// stealing-vs-fixed comparison and the shard-equivalence tests;
-    /// production paths always take the work-stealing queue.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self.cols() != rhs.rows()` or `out` is not
-    /// `self.rows() × rhs.cols()`.
-    pub fn matmul_parallel_into_fixed(&self, rhs: &Matrix, out: &mut Matrix, threads: usize) {
-        assert_eq!(self.cols, rhs.rows, "inner dimension mismatch");
-        assert_eq!(out.shape(), (self.rows, rhs.cols), "output shape mismatch");
-        let (n, k, m) = (self.rows, self.cols, rhs.cols);
-        out.data.fill(0.0);
-        if threads <= 1 || n < 64 {
-            matmul_rows_into(&self.data, &rhs.data, &mut out.data, k, m, 0, n);
-            return;
-        }
-        let chunk = n.div_ceil(threads);
-        let a = &self.data;
-        let b = &rhs.data;
-        std::thread::scope(|scope| {
-            for (t, out_chunk) in out.data.chunks_mut(chunk * m).enumerate() {
-                let lo = t * chunk;
-                scope.spawn(move || {
-                    let hi = lo + out_chunk.len() / m;
-                    matmul_rows_into(a, b, out_chunk, k, m, lo, hi);
-                });
-            }
-        });
-    }
-
     /// Applies `f` to every entry in place.
     pub fn map_inplace(&mut self, mut f: impl FnMut(f64) -> f64) {
         for x in &mut self.data {
@@ -719,12 +686,9 @@ mod tests {
         let b = Matrix::from_fn(131, 131, |i, j| ((i * 5 + j * 11) % 7) as f64 / 7.0);
         let seq = a.matmul(&b);
         let mut stolen = Matrix::zeros(131, 131);
-        let mut fixed = Matrix::zeros(131, 131);
         for threads in [1usize, 2, 4, 8] {
             a.matmul_parallel_into(&b, &mut stolen, threads);
-            a.matmul_parallel_into_fixed(&b, &mut fixed, threads);
             assert_eq!(stolen, seq, "stealing, threads = {threads}");
-            assert_eq!(fixed, seq, "fixed, threads = {threads}");
         }
     }
 

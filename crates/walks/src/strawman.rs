@@ -65,8 +65,8 @@ pub fn kruskal_mst(g: &Graph) -> Result<SpanningTree, SampleError> {
 }
 
 /// The strawman sampler: i.i.d. uniform `\[0, 1\]` edge weights, then the
-/// MST. Fast — and *biased* (see [`random_mst_distribution`] and
-/// experiment E15).
+/// MST. Fast — and *biased* (see [`random_mst_distribution`] and the
+/// chi-square negative control `strawman_negative_control_via_facade`).
 ///
 /// # Errors
 ///
