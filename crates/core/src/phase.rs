@@ -792,37 +792,29 @@ fn place_midpoints<R: Rng + ?Sized>(
                 clique.ledger_mut().charge(CostCategory::Matching, 1);
                 return Ok(vec![final_value]);
             }
-            // Distinct values and multiplicities.
-            let mut value_ids: BTreeMap<usize, usize> = BTreeMap::new();
-            for &v in rest {
-                let next = value_ids.len();
-                value_ids.entry(v).or_insert(next);
-            }
-            let values: Vec<usize> = {
-                let mut v: Vec<(usize, usize)> =
-                    value_ids.iter().map(|(&k, &id)| (k, id)).collect();
-                v.sort_by_key(|&(_, id)| id);
-                v.into_iter().map(|(k, _)| k).collect()
-            };
-            let mut counts = vec![0usize; values.len()];
-            for &v in rest {
-                counts[value_ids[&v]] += 1;
-            }
-            // Groups in use (pairs with at least one non-final slot).
-            let mut group_ids: BTreeMap<usize, usize> = BTreeMap::new();
-            for &g in rest_pairs {
-                let next = group_ids.len();
-                group_ids.entry(g).or_insert(next);
-            }
-            let groups: Vec<usize> = {
-                let mut v: Vec<(usize, usize)> =
-                    group_ids.iter().map(|(&k, &id)| (k, id)).collect();
-                v.sort_by_key(|&(_, id)| id);
-                v.into_iter().map(|(k, _)| k).collect()
-            };
-            let mut group_sizes = vec![0usize; groups.len()];
-            for &g in rest_pairs {
-                group_sizes[group_ids[&g]] += 1;
+            // Value and group ids in first-occurrence order (the order
+            // the sampler walks slots and candidates in, so the stream
+            // depends on it), through arrays over vertex and pair ids.
+            const NONE: usize = usize::MAX;
+            let mut value_id = vec![NONE; th.rows()];
+            let mut values = Vec::new();
+            let mut counts = Vec::new();
+            let mut group_id = vec![NONE; pairs.len()];
+            let mut groups = Vec::new();
+            let mut group_sizes = Vec::new();
+            for (&v, &g) in rest.iter().zip(rest_pairs) {
+                if value_id[v] == NONE {
+                    value_id[v] = values.len();
+                    values.push(v);
+                    counts.push(0);
+                }
+                if group_id[g] == NONE {
+                    group_id[g] = groups.len();
+                    groups.push(g);
+                    group_sizes.push(0);
+                }
+                counts[value_id[v]] += 1;
+                group_sizes[group_id[g]] += 1;
             }
             let weights: Vec<Vec<f64>> = values
                 .iter()
@@ -844,8 +836,13 @@ fn place_midpoints<R: Rng + ?Sized>(
             // vertices (O(n) words → O(1) rounds; charged but not part
             // of the Π-compression comparison, experiment E12).
             let multiset_words = (values.len() * 2 + 1) as u64;
-            let svert: HashSet<usize> = grid.iter().chain(rest.iter()).copied().collect();
-            let submatrix_words = (svert.len() * svert.len()) as u64;
+            let mut in_submatrix = vec![false; th.rows()];
+            let svert = grid
+                .iter()
+                .chain(rest)
+                .filter(|&&v| !std::mem::replace(&mut in_submatrix[v], true))
+                .count();
+            let submatrix_words = (svert * svert) as u64;
             *placement_words += multiset_words;
             let words = multiset_words + submatrix_words;
             clique.ledger_mut().charge(
@@ -853,9 +850,10 @@ fn place_midpoints<R: Rng + ?Sized>(
                 Clique::rounds_for_load(n, words) + 2,
             );
             clique.ledger_mut().add_words(CostCategory::Matching, words);
-            // Sample the assignment: exact below the permanent limit,
-            // Metropolis swap chain (warm-started from the true
-            // arrangement) above it.
+            // Sample the assignment: exact below the permanent limit (one
+            // suffix-permanent table per instance, `O(V·Π(m_j+1))` and at
+            // most 2 MiB at `MAX_EXACT_SLOTS`), Metropolis swap chain
+            // (warm-started from the true arrangement) above it.
             let assignment = if inst.total_slots() <= MAX_EXACT_SLOTS {
                 ExactPermanentSampler
                     .sample(&inst, rng)
@@ -863,7 +861,7 @@ fn place_midpoints<R: Rng + ?Sized>(
             } else {
                 let mut hint_slots: Vec<Vec<usize>> = vec![Vec::new(); groups.len()];
                 for (&v, &g) in rest.iter().zip(rest_pairs) {
-                    hint_slots[group_ids[&g]].push(value_ids[&v]);
+                    hint_slots[group_id[g]].push(value_id[v]);
                 }
                 let hint = Assignment {
                     per_group: hint_slots,
@@ -882,7 +880,7 @@ fn place_midpoints<R: Rng + ?Sized>(
                     .collect(),
             };
             // Reassembly keys by *local* group ids.
-            let local_pairs: Vec<usize> = rest_pairs.iter().map(|&g| group_ids[&g]).collect();
+            let local_pairs: Vec<usize> = rest_pairs.iter().map(|&g| group_id[g]).collect();
             Ok(reassemble(&local_pairs, shuffled, final_value))
         }
     }

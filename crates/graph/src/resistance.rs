@@ -69,7 +69,7 @@ pub fn spanning_tree_edge_marginals(g: &Graph) -> Vec<(usize, usize, f64)> {
 fn reduced_laplacian(g: &Graph) -> Lu {
     let l = g.laplacian();
     let keep: Vec<usize> = (1..g.n()).collect();
-    Lu::new(&l.submatrix(&keep, &keep)).expect("reduced Laplacian of a connected graph")
+    Lu::new(l.submatrix(&keep, &keep)).expect("reduced Laplacian of a connected graph")
 }
 
 /// `R(u,v) = (e_u − e_v)ᵀ L̃⁻¹ (e_u − e_v)` in the grounded coordinates

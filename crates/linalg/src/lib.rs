@@ -48,7 +48,7 @@ pub mod stochastic;
 pub use exact::{det_exact, ExactOverflowError};
 pub use lu::{det, inverse, Lu, SingularMatrixError};
 pub use matrix::Matrix;
-pub use permanent::{permanent, permanent_minor, permanent_naive, MAX_PERMANENT_DIM};
+pub use permanent::{permanent, permanent_naive, MAX_PERMANENT_DIM};
 pub use pmatrix::{PMatrix, Repr};
 pub use rounding::{powers_rounded, subtractive_error, FixedPoint, Rounding};
 pub use sparse::{CsrBuilder, CsrMatrix};

@@ -36,7 +36,7 @@ use crate::Matrix;
 /// use cct_linalg::{Lu, Matrix};
 ///
 /// let a = Matrix::from_rows(&[vec![0.0, 2.0], vec![3.0, 4.0]]);
-/// let lu = Lu::new(&a).expect("non-singular");
+/// let lu = Lu::new(a).expect("non-singular");
 /// assert!((lu.det() - (-6.0)).abs() < 1e-12);
 /// ```
 #[derive(Debug, Clone)]
@@ -62,7 +62,8 @@ impl std::fmt::Display for SingularMatrixError {
 impl std::error::Error for SingularMatrixError {}
 
 impl Lu {
-    /// Factorizes a square matrix.
+    /// Factorizes a square matrix in place: `a`'s buffer becomes the
+    /// combined factors, so no copy of it is made.
     ///
     /// # Errors
     ///
@@ -72,10 +73,10 @@ impl Lu {
     /// # Panics
     ///
     /// Panics if `a` is not square.
-    pub fn new(a: &Matrix) -> Result<Lu, SingularMatrixError> {
+    pub fn new(a: Matrix) -> Result<Lu, SingularMatrixError> {
         assert!(a.is_square(), "LU requires a square matrix");
         let n = a.rows();
-        let mut lu = a.clone();
+        let mut lu = a;
         let mut perm: Vec<usize> = (0..n).collect();
         let mut sign = 1.0;
         let data = lu.as_mut_slice();
@@ -283,7 +284,7 @@ impl Lu {
 /// assert_eq!(det(&a), 6.0);
 /// ```
 pub fn det(a: &Matrix) -> f64 {
-    match Lu::new(a) {
+    match Lu::new(a.clone()) {
         Ok(lu) => lu.det(),
         Err(SingularMatrixError) => 0.0,
     }
@@ -299,7 +300,7 @@ pub fn det(a: &Matrix) -> f64 {
 ///
 /// Panics if `a` is not square.
 pub fn inverse(a: &Matrix) -> Result<Matrix, SingularMatrixError> {
-    Ok(Lu::new(a)?.inverse())
+    Ok(Lu::new(a.clone())?.inverse())
 }
 
 #[cfg(test)]
@@ -334,7 +335,7 @@ mod tests {
                     (false, _) => x,
                 }
             });
-            let lu = Lu::new(&a).unwrap();
+            let lu = Lu::new(a).unwrap();
             for cols in [
                 (0..n).collect::<Vec<_>>(),
                 (0..n).rev().step_by(3).collect(),
@@ -373,7 +374,7 @@ mod tests {
         let b: Vec<f64> = (0..3)
             .map(|i| (0..3).map(|j| a[(i, j)] * x_true[j]).sum())
             .collect();
-        let x = Lu::new(&a).unwrap().solve(&b);
+        let x = Lu::new(a).unwrap().solve(&b);
         for (xi, ti) in x.iter().zip(&x_true) {
             assert!((xi - ti).abs() < 1e-10);
         }
@@ -403,7 +404,7 @@ mod tests {
     fn solve_needs_pivoting() {
         // Leading zero pivot exercises the row-swap path.
         let a = Matrix::from_rows(&[vec![0.0, 1.0], vec![2.0, 0.0]]);
-        let x = Lu::new(&a).unwrap().solve(&[3.0, 4.0]);
+        let x = Lu::new(a).unwrap().solve(&[3.0, 4.0]);
         assert!((x[0] - 2.0).abs() < 1e-12);
         assert!((x[1] - 3.0).abs() < 1e-12);
     }

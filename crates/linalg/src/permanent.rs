@@ -4,10 +4,11 @@
 //! The permanent of the biadjacency matrix of an edge-weighted complete
 //! bipartite graph equals the total weight of its perfect matchings. The
 //! paper invokes the Jerrum–Sinclair–Vigoda FPRAS \[46\]; this repository
-//! uses *exact* permanents (Ryser's formula, `O(2^k k)`) on the small
-//! instances where ground truth is needed, and an MCMC sampler elsewhere
-//! (see `cct-matching`). Both a naive expansion (for cross-checking) and
-//! Ryser's inclusion–exclusion with Gray-code updates are provided.
+//! samples small instances exactly and larger ones by MCMC (see
+//! `cct-matching`, whose exact sampler reads its permanents from one
+//! table of suffix permanents per instance). The two routes here are the
+//! references it is checked against: a naive expansion and Ryser's
+//! inclusion–exclusion with Gray-code updates (`O(2^k k)`).
 
 use crate::Matrix;
 
@@ -100,25 +101,6 @@ pub fn permanent(a: &Matrix) -> f64 {
     total
 }
 
-/// The permanent of the matrix with row `row` and column `col` deleted —
-/// the "reduced" permanent used by the JVV self-reduction when fixing an
-/// assignment.
-///
-/// # Panics
-///
-/// Panics if `a` is not square, empty, or indices are out of range.
-pub fn permanent_minor(a: &Matrix, row: usize, col: usize) -> f64 {
-    assert!(
-        a.is_square() && a.rows() > 0,
-        "need a non-empty square matrix"
-    );
-    let n = a.rows();
-    assert!(row < n && col < n, "minor indices out of range");
-    let rows: Vec<usize> = (0..n).filter(|&i| i != row).collect();
-    let cols: Vec<usize> = (0..n).filter(|&j| j != col).collect();
-    permanent(&a.submatrix(&rows, &cols))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -174,17 +156,6 @@ mod tests {
             a[(2, j)] = 0.0;
         }
         assert!(permanent(&a).abs() < 1e-9);
-    }
-
-    #[test]
-    fn minor_expansion_identity() {
-        // perm(A) = Σ_j a[0][j] · perm(A with row 0, col j removed).
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
-        let n = 6;
-        let a = Matrix::from_fn(n, n, |_, _| rng.gen::<f64>());
-        let total: f64 = (0..n).map(|j| a[(0, j)] * permanent_minor(&a, 0, j)).sum();
-        assert!((total - permanent(&a)).abs() < 1e-9);
     }
 
     #[test]

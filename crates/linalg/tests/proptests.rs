@@ -126,7 +126,7 @@ impl ScalarLu {
 /// singularity verdict, determinant, vector solve, multi-column solve
 /// and inverse.
 fn assert_lu_matches_scalar(a: &Matrix, rhs: &Matrix) {
-    let (fast, reference) = match (Lu::new(a), ScalarLu::new(a)) {
+    let (fast, reference) = match (Lu::new(a.clone()), ScalarLu::new(a)) {
         (Ok(fast), Some(reference)) => (fast, reference),
         (Err(_), None) => return,
         (fast, reference) => panic!(
@@ -230,7 +230,7 @@ proptest! {
         let n = a.rows();
         let dd = Matrix::from_fn(n, n, |i, j| a[(i, j)] + if i == j { n as f64 + 1.0 } else { 0.0 });
         let b: Vec<f64> = (0..n).map(|i| (i as f64) - 1.5).collect();
-        let x = Lu::new(&dd).unwrap().solve(&b);
+        let x = Lu::new(dd.clone()).unwrap().solve(&b);
         for i in 0..n {
             let recovered: f64 = (0..n).map(|j| dd[(i, j)] * x[j]).sum();
             prop_assert!((recovered - b[i]).abs() < 1e-8);
@@ -300,17 +300,6 @@ proptest! {
         let p = permanent(&a);
         let nv = permanent_naive(&a);
         prop_assert!((p - nv).abs() < 1e-8 * nv.abs().max(1.0));
-    }
-
-    #[test]
-    fn permanent_row_expansion(a in square_matrix(5)) {
-        let n = a.rows();
-        if n >= 2 {
-            let total: f64 = (0..n)
-                .map(|j| a[(0, j)] * cct_linalg::permanent_minor(&a, 0, j))
-                .sum();
-            prop_assert!((total - permanent(&a)).abs() < 1e-8 * permanent(&a).abs().max(1.0));
-        }
     }
 
     #[test]

@@ -8,8 +8,9 @@
 //! drawing a weighted perfect matching of a complete bipartite graph
 //! whose edge weights depend only on (midpoint value, start–end pair).
 //! [`MatchingInstance`] captures exactly that grouped structure;
-//! [`ExactPermanentSampler`] (Ryser + the JVV reduction \[47\]) draws
-//! perfect samples on small instances, and [`SwapChainSampler`] is the
+//! [`ExactPermanentSampler`] (the JVV reduction \[47\] over one table of
+//! suffix permanents per instance) draws perfect samples on small
+//! instances, and [`SwapChainSampler`] is the
 //! repository's MCMC stand-in for the Jerrum–Sinclair–Vigoda FPRAS \[46\]:
 //! the FPRAS is a polynomial-time approximation scheme whose constants
 //! make it impractical to run, while the swap chain has exactly the

@@ -47,7 +47,7 @@ pub fn schur_laplacian(g: &Graph, s: &VertexSubset) -> Matrix {
     let l_sc = l.submatrix(&s_idx, &c_idx);
     let l_cc = l.submatrix(&c_idx, &c_idx);
     let l_cs = l.submatrix(&c_idx, &s_idx);
-    let lu = Lu::new(&l_cc).expect("L_{S̄,S̄} invertible for connected G");
+    let lu = Lu::new(l_cc).expect("L_{S̄,S̄} invertible for connected G");
     let solved = lu.solve_matrix(&l_cs); // L_cc^{-1} L_cs
     &l_ss - &l_sc.matmul(&solved)
 }

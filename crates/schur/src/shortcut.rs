@@ -33,14 +33,16 @@ use cct_linalg::{CsrMatrix, Lu, Matrix, PMatrix, Repr};
 /// `Q = (I − T)^{-1} A`, where `T[u,v] = P[u,v]·[v ∉ S]` and
 /// `A = diag(Σ_{v∈S} P[u,v])`.
 ///
-/// `I − T` and `A` are built from `P`'s CSR rows. Column `v` of `Q` is
-/// column `v` of `(I − T)^{-1}` times `A[v]`, so it is zero unless `v`
-/// has a neighbor in `S`: one LU factorization, then
-/// [`Lu::inverse_columns`] for just those columns (about `4n²/3` flops
-/// each) instead of the whole inverse. Each solved column holds the
-/// bits the full inverse holds (the solves treat columns
-/// independently); the skipped columns are `+0.0`, where `inverse · 0`
-/// could have been `-0.0`.
+/// `I − T` and `A` are built from `g`'s adjacency, one `w / deg(u)` per
+/// edge — the expression [`Graph::transition_pmatrix`] stores, so the
+/// same bits — without building `P`, and [`Lu::new`] factors `I − T` in
+/// place. Column `v` of `Q` is column `v` of `(I − T)^{-1}` times
+/// `A[v]`, so it is zero unless `v` has a neighbor in `S`: one LU
+/// factorization, then [`Lu::inverse_columns`] for just those columns
+/// (about `4n²/3` flops each) instead of the whole inverse. Each solved
+/// column holds the bits the full inverse holds (the solves treat
+/// columns independently); the skipped columns are `+0.0`, where
+/// `inverse · 0` could have been `-0.0`.
 ///
 /// `Q` is non-negative: the solve's cancellation can leave residues
 /// below zero (down to about `-1e-19` on graphs reweighted toward the
@@ -57,21 +59,31 @@ pub fn shortcut_exact(g: &Graph, s: &VertexSubset) -> Matrix {
     let n = g.n();
     assert_eq!(s.universe(), n, "subset universe must match graph");
     assert!(!s.is_empty(), "S must be non-empty");
-    let p = g.transition_pmatrix(Repr::Sparse);
     // T: transitions that stay outside S; a[u]: one-step absorption mass.
     let mut i_minus_t = Matrix::identity(n);
     let mut a = vec![0.0f64; n];
     for (u, a_u) in a.iter_mut().enumerate() {
         let row = i_minus_t.row_mut(u);
-        p.for_each_in_row(u, |v, p_uv| {
+        let d = g.degree(u);
+        if d == 0.0 {
+            // An isolated vertex keeps `P`'s self-loop.
+            if s.contains(u) {
+                *a_u = 1.0;
+            } else {
+                row[u] = 0.0;
+            }
+            continue;
+        }
+        for &(v, w) in g.neighbors(u) {
+            let p_uv = w / d;
             if s.contains(v) {
                 *a_u += p_uv;
             } else {
                 row[v] -= p_uv;
             }
-        });
+        }
     }
-    let lu = Lu::new(&i_minus_t).expect("I - T is invertible when S is reachable");
+    let lu = Lu::new(i_minus_t).expect("I - T is invertible when S is reachable");
     let absorbing: Vec<usize> = (0..n).filter(|&v| a[v] > 0.0).collect();
     let inv_cols = lu.inverse_columns(&absorbing);
     let mut q = Matrix::zeros(n, n);
@@ -350,7 +362,7 @@ mod tests {
                 }
             }
         }
-        let inv = Lu::new(&i_minus_t)
+        let inv = Lu::new(i_minus_t)
             .unwrap()
             .solve_matrix(&Matrix::identity(n));
         Matrix::from_fn(n, n, |u, v| inv[(u, v)] * a[v])
@@ -701,6 +713,12 @@ mod tests {
         let s = VertexSubset::full(5);
         let q = shortcut_exact(&g, &s);
         assert!(q.max_abs_diff(&Matrix::identity(5)) < 1e-12);
+        // A lone vertex steps along `P`'s self-loop.
+        let one = Graph::from_edges(1, &[]).unwrap();
+        assert_eq!(
+            shortcut_exact(&one, &VertexSubset::full(1)),
+            Matrix::identity(1)
+        );
     }
 
     #[test]
