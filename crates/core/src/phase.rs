@@ -903,9 +903,13 @@ fn reassemble(rest_groups: &[usize], assignment: Assignment, final_value: usize)
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cct_graph::generators;
+    use cct_graph::{generators, Graph};
     use cct_sim::UnitCostEngine;
+    use cct_walks::{is_valid_walk, stats};
+    use proptest::prelude::*;
     use rand::SeedableRng;
+    use std::collections::HashMap;
+    use std::hash::Hash;
 
     fn rng(seed: u64) -> rand::rngs::StdRng {
         rand::rngs::StdRng::seed_from_u64(seed)
@@ -1410,5 +1414,363 @@ mod tests {
         assert_eq!(res.distinct, 5);
         // The power table was extended once per doubling.
         assert_eq!(powers.len(), 2 + res.extensions as usize);
+    }
+
+    // ── The walk laws of Lemmas 3–4 on the route that runs: `run_segment`
+    // and `top_down_phase` under every placement, against exact
+    // enumeration and the leader-local walk `direct_local_phase`.
+
+    const PLACEMENTS: [Placement; 3] = [
+        Placement::Matching,
+        Placement::PerPairShuffle,
+        Placement::Oracle,
+    ];
+
+    /// The dense table `T^{2^k}`, `k = 0 ..= log₂ ell`, of `g`'s walk.
+    fn walk_table(g: &Graph, ell: u64) -> DeferredPowers {
+        dense_powers(&g.transition_matrix(), ell.trailing_zeros() as usize)
+    }
+
+    /// One `run_segment` of target length `ell` from `start`, with
+    /// nothing seen before it: the walk truncated at the first visit of
+    /// its `rho`-th distinct vertex.
+    fn segment(
+        base: &DeferredPowers,
+        start: usize,
+        rho: usize,
+        ell: u64,
+        placement: Placement,
+        rng: &mut rand::rngs::StdRng,
+    ) -> Vec<usize> {
+        let (mut pi_words, mut placement_words) = (0, 0);
+        run_segment(
+            &mut Clique::new(base.level(0).rows()),
+            &PowerTable::new(base),
+            start,
+            rho,
+            ell,
+            &HashSet::new(),
+            &SamplerConfig::new().placement(placement),
+            1,
+            rng,
+            &mut pi_words,
+            &mut placement_words,
+        )
+        .unwrap()
+    }
+
+    /// One Monte Carlo `top_down_phase` from vertex 0.
+    fn top_down(
+        base: &DeferredPowers,
+        rho: usize,
+        ell: u64,
+        placement: Placement,
+        rng: &mut rand::rngs::StdRng,
+    ) -> PhaseWalkResult {
+        top_down_phase(
+            &mut Clique::new(base.level(0).rows()),
+            &UnitCostEngine::default(),
+            &mut PowerTable::new(base),
+            0,
+            rho,
+            ell,
+            &SamplerConfig::new().placement(placement),
+            1,
+            rng,
+        )
+        .unwrap()
+    }
+
+    /// One Monte Carlo `direct_local_phase` from vertex 0.
+    fn leader_local(
+        t0: &PMatrix,
+        rho: usize,
+        ell: u64,
+        rng: &mut rand::rngs::StdRng,
+    ) -> PhaseWalkResult {
+        let mut clique = Clique::new(t0.rows());
+        direct_local_phase(&mut clique, t0, 0, rho, ell, Variant::MonteCarlo, rng).unwrap()
+    }
+
+    fn distinct(walk: &[usize]) -> usize {
+        walk.iter().collect::<HashSet<_>>().len()
+    }
+
+    /// The exact law of the walk from `start` stopped after `ell` steps
+    /// or at the first visit of its `rho`-th distinct vertex, whichever
+    /// comes first, by enumeration.
+    fn exact_walk_law(g: &Graph, start: usize, ell: usize, rho: usize) -> Vec<(Vec<usize>, f64)> {
+        fn extend(
+            p: &cct_linalg::Matrix,
+            walk: &mut Vec<usize>,
+            prob: f64,
+            ell: usize,
+            rho: usize,
+            out: &mut Vec<(Vec<usize>, f64)>,
+        ) {
+            if walk.len() > ell || distinct(walk) == rho {
+                out.push((walk.clone(), prob));
+                return;
+            }
+            let u = *walk.last().unwrap();
+            for v in 0..p.rows() {
+                if p[(u, v)] > 0.0 {
+                    walk.push(v);
+                    extend(p, walk, prob * p[(u, v)], ell, rho, out);
+                    walk.pop();
+                }
+            }
+        }
+        let (p, mut out) = (g.transition_matrix(), Vec::new());
+        extend(&p, &mut vec![start], 1.0, ell, rho, &mut out);
+        out
+    }
+
+    #[test]
+    fn top_down_walks_are_valid() {
+        // ρ > n: nothing truncates, so a segment is a walk of ℓ steps.
+        for g in [
+            generators::complete(5),
+            generators::petersen(),
+            generators::grid(2, 3),
+        ] {
+            let base = walk_table(&g, 32);
+            for placement in PLACEMENTS {
+                let mut r = rng(31);
+                for _ in 0..20 {
+                    let w = segment(&base, 0, g.n() + 1, 32, placement, &mut r);
+                    assert_eq!(w.len(), 33);
+                    assert!(is_valid_walk(&g, &w), "{placement:?}: n = {}", g.n());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn top_down_matches_exact_walk_distribution() {
+        // Triangle plus pendant, ℓ = 4, ρ > n: small enough to enumerate.
+        let g = Graph::from_edges(4, &[(0, 1), (1, 2), (2, 0), (0, 3)]).unwrap();
+        let exact = exact_walk_law(&g, 0, 4, g.n() + 1);
+        let base = walk_table(&g, 4);
+        let trials = 40_000;
+        for placement in PLACEMENTS {
+            let mut r = rng(33);
+            let counts = stats::empirical_counts(
+                (0..trials).map(|_| segment(&base, 0, g.n() + 1, 4, placement, &mut r)),
+            );
+            let (stat, crit) = stats::goodness_of_fit(&counts, &exact, trials);
+            assert!(stat < crit, "{placement:?}: chi² = {stat:.1} ≥ {crit:.1}");
+        }
+    }
+
+    /// The truncated walk's law from vertex 0, by enumeration: the walks
+    /// `run_segment` returns under every placement, and the first visits
+    /// and stopping time of the leader-local walk, the reference of
+    /// `first_visit_law_matches_the_leader_local_walk`.
+    fn assert_truncated_law(g: &Graph, ell: u64, rho: usize, trials: usize, seed: u64) {
+        let exact = exact_walk_law(g, 0, ell as usize, rho);
+        let base = walk_table(g, ell);
+        for placement in PLACEMENTS {
+            let mut r = rng(seed);
+            let counts = stats::empirical_counts(
+                (0..trials).map(|_| segment(&base, 0, rho, ell, placement, &mut r)),
+            );
+            let (stat, crit) = stats::goodness_of_fit(&counts, &exact, trials);
+            assert!(stat < crit, "{placement:?}: chi² = {stat:.1} ≥ {crit:.1}");
+        }
+        let visits_and_tau = |walk: &[usize]| {
+            let res = PhaseWalkResult::from_walk(walk, rho, 0, ell, 0, 0, PhaseMethod::DirectLocal);
+            (res.first_visits, res.tau)
+        };
+        let mut exact_visits = BTreeMap::new();
+        for (walk, p) in &exact {
+            *exact_visits.entry(visits_and_tau(walk)).or_insert(0.0) += p;
+        }
+        let exact_visits: Vec<_> = exact_visits.into_iter().collect();
+        let t0 = PMatrix::Dense(g.transition_matrix());
+        let mut r = rng(seed + 1);
+        let counts = stats::empirical_counts((0..trials).map(|_| {
+            let res = leader_local(&t0, rho, ell, &mut r);
+            (res.first_visits, res.tau)
+        }));
+        let (stat, crit) = stats::goodness_of_fit(&counts, &exact_visits, trials);
+        assert!(stat < crit, "leader-local: chi² = {stat:.1} ≥ {crit:.1}");
+    }
+
+    #[test]
+    fn truncated_matches_exact_distribution_on_triangle() {
+        assert_truncated_law(&generators::complete(3), 8, 3, 40_000, 34);
+    }
+
+    #[test]
+    fn truncated_matches_direct_simulation_on_path() {
+        // Bipartite P4, whose start side {0, 2} is below ρ = 3 (the sampler
+        // walks such a phase leader-locally): exercises parity consistency.
+        assert_truncated_law(&generators::path(4), 8, 3, 30_000, 35);
+    }
+
+    #[test]
+    fn truncated_walk_ends_at_rho_th_distinct() {
+        let g = generators::complete(6);
+        let base = walk_table(&g, 32);
+        for placement in PLACEMENTS {
+            let mut r = rng(37);
+            for _ in 0..50 {
+                let w = segment(&base, 0, 4, 32, placement, &mut r);
+                assert!(is_valid_walk(&g, &w), "{placement:?}");
+                assert_eq!(distinct(&w), 4, "{placement:?}");
+                // The last vertex is the 4th distinct vertex's first and
+                // only occurrence.
+                let last = *w.last().unwrap();
+                assert_eq!(w.iter().filter(|&&v| v == last).count(), 1);
+                assert_eq!(distinct(&w[..w.len() - 1]), 3, "{placement:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn truncated_walk_budget_failure_flagged() {
+        // ρ = 4 on the 3-vertex path: the budget is unreachable, so the
+        // walk runs its full ℓ and the phase reports it unreached.
+        let g = generators::path(3);
+        let base = walk_table(&g, 4);
+        for placement in PLACEMENTS {
+            let mut r = rng(38);
+            let w = segment(&base, 0, 4, 4, placement, &mut r);
+            assert_eq!(w.len(), 5, "{placement:?}");
+            assert!(is_valid_walk(&g, &w), "{placement:?}");
+            let res = top_down(&base, 4, 4, placement, &mut r);
+            assert!(!res.reached, "{placement:?}");
+            assert_eq!(res.tau, 4, "{placement:?}");
+        }
+    }
+
+    #[test]
+    fn tau_statistics_match_direct() {
+        // Mean stopping time of the top-down phase against the
+        // leader-local walk on a non-trivial graph.
+        let g = generators::lollipop(4, 2);
+        let (ell, rho) = (64u64, 4usize);
+        let base = walk_table(&g, ell);
+        let t0 = PMatrix::Dense(g.transition_matrix());
+        let trials = 4000;
+        let mean = |taus: &mut dyn FnMut() -> u64| {
+            (0..trials).map(|_| taus() as f64).sum::<f64>() / trials as f64
+        };
+        let mut r = rng(39);
+        let mean_dir = mean(&mut || leader_local(&t0, rho, ell, &mut r).tau);
+        for placement in PLACEMENTS {
+            let mut r = rng(40);
+            let mean_top = mean(&mut || top_down(&base, rho, ell, placement, &mut r).tau);
+            let tol = 6.0 * (mean_top.max(mean_dir) / (trials as f64).sqrt()).max(0.2);
+            assert!(
+                (mean_top - mean_dir).abs() < tol,
+                "{placement:?}: mean τ {mean_top:.2} vs leader-local {mean_dir:.2} (tol {tol:.2})"
+            );
+        }
+    }
+
+    /// Two-sample χ² over the cells either sample observed, with the
+    /// suites' critical value for `cells − 1` degrees of freedom.
+    fn two_sample_chi_square<K: Eq + Hash>(
+        a: &HashMap<K, usize>,
+        b: &HashMap<K, usize>,
+    ) -> (f64, f64) {
+        let total = |c: &HashMap<K, usize>| c.values().sum::<usize>() as f64;
+        let (scale_a, scale_b) = ((total(b) / total(a)).sqrt(), (total(a) / total(b)).sqrt());
+        let cells: HashSet<&K> = a.keys().chain(b.keys()).collect();
+        let stat = cells
+            .iter()
+            .map(|&k| {
+                let x = a.get(k).copied().unwrap_or(0) as f64;
+                let y = b.get(k).copied().unwrap_or(0) as f64;
+                (scale_a * x - scale_b * y).powi(2) / (x + y)
+            })
+            .sum();
+        (stat, stats::chi_square_critical((cells.len() - 1).max(1)))
+    }
+
+    /// Lemma 3 on the route that runs: Algorithm 4 reads a phase's
+    /// `(v, prev)` first visits, so under every placement their law from
+    /// `top_down_phase` must be the leader-local walk's.
+    fn first_visit_law_matches_the_leader_local_walk(g: &Graph, ell: u64, rho: usize) {
+        let trials = 40_000;
+        let t0 = PMatrix::Dense(g.transition_matrix());
+        let mut r = rng(77);
+        let reference = stats::empirical_counts(
+            (0..trials).map(|_| leader_local(&t0, rho, ell, &mut r).first_visits),
+        );
+        let base = walk_table(g, ell);
+        for placement in PLACEMENTS {
+            let counts = stats::empirical_counts(
+                (0..trials).map(|_| top_down(&base, rho, ell, placement, &mut r).first_visits),
+            );
+            let (stat, crit) = two_sample_chi_square(&counts, &reference);
+            assert!(stat < crit, "{placement:?}: chi² = {stat:.1} ≥ {crit:.1}");
+        }
+    }
+
+    #[test]
+    fn first_visit_law_matches_the_leader_local_walk_on_a_lollipop() {
+        first_visit_law_matches_the_leader_local_walk(&generators::lollipop(4, 2), 64, 5);
+    }
+
+    #[test]
+    fn first_visit_law_matches_the_leader_local_walk_on_a_tailed_triangle() {
+        // The tail 0 - 3 - 4 hangs off the start vertex.
+        let g = Graph::from_edges(5, &[(0, 1), (1, 2), (2, 0), (0, 3), (3, 4)]).unwrap();
+        first_visit_law_matches_the_leader_local_walk(&g, 32, 5);
+    }
+
+    #[test]
+    fn first_visit_law_matches_the_leader_local_walk_on_a_wheel() {
+        first_visit_law_matches_the_leader_local_walk(&generators::wheel(5), 32, 5);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn top_down_walks_valid_any_length(
+            n in 3usize..=12,
+            log_ell in 1u32..=8,
+            seed in any::<u64>(),
+        ) {
+            let mut r = rng(seed);
+            let g = generators::erdos_renyi_connected(n, 0.6, &mut r);
+            let ell = 1u64 << log_ell;
+            let base = walk_table(&g, ell);
+            for placement in PLACEMENTS {
+                let w = segment(&base, 0, n + 1, ell, placement, &mut r);
+                prop_assert_eq!(w.len() as u64, ell + 1);
+                prop_assert!(is_valid_walk(&g, &w), "{:?}", placement);
+            }
+        }
+
+        #[test]
+        fn truncated_walk_invariants(
+            n in 4usize..=12,
+            rho in 2usize..=5,
+            seed in any::<u64>(),
+        ) {
+            let mut r = rng(seed);
+            let g = generators::erdos_renyi_connected(n, 0.6, &mut r);
+            let ell = 256u64;
+            let base = walk_table(&g, ell);
+            for placement in PLACEMENTS {
+                let w = segment(&base, 0, rho, ell, placement, &mut r);
+                prop_assert!(is_valid_walk(&g, &w), "{:?}", placement);
+                prop_assert!(w.len() as u64 <= ell + 1);
+                if distinct(&w) == rho {
+                    // The last vertex is the ρ-th distinct vertex's first
+                    // (and only) occurrence.
+                    let last = *w.last().unwrap();
+                    prop_assert_eq!(w.iter().filter(|&&v| v == last).count(), 1);
+                } else {
+                    prop_assert_eq!(w.len() as u64, ell + 1);
+                    prop_assert!(distinct(&w) < rho);
+                }
+            }
+        }
     }
 }

@@ -489,10 +489,43 @@ impl PreparedSampler {
     /// tables per draw. Same seed ⇒ same tree and same ledger, whether
     /// this is the preparation's first draw or its thousandth.
     ///
+    /// A preparation holds only immutable plain data (the config and its
+    /// resolved plan with the engine, the graph, the transition matrix,
+    /// and the phase-1 power table with its ledger); `sample` takes
+    /// `&self` and every per-call mutation (Las Vegas extensions, scratch
+    /// cliques) lives in per-draw state. [`PreparedSampler`] is therefore
+    /// `Send + Sync` by construction — a compile-time assertion in this
+    /// crate keeps that true — so one `Arc<PreparedSampler>` serves any
+    /// number of concurrent samplers, the serving path's shape.
+    ///
     /// # Errors
     ///
     /// [`SampleTreeError::Phase`] if fixed-point precision was configured
     /// too low to keep the distributions alive.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use cct_core::{CliqueTreeSampler, SamplerConfig, WalkLength};
+    /// use cct_graph::generators;
+    /// use rand::SeedableRng;
+    /// use std::sync::Arc;
+    ///
+    /// let sampler = CliqueTreeSampler::new(
+    ///     SamplerConfig::new().walk_length(WalkLength::Fixed(1 << 12)),
+    /// );
+    /// let shared = Arc::new(sampler.prepare(&generators::complete(8))?);
+    /// std::thread::scope(|s| {
+    ///     for seed in 0..2u64 {
+    ///         let shared = Arc::clone(&shared);
+    ///         s.spawn(move || {
+    ///             let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    ///             shared.sample(&mut rng).unwrap()
+    ///         });
+    ///     }
+    /// });
+    /// # Ok::<(), cct_core::SampleTreeError>(())
+    /// ```
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> Result<SampleReport, SampleTreeError> {
         let (config, g, plan) = (&self.config, &self.graph, &self.plan);
         let n = g.n();
@@ -711,45 +744,6 @@ impl PreparedSampler {
             phases,
             monte_carlo_failure: failure,
         })
-    }
-
-    /// Wraps the prepared state for sharing across threads — the serving
-    /// path's shape, where many workers draw from one preparation.
-    ///
-    /// [`PreparedSampler`] holds only immutable plain data (the config
-    /// and its resolved plan with the engine, the graph, the transition
-    /// matrix, and the phase-1 power table with its ledger); `sample`
-    /// takes `&self` and every per-call mutation (Las Vegas extensions,
-    /// scratch cliques) lives in
-    /// per-draw state. It is therefore `Send + Sync` by construction — a
-    /// compile-time assertion in this crate keeps that true — and
-    /// `Arc<PreparedSampler>` can be handed to any number of concurrent
-    /// samplers.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use cct_core::{CliqueTreeSampler, SamplerConfig, WalkLength};
-    /// use cct_graph::generators;
-    /// use rand::SeedableRng;
-    ///
-    /// let sampler = CliqueTreeSampler::new(
-    ///     SamplerConfig::new().walk_length(WalkLength::Fixed(1 << 12)),
-    /// );
-    /// let shared = sampler.prepare(&generators::complete(8))?.into_shared();
-    /// std::thread::scope(|s| {
-    ///     for seed in 0..2u64 {
-    ///         let shared = std::sync::Arc::clone(&shared);
-    ///         s.spawn(move || {
-    ///             let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-    ///             shared.sample(&mut rng).unwrap()
-    ///         });
-    ///     }
-    /// });
-    /// # Ok::<(), cct_core::SampleTreeError>(())
-    /// ```
-    pub fn into_shared(self) -> std::sync::Arc<PreparedSampler> {
-        std::sync::Arc::new(self)
     }
 
     /// Materializes the cached phase-1 table up to its settled level, or
@@ -1106,7 +1100,7 @@ mod tests {
         // draw must equal the cold single-threaded run at its own seed.
         let g = generators::complete(12);
         let sampler = CliqueTreeSampler::new(quick_config());
-        let shared = sampler.prepare(&g).unwrap().into_shared();
+        let shared = std::sync::Arc::new(sampler.prepare(&g).unwrap());
         let results: Vec<_> = std::thread::scope(|s| {
             let handles: Vec<_> = (0..4u64)
                 .map(|i| {

@@ -308,30 +308,6 @@ impl Graph {
         let edges: Vec<(usize, usize)> = self.edges.iter().map(|&(u, v, _)| (u, v)).collect();
         Graph::from_edges(self.n, &edges).expect("valid by construction")
     }
-
-    /// The induced subgraph on `keep` (vertices relabeled `0..keep.len()`
-    /// in the given order), together with the mapping back to original
-    /// ids.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `keep` contains duplicates or out-of-range vertices.
-    pub fn induced_subgraph(&self, keep: &[usize]) -> (Graph, Vec<usize>) {
-        let mut index = vec![usize::MAX; self.n];
-        for (new, &old) in keep.iter().enumerate() {
-            assert!(old < self.n, "vertex {old} out of range");
-            assert!(index[old] == usize::MAX, "duplicate vertex {old}");
-            index[old] = new;
-        }
-        let mut edges = Vec::new();
-        for &(u, v, w) in &self.edges {
-            if index[u] != usize::MAX && index[v] != usize::MAX {
-                edges.push((index[u], index[v], w));
-            }
-        }
-        let g = Graph::from_weighted_edges(keep.len(), &edges).expect("valid by construction");
-        (g, keep.to_vec())
-    }
 }
 
 #[cfg(test)]
@@ -436,18 +412,6 @@ mod tests {
         assert_eq!(g.max_weight(), 4.0);
         let h = Graph::from_weighted_edges(2, &[(0, 1, 0.5)]).unwrap();
         assert!(!h.has_integer_weights());
-    }
-
-    #[test]
-    fn induced_subgraph_relabels() {
-        let g = triangle_plus_leaf();
-        let (sub, map) = g.induced_subgraph(&[2, 0, 3]);
-        assert_eq!(sub.n(), 3);
-        // Edges kept: (2,0) -> (0,1), (0,3) -> (1,2).
-        assert!(sub.has_edge(0, 1));
-        assert!(sub.has_edge(1, 2));
-        assert!(!sub.has_edge(0, 2));
-        assert_eq!(map, vec![2, 0, 3]);
     }
 
     #[test]

@@ -118,17 +118,6 @@ proptest! {
     }
 
     #[test]
-    fn induced_subgraph_preserves_weights(g in connected_graph()) {
-        let keep: Vec<usize> = (0..g.n()).step_by(2).collect();
-        let (sub, map) = g.induced_subgraph(&keep);
-        for (new_u, &old_u) in map.iter().enumerate() {
-            for &(new_v, w) in sub.neighbors(new_u) {
-                prop_assert_eq!(g.edge_weight(old_u, map[new_v]), Some(w));
-            }
-        }
-    }
-
-    #[test]
     fn random_regular_degree(seed in any::<u64>(), d in 2usize..=4) {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let n = 12;

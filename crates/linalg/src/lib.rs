@@ -14,7 +14,10 @@
 //! * exact determinants for Matrix–Tree ground truths ([`Lu`],
 //!   [`det_exact`]);
 //! * permanents for weighted perfect-matching sampling (§1.8,
-//!   [`permanent`]).
+//!   [`permanent`]): an `f64` Ryser sum that cancels (up to 2.2e-8 of
+//!   the total at 13–17 rows, 1.5e-10 at 9 rows or fewer, and 7e-14
+//!   where the permanent is exactly 0), the matching tests' reference
+//!   rather than ground truth.
 //!
 //! # Examples
 //!

@@ -155,21 +155,6 @@ impl Matrix {
         &mut self.data
     }
 
-    /// Returns the transpose.
-    pub fn transpose(&self) -> Matrix {
-        // Cache-friendly slice walk: stream the source row-major (one pass,
-        // sequential reads) and scatter each row into a column of the
-        // output, instead of per-element `(i, j)` indexing with bounds
-        // checks on every access.
-        let mut out = Matrix::zeros(self.cols, self.rows);
-        for (i, row) in self.data.chunks_exact(self.cols.max(1)).enumerate() {
-            for (o, &x) in out.data[i..].iter_mut().step_by(self.rows).zip(row) {
-                *o = x;
-            }
-        }
-        out
-    }
-
     /// Multiplies by a scalar, returning a new matrix.
     pub fn scale(&self, s: f64) -> Matrix {
         Matrix {
@@ -515,10 +500,9 @@ mod tests {
     }
 
     #[test]
-    fn col_and_transpose_handle_zero_rows() {
+    fn col_handles_zero_rows() {
         let m = Matrix::zeros(0, 3);
         assert!(m.col(1).is_empty());
-        assert_eq!(m.transpose().shape(), (3, 0));
     }
 
     #[test]
@@ -690,13 +674,6 @@ mod tests {
             a.matmul_parallel_into(&b, &mut stolen, threads);
             assert_eq!(stolen, seq, "stealing, threads = {threads}");
         }
-    }
-
-    #[test]
-    fn transpose_involution() {
-        let a = Matrix::from_fn(3, 5, |i, j| (i * 10 + j) as f64);
-        assert_eq!(a.transpose().transpose(), a);
-        assert_eq!(a.transpose()[(4, 2)], a[(2, 4)]);
     }
 
     #[test]

@@ -478,7 +478,7 @@ mod tests {
     fn insert_ready_restores_without_counting() {
         let cache = PreparedCache::new(2);
         let k = key("restored");
-        cache.insert_ready(k.clone(), prepare(6).unwrap().into_shared());
+        cache.insert_ready(k.clone(), Arc::new(prepare(6).unwrap()));
         // The restored entry serves as a plain hit; nothing was ever
         // "prepared" as far as the counters know.
         let (r, info) = cache.get_or_prepare(&k, || panic!("restored entries must hit"));
@@ -496,11 +496,11 @@ mod tests {
         // ready_keys sees it; a second insert for the same key is a
         // no-op (live state wins).
         assert_eq!(cache.ready_keys(), std::slice::from_ref(&k));
-        cache.insert_ready(k, prepare(6).unwrap().into_shared());
+        cache.insert_ready(k, Arc::new(prepare(6).unwrap()));
         assert_eq!(cache.stats().len, 1);
         // Capacity still bounds restored entries.
-        cache.insert_ready(key("b"), prepare(4).unwrap().into_shared());
-        cache.insert_ready(key("c"), prepare(5).unwrap().into_shared());
+        cache.insert_ready(key("b"), Arc::new(prepare(4).unwrap()));
+        cache.insert_ready(key("c"), Arc::new(prepare(5).unwrap()));
         let stats = cache.stats();
         assert_eq!(stats.len, 2);
         assert_eq!(stats.evictions, 1);

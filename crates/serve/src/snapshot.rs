@@ -238,7 +238,7 @@ mod tests {
     }
 
     fn prepared_for(spec: &str, options: &ServeOptions) -> Arc<PreparedSampler> {
-        prepare_key(&key(spec), options).unwrap().into_shared()
+        Arc::new(prepare_key(&key(spec), options).unwrap())
     }
 
     fn key(spec: &str) -> CacheKey {

@@ -207,62 +207,6 @@ impl Clique {
         debug_assert_eq!(received.len(), items.len());
         received.into_iter().map(|(_, item)| item).collect()
     }
-
-    /// Gathers one batch of items from every machine at `to`.
-    ///
-    /// `per_machine[i]` is machine `i`'s contribution. Returns
-    /// `(source, item)` pairs in deterministic order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `to >= n` or `per_machine.len() != n`.
-    pub fn gather<T>(
-        &mut self,
-        category: CostCategory,
-        to: usize,
-        per_machine: Vec<Vec<T>>,
-        words_per_item: usize,
-    ) -> Vec<(usize, T)> {
-        assert!(to < self.n, "gather destination out of range");
-        assert_eq!(per_machine.len(), self.n, "need one batch per machine");
-        let outboxes: Vec<Vec<Envelope<T>>> = per_machine
-            .into_iter()
-            .map(|batch| {
-                batch
-                    .into_iter()
-                    .map(|item| Envelope::new(to, words_per_item, item))
-                    .collect()
-            })
-            .collect();
-        let mut inboxes = self.route(category, outboxes);
-        inboxes
-            .swap_remove(to)
-            .into_iter()
-            .map(|e| (e.from, e.payload))
-            .collect()
-    }
-
-    /// One machine sends distinct payloads to many machines
-    /// (`assignments[k] = (dest, payload)`), e.g. the leader distributing
-    /// midpoint requests. Returns the inboxes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `from >= n` or any destination is out of range.
-    pub fn scatter<T>(
-        &mut self,
-        category: CostCategory,
-        from: usize,
-        assignments: Vec<(usize, T)>,
-        words_per_item: usize,
-    ) -> Vec<Vec<Envelope<T>>> {
-        assert!(from < self.n, "scatter source out of range");
-        let mut outboxes: Vec<Vec<Envelope<T>>> = (0..self.n).map(|_| Vec::new()).collect();
-        for (dest, payload) in assignments {
-            outboxes[from].push(Envelope::new(dest, words_per_item, payload));
-        }
-        self.route(category, outboxes)
-    }
 }
 
 #[cfg(test)]
@@ -350,43 +294,6 @@ mod tests {
         // n*20 items: step 2 has each helper holding 20 items sending to
         // all n machines → 20n words sent, 20n received → 20 rounds + step1.
         assert!(big_rounds >= 20);
-    }
-
-    #[test]
-    fn gather_collects_all_sources() {
-        let mut c = Clique::new(4);
-        let batches: Vec<Vec<u64>> = (0..4).map(|i| vec![i as u64 * 10]).collect();
-        let got = c.gather(CostCategory::Gather, 2, batches, 1);
-        assert_eq!(got.len(), 4);
-        for (src, val) in got {
-            assert_eq!(val, src as u64 * 10);
-        }
-    }
-
-    #[test]
-    fn gather_cost_reflects_leader_bottleneck() {
-        let n = 4;
-        let mut c = Clique::new(n);
-        // Every machine sends n items of 1 word → leader receives n² = 16
-        // words → 4 rounds.
-        let batches: Vec<Vec<u8>> = (0..n).map(|_| vec![0u8; n]).collect();
-        c.gather(CostCategory::Gather, 0, batches, 1);
-        assert_eq!(c.ledger().total_rounds(), 4);
-    }
-
-    #[test]
-    fn scatter_routes_from_single_source() {
-        let mut c = Clique::new(3);
-        let inboxes = c.scatter(
-            CostCategory::Routing,
-            0,
-            vec![(1, "x"), (2, "y"), (1, "z")],
-            1,
-        );
-        assert_eq!(inboxes[1].len(), 2);
-        assert_eq!(inboxes[2].len(), 1);
-        assert!(inboxes[0].is_empty());
-        assert_eq!(inboxes[1][0].from, 0);
     }
 
     #[test]

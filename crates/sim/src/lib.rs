@@ -40,9 +40,12 @@
 //!
 //! let mut clique = Clique::new(8);
 //! // All-to-one: everyone reports a word to the leader.
-//! let batches: Vec<Vec<u64>> = (0..8).map(|i| vec![i as u64]).collect();
-//! let received = clique.gather(CostCategory::Gather, clique.leader(), batches, 1);
-//! assert_eq!(received.len(), 8);
+//! let leader = clique.leader();
+//! let outboxes: Vec<Vec<Envelope<u64>>> =
+//!     (0..8).map(|i| vec![Envelope::new(leader, 1, i as u64)]).collect();
+//! let inboxes = clique.route(CostCategory::Gather, outboxes);
+//! assert_eq!(inboxes[leader].len(), 8);
+//! assert_eq!(inboxes[leader][3].from, 3);
 //! assert_eq!(clique.ledger().total_rounds(), 1); // 8 words ≤ n per round
 //! ```
 

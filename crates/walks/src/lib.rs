@@ -7,14 +7,15 @@
 //!   on weighted graphs (§1.1);
 //! * [`aldous_broder`] — the classical sampler \[1, 12\] the paper
 //!   distributes; [`wilson`] — the loop-erased baseline \[73\];
-//! * [`top_down_walk`] — Outline 1, the recursive midpoint-filling walk
-//!   sampler; [`truncated_top_down_walk`] — §2.1.2, its `ρ`-distinct-
-//!   vertex truncated form, the sequential specification the distributed
-//!   algorithm of `cct-core` reproduces (Lemma 4);
 //! * [`estimate_cover_time`] — cover-time measurement (experiments E5,
 //!   E11);
 //! * [`stats`] — chi-square / TV machinery shared by every uniformity
 //!   experiment.
+//!
+//! The top-down walk (Outline 1 and its truncated form of §2.1.2) has one
+//! implementation, the distributed phase in `cct-core`; its tests check
+//! the walk's law there, against exact enumeration and the step-by-step
+//! walk.
 //!
 //! # Examples
 //!
@@ -39,16 +40,12 @@ mod aldous_broder;
 mod cover;
 pub mod stats;
 mod strawman;
-mod topdown;
 mod walk;
 mod wilson;
 
 pub use aldous_broder::{aldous_broder, aldous_broder_capped, SampleError};
 pub use cover::{cover_time_once, estimate_cover_time, CoverTimeStats};
 pub use strawman::{kruskal_by_keys, kruskal_mst, random_mst_distribution, random_weight_mst};
-pub use topdown::{
-    direct_truncated_walk, sample_midpoint, top_down_walk, truncated_top_down_walk, TruncatedWalk,
-};
 pub use walk::{
     distinct_vertices_in_walk, first_visit_edges, is_valid_walk, random_step, random_walk,
     time_to_visit_k_distinct,

@@ -7,7 +7,7 @@
 //! probability while a biased one (e.g. the random-weight MST strawman of
 //! §1.4) fails decisively.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::hash::Hash;
 
 /// Pearson's chi-square statistic `Σ (observed − expected)² / expected`
@@ -71,7 +71,9 @@ pub fn empirical_counts<K: Eq + Hash, I: IntoIterator<Item = K>>(samples: I) -> 
 /// distribution. Returns `(statistic, critical_value)`; the test passes
 /// when `statistic < critical_value`.
 ///
-/// Cells missing from `counts` contribute their full expectation.
+/// Cells missing from `counts` contribute their full expectation. An
+/// observed outcome outside `exact`'s support has probability 0, so the
+/// statistic is then `f64::INFINITY` and the test fails.
 ///
 /// # Panics
 ///
@@ -83,14 +85,16 @@ pub fn goodness_of_fit<K: Eq + Hash>(
     total: usize,
 ) -> (f64, f64) {
     assert!(!exact.is_empty(), "need a non-empty support");
+    let critical = chi_square_critical(exact.len().saturating_sub(1).max(1));
+    let support: HashSet<&K> = exact.iter().map(|(k, _)| k).collect();
+    if counts.iter().any(|(k, &c)| c > 0 && !support.contains(k)) {
+        return (f64::INFINITY, critical);
+    }
     let cells: Vec<(usize, f64)> = exact
         .iter()
         .map(|(k, p)| (counts.get(k).copied().unwrap_or(0), *p))
         .collect();
-    (
-        chi_square_stat(&cells, total),
-        chi_square_critical(exact.len().saturating_sub(1).max(1)),
-    )
+    (chi_square_stat(&cells, total), critical)
 }
 
 /// Empirical total-variation distance between observed counts and an
@@ -108,20 +112,16 @@ pub fn empirical_tv<K: Eq + Hash + Clone>(
     assert!(total > 0, "need at least one sample");
     let support: HashMap<&K, f64> = exact.iter().map(|(k, p)| (k, *p)).collect();
     let mut tv = 0.0;
-    let mut seen_mass = 0.0;
     for (k, p) in exact {
         let obs = counts.get(k).copied().unwrap_or(0) as f64 / total as f64;
         tv += (obs - p).abs();
-        seen_mass += obs;
     }
     // Observed keys outside the exact support count fully.
     for (k, &c) in counts {
         if !support.contains_key(k) {
             tv += c as f64 / total as f64;
-            seen_mass += 0.0;
         }
     }
-    let _ = seen_mass;
     tv / 2.0
 }
 
@@ -190,6 +190,24 @@ mod tests {
         let exact: Vec<(u8, f64)> = (0..6).map(|k| (k, 1.0 / 6.0)).collect();
         let (stat, crit) = goodness_of_fit(&counts, &exact, total);
         assert!(stat > crit, "loaded die passed: {stat} < {crit}");
+    }
+
+    #[test]
+    fn goodness_of_fit_rejects_an_outcome_outside_the_support() {
+        // A fair coin's counts plus one impossible outcome: the valid
+        // cells alone fit perfectly, but the rogue outcome has probability
+        // 0, so the test must fail however few such outcomes there are.
+        let exact = vec![("heads", 0.5), ("tails", 0.5)];
+        let mut counts = HashMap::from([("heads", 500usize), ("tails", 500)]);
+        let (stat, crit) = goodness_of_fit(&counts, &exact, 1000);
+        assert_eq!(stat, 0.0);
+        counts.insert("edge", 1);
+        let (stat, crit_rogue) = goodness_of_fit(&counts, &exact, 1001);
+        assert_eq!(stat, f64::INFINITY);
+        assert_eq!(crit_rogue, crit);
+        // A zero count for an outside key is no observation.
+        counts.insert("edge", 0);
+        assert_eq!(goodness_of_fit(&counts, &exact, 1000).0, 0.0);
     }
 
     #[test]

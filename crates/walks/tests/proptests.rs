@@ -1,11 +1,7 @@
-//! Property-based tests for walk primitives and the top-down samplers.
+//! Property-based tests for walk primitives and the sequential samplers.
 
 use cct_graph::generators;
-use cct_linalg::powers_of_two;
-use cct_walks::{
-    aldous_broder, first_visit_edges, is_valid_walk, random_walk, top_down_walk,
-    truncated_top_down_walk, wilson,
-};
+use cct_walks::{aldous_broder, first_visit_edges, is_valid_walk, random_walk, wilson};
 use proptest::prelude::*;
 use rand::SeedableRng;
 
@@ -47,46 +43,6 @@ proptest! {
             for &(u, v) in t.edges() {
                 prop_assert!(g.has_edge(u, v));
             }
-        }
-    }
-
-    #[test]
-    fn top_down_walks_valid_any_length(
-        n in 3usize..=12,
-        log_ell in 0u32..=8,
-        seed in any::<u64>(),
-    ) {
-        let mut gr = rand::rngs::StdRng::seed_from_u64(seed);
-        let g = generators::erdos_renyi_connected(n, 0.6, &mut gr);
-        let ell = 1u64 << log_ell;
-        let table = powers_of_two(&g.transition_matrix(), log_ell as usize + 1, 1);
-        let w = top_down_walk(&table, 0, ell, &mut gr);
-        prop_assert_eq!(w.len() as u64, ell + 1);
-        prop_assert!(is_valid_walk(&g, &w));
-    }
-
-    #[test]
-    fn truncated_walk_invariants(
-        n in 4usize..=12,
-        rho in 2usize..=5,
-        seed in any::<u64>(),
-    ) {
-        let mut gr = rand::rngs::StdRng::seed_from_u64(seed);
-        let g = generators::erdos_renyi_connected(n, 0.6, &mut gr);
-        let ell = 256u64;
-        let table = powers_of_two(&g.transition_matrix(), 9, 1);
-        let tw = truncated_top_down_walk(&table, 0, ell, rho, &mut gr);
-        prop_assert!(is_valid_walk(&g, &tw.vertices));
-        prop_assert!(tw.tau() <= ell);
-        if tw.reached_budget {
-            prop_assert_eq!(tw.distinct(), rho);
-            // The last vertex is the ρ-th distinct vertex's first (and
-            // only) occurrence.
-            let last = *tw.vertices.last().unwrap();
-            prop_assert_eq!(tw.vertices.iter().filter(|&&v| v == last).count(), 1);
-        } else {
-            prop_assert_eq!(tw.tau(), ell);
-            prop_assert!(tw.distinct() < rho);
         }
     }
 }

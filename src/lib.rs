@@ -32,12 +32,12 @@
 //!
 //! | module | contents | paper sections |
 //! |---|---|---|
-//! | [`core`] | the phase-based sampler (primary contribution) | §2, Appendix §5 |
+//! | [`core`] | the phase-based sampler (primary contribution), with the top-down walk and its walk-law tests | §1.3, §2, Appendix §5 |
 //! | [`sim`] | Congested Clique simulator, round ledger, matmul engines | §1.6 |
 //! | [`schur`] | Schur complement & shortcut graphs, Algorithm 4 | §1.7, §2.2, §2.4 |
 //! | [`matching`] | weighted perfect-matching placement samplers | §1.8, Lemma 3 |
 //! | [`doubling`] | load-balanced doubling walks | §3 |
-//! | [`walks`] | Aldous–Broder, Wilson, sequential top-down fill | §1.3, §2.1 |
+//! | [`walks`] | Aldous–Broder, Wilson, cover times, chi-square statistics, MST strawman | §1.1, §1.4 |
 //! | [`graph`] | graphs, generators, Matrix–Tree counting | §1.1, §1.7 |
 //! | [`linalg`] | matrices, LU, permanents, fixed-point rounding | §2.4, §2.5 |
 //! | [`serve`] | batched sampling service: worker pool, PreparedSampler cache, wire protocol | — |
