@@ -1230,7 +1230,7 @@ pub fn e21(quick: bool) -> Json {
     ])
 }
 
-/// E22 — the linalg microkernels: the 8-lane panel kernel vs the
+/// E22 — the linalg microkernels: the 16-lane panel kernel vs the
 /// pre-panel reference (bit-identical by construction, so only
 /// wall-clock differs), and work-stealing vs fixed row shards on a
 /// skewed-degree sparse input. Returns the machine-readable report the

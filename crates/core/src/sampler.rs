@@ -32,7 +32,7 @@ use crate::phase::{
 };
 use crate::report::{PhaseMethod, PhaseReport, SampleReport};
 use cct_graph::{Graph, SpanningTree};
-use cct_linalg::{CsrMatrix, Matrix, PMatrix, Repr, Rounding};
+use cct_linalg::{Matrix, PMatrix, Repr, Rounding};
 use cct_schur::{
     sample_first_visit_edge, schur_transition_with_weights, shortcut_by_squaring, shortcut_exact,
     subset_wdeg, VertexSubset,
@@ -828,7 +828,7 @@ pub(crate) fn schur_rounds(n: usize, rounds_per_mult: u64) -> u64 {
 fn phase_matrix(local: Matrix, repr: Repr) -> PMatrix {
     match repr {
         Repr::Dense => PMatrix::Dense(local),
-        Repr::Sparse => PMatrix::Sparse(CsrMatrix::from_dense(&local)).promoted(),
+        Repr::Sparse => PMatrix::compacted(local),
     }
 }
 
@@ -857,6 +857,7 @@ mod tests {
     use crate::config::{Placement, WalkLength};
     use crate::report::PhaseMethod;
     use cct_graph::generators;
+    use cct_linalg::CsrMatrix;
     use rand::SeedableRng;
 
     fn rng(seed: u64) -> rand::rngs::StdRng {

@@ -429,6 +429,7 @@ pub fn with_deterministic_integer_weights(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph::tests::two_colorable;
     use rand::SeedableRng;
 
     fn rng() -> rand::rngs::StdRng {
@@ -453,8 +454,8 @@ mod tests {
         let c = cycle(5);
         assert_eq!(c.m(), 5);
         assert!((0..5).all(|v| c.degree(v) == 2.0));
-        assert!(!c.is_bipartite());
-        assert!(cycle(6).is_bipartite());
+        assert!(!two_colorable(&c));
+        assert!(two_colorable(&cycle(6)));
     }
 
     #[test]
@@ -462,7 +463,7 @@ mod tests {
         let s = star(5);
         assert_eq!(s.degree(0), 4.0);
         assert!((1..5).all(|v| s.degree(v) == 1.0));
-        assert!(s.is_bipartite());
+        assert!(two_colorable(&s));
     }
 
     #[test]
@@ -478,7 +479,7 @@ mod tests {
         let g = grid(3, 4);
         assert_eq!(g.n(), 12);
         assert_eq!(g.m(), 3 * 3 + 2 * 4); // horizontal + vertical
-        assert!(g.is_bipartite());
+        assert!(two_colorable(&g));
         assert!(g.is_connected());
         assert_eq!(g.degree(0), 2.0); // corner
         assert_eq!(g.degree(5), 4.0); // interior
@@ -488,7 +489,7 @@ mod tests {
     fn bipartite_families() {
         let kb = complete_bipartite(3, 4);
         assert_eq!(kb.m(), 12);
-        assert!(kb.is_bipartite());
+        assert!(two_colorable(&kb));
         let kd = k_dense_irregular(16);
         assert_eq!(kd.n(), 16);
         // sides 12 and 4
@@ -515,7 +516,7 @@ mod tests {
         assert_eq!(q3.n(), 8);
         assert_eq!(q3.m(), 12);
         assert!((0..8).all(|v| q3.degree(v) == 3.0));
-        assert!(q3.is_bipartite());
+        assert!(two_colorable(&q3));
         assert!(q3.is_connected());
         assert!(q3.has_edge(0b000, 0b100));
         assert!(!q3.has_edge(0b000, 0b110));
@@ -539,7 +540,7 @@ mod tests {
         assert_eq!(t.n(), 15);
         assert_eq!(t.m(), 14);
         assert!(t.is_connected());
-        assert!(t.is_bipartite());
+        assert!(two_colorable(&t));
         assert_eq!(t.degree(0), 2.0); // root
         assert_eq!(t.degree(14), 1.0); // leaf
         assert_eq!(crate::spanning_tree_count_exact(&t).unwrap(), 1);
@@ -552,7 +553,7 @@ mod tests {
         assert_eq!(p.m(), 15);
         assert!((0..10).all(|v| p.degree(v) == 3.0));
         assert!(p.is_connected());
-        assert!(!p.is_bipartite());
+        assert!(!two_colorable(&p));
     }
 
     #[test]

@@ -197,32 +197,6 @@ impl Graph {
         dsu.components() == 1
     }
 
-    /// Returns `true` if the graph is bipartite.
-    ///
-    /// Bipartite inputs exercise the parity-consistency of the top-down
-    /// filling algorithm, so the generators and tests care about this.
-    pub fn is_bipartite(&self) -> bool {
-        let mut color = vec![u8::MAX; self.n];
-        for start in 0..self.n {
-            if color[start] != u8::MAX {
-                continue;
-            }
-            color[start] = 0;
-            let mut stack = vec![start];
-            while let Some(u) = stack.pop() {
-                for &(v, _) in &self.adj[u] {
-                    if color[v] == u8::MAX {
-                        color[v] = 1 - color[u];
-                        stack.push(v);
-                    } else if color[v] == color[u] {
-                        return false;
-                    }
-                }
-            }
-        }
-        true
-    }
-
     /// The random-walk transition matrix `P` (§1.1): `P[u,v] = w(u,v) /
     /// deg(u)`, zero elsewhere.
     ///
@@ -311,9 +285,37 @@ impl Graph {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use cct_linalg::is_row_stochastic;
+
+    /// Whether `g` has a proper 2-coloring: a depth-first search from
+    /// each uncolored vertex gives every neighbor the other color and
+    /// fails on the first edge whose ends share one.
+    pub(crate) fn two_colorable(g: &Graph) -> bool {
+        let mut color: Vec<Option<bool>> = vec![None; g.n()];
+        for start in 0..g.n() {
+            if color[start].is_some() {
+                continue;
+            }
+            color[start] = Some(false);
+            let mut stack = vec![start];
+            while let Some(u) = stack.pop() {
+                let side = color[u].expect("stacked vertices are colored");
+                for &(v, _) in g.neighbors(u) {
+                    match color[v] {
+                        None => {
+                            color[v] = Some(!side);
+                            stack.push(v);
+                        }
+                        Some(c) if c == side => return false,
+                        Some(_) => {}
+                    }
+                }
+            }
+        }
+        true
+    }
 
     fn triangle_plus_leaf() -> Graph {
         Graph::from_edges(4, &[(0, 1), (1, 2), (2, 0), (0, 3)]).unwrap()
@@ -367,11 +369,11 @@ mod tests {
     #[test]
     fn bipartiteness() {
         let even_cycle = Graph::from_edges(4, &[(0, 1), (1, 2), (2, 3), (3, 0)]).unwrap();
-        assert!(even_cycle.is_bipartite());
-        assert!(!triangle_plus_leaf().is_bipartite());
+        assert!(two_colorable(&even_cycle));
+        assert!(!two_colorable(&triangle_plus_leaf()));
         // Disconnected graph with one odd component.
         let g = Graph::from_edges(5, &[(0, 1), (2, 3), (3, 4), (4, 2)]).unwrap();
-        assert!(!g.is_bipartite());
+        assert!(!two_colorable(&g));
     }
 
     #[test]

@@ -21,6 +21,13 @@
 //! the reference kernel instead read and wrote the output row from
 //! memory once per inner-index step, which is the same arithmetic with
 //! `KC`× the memory traffic on the output row.
+//!
+//! A row's columns past its last full panel take one [`HALF_LANES`]
+//! panel and then one panel as wide as what is left (`m mod 8` columns),
+//! each monomorphized at its width, so even the last few columns keep
+//! all their partial sums in registers at once. A scalar loop per tail
+//! column would run one dependent add chain per column, one column after
+//! another.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -34,9 +41,24 @@ pub(crate) const KC: usize = 64;
 // compile time instead of re-checking per call site.
 const _: () = assert!(KC >= 1, "the inner tile must be non-empty");
 
-/// Output-column panel width of the register-blocked kernels: 8 lanes
-/// fill four SSE2 registers (or two AVX ones) and unroll cleanly.
-pub(crate) const LANES: usize = 8;
+/// Output-column panel width of the register-blocked kernels. Each
+/// inner-index step adds one product into every lane, so a panel keeps
+/// `LANES` independent add chains in flight: 16 lanes (eight SSE2
+/// registers of partial sums) hide more of the add latency than 8 did.
+/// Timed on the half product (release, one thread, medians of 15
+/// interleaved rounds on a shared 2-vCPU Xeon VM, equal bits), summed
+/// over thm1 phase sizes 12–122 in steps of 11 and 128: 648–660 µs at
+/// 16 lanes, 805–810 µs at 8 lanes with the same column tail, 905–921
+/// µs at 8 lanes with scalar tail columns. Over exact-variant sizes
+/// 4–60 in steps of 4: 80, 90–91 and 121–125 µs. 24 lanes read within
+/// 3% of 16; 32 lanes, all sixteen SSE2 registers, read 10–13% slower.
+pub(crate) const LANES: usize = 16;
+
+/// Width of the one panel between a row's last full [`LANES`] panel and
+/// its tail; the tail then holds fewer than `HALF_LANES` columns, the
+/// widths [`sweep_row`] monomorphizes.
+const HALF_LANES: usize = LANES / 2;
+const _: () = assert!(HALF_LANES == 8, "sweep_row spells out tails of 1-7");
 
 /// How many work-queue chunks each worker gets on average. More chunks
 /// mean finer-grained stealing (skewed row costs rebalance better) at
@@ -67,12 +89,12 @@ pub(crate) fn matmul_rows_into(
     panel_rows::<false>(a, b, out, k, m, lo, hi);
 }
 
-/// [`matmul_rows_into`] restricted to the output panels on or above the
-/// diagonal: row `i` starts at the panel holding column `i`, so every
-/// entry `(i, j ≥ i)` is computed — each one bit for bit the full
-/// kernel's, since an entry's accumulation never depends on its
-/// neighbors — and the panels wholly below the diagonal are left as
-/// they were. The caller fills them (see `Matrix::square_reversible`).
+/// [`matmul_rows_into`] restricted to the entries on or above the
+/// diagonal: row `i` sweeps its panels from column `i`, so every entry
+/// `(i, j ≥ i)` is computed — each one bit for bit the full kernel's,
+/// since an entry's accumulation never depends on its neighbors — and
+/// the entries below the diagonal are left as they were. The caller
+/// fills them (see `Matrix::square_reversible`).
 pub(crate) fn matmul_upper_rows_into(
     a: &[f64],
     b: &[f64],
@@ -86,8 +108,8 @@ pub(crate) fn matmul_upper_rows_into(
 }
 
 /// The panel kernel behind [`matmul_rows_into`] (`UPPER = false`: every
-/// panel) and [`matmul_upper_rows_into`] (`UPPER = true`: row `i` from
-/// the panel holding column `i`).
+/// column) and [`matmul_upper_rows_into`] (`UPPER = true`: row `i` from
+/// column `i`).
 fn panel_rows<const UPPER: bool>(
     a: &[f64],
     b: &[f64],
@@ -100,38 +122,102 @@ fn panel_rows<const UPPER: bool>(
     for k0 in (0..k).step_by(KC) {
         let k1 = (k0 + KC).min(k);
         for i in lo..hi {
-            let a_row = &a[i * k + k0..i * k + k1];
+            let row = DenseTerms {
+                row: &a[i * k + k0..i * k + k1],
+                k0,
+            };
             let out_row = &mut out[(i - lo) * m..(i - lo + 1) * m];
-            let mut j = if UPPER { i / LANES * LANES } else { 0 };
-            while j + LANES <= m {
-                let mut acc = [0.0f64; LANES];
-                acc.copy_from_slice(&out_row[j..j + LANES]);
-                for (kk, &aik) in a_row.iter().enumerate() {
-                    if aik == 0.0 {
-                        continue;
-                    }
-                    let b_panel = &b[(k0 + kk) * m + j..(k0 + kk) * m + j + LANES];
-                    for (o, &bkj) in acc.iter_mut().zip(b_panel) {
-                        *o += aik * bkj;
-                    }
-                }
-                out_row[j..j + LANES].copy_from_slice(&acc);
-                j += LANES;
+            sweep_row(&row, b, if UPPER { i } else { 0 }, out_row);
+        }
+    }
+}
+
+/// One row of `A` as the terms a panel consumes: its `(k, a_k)` pairs in
+/// strictly increasing inner index `k`, zeros skipped.
+pub(crate) trait RowTerms {
+    /// Adds `a_k · B[k, j..j + W]` into `acc` for each term in turn (`B`
+    /// row-major with `m` columns).
+    fn add_panel<const W: usize>(&self, b: &[f64], m: usize, j: usize, acc: &mut [f64; W]);
+}
+
+/// A dense row tile `A[i, k0..k0 + row.len()]`; its zero entries are
+/// skipped.
+struct DenseTerms<'a> {
+    row: &'a [f64],
+    k0: usize,
+}
+
+impl RowTerms for DenseTerms<'_> {
+    #[inline(always)]
+    fn add_panel<const W: usize>(&self, b: &[f64], m: usize, j: usize, acc: &mut [f64; W]) {
+        for (kk, &aik) in self.row.iter().enumerate() {
+            if aik == 0.0 {
+                continue;
             }
-            // Remainder columns (m mod LANES): scalar accumulators, same
-            // per-entry order.
-            for jj in j..m {
-                let mut acc = out_row[jj];
-                for (kk, &aik) in a_row.iter().enumerate() {
-                    if aik == 0.0 {
-                        continue;
-                    }
-                    acc += aik * b[(k0 + kk) * m + jj];
-                }
-                out_row[jj] = acc;
+            let base = (self.k0 + kk) * m + j;
+            for (o, &bkj) in acc.iter_mut().zip(&b[base..base + W]) {
+                *o += aik * bkj;
             }
         }
     }
+}
+
+/// A CSR row's stored entries, which hold no zeros.
+pub(crate) struct SparseTerms<'a> {
+    pub(crate) cols: &'a [u32],
+    pub(crate) vals: &'a [f64],
+}
+
+impl RowTerms for SparseTerms<'_> {
+    #[inline(always)]
+    fn add_panel<const W: usize>(&self, b: &[f64], m: usize, j: usize, acc: &mut [f64; W]) {
+        for (&k, &aik) in self.cols.iter().zip(self.vals) {
+            let base = k as usize * m + j;
+            for (o, &bkj) in acc.iter_mut().zip(&b[base..base + W]) {
+                *o += aik * bkj;
+            }
+        }
+    }
+}
+
+/// Adds `Σ_k a_k · B[k, j0..]` into `out_row[j0..]` (`B` row-major with
+/// `out_row.len()` columns): [`LANES`]-wide panels, then one
+/// [`HALF_LANES`] panel, then the last `m mod 8` columns as one panel of
+/// their own width. Every entry takes `row`'s terms in the same order
+/// whatever panel holds it, so the split never changes a bit.
+pub(crate) fn sweep_row(row: &impl RowTerms, b: &[f64], j0: usize, out_row: &mut [f64]) {
+    let m = out_row.len();
+    let mut j = j0;
+    while j + LANES <= m {
+        panel::<LANES>(row, b, j, out_row);
+        j += LANES;
+    }
+    if j + HALF_LANES <= m {
+        panel::<HALF_LANES>(row, b, j, out_row);
+        j += HALF_LANES;
+    }
+    match m - j {
+        0 => {}
+        1 => panel::<1>(row, b, j, out_row),
+        2 => panel::<2>(row, b, j, out_row),
+        3 => panel::<3>(row, b, j, out_row),
+        4 => panel::<4>(row, b, j, out_row),
+        5 => panel::<5>(row, b, j, out_row),
+        6 => panel::<6>(row, b, j, out_row),
+        7 => panel::<7>(row, b, j, out_row),
+        _ => unreachable!("the tail is narrower than HALF_LANES"),
+    }
+}
+
+/// One `W`-column panel of [`sweep_row`]: `out_row[j..j + W]` seeds a
+/// fixed-width accumulator that takes every term's products, then is
+/// stored back once.
+#[inline(always)]
+fn panel<const W: usize>(row: &impl RowTerms, b: &[f64], j: usize, out_row: &mut [f64]) {
+    let mut acc = [0.0f64; W];
+    acc.copy_from_slice(&out_row[j..j + W]);
+    row.add_panel(b, out_row.len(), j, &mut acc);
+    out_row[j..j + W].copy_from_slice(&acc);
 }
 
 /// The pre-panel tiled kernel, retained verbatim as the equality
@@ -217,34 +303,145 @@ pub(crate) fn steal_row_chunks<T: Send>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{CsrMatrix, Matrix};
+
+    /// `(rows, k, m)` shapes covering every column remainder of the 16-
+    /// and 8-lane panels, both sides of the `KC = 64` tile and of the
+    /// panel edges at 64 and 128, plus one shape with `k ≠ m`.
+    fn kernel_shapes() -> Vec<(usize, usize, usize)> {
+        (1..=40)
+            .chain(63..=65)
+            .chain(127..=130)
+            .chain([200])
+            .map(|n| (n, n, n))
+            .chain([(5, 70, 37)])
+            .collect()
+    }
+
+    /// A `rows × cols` operand of hashed fractions with exact zeros
+    /// scattered through it (every seventh hash), for the zero-skip.
+    fn operand(rows: usize, cols: usize, mul: usize, modulus: usize) -> Vec<f64> {
+        (0..rows * cols)
+            .map(|x| match (x * mul) % modulus {
+                h if h % 7 == 0 => 0.0,
+                h => h as f64 / modulus as f64 + 1e-9,
+            })
+            .collect()
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// `A · B` by the scalar CSR × dense loop: each stored entry of row
+    /// `i`, in column order, scaled onto `B`'s row.
+    fn csr_dense_scalar(a: &CsrMatrix, b: &[f64], m: usize) -> Vec<f64> {
+        let mut out = vec![0.0; a.rows() * m];
+        for i in 0..a.rows() {
+            let (cols, vals) = a.row(i);
+            for (&k, &v) in cols.iter().zip(vals) {
+                let b_row = &b[k as usize * m..(k as usize + 1) * m];
+                for (o, &bkj) in out[i * m..(i + 1) * m].iter_mut().zip(b_row) {
+                    *o += v * bkj;
+                }
+            }
+        }
+        out
+    }
 
     #[test]
     fn panel_kernel_matches_reference_bitwise() {
-        // Sizes straddling both the KC = 64 tile and the LANES = 8 panel
-        // boundaries, with awkward remainders.
-        for n in [1usize, 7, 8, 9, 63, 64, 65, 130, 200] {
-            let a: Vec<f64> = (0..n * n)
-                .map(|x| ((x * 31) % 97) as f64 / 97.0 + 1e-9)
-                .collect();
-            let b: Vec<f64> = (0..n * n).map(|x| ((x * 13) % 89) as f64 / 89.0).collect();
-            let mut new = vec![0.0; n * n];
-            let mut old = vec![0.0; n * n];
-            matmul_rows_into(&a, &b, &mut new, n, n, 0, n);
-            matmul_rows_into_ref(&a, &b, &mut old, n, n, 0, n);
-            assert_eq!(new, old, "n = {n}");
+        for (rows, k, m) in kernel_shapes() {
+            let a = operand(rows, k, 31, 97);
+            let b = operand(k, m, 13, 89);
+            let mut old = vec![0.0; rows * m];
+            matmul_rows_into_ref(&a, &b, &mut old, k, m, 0, rows);
+            let mut new = vec![0.0; rows * m];
+            matmul_rows_into(&a, &b, &mut new, k, m, 0, rows);
+            assert_eq!(bits(&new), bits(&old), "full, {rows}×{k}·{k}×{m}");
+
+            let sparse = CsrMatrix::from_dense(&Matrix::from_fn(rows, k, |i, j| a[i * k + j]));
+            let rhs = Matrix::from_fn(k, m, |i, j| b[i * m + j]);
+            assert_eq!(
+                bits(sparse.matmul_dense_rhs(&rhs, 1).as_slice()),
+                bits(&csr_dense_scalar(&sparse, &b, m)),
+                "CSR × dense, {rows}×{k}·{k}×{m}"
+            );
+
+            if rows == m && k == m {
+                // The upper kernel, in two row chunks as the work queue
+                // hands them out: every entry (i, j ≥ i) is the full
+                // kernel's, and the entries below the diagonal keep the
+                // sentinel they were seeded with.
+                let sentinel = -3.5;
+                let mut upper: Vec<f64> = (0..m * m)
+                    .map(|x| if x % m < x / m { sentinel } else { 0.0 })
+                    .collect();
+                let mid = m / 2;
+                let (top, bottom) = upper.split_at_mut(mid * m);
+                matmul_upper_rows_into(&a, &b, top, m, m, 0, mid);
+                matmul_upper_rows_into(&a, &b, bottom, m, m, mid, m);
+                for i in 0..m {
+                    for j in 0..m {
+                        let want = if j < i { sentinel } else { old[i * m + j] };
+                        assert_eq!(
+                            upper[i * m + j].to_bits(),
+                            want.to_bits(),
+                            "upper, n = {m}, entry ({i}, {j})"
+                        );
+                    }
+                }
+            }
         }
     }
 
     #[test]
     fn panel_kernel_keeps_the_zero_skip() {
-        // A row of exact zeros must leave `out` untouched bit-for-bit
-        // (the sparse pipeline relies on 0·x never contributing −0.0).
-        let n = 17;
-        let a = vec![0.0; n * n];
-        let b: Vec<f64> = (0..n * n).map(|x| -(x as f64) - 1.0).collect();
-        let mut out = vec![0.0; n * n];
-        matmul_rows_into(&a, &b, &mut out, n, n, 0, n);
-        assert!(out.iter().all(|&x| x.to_bits() == 0), "got {out:?}");
+        // Every third column of A is exact zeros and the matching rows of
+        // B are NaN: a kernel that multiplied a zero would poison its
+        // whole output row, in whatever panel or tail holds the column.
+        // Row 0 of A is all zeros, so it must leave `out` untouched bit
+        // for bit (the sparse pipeline relies on 0·x never contributing
+        // −0.0).
+        for (rows, k, m) in kernel_shapes() {
+            let skipped = |kk: usize| kk % 3 == 1;
+            let a: Vec<f64> = (0..rows * k)
+                .map(|x| match (x / k, x % k) {
+                    (0, _) => 0.0,
+                    (_, kk) if skipped(kk) => 0.0,
+                    _ => ((x * 31) % 97) as f64 / 97.0 + 1e-9,
+                })
+                .collect();
+            let b: Vec<f64> = (0..k * m)
+                .map(|x| {
+                    if skipped(x / m) {
+                        f64::NAN
+                    } else {
+                        -(x as f64) - 1.0
+                    }
+                })
+                .collect();
+            let mut full = vec![0.0; rows * m];
+            matmul_rows_into(&a, &b, &mut full, k, m, 0, rows);
+            assert!(full.iter().all(|x| !x.is_nan()), "full, {rows}×{k}·{k}×{m}");
+            assert!(
+                full[..m].iter().all(|&x| x.to_bits() == 0),
+                "full, zero row"
+            );
+            let sparse = CsrMatrix::from_dense(&Matrix::from_fn(rows, k, |i, j| a[i * k + j]));
+            let rhs = Matrix::from_fn(k, m, |i, j| b[i * m + j]);
+            let csr = sparse.matmul_dense_rhs(&rhs, 1);
+            assert_eq!(bits(csr.as_slice()), bits(&full), "CSR × dense, {rows}×{k}");
+            if rows == m && k == m {
+                let mut upper = vec![0.0; m * m];
+                matmul_upper_rows_into(&a, &b, &mut upper, m, m, 0, m);
+                assert!(upper.iter().all(|x| !x.is_nan()), "upper, n = {m}");
+                assert!(
+                    upper[..m].iter().all(|&x| x.to_bits() == 0),
+                    "upper, zero row"
+                );
+            }
+        }
     }
 
     #[test]

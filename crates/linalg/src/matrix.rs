@@ -342,7 +342,7 @@ impl Matrix {
     /// `self · self` for a matrix reversible with respect to `weights`
     /// (`w_i·M[i,j] = w_j·M[j,i]`, as every random-walk transition
     /// matrix is for its stationary weights), computing half the
-    /// product: the panel kernel runs only the output panels on or above
+    /// product: the panel kernel computes only the entries on or above
     /// the diagonal, `threads`-way over the same work-stealing row queue
     /// as [`Matrix::matmul_parallel_into`], and the strict lower
     /// triangle is filled by detailed balance, `M²[i,j] = M²[j,i]·w_j/w_i`.
@@ -565,7 +565,7 @@ mod tests {
 
     #[test]
     fn tiled_kernel_is_bit_identical_to_naive() {
-        // Sizes straddling the KC = 64 tile and LANES = 8 panel
+        // Sizes straddling the KC = 64 tile and the 16- and 8-lane panel
         // boundaries, including awkward remainders; irrational-ish
         // entries so any reassociation would change low-order bits.
         for n in [1usize, 7, 8, 9, 63, 64, 65, 130, 200] {

@@ -56,6 +56,13 @@
 //! the dense footprint (8 bytes per slot) — the exact memory break-even,
 //! about 2/3 fill. Promotion is a representation change only; by the
 //! contract above it never changes a computed bit.
+//!
+//! That break-even decides how a value is *stored*, not how it is
+//! *computed*: the CSR product's scatter and sort lose to the dense
+//! panel kernel well below 2/3 fill, so a power table squares a CSR
+//! level past its own compute break-even (`cct_sim::DeferredPowers`) as
+//! a dense copy and stores the square as the tracker would
+//! ([`PMatrix::compacted`]).
 
 use crate::{CsrMatrix, Matrix};
 use rand::Rng;
@@ -260,10 +267,24 @@ impl PMatrix {
     /// for bit.
     pub fn promoted(self) -> PMatrix {
         match self {
-            PMatrix::Sparse(m) if m.memory_bytes() >= m.rows() * m.cols() * 8 => {
+            PMatrix::Sparse(m) if fills_dense(m.rows(), m.cols(), m.nnz()) => {
                 PMatrix::Dense(m.to_dense())
             }
             other => other,
+        }
+    }
+
+    /// A dense value stored as the fill-in tracker stores it:
+    /// `PMatrix::Sparse(CsrMatrix::from_dense(&m)).promoted()`, with the
+    /// same representation, entries and capacities, but keeping `m`
+    /// itself instead of compressing and re-expanding a value past the
+    /// break-even.
+    pub fn compacted(m: Matrix) -> PMatrix {
+        let nnz = m.as_slice().iter().filter(|&&x| x != 0.0).count();
+        if fills_dense(m.rows(), m.cols(), nnz) {
+            PMatrix::Dense(m)
+        } else {
+            PMatrix::Sparse(CsrMatrix::from_dense(&m))
         }
     }
 
@@ -356,6 +377,12 @@ impl PMatrix {
         }
         worst
     }
+}
+
+/// The promotion rule: whether `nnz` stored entries of a `rows × cols`
+/// CSR matrix take at least the dense footprint of that shape.
+fn fills_dense(rows: usize, cols: usize, nnz: usize) -> bool {
+    CsrMatrix::bytes_for(rows, nnz) >= rows * cols * 8
 }
 
 impl From<Matrix> for PMatrix {

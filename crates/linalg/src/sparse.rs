@@ -207,7 +207,13 @@ impl CsrMatrix {
 
     /// Heap bytes of the CSR storage (12 per entry plus the row table).
     pub fn memory_bytes(&self) -> usize {
-        self.col_idx.len() * 4 + self.values.len() * 8 + self.row_ptr.len() * 8
+        CsrMatrix::bytes_for(self.rows, self.nnz())
+    }
+
+    /// [`CsrMatrix::memory_bytes`] of a matrix with `rows` rows and `nnz`
+    /// stored entries.
+    pub(crate) fn bytes_for(rows: usize, nnz: usize) -> usize {
+        nnz * 12 + (rows + 1) * 8
     }
 
     /// Allocated heap bytes of the CSR storage — [`Self::memory_bytes`]
@@ -329,37 +335,14 @@ impl CsrMatrix {
         out.build()
     }
 
-    /// One output row of the sparse × dense product, register-blocked
-    /// over [`crate::kernel::LANES`]-wide panels so the inner loop sweeps
-    /// contiguous lanes of `rhs` and `out` with the partial sums in a
-    /// fixed-width accumulator. Per output entry, products are added in
-    /// stored-entry order (strictly increasing inner index) — the same
-    /// order as the scalar scatter loop this replaces, so results stay
+    /// One output row of the sparse × dense product through the panel
+    /// sweep of [`crate::kernel::LANES`]-wide panels and a monomorphized
+    /// column tail. Per output entry, products are added in stored-entry
+    /// order (strictly increasing inner index), so results stay
     /// bit-identical to the dense route.
     fn dense_rhs_row(cols: &[u32], vals: &[f64], b: &[f64], out_row: &mut [f64]) {
-        use crate::kernel::LANES;
-        let m = out_row.len();
-        let mut j = 0;
-        while j + LANES <= m {
-            let mut acc = [0.0f64; LANES];
-            acc.copy_from_slice(&out_row[j..j + LANES]);
-            for (&k, &aik) in cols.iter().zip(vals) {
-                let base = k as usize * m + j;
-                let b_panel = &b[base..base + LANES];
-                for (o, &bkj) in acc.iter_mut().zip(b_panel) {
-                    *o += aik * bkj;
-                }
-            }
-            out_row[j..j + LANES].copy_from_slice(&acc);
-            j += LANES;
-        }
-        for jj in j..m {
-            let mut acc = out_row[jj];
-            for (&k, &aik) in cols.iter().zip(vals) {
-                acc += aik * b[k as usize * m + jj];
-            }
-            out_row[jj] = acc;
-        }
+        let row = crate::kernel::SparseTerms { cols, vals };
+        crate::kernel::sweep_row(&row, b, 0, out_row);
     }
 
     /// Sparse × dense product into a dense result. Rows are computed by

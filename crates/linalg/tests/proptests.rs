@@ -394,8 +394,10 @@ proptest! {
 }
 
 /// Sizes on both sides of the panel kernel's `KC = 64` inner tile and
-/// `LANES = 8` output panel, for the half-product properties.
-const KERNEL_EDGES: [usize; 14] = [1, 2, 7, 8, 9, 63, 64, 65, 71, 72, 127, 128, 129, 200];
+/// its 16- and 8-lane output panels, for the half-product properties.
+const KERNEL_EDGES: [usize; 20] = [
+    1, 2, 7, 8, 9, 15, 16, 17, 23, 24, 25, 63, 64, 65, 71, 72, 127, 128, 129, 200,
+];
 
 /// A size in `1..=200`, drawn half the time from [`KERNEL_EDGES`].
 fn kernel_size() -> impl Strategy<Value = usize> {

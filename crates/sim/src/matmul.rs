@@ -729,10 +729,11 @@ fn charge_redistribution(clique: &mut Clique, levels: usize, rounding: Rounding)
 ///
 /// # The settled level
 ///
-/// Each level is squared from the previous with the representation-
-/// adaptive [`PMatrix::matmul`] followed by the same fixed-point
-/// truncation the eager route applies — identical bits, identical
-/// promotion decisions — and then compared with the level below it.
+/// Each level is squared from the previous (see *Representations*
+/// below) and takes the same fixed-point truncation the eager route
+/// applies — the bits and the stored representation of the eager
+/// route's [`PMatrix::matmul`] — and is then compared with the level
+/// below it.
 /// The first level `k` that agrees with level `k − 1` is the table's
 /// *settled level*: every level above it **is** level `k`, returned by
 /// reference, and is never computed or stored. "Agree" means:
@@ -768,6 +769,18 @@ fn charge_redistribution(clique: &mut Clique, levels: usize, rounding: Rounding)
 /// mixed or drifts faster than the cap; it keeps squaring, as the eager
 /// table does.
 ///
+/// # Representations
+///
+/// Storage follows the memory break-even, squaring the compute
+/// break-even. A level is stored as [`PMatrix::matmul`] stores a
+/// product: CSR while its CSR footprint is below the dense one (about
+/// 2/3 fill), dense past it. A CSR level below `DENSIFY_FILL` (15%)
+/// squares by the CSR product; any fuller level squares as a dense copy
+/// through the panel kernel, and its square is stored CSR again if it
+/// is still below the memory break-even ([`PMatrix::compacted`]). The
+/// full dense product is the CSR product bit for bit, so this changes
+/// no bit of a table without weights.
+///
 /// # Stationary weights
 ///
 /// Every table the sampler builds holds powers of a reversible walk: on
@@ -783,12 +796,13 @@ fn charge_redistribution(clique: &mut Clique, levels: usize, rounding: Rounding)
 ///   reweighted toward the `2²⁰` ratio can miss it by `10³ ε` and more,
 ///   up to a pair that is zero on one side only, and their tables drop
 ///   the weights and behave exactly as tables without them.
-/// * **Half product.** A dense level of a table with weights squares
-///   through [`Matrix::square_reversible`]: the kernel computes only the
-///   output panels on or above the diagonal, each entry bit for bit the
+/// * **Half product.** A level of a table with weights that squares
+///   dense, a dense level or a CSR level at `DENSIFY_FILL` or more,
+///   squares through [`Matrix::square_reversible`]: the kernel computes
+///   only the entries on or above the diagonal, each bit for bit the
 ///   full kernel's on the same operand, and detailed balance fills the
 ///   rest, `M²[i,j] = M²[j,i]·w_j/w_i`, a few `ε` relative from the full
-///   product's entry. CSR levels keep the general product.
+///   product's entry. Sparser CSR levels keep the CSR product.
 /// * **Stationary settle.** A newly squared dense level `k` whose every
 ///   entry lies within the next level's tolerance `2^min(k+1, 22)·ε` of
 ///   the stationary row `w/Σw` is the settled level, which saves the
@@ -832,6 +846,17 @@ struct Stationary {
 
 /// The level at which [`settle_tolerance`] stops doubling.
 const SETTLE_CAP_LEVEL: usize = 22;
+
+/// The fill (`nnz / n²`) at or above which a CSR level squares faster as
+/// a dense copy (copy, panel product, compaction) than by the CSR
+/// product: the compute break-even, far below the 2/3-fill memory
+/// break-even that decides how a level is stored. Timed both ways on
+/// every CSR level of 150 warm draws each of thm1 on `regular:128:4`
+/// and the exact variant on `regular:64:4` (graph seeds 2025 and 77,
+/// release, one thread, a shared 2-vCPU Xeon VM), the CSR product took
+/// 0.32–0.87× the dense route's time below 15% fill, 0.87–1.10× in
+/// `[15%, 16%)`, 1.02–1.38× in `[16%, 20%)` and 2.5–3.2× above 30%.
+const DENSIFY_FILL: f64 = 0.15;
 
 /// How far an entry of level `k` may move from level `k − 1` for the
 /// two to agree: `2^min(k, 22) · ε` under [`Rounding::Exact`] (the
@@ -959,15 +984,29 @@ impl DeferredPowers {
         self
     }
 
-    /// The square of level `prev`: half a product filled by detailed
-    /// balance for a dense level of a table with weights, the general
-    /// product otherwise.
+    /// The square of level `prev`. A CSR level below `DENSIFY_FILL`
+    /// takes the CSR product. Any other level squares dense: as half a
+    /// product filled by detailed balance in a table with weights, as the
+    /// full panel product otherwise. A CSR level's square is stored as
+    /// the CSR product's would be ([`PMatrix::compacted`]).
     fn square(&self, prev: &PMatrix) -> PMatrix {
-        match (&self.stationary, prev) {
-            (Some(st), PMatrix::Dense(m)) => {
-                PMatrix::Dense(m.square_reversible(&st.weights, self.threads))
+        let densified;
+        let m = match prev {
+            PMatrix::Dense(m) => m,
+            PMatrix::Sparse(s) if s.density() >= DENSIFY_FILL => {
+                densified = s.to_dense();
+                &densified
             }
-            _ => prev.matmul(prev, self.threads),
+            PMatrix::Sparse(_) => return prev.matmul(prev, self.threads),
+        };
+        let sq = match &self.stationary {
+            Some(st) => m.square_reversible(&st.weights, self.threads),
+            None => m.matmul_parallel(m, self.threads),
+        };
+        if prev.is_sparse() {
+            PMatrix::compacted(sq)
+        } else {
+            PMatrix::Dense(sq)
         }
     }
 
@@ -1074,7 +1113,8 @@ impl std::fmt::Debug for DeferredPowers {
 ///
 /// The returned table has no stationary weights. The sampler attaches
 /// its walk's with [`DeferredPowers::with_stationary_weights`]; if level
-/// 0 passes the detailed-balance guard, dense levels square as half a
+/// 0 passes the detailed-balance guard, every level that squares dense
+/// (dense levels and CSR levels at 15% fill or more) squares as half a
 /// product filled by detailed balance, and a dense level already within
 /// the next level's tolerance of the stationary row settles the table.
 /// Its levels are then within `2^{min(k, 22)+1}·ε` of the eager ones
@@ -1719,6 +1759,102 @@ mod tests {
             assert_eq!(weighted.settled_level(), plain.settled_level(), "{label}");
             for k in 0..20 {
                 assert_eq!(weighted.level(k), plain.level(k), "{label}: level {k}");
+            }
+        }
+    }
+
+    #[test]
+    fn densified_csr_levels_store_and_settle_as_the_csr_product() {
+        // Each graph's CSR levels fill past DENSIFY_FILL before the
+        // 2/3-fill memory break-even, so its tables square some CSR
+        // levels by the CSR product and densify others. The eager table
+        // squares every CSR level by the CSR product: the reference.
+        const LEVELS: usize = 20;
+        for spec in ["regular:64:4", "regular:128:4", "cycle:128", "grid:8x16"] {
+            let (m, w) = spec_walk(spec, cct_linalg::Repr::Sparse);
+            for rounding in [Rounding::Exact, Rounding::Fixed(FixedPoint::new(12))] {
+                let label = format!("{spec} {rounding:?}");
+                let mut clique = Clique::new(m.rows());
+                let eager = distributed_powers(
+                    &mut clique,
+                    &UnitCostEngine::default(),
+                    &m,
+                    LEVELS,
+                    rounding,
+                );
+                let plain = lazy_table(&m, LEVELS, rounding, None);
+                let weighted = lazy_table(&m, LEVELS, rounding, Some(&w));
+                plain.level(LEVELS - 1);
+                weighted.level(LEVELS - 1);
+                let s_plain = plain
+                    .settled_level()
+                    .unwrap_or_else(|| panic!("{label}: the weightless table never settled"));
+                let s = weighted
+                    .settled_level()
+                    .unwrap_or_else(|| panic!("{label}: never settled"));
+
+                // The CSR levels squared on the way straddle the constant.
+                let squared_fills: Vec<f64> = eager[..s_plain]
+                    .iter()
+                    .filter_map(|level| match level {
+                        PMatrix::Sparse(c) => Some(c.density()),
+                        PMatrix::Dense(_) => None,
+                    })
+                    .collect();
+                assert!(
+                    squared_fills.iter().any(|&f| f < DENSIFY_FILL)
+                        && squared_fills.iter().any(|&f| f >= DENSIFY_FILL),
+                    "{label}: CSR levels squared at fills {squared_fills:?}"
+                );
+
+                // Every level is stored as the CSR product stores it:
+                // same representation, entries and allocated bytes.
+                for (table, top) in [(&plain, s_plain), (&weighted, s)] {
+                    for (k, want) in eager.iter().enumerate().take(top + 1) {
+                        let got = table.level(k);
+                        assert_eq!(got.repr(), want.repr(), "{label}: level {k} repr");
+                        assert_eq!(got.nnz(), want.nnz(), "{label}: level {k} nnz");
+                        assert_eq!(
+                            got.resident_bytes(),
+                            want.resident_bytes(),
+                            "{label}: level {k} bytes"
+                        );
+                    }
+                }
+
+                // Without weights the levels are the CSR product's bits.
+                for (k, want) in eager.iter().enumerate().take(s_plain + 1) {
+                    assert_eq!(plain.level(k), want, "{label}: level {k}");
+                    let (got, want) = (plain.level(k).to_dense(), want.to_dense());
+                    assert!(
+                        got.as_slice()
+                            .iter()
+                            .zip(want.as_slice())
+                            .all(|(x, y)| x.to_bits() == y.to_bits()),
+                        "{label}: level {k} bits"
+                    );
+                }
+
+                if rounding.is_exact() {
+                    // With weights: within the drift bound of the eager
+                    // level, settled where the CSR route settles or one
+                    // level below.
+                    assert!(weighted.stationary.is_some(), "{label}: guard");
+                    assert!(
+                        s == s_plain || s + 1 == s_plain,
+                        "{label}: settled at {s}, the weightless table at {s_plain}"
+                    );
+                    for (k, want) in eager.iter().enumerate() {
+                        let diff = want.max_abs_diff(weighted.level(k));
+                        assert!(
+                            diff <= weighted_bound(k),
+                            "{label}: level {k} is {diff:e} from the eager level"
+                        );
+                    }
+                } else {
+                    assert!(weighted.stationary.is_none(), "{label}: fixed point");
+                    assert_eq!(s, s_plain, "{label}: settled level");
+                }
             }
         }
     }
